@@ -492,12 +492,18 @@ def _receiver_outage(setup: _PointSetup, th: float, method: str):
     return float(secrecy.mixture_cdf(p_los, f_los, float(cdf(nlos, th))))
 
 
-def _receiver_capacity(setup: _PointSetup, method: str):
+def _receiver_capacity(setup: _PointSetup, method: str, memo: dict):
     if setup.receiver_model != "double_kappa_mu_shadowed":
         return None  # analytic receiver capacity is defined for the double model
-    if method == "closed-form":
-        return secrecy.capacity_receiver_series(setup.receiver_dksm)
-    return secrecy.capacity_receiver_quadrature(setup.receiver_dksm)
+    # variants and grid points often share the receiver link (fig5's
+    # jammer sizes all do), so one run computes each distinct link once
+    key = (setup.receiver_dksm, method)
+    if key not in memo:
+        if method == "closed-form":
+            memo[key] = secrecy.capacity_receiver_series(setup.receiver_dksm)
+        else:
+            memo[key] = secrecy.capacity_receiver_quadrature(setup.receiver_dksm)
+    return memo[key]
 
 
 def _eve_outage(setup: _PointSetup, th: float, method: str):
@@ -564,9 +570,10 @@ def _eve_sim_config(setup: _PointSetup) -> montecarlo.SimConfig:
 
 
 def _eval_point(sc: Scenario, overrides: dict, axis_value: float,
-                stream: int) -> dict:
+                stream: int, memo: dict) -> dict:
     """All requested metric values at one grid point.  Keys are
-    (metric, zeta-or-None, method)."""
+    (metric, zeta-or-None, method).  `memo` holds the receiver capacities
+    already computed in this run."""
     setup = _resolve_point(sc, overrides, axis_value, stream)
     out = {}
     need_cs = "c_s" in sc.metrics
@@ -601,7 +608,7 @@ def _eval_point(sc: Scenario, overrides: dict, axis_value: float,
             if method == "monte-carlo":
                 c_r = montecarlo.estimate_capacity(receiver_samples).value
             else:
-                c_r = _receiver_capacity(setup, method)
+                c_r = _receiver_capacity(setup, method, memo)
             if "c_r" in want:
                 out[("c_r", None, method)] = c_r
         if "c_e" in want or need_cs:
@@ -621,9 +628,18 @@ def _eval_point(sc: Scenario, overrides: dict, axis_value: float,
     return out
 
 
+# A pool worker's memo: set by the pool initializer, so it lives exactly
+# as long as the pool of one run_scenario call.
+_worker_memo = None
+
+
+def _init_worker():
+    global _worker_memo
+    _worker_memo = {}
+
+
 def _eval_task(args):
-    sc, overrides, axis_value, stream = args
-    return _eval_point(sc, overrides, axis_value, stream)
+    return _eval_point(*args, memo=_worker_memo)
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +676,12 @@ def run_scenario(path: str, *, seed=None, trials=None, methods=None,
             tasks.append((sc, overrides, axis_value, vi * 1000 + pi))
 
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_init_worker) as pool:
             results = list(pool.map(_eval_task, tasks))
     else:
-        results = [_eval_task(t) for t in tasks]
+        memo = {}
+        results = [_eval_point(*t, memo=memo) for t in tasks]
 
     by_variant = {}
     for (sc_, overrides, axis_value, stream), res in zip(tasks, results):

@@ -479,36 +479,23 @@ def capacity_eve_quadrature(p: EveLinkParams) -> float:
 
 
 def capacity_eve_foxh(p: EveLinkParams) -> float:
-    """Eavesdropper ergodic capacity assembled from the fixed bivariate
-    contour kernel, one (n, q) term per kernel evaluation.
+    """Eavesdropper ergodic capacity from the bivariate Fox-H closed form.
 
-    The (n, q) coefficient 1/(ln2 Gamma(nu_J) n! beta_I beta_J^q) times
-    binom(n, q) folds into the kernel in log space.
+    The double sum over (n, q) is one weighted kernel evaluation: term
+    (n, q) carries binom(n, q) / (ln2 Gamma(nu_J) n! beta_I beta_J^q) as a
+    log weight, and the kernel integrates the whole sum on one contour
+    grid with one refinement loop.
     """
     base = -math.log(_LN2) - sc.gammaln(p.nu_j) - math.log(p.beta_i)
-    x = 1.0 / p.beta_i
-    y = 1.0 / p.beta_j
-    total = 0.0
-    total_err = 0.0
-    for n in range(p.nu_i):
-        for q in range(n + 1):
-            omega = q + p.nu_j
-            ln_coef = (
-                base
-                + _ln_binom(n, q)
-                - sc.gammaln(n + 1)
-                - q * math.log(p.beta_j)
-            )
-            spec = BivariateFoxHSpec(n=n, omega=float(omega))
-            val, err = fox_h_bivariate(spec, x, y, log_prefactor=ln_coef)
-            total += val
-            total_err += err
-    if total_err > max(1e-9, 1e-4 * abs(total)):
-        raise AccuracyError(
-            "eavesdropper capacity contour error too large",
-            best=total,
-            error_estimate=total_err,
-        )
+    log_weights = [
+        [
+            base + _ln_binom(n, q) - sc.gammaln(n + 1) - q * math.log(p.beta_j)
+            for q in range(n + 1)
+        ]
+        for n in range(p.nu_i)
+    ]
+    spec = BivariateFoxHSpec(omega=float(p.nu_j), log_weights=log_weights)
+    total, _ = fox_h_bivariate(spec, 1.0 / p.beta_i, 1.0 / p.beta_j)
     return max(total, 0.0)
 
 

@@ -2,19 +2,21 @@
 
 The gamma-family helpers wrap scipy's well-tested routines behind the
 domain checks the rest of the package relies on.  The Gauss hypergeometric
-series, the Meijer G-function, and the one bivariate Fox-H instance needed
-by the eavesdropper capacity are evaluated here directly:
+series, the Meijer G-function, and the weighted sum of bivariate Fox-H
+instances needed by the eavesdropper capacity are evaluated here directly:
 
 * ``gauss_2f1`` sums the defining power series with a term-ratio stopping
   rule, mapping negative arguments into (0, 1) with the Pfaff transform.
 * ``meijer_g`` integrates the Mellin-Barnes representation numerically on
   a vertical contour placed strictly between the two pole families.
-* ``fox_h_bivariate`` does the same on a double contour for the fixed
-  instance H^{1,0;1,1;1,1}_{0,1;1,1;1,1}.
+* ``fox_h_bivariate`` integrates a whole weighted double sum of the
+  instance H^{1,0;1,1;1,1}_{0,1;1,1;1,1} on one double contour: the terms
+  differ only by Pochhammer factors, so the sum is one polynomial times a
+  shared gamma kernel, evaluated block by block on a single grid.
 
-Both contour evaluators accept a ``log_prefactor`` so that a huge series
-coefficient and a huge G/H value can be combined in log space without
-overflowing intermediate floats.
+``meijer_g`` accepts a ``log_prefactor`` and ``fox_h_bivariate`` takes its
+weights as logs, so that a huge series coefficient and a huge G/H value
+can be combined in log space without overflowing intermediate floats.
 """
 
 from __future__ import annotations
@@ -153,26 +155,52 @@ class MeijerGSpec:
 
 @dataclass(frozen=True)
 class BivariateFoxHSpec:
-    """The one bivariate Fox-H instance the eavesdropper capacity needs.
+    """A weighted double sum of the one bivariate Fox-H instance the
+    eavesdropper capacity needs.
 
-    H^{1,0;1,1;1,1}_{0,1;1,1;1,1}(x, y) with parameter groups
-    ((-n; 1, 1)), ((0,1)/(0,1)), ((1-omega,1)/(0,1)), i.e. the double
-    Mellin-Barnes kernel
+    Term (n, q) is H^{1,0;1,1;1,1}_{0,1;1,1;1,1}(x, y) with parameter
+    groups ((-n; 1, 1)), ((0,1)/(0,1)), ((1-omega-q,1)/(0,1)), i.e. the
+    double Mellin-Barnes kernel
 
-        Gamma(1+n+s+t) Gamma(-s) Gamma(1+s) Gamma(-t) Gamma(omega+t)
+        Gamma(1+n+s+t) Gamma(-s) Gamma(1+s) Gamma(-t) Gamma(omega+q+t)
 
-    integrated in x^s y^t over vertical contours.  Arbitrary bivariate
-    Fox-H evaluation is deliberately out of scope.
+    integrated in x^s y^t over vertical contours.  ``log_weights`` is a
+    lower-triangular table: row n holds ln c_{n,q} for q = 0..n, and -inf
+    marks an absent term.  The spec stands for sum_{n,q} c_{n,q} H_{n,q};
+    a single term is the one-hot table built by :meth:`term`.  Arbitrary
+    bivariate Fox-H evaluation is deliberately out of scope.
     """
 
-    n: int
     omega: float
+    log_weights: tuple
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
-            raise ParameterError("n must be a non-negative integer")
+        rows = tuple(tuple(float(v) for v in row) for row in self.log_weights)
+        object.__setattr__(self, "log_weights", rows)
         if not (self.omega > 0):
             raise ParameterError("omega must be positive")
+        if not rows or any(len(row) != n + 1 for n, row in enumerate(rows)):
+            raise ParameterError(
+                "log_weights must be lower-triangular: row n holds n+1 entries"
+            )
+        if any(math.isnan(v) or v == math.inf for row in rows for v in row):
+            raise ParameterError("log weights must be finite or -inf")
+        if not self.terms():
+            raise ParameterError("at least one weight must be nonzero")
+
+    @classmethod
+    def term(cls, n: int, omega: float) -> "BivariateFoxHSpec":
+        """The single term H_{n,0} with unit weight."""
+        if not (isinstance(n, (int, np.integer)) and n >= 0):
+            raise ParameterError("n must be a non-negative integer")
+        rows = [[-math.inf] * (k + 1) for k in range(n + 1)]
+        rows[n][0] = 0.0
+        return cls(omega=omega, log_weights=rows)
+
+    def terms(self) -> list:
+        """The (n, q) index pairs that carry a nonzero weight."""
+        return [(n, q) for n, row in enumerate(self.log_weights)
+                for q, v in enumerate(row) if v > -math.inf]
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +377,13 @@ def meijer_g(spec: MeijerGSpec, z: float, quad: QuadratureConfig = DEFAULT_QUAD,
     )
 
 
-def _foxh_pass(spec, lnx, lny, sig_s, sig_t, len_s, len_t, h_s, h_t,
-               log_prefactor):
+_BLOCK_CELLS = 1 << 16  # grid cells per streamed block of a Fox-H pass
+
+
+def _foxh_pass(omega, coef, log_scale, lnx, lny, sig_s, sig_t, len_s, len_t,
+               h_s, h_t):
+    """One midpoint-rule pass over the double contour for the weighted sum
+    with weights exp(log_scale) * coef."""
     # full s-axis, upper-half t-axis; conjugate symmetry of the double
     # integrand under (s, t) -> (conj s, conj t) supplies the lower half
     ns = max(16, int(math.ceil(2.0 * len_s / h_s)))
@@ -359,64 +392,107 @@ def _foxh_pass(spec, lnx, lny, sig_s, sig_t, len_s, len_t, h_s, h_t,
     tau_t = (np.arange(nt) + 0.5) * (len_t / nt)
     s = sig_s + 1j * tau_s
     t = sig_t + 1j * tau_t
-    # only Gamma(1+n+s+t) couples the axes; the rest separates
+    # Gamma(1+n+w) Gamma(omega+q+t) = Gamma(1+w) Gamma(omega+t) (1+w)_n
+    # (omega+t)_q with w = s+t, so the sum is a shared gamma kernel times
+    # sum_n (1+w)_n a_n(t), a_n(t) = sum_q coef[n, q] (omega+t)_q.  Only
+    # Gamma(1+w) and the polynomial couple the axes.
     lg_s = sc.loggamma(-s) + sc.loggamma(1.0 + s) + s * lnx
-    lg_t = sc.loggamma(-t) + sc.loggamma(spec.omega + t) + t * lny
-    logf = (
-        sc.loggamma(1.0 + spec.n + s[:, None] + t[None, :])
-        + lg_s[:, None]
-        + lg_t[None, :]
-        + log_prefactor
-    )
-    peak = float(np.max(logf.real))
+    lg_t = sc.loggamma(-t) + sc.loggamma(omega + t) + t * lny
+    n_rows = coef.shape[0]
+    a = np.empty((n_rows, nt), dtype=complex)
+    for n in range(n_rows):
+        acc = np.full(nt, coef[n, n], dtype=complex)
+        for q in range(n - 1, -1, -1):
+            acc = coef[n, q] + (omega + q + t) * acc
+        a[n] = acc
+
+    # stream blocks of s-rows, so a pass never holds the whole grid; the
+    # accumulator is kept relative to the running peak of the kernel
+    peak = -math.inf
+    total = 0.0
+    rows = max(1, _BLOCK_CELLS // nt)
+    for lo in range(0, ns, rows):
+        w1 = (1.0 + s[lo:lo + rows, None]) + t[None, :]  # 1 + w
+        logf = sc.loggamma(w1)
+        logf += lg_s[lo:lo + rows, None]
+        logf += lg_t[None, :]
+        block_peak = float(np.max(logf.real))
+        if block_peak > peak:
+            total *= math.exp(peak - block_peak)
+            peak = block_peak
+        if peak == -math.inf:
+            continue
+        poly = np.repeat(a[-1][None, :], w1.shape[0], axis=0)
+        for n in range(n_rows - 2, -1, -1):  # Horner in (1+w)_n
+            poly *= w1 + n
+            poly += a[n]
+        logf -= peak
+        np.exp(logf, out=logf)
+        logf *= poly
+        total += float(np.sum(logf).real)
     if peak == -math.inf:
         return 0.0
-    acc = 2.0 * np.sum(np.exp(logf - peak)).real
     cell = (2.0 * len_s / ns) * (len_t / nt) / (4.0 * math.pi**2)
     with np.errstate(over="ignore"):
-        scale = float(np.exp(peak))
-    return scale * float(acc) * cell
+        scale = float(np.exp(peak + log_scale))
+    return scale * 2.0 * total * cell
 
 
 def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float,
-                    quad: QuadratureConfig = DEFAULT_QUAD,
-                    log_prefactor: float = 0.0):
-    """Evaluate exp(log_prefactor) * H(x, y) for the fixed instance.
+                    quad: QuadratureConfig = DEFAULT_QUAD):
+    """Evaluate the weighted sum sum_{n,q} c_{n,q} H_{n,q}(x, y).
 
     Double midpoint rule over vertical contours Re s = Re t = -1/3, which
     keeps a clearance of 1/3 from every pole family for all n >= 0 and
-    omega >= 1 (and from the sliding family 1+n+s+t).  Returns
-    (value, error_estimate).
+    omega >= 1 (and from the sliding family 1+n+s+t).  The whole sum is
+    one integrand on one grid: node spacing from the smallest term's pole
+    clearance, tail lengths from the largest (n, q), and one refinement
+    loop on the total.  Each pass streams the grid in blocks of a fixed
+    size, so memory does not grow with the grid.  Returns (value,
+    error_estimate), the estimate being the change of the total in the
+    last refinement.
     """
     if not (x > 0 and y > 0):
         raise ParameterError("fox_h_bivariate requires x, y > 0")
     lnx = math.log(x)
     lny = math.log(y)
+    omega = spec.omega
+    terms = spec.terms()
+    n_lo = min(n for n, _ in terms)
+    n_hi = max(n for n, _ in terms)
+    nq_hi = max(n + q for n, q in terms)
+    # weights scaled by their maximum, so the polynomial cannot overflow
+    n_rows = n_hi + 1
+    log_w = np.full((n_rows, n_rows), -math.inf)
+    for n, row in enumerate(spec.log_weights[:n_rows]):
+        log_w[n, : n + 1] = row
+    log_scale = float(np.max(log_w))
+    coef = np.exp(log_w - log_scale)
+
     sig = -1.0 / 3.0
-    sig_t = sig if spec.omega >= 0.9 else -0.45 * spec.omega
+    sig_t = sig if omega >= 0.9 else -0.45 * omega
     decay = 1.5 * math.pi  # three gammas lose exp(-pi/2 |tau|) each, per axis
-    rho_s = spec.n + sig + sig_t + 0.5
-    rho_t = spec.n + spec.omega + sig + sig_t - 0.5
+    rho_s = n_hi + sig + sig_t + 0.5
+    rho_t = nq_hi + omega + sig + sig_t - 0.5
     len_s = _tail_length(rho_s, decay, 10.0)
     len_t = _tail_length(rho_t, decay, 10.0)
     # aliasing error of the midpoint rule ~ exp(-2*pi*clearance/h); the
     # 1-D node baseline is irrelevant here, clearance drives the spacing
-    clear = min(1.0 / 3.0, abs(sig_t), spec.omega + sig_t,
-                1.0 + spec.n + sig + sig_t)
+    clear = min(1.0 / 3.0, abs(sig_t), omega + sig_t, 1.0 + n_lo + sig + sig_t)
     base_h = 2.0 * math.pi * clear / 30.0
     h_s = _node_spacing(base_h, clear, lnx)
     h_t = _node_spacing(base_h, clear, lny)
 
-    value = _foxh_pass(spec, lnx, lny, sig, sig_t, len_s, len_t, h_s, h_t,
-                       log_prefactor)
+    value = _foxh_pass(omega, coef, log_scale, lnx, lny, sig, sig_t, len_s,
+                       len_t, h_s, h_t)
     err = math.inf
     for _ in range(quad.max_refinements):
         len_s *= 1.2
         len_t *= 1.2
         h_s *= 0.55
         h_t *= 0.55
-        refined = _foxh_pass(spec, lnx, lny, sig, sig_t, len_s, len_t,
-                             h_s, h_t, log_prefactor)
+        refined = _foxh_pass(omega, coef, log_scale, lnx, lny, sig, sig_t,
+                             len_s, len_t, h_s, h_t)
         err = abs(refined - value)
         value = refined
         if err <= max(quad.abs_tol, quad.rel_tol * abs(value)):

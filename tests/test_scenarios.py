@@ -1,11 +1,14 @@
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jamsec import secrecy
 from jamsec.fading import GammaSnrParams, gamma_cdf
 from jamsec.scenario import (
     ResultTable,
@@ -185,6 +188,31 @@ class TestRunScenario:
         assert outs[0] == outs[1]
 
 
+class TestReceiverMemo:
+    KW = dict(methods=["quadrature"], grid=[-10.0, 35.0])
+
+    def test_one_call_per_distinct_receiver_per_run(self, monkeypatch):
+        seen = []
+        real = secrecy.capacity_receiver_quadrature
+
+        def counted(p):
+            seen.append(p)
+            return real(p)
+
+        monkeypatch.setattr(secrecy, "capacity_receiver_quadrature", counted)
+        # five jammer-size variants share the receiver at each grid point
+        run_scenario("fig5", **self.KW)
+        assert len(seen) == len(set(seen)) == 2
+        # the memo lives for one run: a second run computes again
+        run_scenario("fig5", **self.KW)
+        assert seen[2:] == seen[:2]
+
+    def test_pool_workers_keep_the_output(self):
+        t1 = run_scenario("fig5", workers=1, **self.KW)
+        t2 = run_scenario("fig5", workers=2, **self.KW)
+        assert t1.rows == t2.rows
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run(
@@ -201,6 +229,14 @@ class TestCli:
     def test_validate_ok(self):
         r = self._run("validate", "fig3")
         assert r.returncode == 0
+
+    def test_readme_example_validates(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"```yaml\n(.*?)```", readme.read_text(), re.S)
+        f = tmp_path / "example.yaml"
+        f.write_text(block.group(1))
+        r = self._run("validate", str(f))
+        assert r.returncode == 0, r.stderr
 
     def test_validate_bad_config(self, tmp_path):
         import yaml

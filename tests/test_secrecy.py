@@ -1,10 +1,12 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special as sc
 
-from jamsec.errors import ParameterError
+from jamsec.errors import AccuracyError, ParameterError
 from jamsec.fading import DoubleKappaMuShadowedParams, GammaSnrParams, RicianShadowedParams
 from jamsec.secrecy import (
     EveLinkParams,
@@ -213,6 +215,27 @@ class TestReceiverCapacity:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+# beta corners of the built-in sweeps: fig5 at P_S = 35 / -10 dB, and
+# fig4 at its weakest jammer (P_S = 25 dB) and strongest (P_S = -10 dB)
+EVE_BETA_CORNERS = ((1.26e-3, 0.4), (40.0, 0.4), (0.316, 15500.0), (1000.0, 0.1))
+
+
+def _eve_grid():
+    for nu_i, nu_j in itertools.product((1, 2, 4, 8), (1, 2, 4, 8, 16)):
+        for beta_i, beta_j in EVE_BETA_CORNERS:
+            if nu_i == 8 and beta_j < 1.0:
+                continue  # past the contour's precision floor, tested below
+            marks = ()
+            if beta_i == 1000.0 and nu_j >= 8:
+                marks = pytest.mark.xfail(
+                    strict=True,
+                    reason="capacity_eve_quadrature misses the narrow peak "
+                           "of the integrand near t = beta_J/beta_I",
+                )
+            yield pytest.param(nu_i, beta_i, nu_j, beta_j, marks=marks,
+                               id=f"{nu_i}-{beta_i:g}-{nu_j}-{beta_j:g}")
+
+
 class TestEveCapacity:
     def test_unit_case_closed_value(self):
         # nu_i = nu_j = 1, beta_i = beta_j = 1:
@@ -229,6 +252,35 @@ class TestEveCapacity:
         ):
             assert capacity_eve_foxh(p) == pytest.approx(
                 capacity_eve_quadrature(p), rel=1e-6)
+
+    @pytest.mark.parametrize("nu_i,beta_i,nu_j,beta_j", _eve_grid())
+    def test_foxh_matches_quadrature_grid(self, nu_i, beta_i, nu_j, beta_j):
+        p = EveLinkParams(nu_i=nu_i, beta_i=beta_i, nu_j=nu_j, beta_j=beta_j)
+        assert capacity_eve_foxh(p) == pytest.approx(
+            capacity_eve_quadrature(p), rel=1e-9)
+
+    def test_foxh_precision_floor_raises_with_best_value(self):
+        # at nu_I = 8 with a strong jammer the contour integrand is ~1e10
+        # times larger than the sum it cancels to, so double precision
+        # cannot meet 1e-9: the kernel must say so, with its best value
+        p = EveLinkParams(nu_i=8, beta_i=40.0, nu_j=4, beta_j=0.4)
+        with pytest.raises(AccuracyError) as exc:
+            capacity_eve_foxh(p)
+        want = capacity_eve_quadrature(p)
+        assert exc.value.best == pytest.approx(want, rel=1e-6)
+        assert exc.value.error_estimate > 1e-9 * want
+
+    def test_foxh_memory_stays_bounded(self):
+        # fig5 k8 at P_S = -10 dB: the grid is streamed in blocks, so the
+        # peak allocation does not grow with the contour grid
+        p = EveLinkParams(nu_i=4, beta_i=40.0, nu_j=8, beta_j=0.4)
+        tracemalloc.start()
+        try:
+            capacity_eve_foxh(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_monotone_in_intercept_snr(self):
         # beta_i down = stronger intercept link = higher leakage capacity

@@ -197,25 +197,51 @@ class TestMeijerG:
 class TestBivariateFoxH:
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
-            BivariateFoxHSpec(n=-1, omega=1.0)
+            BivariateFoxHSpec.term(n=-1, omega=1.0)
         with pytest.raises(ParameterError):
-            BivariateFoxHSpec(n=0, omega=0.0)
+            BivariateFoxHSpec.term(n=0, omega=0.0)
+
+    def test_table_validation(self):
+        with pytest.raises(ParameterError):
+            BivariateFoxHSpec(omega=1.0, log_weights=((0.0,), (0.0,)))
+        with pytest.raises(ParameterError):
+            BivariateFoxHSpec(omega=1.0, log_weights=((-math.inf,),))
+        with pytest.raises(ParameterError):
+            BivariateFoxHSpec(omega=1.0, log_weights=((math.nan,),))
+
+    def test_weighted_sum_matches_its_terms(self):
+        # the fold equals the weighted sum of its one-hot terms, including
+        # q > 0 entries (the (omega+t)_q Horner path)
+        table = ((0.3,), (-1.0, 0.7), (-math.inf, 0.2, -2.5))
+        folded, _ = fox_h_bivariate(
+            BivariateFoxHSpec(omega=2.0, log_weights=table), 0.8, 1.6)
+        parts = 0.0
+        for n, row in enumerate(table):
+            for q, lw in enumerate(row):
+                if lw == -math.inf:
+                    continue
+                one_hot = [[-math.inf] * (k + 1) for k in range(n + 1)]
+                one_hot[n][q] = lw
+                val, _ = fox_h_bivariate(
+                    BivariateFoxHSpec(omega=2.0, log_weights=one_hot), 0.8, 1.6)
+                parts += val
+        assert folded == pytest.approx(parts, rel=1e-9)
 
     def test_single_term_against_closed_form(self):
         # n=0, omega=1, x=y=1 collapses to an exponential-integral identity:
         # H(1,1) = e*(1/e - E1(1)) = 1 - e*E1(1)
-        spec = BivariateFoxHSpec(n=0, omega=1.0)
+        spec = BivariateFoxHSpec.term(n=0, omega=1.0)
         val, err = fox_h_bivariate(spec, 1.0, 1.0)
         want = math.e * (math.exp(-1.0) - float(sc.exp1(1.0)))
         assert val == pytest.approx(want, rel=1e-10)
         assert err < 1e-9
 
     def test_deterministic(self):
-        spec = BivariateFoxHSpec(n=2, omega=3.0)
+        spec = BivariateFoxHSpec.term(n=2, omega=3.0)
         assert fox_h_bivariate(spec, 0.5, 2.0) == fox_h_bivariate(spec, 0.5, 2.0)
 
     def test_domain(self):
-        spec = BivariateFoxHSpec(n=0, omega=1.0)
+        spec = BivariateFoxHSpec.term(n=0, omega=1.0)
         with pytest.raises(ParameterError):
             fox_h_bivariate(spec, 0.0, 1.0)
         with pytest.raises(ParameterError):
