@@ -14,6 +14,7 @@ Emission is byte-identical for identical effective inputs.
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import importlib.resources
 import io
@@ -52,6 +53,21 @@ __all__ = [
 _AXES = ("snr_r_db", "r_je_m", "p_s_db", "p_j_db", "k")
 _METHODS = ("closed-form", "quadrature", "monte-carlo")
 _METRICS = ("outage_r", "outage_e", "c_r", "c_e", "c_s")
+
+# every key a config may carry, per level; anything else is a diagnostic
+_TOP_KEYS = ("name", "description", "geometry", "receiver", "eve", "sweep",
+             "zeta_db", "metrics", "methods", "trials", "seed", "variants")
+_GEOMETRY_KEYS = ("n_bs_antennas", "n_jammer_antennas", "r_sr_m", "r_se_m",
+                  "r_je_m", "delta", "p_s_db", "p_j_db", "noise_var_r",
+                  "noise_var_e")
+_RECEIVER_KEYS = {
+    "double_kappa_mu_shadowed": ("fading", "c", "s", "mu", "kappa"),
+    "rician_shadowed": ("fading", "m", "xi", "sigma2", "normalize_mean",
+                        "p_los", "nlos_extra_loss_db"),
+}
+_EVE_KEYS = ("m_i", "m_j")
+_SWEEP_KEYS = ("axis", "grid")
+_VARIANT_KEYS = ("name", "geometry", "receiver", "eve")
 
 
 class ScenarioError(Exception):
@@ -123,11 +139,30 @@ def _num(d, key, diags, prefix, lo=None, hi=None, lo_strict=None, required=True)
     return v
 
 
+def _check_keys(d, allowed, diags, prefix, what="unknown key"):
+    """Flag keys outside `allowed`, suggesting the nearest valid one."""
+    for key in d:
+        if key in allowed:
+            continue
+        near = difflib.get_close_matches(str(key), allowed, n=1)
+        hint = f"did you mean '{near[0]}'?" if near else (
+            "valid keys: " + ", ".join(allowed))
+        diags.append(f"{prefix}{key}: {what} ({hint})")
+
+
+def _check_receiver_keys(r, model, diags, prefix):
+    # an unknown model is reported by _check_receiver itself
+    if model in _RECEIVER_KEYS:
+        _check_keys(r, _RECEIVER_KEYS[model], diags, prefix,
+                    f"not a key of fading: {model}")
+
+
 def _check_geometry(g, diags):
     if not isinstance(g, dict):
         diags.append("geometry: must be a mapping")
         return
     p = "geometry."
+    _check_keys(g, _GEOMETRY_KEYS, diags, p)
     for key in ("n_bs_antennas", "n_jammer_antennas"):
         v = g.get(key)
         lo = 1 if key == "n_bs_antennas" else 0
@@ -150,13 +185,12 @@ def _check_receiver(r, diags):
         return
     p = "receiver."
     model = r.get("fading")
+    _check_receiver_keys(r, model, diags, p)
     if model == "double_kappa_mu_shadowed":
         _num(r, "c", diags, p, lo_strict=0.0)
         _num(r, "s", diags, p, lo_strict=1.0)
         _num(r, "mu", diags, p, lo_strict=0.0)
         _num(r, "kappa", diags, p, lo=0.0)
-        if "p_los" in r:
-            diags.append(f"{p}p_los: blockage mixture needs fading: rician_shadowed")
     elif model == "rician_shadowed":
         _num(r, "m", diags, p, lo_strict=0.0)
         _num(r, "xi", diags, p, lo_strict=0.0)
@@ -178,7 +212,8 @@ def _check_eve(e, diags):
     if not isinstance(e, dict):
         diags.append("eve: must be a mapping")
         return
-    for key in ("m_i", "m_j"):
+    _check_keys(e, _EVE_KEYS, diags, "eve.")
+    for key in _EVE_KEYS:
         v = e.get(key, 1)
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             diags.append(f"eve.{key}: must be an integer >= 1 (got {v!r})")
@@ -187,6 +222,7 @@ def _check_eve(e, diags):
 def validate_config(cfg: dict) -> list:
     """All violated invariants, as 'field: problem' strings.  Empty = clean."""
     diags = []
+    _check_keys(cfg, _TOP_KEYS, diags, "")
     if not isinstance(cfg.get("name"), str) or not cfg.get("name"):
         diags.append("name: required non-empty string")
 
@@ -198,6 +234,7 @@ def validate_config(cfg: dict) -> list:
     if not isinstance(sweep, dict):
         diags.append("sweep: required mapping with 'axis' and 'grid'")
     else:
+        _check_keys(sweep, _SWEEP_KEYS, diags, "sweep.")
         axis = sweep.get("axis")
         if axis not in _AXES:
             diags.append(f"sweep.axis: must be one of {_AXES} (got {axis!r})")
@@ -244,17 +281,28 @@ def validate_config(cfg: dict) -> list:
     if variants is not None and not isinstance(variants, list):
         diags.append("variants: must be a list of mappings")
     elif variants:
+        base_rec = cfg.get("receiver")
+        base_model = base_rec.get("fading") if isinstance(base_rec, dict) else None
         names = []
         for i, var in enumerate(variants):
             if not isinstance(var, dict) or not isinstance(var.get("name"), str):
                 diags.append(f"variants[{i}]: needs a string 'name'")
                 continue
             names.append(var["name"])
-            for section in var:
-                if section not in ("name", "geometry", "receiver", "eve"):
-                    diags.append(
-                        f"variants[{i}].{section}: unknown override section"
-                    )
+            p = f"variants[{i}]."
+            _check_keys(var, _VARIANT_KEYS, diags, p, "unknown override section")
+            for section in ("geometry", "receiver", "eve"):
+                over = var.get(section)
+                if over is None:
+                    continue
+                if not isinstance(over, dict):
+                    diags.append(f"{p}{section}: must be a mapping")
+                elif section == "receiver":
+                    _check_receiver_keys(over, over.get("fading", base_model),
+                                         diags, f"{p}receiver.")
+                else:
+                    allowed = _GEOMETRY_KEYS if section == "geometry" else _EVE_KEYS
+                    _check_keys(over, allowed, diags, f"{p}{section}.")
         if len(set(names)) != len(names):
             diags.append("variants: names must be unique")
     return diags
@@ -383,7 +431,7 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def _resolve_point(sc: Scenario, overrides: dict, axis_value: float,
-                   stream: int) -> _PointSetup:
+                   mc_seed: SamplerSeed) -> _PointSetup:
     geo = _merge(sc.geometry, overrides.get("geometry", {}))
     rec = _merge(sc.receiver, overrides.get("receiver", {}))
     eve = _merge(sc.eve, overrides.get("eve", {}))
@@ -462,7 +510,7 @@ def _resolve_point(sc: Scenario, overrides: dict, axis_value: float,
         eve_gamma_i=eve_gamma_i,
         zetas=tuple(secrecy.db_to_linear(z) for z in sc.zeta_db),
         trials=sc.trials,
-        mc_seed=SamplerSeed(sc.seed, stream=stream),
+        mc_seed=mc_seed,
     )
 
 
@@ -570,11 +618,11 @@ def _eve_sim_config(setup: _PointSetup) -> montecarlo.SimConfig:
 
 
 def _eval_point(sc: Scenario, overrides: dict, axis_value: float,
-                stream: int, memo: dict) -> dict:
+                mc_seed: SamplerSeed, memo: dict) -> dict:
     """All requested metric values at one grid point.  Keys are
     (metric, zeta-or-None, method).  `memo` holds the receiver capacities
     already computed in this run."""
-    setup = _resolve_point(sc, overrides, axis_value, stream)
+    setup = _resolve_point(sc, overrides, axis_value, mc_seed)
     out = {}
     need_cs = "c_s" in sc.metrics
     want = set(sc.metrics)
@@ -670,10 +718,15 @@ def run_scenario(path: str, *, seed=None, trials=None, methods=None,
     sc = Scenario.from_config(cfg, seed=seed, trials=trials, methods=methods,
                               grid=grid)
 
-    tasks = []
-    for vi, (vname, overrides) in enumerate(sc.variants):
-        for pi, axis_value in enumerate(sc.grid):
-            tasks.append((sc, overrides, axis_value, vi * 1000 + pi))
+    # each (variant, point) owns the Monte Carlo stream seed/vi/pi, so no
+    # two cells share a stream whatever the grid size
+    cells = [(vi, pi) for vi in range(len(sc.variants))
+             for pi in range(len(sc.grid))]
+    tasks = [
+        (sc, sc.variants[vi][1], sc.grid[pi],
+         SamplerSeed(sc.seed, stream=vi).child(pi))
+        for vi, pi in cells
+    ]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
@@ -683,10 +736,7 @@ def run_scenario(path: str, *, seed=None, trials=None, methods=None,
         memo = {}
         results = [_eval_point(*t, memo=memo) for t in tasks]
 
-    by_variant = {}
-    for (sc_, overrides, axis_value, stream), res in zip(tasks, results):
-        vi = stream // 1000
-        by_variant.setdefault(vi, {})[axis_value] = res
+    by_cell = dict(zip(cells, results))
 
     multi = len(sc.variants) > 1
     columns = [sc.axis]
@@ -701,10 +751,10 @@ def run_scenario(path: str, *, seed=None, trials=None, methods=None,
                     keys.append((vi, (metric, z, method)))
 
     rows = []
-    for axis_value in sc.grid:
+    for pi, axis_value in enumerate(sc.grid):
         row = [axis_value]
         for vi, key in keys:
-            row.append(by_variant[vi][axis_value][key])
+            row.append(by_cell[(vi, pi)][key])
         rows.append(tuple(row))
 
     from . import __version__

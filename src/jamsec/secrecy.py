@@ -436,11 +436,24 @@ def capacity_receiver_series(
 
 def capacity_eve_quadrature(p: EveLinkParams) -> float:
     """E[log2(1 + SINR)] at the eavesdropper via the survival-function
-    identity, one 1-D adaptive quadrature per (n, q) term."""
+    identity, one 1-D adaptive quadrature per (n, q) term.
+
+    Each term is integrated in u = ln t, split where its factors turn
+    over: at t = beta_J/beta_I (where the jamming term stops dominating),
+    t = 1 (log1p) and t = 1/beta_I (the exponential cut-off).  A strong
+    jammer makes the peak near t = beta_J/beta_I narrow on a linear scale,
+    and an integrator over [0, inf) can step over it.
+    """
     base = p.nu_j * math.log(p.beta_j) - sc.gammaln(p.nu_j) - math.log(_LN2)
+    points = sorted({math.log(p.beta_j / p.beta_i), 0.0, -math.log(p.beta_i)})
     total = 0.0
     total_err = 0.0
     for n in range(p.nu_i):
+        # below every break the integrand grows like e^{(n+1)u}; above
+        # them it falls like v^n e^{-v} in v = beta_I t, and u_hi puts v
+        # at 60 + 2n or more
+        u_lo = points[0] - 60.0 / (n + 1)
+        u_hi = points[-1] + math.log(60.0 + 2.0 * n)
         for q in range(n + 1):
             omega = q + p.nu_j
             ln_coef = (
@@ -451,21 +464,19 @@ def capacity_eve_quadrature(p: EveLinkParams) -> float:
                 - sc.gammaln(n + 1)
             )
 
-            def integrand(t, n=n, omega=omega, ln_coef=ln_coef):
-                if t == 0.0:
-                    return 0.0 if n > 0 else math.exp(
-                        ln_coef - omega * math.log(p.beta_j)
-                    )
+            def integrand(u, n=n, omega=omega, ln_coef=ln_coef):
+                t = math.exp(u)
                 return math.exp(
                     ln_coef
-                    + n * math.log(t)
+                    + (n + 1) * u
                     - p.beta_i * t
                     - omega * math.log(p.beta_i * t + p.beta_j)
                     - math.log1p(t)
                 )
 
             val, err = scipy.integrate.quad(
-                integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400
+                integrand, u_lo, u_hi, points=points, epsabs=1e-13,
+                epsrel=1e-11, limit=400,
             )
             total += val
             total_err += err

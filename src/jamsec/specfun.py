@@ -12,7 +12,9 @@ instances needed by the eavesdropper capacity are evaluated here directly:
 * ``fox_h_bivariate`` integrates a whole weighted double sum of the
   instance H^{1,0;1,1;1,1}_{0,1;1,1;1,1} on one double contour: the terms
   differ only by Pochhammer factors, so the sum is one polynomial times a
-  shared gamma kernel, evaluated block by block on a single grid.
+  shared gamma kernel.  Both axes share one node lattice, so s + t lies
+  on a 1-D lattice too: each pass takes log-gammas of three 1-D arrays
+  and one convolution per polynomial row, never a 2-D grid.
 
 ``meijer_g`` accepts a ``log_prefactor`` and ``fox_h_bivariate`` takes its
 weights as logs, so that a huge series coefficient and a huge G/H value
@@ -377,65 +379,49 @@ def meijer_g(spec: MeijerGSpec, z: float, quad: QuadratureConfig = DEFAULT_QUAD,
     )
 
 
-_BLOCK_CELLS = 1 << 16  # grid cells per streamed block of a Fox-H pass
-
-
 def _foxh_pass(omega, coef, log_scale, lnx, lny, sig_s, sig_t, len_s, len_t,
-               h_s, h_t):
+               h):
     """One midpoint-rule pass over the double contour for the weighted sum
-    with weights exp(log_scale) * coef."""
+    with weights exp(log_scale) * coef.
+
+    Both axes use the nodes (k + 1/2) h, so tau_s + tau_t = (k + j + 1) h
+    lies on one 1-D lattice.  Only Gamma(1+w) and (1+w)_n, w = s + t,
+    couple the axes, so the double sum is, per row n of the weight table,
+    the convolution of an s-factor f(s) with g(t) a_n(t), dotted with
+    K(w) (1+w)_n on the lattice: log-gammas of three 1-D arrays and one
+    np.convolve per row.
+    """
     # full s-axis, upper-half t-axis; conjugate symmetry of the double
     # integrand under (s, t) -> (conj s, conj t) supplies the lower half
-    ns = max(16, int(math.ceil(2.0 * len_s / h_s)))
-    nt = max(8, int(math.ceil(len_t / h_t)))
-    tau_s = -len_s + (np.arange(ns) + 0.5) * (2.0 * len_s / ns)
-    tau_t = (np.arange(nt) + 0.5) * (len_t / nt)
-    s = sig_s + 1j * tau_s
-    t = sig_t + 1j * tau_t
+    ks = max(8, int(math.ceil(len_s / h)))
+    kt = max(8, int(math.ceil(len_t / h)))
+    s = sig_s + 1j * ((np.arange(-ks, ks) + 0.5) * h)
+    t = sig_t + 1j * ((np.arange(kt) + 0.5) * h)
+    # 1 + w = 1 + s + t on the lattice, in np.convolve's output order
+    w1 = (1.0 + sig_s + sig_t) + 1j * (np.arange(-ks + 1, ks + kt) * h)
     # Gamma(1+n+w) Gamma(omega+q+t) = Gamma(1+w) Gamma(omega+t) (1+w)_n
-    # (omega+t)_q with w = s+t, so the sum is a shared gamma kernel times
-    # sum_n (1+w)_n a_n(t), a_n(t) = sum_q coef[n, q] (omega+t)_q.  Only
-    # Gamma(1+w) and the polynomial couple the axes.
-    lg_s = sc.loggamma(-s) + sc.loggamma(1.0 + s) + s * lnx
-    lg_t = sc.loggamma(-t) + sc.loggamma(omega + t) + t * lny
-    n_rows = coef.shape[0]
-    a = np.empty((n_rows, nt), dtype=complex)
-    for n in range(n_rows):
-        acc = np.full(nt, coef[n, n], dtype=complex)
-        for q in range(n - 1, -1, -1):
-            acc = coef[n, q] + (omega + q + t) * acc
-        a[n] = acc
+    # (omega+t)_q, so the sum is sum_n K(w) (1+w)_n (f * g a_n)(w) with
+    # a_n(t) = sum_q coef[n, q] (omega+t)_q.  Each of f, g and K is scaled
+    # by its own peak; the peaks are recombined in log space at the end.
+    logs = (
+        sc.loggamma(-s) + sc.loggamma(1.0 + s) + s * lnx,
+        sc.loggamma(-t) + sc.loggamma(omega + t) + t * lny,
+        sc.loggamma(w1),
+    )
+    peaks = [float(np.max(lg.real)) for lg in logs]
+    f, g, kern = (np.exp(lg - peak) for lg, peak in zip(logs, peaks))
 
-    # stream blocks of s-rows, so a pass never holds the whole grid; the
-    # accumulator is kept relative to the running peak of the kernel
-    peak = -math.inf
     total = 0.0
-    rows = max(1, _BLOCK_CELLS // nt)
-    for lo in range(0, ns, rows):
-        w1 = (1.0 + s[lo:lo + rows, None]) + t[None, :]  # 1 + w
-        logf = sc.loggamma(w1)
-        logf += lg_s[lo:lo + rows, None]
-        logf += lg_t[None, :]
-        block_peak = float(np.max(logf.real))
-        if block_peak > peak:
-            total *= math.exp(peak - block_peak)
-            peak = block_peak
-        if peak == -math.inf:
-            continue
-        poly = np.repeat(a[-1][None, :], w1.shape[0], axis=0)
-        for n in range(n_rows - 2, -1, -1):  # Horner in (1+w)_n
-            poly *= w1 + n
-            poly += a[n]
-        logf -= peak
-        np.exp(logf, out=logf)
-        logf *= poly
-        total += float(np.sum(logf).real)
-    if peak == -math.inf:
-        return 0.0
-    cell = (2.0 * len_s / ns) * (len_t / nt) / (4.0 * math.pi**2)
+    poch = kern  # K(w) (1+w)_n, advanced one factor per row
+    for n in range(coef.shape[0]):
+        a_n = np.full(kt, coef[n, n], dtype=complex)
+        for q in range(n - 1, -1, -1):  # Horner in (omega+t)_q
+            a_n = coef[n, q] + (omega + q + t) * a_n
+        total += float(np.dot(poch, np.convolve(f, g * a_n)).real)
+        poch = poch * (w1 + n)
     with np.errstate(over="ignore"):
-        scale = float(np.exp(peak + log_scale))
-    return scale * 2.0 * total * cell
+        scale = float(np.exp(sum(peaks) + log_scale))
+    return scale * 2.0 * total * h * h / (4.0 * math.pi**2)
 
 
 def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float,
@@ -446,11 +432,12 @@ def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float,
     keeps a clearance of 1/3 from every pole family for all n >= 0 and
     omega >= 1 (and from the sliding family 1+n+s+t).  The whole sum is
     one integrand on one grid: node spacing from the smallest term's pole
-    clearance, tail lengths from the largest (n, q), and one refinement
-    loop on the total.  Each pass streams the grid in blocks of a fixed
-    size, so memory does not grow with the grid.  Returns (value,
-    error_estimate), the estimate being the change of the total in the
-    last refinement.
+    clearance (one spacing for both axes), tail lengths from the largest
+    (n, q), and one refinement loop on the total.  A pass works on a
+    shared lattice (see ``_foxh_pass``), so its cost and memory grow with
+    the node counts along the axes, not with their product.  Returns
+    (value, error_estimate), the estimate being the change of the total in
+    the last refinement.
     """
     if not (x > 0 and y > 0):
         raise ParameterError("fox_h_bivariate requires x, y > 0")
@@ -480,19 +467,18 @@ def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float,
     # 1-D node baseline is irrelevant here, clearance drives the spacing
     clear = min(1.0 / 3.0, abs(sig_t), omega + sig_t, 1.0 + n_lo + sig + sig_t)
     base_h = 2.0 * math.pi * clear / 30.0
-    h_s = _node_spacing(base_h, clear, lnx)
-    h_t = _node_spacing(base_h, clear, lny)
+    # one spacing for both axes keeps s + t on a single lattice
+    h = min(_node_spacing(base_h, clear, lnx), _node_spacing(base_h, clear, lny))
 
     value = _foxh_pass(omega, coef, log_scale, lnx, lny, sig, sig_t, len_s,
-                       len_t, h_s, h_t)
+                       len_t, h)
     err = math.inf
     for _ in range(quad.max_refinements):
         len_s *= 1.2
         len_t *= 1.2
-        h_s *= 0.55
-        h_t *= 0.55
+        h *= 0.55
         refined = _foxh_pass(omega, coef, log_scale, lnx, lny, sig, sig_t,
-                             len_s, len_t, h_s, h_t)
+                             len_s, len_t, h)
         err = abs(refined - value)
         value = refined
         if err <= max(quad.abs_tol, quad.rel_tol * abs(value)):

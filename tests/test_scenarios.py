@@ -70,6 +70,36 @@ class TestConfigs:
         diags = validate_config(cfg)
         assert any("grid" in d for d in diags)
 
+    def test_unknown_keys_rejected_with_suggestion(self):
+        cfg = load_config(_resolve_path("fig5"))
+        cfg["seeed"] = 3
+        cfg["geometry"]["r_je"] = 2.0
+        cfg["receiver"]["kapa"] = 1.0
+        cfg["eve"]["mi"] = 1
+        cfg["sweep"]["grids"] = [1.0]
+        diags = validate_config(cfg)
+        for key, near in (("seeed", "seed"), ("geometry.r_je", "r_je_m"),
+                          ("receiver.kapa", "kappa"), ("eve.mi", "m_i"),
+                          ("sweep.grids", "grid")):
+            assert any(d.startswith(f"{key}:") and f"'{near}'" in d
+                       for d in diags), (key, diags)
+        assert len(diags) == 5
+
+    def test_unknown_keys_in_variant_overrides(self):
+        cfg = load_config(_resolve_path("fig5"))
+        cfg["variants"][1]["geometry"]["n_jammer_antenna"] = 3
+        cfg["variants"][2]["receiver"] = {"p_los": 0.5}
+        cfg["variants"][3]["eves"] = {"m_i": 2}
+        diags = validate_config(cfg)
+        assert any(d.startswith("variants[1].geometry.n_jammer_antenna:")
+                   and "'n_jammer_antennas'" in d for d in diags)
+        # p_los belongs to the other receiver model
+        assert any(d.startswith("variants[2].receiver.p_los:")
+                   and "double_kappa_mu_shadowed" in d for d in diags)
+        assert any(d.startswith("variants[3].eves:") and "'eve'" in d
+                   for d in diags)
+        assert len(diags) == 3
+
     def test_digest_stability_and_sensitivity(self):
         cfg = load_config(_resolve_path("fig3"))
         a = Scenario.from_config(cfg).digest()
@@ -186,6 +216,15 @@ class TestRunScenario:
             emit(t, format="csv", destination=buf)
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
+
+    def test_grid_beyond_a_thousand_points(self):
+        # cells are keyed by (variant, point), not by an encoded integer
+        # that a 1000-point grid would overflow into the next variant
+        grid = [round(0.5 + 0.01 * i, 2) for i in range(1002)]
+        table = run_scenario("fig3", methods=["closed-form"], grid=grid)
+        assert [r[0] for r in table.rows] == grid
+        col = _col(table, "outage_e@-8dB#closed-form")
+        assert all(b <= a + 1e-12 for a, b in zip(col, col[1:]))
 
 
 class TestReceiverMemo:

@@ -226,11 +226,11 @@ def _eve_grid():
             if nu_i == 8 and beta_j < 1.0:
                 continue  # past the contour's precision floor, tested below
             marks = ()
-            if beta_i == 1000.0 and nu_j >= 8:
+            if (nu_i, beta_i, nu_j, beta_j) == (4, 1000.0, 16, 0.1):
                 marks = pytest.mark.xfail(
                     strict=True,
-                    reason="capacity_eve_quadrature misses the narrow peak "
-                           "of the integrand near t = beta_J/beta_I",
+                    reason="contour precision floor: the Fox-H sum is ~6e-9 "
+                           "off here while passing its own refinement check",
                 )
             yield pytest.param(nu_i, beta_i, nu_j, beta_j, marks=marks,
                                id=f"{nu_i}-{beta_i:g}-{nu_j}-{beta_j:g}")
@@ -255,9 +255,11 @@ class TestEveCapacity:
 
     @pytest.mark.parametrize("nu_i,beta_i,nu_j,beta_j", _eve_grid())
     def test_foxh_matches_quadrature_grid(self, nu_i, beta_i, nu_j, beta_j):
+        # purely relative: the capacities at beta_I = 1000 are ~1e-5, where
+        # approx's default 1e-12 absolute floor would hide a 1e-8 miss
         p = EveLinkParams(nu_i=nu_i, beta_i=beta_i, nu_j=nu_j, beta_j=beta_j)
         assert capacity_eve_foxh(p) == pytest.approx(
-            capacity_eve_quadrature(p), rel=1e-9)
+            capacity_eve_quadrature(p), rel=1e-9, abs=0.0)
 
     def test_foxh_precision_floor_raises_with_best_value(self):
         # at nu_I = 8 with a strong jammer the contour integrand is ~1e10
@@ -271,8 +273,8 @@ class TestEveCapacity:
         assert exc.value.error_estimate > 1e-9 * want
 
     def test_foxh_memory_stays_bounded(self):
-        # fig5 k8 at P_S = -10 dB: the grid is streamed in blocks, so the
-        # peak allocation does not grow with the contour grid
+        # fig5 k8 at P_S = -10 dB: a pass holds only 1-D arrays along the
+        # two axes and the s+t lattice, never the 2-D contour grid
         p = EveLinkParams(nu_i=4, beta_i=40.0, nu_j=8, beta_j=0.4)
         tracemalloc.start()
         try:

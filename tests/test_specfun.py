@@ -10,6 +10,7 @@ from jamsec.specfun import (
     BivariateFoxHSpec,
     MeijerGSpec,
     QuadratureConfig,
+    _foxh_pass,
     beta,
     fox_h_bivariate,
     gamma_lower,
@@ -226,6 +227,38 @@ class TestBivariateFoxH:
                     BivariateFoxHSpec(omega=2.0, log_weights=one_hot), 0.8, 1.6)
                 parts += val
         assert folded == pytest.approx(parts, rel=1e-9)
+
+    @pytest.mark.parametrize("nu_i", (1, 4))
+    @pytest.mark.parametrize("omega", (1.0, 8.0))
+    def test_lattice_pass_matches_2d_midpoint_sum(self, nu_i, omega):
+        # one pass (1-D gamma factors, a convolution per row) equals the
+        # plain double midpoint sum of every (n, q) term over the same nodes
+        rng = np.random.default_rng(nu_i)
+        log_w = [rng.uniform(-3.0, 0.0, n + 1) for n in range(nu_i)]
+        log_scale = max(float(row.max()) for row in log_w)
+        coef = np.zeros((nu_i, nu_i))
+        for n, row in enumerate(log_w):
+            coef[n, : n + 1] = np.exp(row - log_scale)
+        lnx, lny, sig = math.log(0.7), math.log(2.5), -1.0 / 3.0
+        h = 0.25  # len_s = 4 and len_t = 3 give 32 x 12 nodes
+        got = _foxh_pass(omega, coef, log_scale, lnx, lny, sig, sig, 4.0,
+                         3.0, h)
+
+        s = sig + 1j * (np.arange(-16, 16) + 0.5)[:, None] * h
+        t = sig + 1j * (np.arange(12) + 0.5)[None, :] * h
+        lg = (sc.loggamma(-s) + sc.loggamma(1.0 + s) + sc.loggamma(-t)
+              + s * lnx + t * lny)
+        total = magnitude = 0.0
+        for n, row in enumerate(log_w):
+            for q, lw in enumerate(row):
+                cells = np.exp(lw + lg + sc.loggamma(1.0 + n + s + t)
+                               + sc.loggamma(omega + q + t))
+                total += cells.sum()
+                magnitude += np.abs(cells).sum()
+        cell = 2.0 * h * h / (4.0 * math.pi**2)
+        # both sums round at ~1e-16 of the summed magnitudes, which at
+        # nu_i = 4, omega = 8 are ~2e3 times the (cancelling) total
+        assert abs(got - cell * total.real) <= 1e-12 * cell * magnitude
 
     def test_single_term_against_closed_form(self):
         # n=0, omega=1, x=y=1 collapses to an exponential-integral identity:
