@@ -13,7 +13,6 @@ from .fading import (
     dksm_pdf,
     dksm_sample,
     gamma_cdf,
-    gamma_cdf_series,
     gamma_pdf,
     mixture_cdf,
     nakagami_limit_pdf,
@@ -32,10 +31,7 @@ from .montecarlo import (
 from .scenario import ResultTable, Scenario, ScenarioError, emit, read_table, run_scenario
 from .secrecy import (
     EveLinkParams,
-    MetricValue,
     NetworkGeometry,
-    OutageQuery,
-    SecrecyReport,
     capacity_eve_foxh,
     capacity_eve_quadrature,
     capacity_receiver_quadrature,
@@ -44,45 +40,27 @@ from .secrecy import (
     eve_link_params_from_geometry,
     eve_sinr_cdf,
     eve_sinr_cdf_integral,
-    linear_to_db,
     mean_snr,
-    outage_receiver,
     secrecy_capacity,
 )
-from .specfun import (
-    BivariateFoxHSpec,
-    MeijerGSpec,
-    QuadratureConfig,
-    beta,
-    fox_h_bivariate,
-    gamma_lower,
-    gamma_upper,
-    gauss_2f1,
-    ln_gamma,
-    meijer_g,
-    pochhammer,
-)
+from .specfun import BivariateFoxHSpec, MeijerGSpec, fox_h_bivariate, meijer_g
 
 __all__ = [
     "__version__",
     "AccuracyError", "ConvergenceError", "ParameterError",
     "DoubleKappaMuShadowedParams", "GammaSnrParams", "RicianShadowedParams",
     "SamplerSeed", "dksm_cdf", "dksm_pdf", "dksm_sample",
-    "gamma_cdf", "gamma_cdf_series", "gamma_pdf", "mixture_cdf",
+    "gamma_cdf", "gamma_pdf", "mixture_cdf",
     "nakagami_limit_pdf", "rician_shadowed_cdf", "rician_shadowed_pdf",
     "Estimate", "LinkSpec", "SimConfig",
     "estimate_capacity", "estimate_outage",
     "simulate_eve_sinr", "simulate_receiver_snr",
     "ResultTable", "Scenario", "ScenarioError", "emit", "read_table",
     "run_scenario",
-    "EveLinkParams", "MetricValue", "NetworkGeometry", "OutageQuery",
-    "SecrecyReport",
+    "EveLinkParams", "NetworkGeometry",
     "capacity_eve_foxh", "capacity_eve_quadrature",
     "capacity_receiver_quadrature", "capacity_receiver_series",
     "db_to_linear", "eve_link_params_from_geometry",
-    "eve_sinr_cdf", "eve_sinr_cdf_integral", "linear_to_db", "mean_snr",
-    "outage_receiver", "secrecy_capacity",
-    "BivariateFoxHSpec", "MeijerGSpec", "QuadratureConfig",
-    "beta", "fox_h_bivariate", "gamma_lower", "gamma_upper", "gauss_2f1",
-    "ln_gamma", "meijer_g", "pochhammer",
+    "eve_sinr_cdf", "eve_sinr_cdf_integral", "mean_snr", "secrecy_capacity",
+    "BivariateFoxHSpec", "MeijerGSpec", "fox_h_bivariate", "meijer_g",
 ]

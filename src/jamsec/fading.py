@@ -21,7 +21,6 @@ import scipy.integrate
 import scipy.special as sc
 
 from .errors import ConvergenceError, ParameterError
-from .specfun import gauss_2f1
 
 __all__ = [
     "DoubleKappaMuShadowedParams",
@@ -37,7 +36,6 @@ __all__ = [
     "rician_shadowed_sample",
     "gamma_pdf",
     "gamma_cdf",
-    "gamma_cdf_series",
     "nakagami_limit_pdf",
     "mixture_cdf",
 ]
@@ -185,7 +183,14 @@ def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
         gp = g[pos]
         denom = big_t * gp + phi
         z = p.big_k * mu * kappa * gp / denom
-        hyp = gauss_2f1(c, s + mu, mu, z) if kappa > 0 else 1.0
+        hyp = 1.0
+        if kappa > 0:
+            hyp = sc.hyp2f1(c, s + mu, mu, z)
+            # scipy recurses down from its larger parameter and gives up
+            # (NaN) past 1e4 steps: here once s > 1e4, the shadowing-off limit
+            lost = np.isnan(hyp)
+            if np.any(lost):
+                hyp[lost] = _hyp2f1_series(c, s + mu, mu, z[lost])
         ln_pdf = ln_amp + (mu - 1.0) * np.log(gp) - (s + mu) * np.log(denom)
         out[pos] = np.exp(ln_pdf) * hyp
     if np.any(~pos):
@@ -197,6 +202,27 @@ def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
             val0 = math.inf
         out[~pos] = val0
     return float(out[0]) if scalar else out
+
+
+def _hyp2f1_series(a, b, c, z):
+    """2F1(a, b; c; z) by its power series, for a, b, c > 0 and
+    0 <= z < 1, where every term is positive.  Stops once three
+    consecutive terms fall below 1e-13 of the partial sums."""
+    max_terms = 2000
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    small = 0
+    for k in range(max_terms):
+        term = term * ((a + k) * (b + k) / ((c + k) * (1.0 + k))) * z
+        total = total + term
+        small = small + 1 if np.all(term <= 1e-13 * total) else 0
+        if small == 3:
+            return total
+    raise ConvergenceError(
+        f"2F1 series did not converge within {max_terms} terms",
+        partial=total,
+        terms=max_terms,
+    )
 
 
 def _dksm_log_knee(p: DoubleKappaMuShadowedParams) -> float:
@@ -398,26 +424,6 @@ def gamma_cdf(p: GammaSnrParams, gamma):
     if np.any(g < 0):
         raise ParameterError("gamma must be non-negative")
     out = 1.0 - sc.gammaincc(p.nu, p.beta * g)
-    return float(out[0]) if scalar else out
-
-
-def gamma_cdf_series(p: GammaSnrParams, gamma):
-    """Finite series form, valid for the integer shapes this type carries:
-    1 - exp(-beta*gamma) * sum_{n<nu} (beta*gamma)^n / n!."""
-    g = np.asarray(gamma, dtype=float)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)
-    if np.any(g < 0):
-        raise ParameterError("gamma must be non-negative")
-    x = p.beta * g
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for n in range(1, p.nu):
-        term = term * x / n
-        acc += term
-    with np.errstate(under="ignore"):
-        out = 1.0 - np.exp(-x) * acc
-    out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 

@@ -15,15 +15,14 @@ Emission is byte-identical for identical effective inputs.
 from __future__ import annotations
 
 import difflib
+import functools
 import hashlib
 import importlib.resources
-import io
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import scipy.integrate
 import yaml
@@ -35,6 +34,9 @@ from .fading import (
     GammaSnrParams,
     RicianShadowedParams,
     SamplerSeed,
+    dksm_cdf,
+    gamma_cdf,
+    mixture_cdf,
     rician_shadowed_pdf,
 )
 
@@ -150,18 +152,10 @@ def _check_keys(d, allowed, diags, prefix, what="unknown key"):
         diags.append(f"{prefix}{key}: {what} ({hint})")
 
 
-def _check_receiver_keys(r, model, diags, prefix):
-    # an unknown model is reported by _check_receiver itself
-    if model in _RECEIVER_KEYS:
-        _check_keys(r, _RECEIVER_KEYS[model], diags, prefix,
-                    f"not a key of fading: {model}")
-
-
-def _check_geometry(g, diags):
+def _check_geometry(g, diags, p="geometry."):
     if not isinstance(g, dict):
-        diags.append("geometry: must be a mapping")
+        diags.append(f"{p[:-1]}: must be a mapping")
         return
-    p = "geometry."
     _check_keys(g, _GEOMETRY_KEYS, diags, p)
     for key in ("n_bs_antennas", "n_jammer_antennas"):
         v = g.get(key)
@@ -176,16 +170,17 @@ def _check_geometry(g, diags):
     _num(g, "noise_var_r", diags, p, lo_strict=0.0)
     _num(g, "noise_var_e", diags, p, lo_strict=0.0)
     if g.get("n_jammer_antennas", 0) and "p_j_db" not in g:
-        diags.append("geometry.p_j_db: required when n_jammer_antennas >= 1")
+        diags.append(f"{p}p_j_db: required when n_jammer_antennas >= 1")
 
 
-def _check_receiver(r, diags):
+def _check_receiver(r, diags, p="receiver."):
     if not isinstance(r, dict):
-        diags.append("receiver: must be a mapping")
+        diags.append(f"{p[:-1]}: must be a mapping")
         return
-    p = "receiver."
     model = r.get("fading")
-    _check_receiver_keys(r, model, diags, p)
+    if model in _RECEIVER_KEYS:
+        _check_keys(r, _RECEIVER_KEYS[model], diags, p,
+                    f"not a key of fading: {model}")
     if model == "double_kappa_mu_shadowed":
         _num(r, "c", diags, p, lo_strict=0.0)
         _num(r, "s", diags, p, lo_strict=1.0)
@@ -197,6 +192,9 @@ def _check_receiver(r, diags):
         _num(r, "sigma2", diags, p, lo_strict=0.0)
         _num(r, "p_los", diags, p, lo=0.0, hi=1.0, required=False)
         _num(r, "nlos_extra_loss_db", diags, p, required=False)
+        if not isinstance(r.get("normalize_mean", True), bool):
+            diags.append(f"{p}normalize_mean: must be true or false"
+                         f" (got {r['normalize_mean']!r})")
         if ("p_los" in r) != ("nlos_extra_loss_db" in r):
             diags.append(f"{p}p_los: give p_los and nlos_extra_loss_db together")
     else:
@@ -206,17 +204,31 @@ def _check_receiver(r, diags):
         )
 
 
-def _check_eve(e, diags):
+def _check_eve(e, diags, p="eve."):
     if e is None:
         return
     if not isinstance(e, dict):
-        diags.append("eve: must be a mapping")
+        diags.append(f"{p[:-1]}: must be a mapping")
         return
-    _check_keys(e, _EVE_KEYS, diags, "eve.")
+    _check_keys(e, _EVE_KEYS, diags, p)
     for key in _EVE_KEYS:
         v = e.get(key, 1)
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            diags.append(f"eve.{key}: must be an integer >= 1 (got {v!r})")
+            diags.append(f"{p}{key}: must be an integer >= 1 (got {v!r})")
+
+
+_SECTION_CHECKS = (("geometry", _check_geometry), ("receiver", _check_receiver),
+                   ("eve", _check_eve))
+
+
+def _variant_section(base, over):
+    """The mapping a variant's section override resolves to."""
+    base = base if isinstance(base, dict) else {}
+    # a variant that switches the fading model reads none of the base
+    # model's keys, so they are not checked against the new model
+    if over.get("fading", base.get("fading")) != base.get("fading"):
+        return over
+    return _merge(base, over)
 
 
 def validate_config(cfg: dict) -> list:
@@ -226,9 +238,12 @@ def validate_config(cfg: dict) -> list:
     if not isinstance(cfg.get("name"), str) or not cfg.get("name"):
         diags.append("name: required non-empty string")
 
-    _check_geometry(cfg.get("geometry", {}), diags)
-    _check_receiver(cfg.get("receiver", {}), diags)
-    _check_eve(cfg.get("eve"), diags)
+    base_problems = {}
+    for section, check in _SECTION_CHECKS:
+        found = []
+        check(cfg.get(section, {}), found)
+        diags += found
+        base_problems[section] = {d[len(section):] for d in found}
 
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
@@ -281,8 +296,6 @@ def validate_config(cfg: dict) -> list:
     if variants is not None and not isinstance(variants, list):
         diags.append("variants: must be a list of mappings")
     elif variants:
-        base_rec = cfg.get("receiver")
-        base_model = base_rec.get("fading") if isinstance(base_rec, dict) else None
         names = []
         for i, var in enumerate(variants):
             if not isinstance(var, dict) or not isinstance(var.get("name"), str):
@@ -291,18 +304,19 @@ def validate_config(cfg: dict) -> list:
             names.append(var["name"])
             p = f"variants[{i}]."
             _check_keys(var, _VARIANT_KEYS, diags, p, "unknown override section")
-            for section in ("geometry", "receiver", "eve"):
+            for section, check in _SECTION_CHECKS:
                 over = var.get(section)
                 if over is None:
                     continue
                 if not isinstance(over, dict):
                     diags.append(f"{p}{section}: must be a mapping")
-                elif section == "receiver":
-                    _check_receiver_keys(over, over.get("fading", base_model),
-                                         diags, f"{p}receiver.")
-                else:
-                    allowed = _GEOMETRY_KEYS if section == "geometry" else _EVE_KEYS
-                    _check_keys(over, allowed, diags, f"{p}{section}.")
+                    continue
+                found = []
+                check(_variant_section(cfg.get(section), over), found,
+                      f"{p}{section}.")
+                # a problem the base section already has is reported once
+                diags += [d for d in found
+                          if d[len(p) + len(section):] not in base_problems[section]]
         if len(set(names)) != len(names):
             diags.append("variants: names must be unique")
     return diags
@@ -414,8 +428,7 @@ class _PointSetup:
     """Fully resolved inputs for one (variant, axis value) evaluation."""
 
     geometry: secrecy.NetworkGeometry
-    receiver_model: str
-    receiver_dksm: Optional[DoubleKappaMuShadowedParams]
+    receiver_dksm: Optional[DoubleKappaMuShadowedParams]  # None: Rician model
     receiver_los: Optional[RicianShadowedParams]
     receiver_nlos: Optional[RicianShadowedParams]
     p_los: Optional[float]
@@ -468,10 +481,9 @@ def _resolve_point(sc: Scenario, overrides: dict, axis_value: float,
                               geometry.noise_var_r)
     )
 
-    receiver_model = rec["fading"]
     receiver_dksm = receiver_los = receiver_nlos = None
     p_los = None
-    if receiver_model == "double_kappa_mu_shadowed":
+    if rec["fading"] == "double_kappa_mu_shadowed":
         receiver_dksm = DoubleKappaMuShadowedParams(
             c=float(rec["c"]), s=float(rec["s"]), mu=float(rec["mu"]),
             kappa=float(rec["kappa"]), mean_snr=snr_r,
@@ -501,7 +513,6 @@ def _resolve_point(sc: Scenario, overrides: dict, axis_value: float,
 
     return _PointSetup(
         geometry=geometry,
-        receiver_model=receiver_model,
         receiver_dksm=receiver_dksm,
         receiver_los=receiver_los,
         receiver_nlos=receiver_nlos,
@@ -522,57 +533,14 @@ def _rician_outage_quadrature(p: RicianShadowedParams, th: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def _receiver_outage(setup: _PointSetup, th: float, method: str):
-    if setup.receiver_model == "double_kappa_mu_shadowed":
-        if method == "closed-form":
-            return None  # no closed-form CDF for the double model
-        from .fading import dksm_cdf
-
-        return dksm_cdf(setup.receiver_dksm, th)
-    los, nlos, p_los = setup.receiver_los, setup.receiver_nlos, setup.p_los
-    if method == "closed-form":
-        cdf = secrecy.rician_shadowed_cdf
-    else:
-        cdf = _rician_outage_quadrature
-    f_los = float(cdf(los, th))
-    if p_los is None:
+def _rician_outage(setup: _PointSetup, th: float, cdf) -> float:
+    """Receiver outage of the Rician model, blended with the NLOS branch
+    when the scenario has a blockage mixture."""
+    f_los = float(cdf(setup.receiver_los, th))
+    if setup.p_los is None:
         return f_los
-    return float(secrecy.mixture_cdf(p_los, f_los, float(cdf(nlos, th))))
-
-
-def _receiver_capacity(setup: _PointSetup, method: str, memo: dict):
-    if setup.receiver_model != "double_kappa_mu_shadowed":
-        return None  # analytic receiver capacity is defined for the double model
-    # variants and grid points often share the receiver link (fig5's
-    # jammer sizes all do), so one run computes each distinct link once
-    key = (setup.receiver_dksm, method)
-    if key not in memo:
-        if method == "closed-form":
-            memo[key] = secrecy.capacity_receiver_series(setup.receiver_dksm)
-        else:
-            memo[key] = secrecy.capacity_receiver_quadrature(setup.receiver_dksm)
-    return memo[key]
-
-
-def _eve_outage(setup: _PointSetup, th: float, method: str):
-    if setup.eve is None:
-        # jammer off: the SINR is the plain Gamma SNR for either route
-        from .fading import gamma_cdf
-
-        return float(gamma_cdf(setup.eve_gamma_i, th))
-    if method == "closed-form":
-        return float(secrecy.eve_sinr_cdf(setup.eve, th))
-    return secrecy.eve_sinr_cdf_integral(setup.eve, th)
-
-
-def _eve_capacity(setup: _PointSetup, method: str):
-    if setup.eve is None:
-        if method == "closed-form":
-            return None  # contour form needs a jamming shape >= 1
-        return secrecy.capacity_gamma_quadrature(setup.eve_gamma_i)
-    if method == "closed-form":
-        return secrecy.capacity_eve_foxh(setup.eve)
-    return secrecy.capacity_eve_quadrature(setup.eve)
+    return float(mixture_cdf(setup.p_los, f_los,
+                             float(cdf(setup.receiver_nlos, th))))
 
 
 def _receiver_sim_config(setup: _PointSetup) -> montecarlo.SimConfig:
@@ -585,7 +553,7 @@ def _receiver_sim_config(setup: _PointSetup) -> montecarlo.SimConfig:
         p_s=geo.p_s, p_j=geo.p_j,
         noise_var_r=geo.noise_var_r, noise_var_e=geo.noise_var_e,
     )
-    if setup.receiver_model == "double_kappa_mu_shadowed":
+    if setup.receiver_dksm is not None:
         link = montecarlo.LinkSpec(fading=setup.receiver_dksm)
     elif setup.p_los is None:
         link = montecarlo.LinkSpec(fading=setup.receiver_los)
@@ -617,62 +585,92 @@ def _eve_sim_config(setup: _PointSetup) -> montecarlo.SimConfig:
     )
 
 
+class _Point:
+    """One resolved grid point.  Monte Carlo samples are drawn on first
+    use, so at most once per point; `memo` holds the receiver capacities
+    already computed in this run."""
+
+    def __init__(self, setup: _PointSetup, memo: dict):
+        self.setup = setup
+        self.memo = memo
+
+    @functools.cached_property
+    def receiver_samples(self):
+        return montecarlo.simulate_receiver_snr(_receiver_sim_config(self.setup))
+
+    @functools.cached_property
+    def eve_samples(self):
+        return montecarlo.simulate_eve_sinr(_eve_sim_config(self.setup))
+
+    def receiver_capacity(self, route: str):
+        """secrecy.<route> of the double-model receiver, once per distinct
+        link in a run (variants and grid points often share it: fig5's
+        jammer sizes all do)."""
+        rx = self.setup.receiver_dksm
+        if rx is None:
+            return None  # analytic receiver capacity is defined for the double model
+        if (rx, route) not in self.memo:
+            self.memo[(rx, route)] = getattr(secrecy, route)(rx)
+        return self.memo[(rx, route)]
+
+
+# (metric, method) -> fn(point, threshold), a value or None for NA.  The
+# entries look up secrecy.* and montecarlo.* functions when called, never
+# binding them here, so a rebinding of those names takes effect.
+_ROUTES = {
+    ("outage_r", "closed-form"): lambda pt, th: (
+        None if pt.setup.receiver_dksm is not None  # no closed-form CDF
+        else _rician_outage(pt.setup, th, secrecy.rician_shadowed_cdf)),
+    ("outage_r", "quadrature"): lambda pt, th: (
+        dksm_cdf(pt.setup.receiver_dksm, th) if pt.setup.receiver_dksm is not None
+        else _rician_outage(pt.setup, th, _rician_outage_quadrature)),
+    ("outage_r", "monte-carlo"): lambda pt, th:
+        montecarlo.estimate_outage(pt.receiver_samples, th).value,
+    # jammer off: the SINR is the plain Gamma SNR for either analytic route
+    ("outage_e", "closed-form"): lambda pt, th: (
+        gamma_cdf(pt.setup.eve_gamma_i, th) if pt.setup.eve is None
+        else secrecy.eve_sinr_cdf(pt.setup.eve, th)),
+    ("outage_e", "quadrature"): lambda pt, th: (
+        gamma_cdf(pt.setup.eve_gamma_i, th) if pt.setup.eve is None
+        else secrecy.eve_sinr_cdf_integral(pt.setup.eve, th)),
+    ("outage_e", "monte-carlo"): lambda pt, th:
+        montecarlo.estimate_outage(pt.eve_samples, th).value,
+    ("c_r", "closed-form"): lambda pt, _:
+        pt.receiver_capacity("capacity_receiver_series"),
+    ("c_r", "quadrature"): lambda pt, _:
+        pt.receiver_capacity("capacity_receiver_quadrature"),
+    ("c_r", "monte-carlo"): lambda pt, _:
+        montecarlo.estimate_capacity(pt.receiver_samples).value,
+    ("c_e", "closed-form"): lambda pt, _: (
+        None if pt.setup.eve is None  # contour form needs a jamming shape >= 1
+        else secrecy.capacity_eve_foxh(pt.setup.eve)),
+    ("c_e", "quadrature"): lambda pt, _: (
+        secrecy.capacity_gamma_quadrature(pt.setup.eve_gamma_i) if pt.setup.eve is None
+        else secrecy.capacity_eve_quadrature(pt.setup.eve)),
+    ("c_e", "monte-carlo"): lambda pt, _:
+        montecarlo.estimate_capacity(pt.eve_samples).value,
+}
+
+
 def _eval_point(sc: Scenario, overrides: dict, axis_value: float,
                 mc_seed: SamplerSeed, memo: dict) -> dict:
     """All requested metric values at one grid point.  Keys are
-    (metric, zeta-or-None, method).  `memo` holds the receiver capacities
-    already computed in this run."""
-    setup = _resolve_point(sc, overrides, axis_value, mc_seed)
+    (metric, zeta-or-None, method)."""
+    pt = _Point(_resolve_point(sc, overrides, axis_value, mc_seed), memo)
     out = {}
-    need_cs = "c_s" in sc.metrics
-    want = set(sc.metrics)
-
-    receiver_samples = eve_samples = None
-    if "monte-carlo" in sc.methods:
-        if want & {"outage_r", "c_r"} or need_cs:
-            receiver_samples = montecarlo.simulate_receiver_snr(
-                _receiver_sim_config(setup)
-            )
-        if want & {"outage_e", "c_e"} or need_cs:
-            eve_samples = montecarlo.simulate_eve_sinr(_eve_sim_config(setup))
-
     for method in sc.methods:
-        if "outage_r" in want:
-            for z_db, z in zip(sc.zeta_db, setup.zetas):
-                if method == "monte-carlo":
-                    v = montecarlo.estimate_outage(receiver_samples, z).value
-                else:
-                    v = _receiver_outage(setup, z, method)
-                out[("outage_r", z_db, method)] = v
-        if "outage_e" in want:
-            for z_db, z in zip(sc.zeta_db, setup.zetas):
-                if method == "monte-carlo":
-                    v = montecarlo.estimate_outage(eve_samples, z).value
-                else:
-                    v = _eve_outage(setup, z, method)
-                out[("outage_e", z_db, method)] = v
-        c_r = c_e = None
-        if "c_r" in want or need_cs:
-            if method == "monte-carlo":
-                c_r = montecarlo.estimate_capacity(receiver_samples).value
-            else:
-                c_r = _receiver_capacity(setup, method, memo)
-            if "c_r" in want:
-                out[("c_r", None, method)] = c_r
-        if "c_e" in want or need_cs:
-            if method == "monte-carlo":
-                c_e = montecarlo.estimate_capacity(eve_samples).value
-            else:
-                c_e = _eve_capacity(setup, method)
-            if "c_e" in want:
-                out[("c_e", None, method)] = c_e
-        if need_cs:
-            cs = (
+        for metric in sc.metrics:
+            if metric in ("outage_r", "outage_e"):
+                for z_db, z in zip(sc.zeta_db, pt.setup.zetas):
+                    out[(metric, z_db, method)] = _ROUTES[(metric, method)](pt, z)
+            elif metric != "c_s":
+                out[(metric, None, method)] = _ROUTES[(metric, method)](pt, None)
+        if "c_s" in sc.metrics:
+            c_r, c_e = (out[(m, None, method)] if m in sc.metrics
+                        else _ROUTES[(m, method)](pt, None) for m in ("c_r", "c_e"))
+            out[("c_s", None, method)] = (
                 secrecy.secrecy_capacity(c_r, c_e)
-                if c_r is not None and c_e is not None
-                else None
-            )
-            out[("c_s", None, method)] = cs
+                if c_r is not None and c_e is not None else None)
     return out
 
 

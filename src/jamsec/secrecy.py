@@ -12,15 +12,14 @@ The receiver link carries the composite fading models from
 :mod:`jamsec.fading`; its ergodic capacity has a contour-integral series
 form evaluated through :mod:`jamsec.specfun`.
 
-All quantities here are linear; dB conversion helpers are provided for
-the configuration boundary and use the exact 10*log10 pairing.
+All quantities here are linear; ``db_to_linear`` serves the
+configuration boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.integrate
@@ -30,25 +29,18 @@ from .errors import AccuracyError, ConvergenceError, ParameterError
 from .fading import (
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
-    RicianShadowedParams,
     dksm_pdf,
     gamma_cdf,
     gamma_pdf,
-    mixture_cdf,
-    rician_shadowed_cdf,
+    rician_shadowed_cdf,  # the scenario's closed-form receiver outage
 )
 from .specfun import BivariateFoxHSpec, MeijerGSpec, fox_h_bivariate, meijer_g
 
 __all__ = [
     "NetworkGeometry",
     "EveLinkParams",
-    "OutageQuery",
-    "MetricValue",
-    "SecrecyReport",
     "db_to_linear",
-    "linear_to_db",
     "mean_snr",
-    "outage_receiver",
     "eve_sinr_cdf",
     "eve_sinr_cdf_integral",
     "capacity_receiver_quadrature",
@@ -65,12 +57,6 @@ _LN2 = math.log(2.0)
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (float(x_db) / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ParameterError("dB conversion needs a positive linear value")
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -127,68 +113,6 @@ class EveLinkParams:
                 raise ParameterError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class OutageQuery:
-    """Receiver outage request: threshold plus the blockage mixture."""
-
-    zeta: float
-    zeta_unit: str
-    p_los: float
-    los_params: RicianShadowedParams
-    nlos_params: RicianShadowedParams
-
-    def __post_init__(self):
-        if self.zeta_unit not in ("db", "linear"):
-            raise ParameterError("zeta_unit must be 'db' or 'linear'")
-        if self.zeta_unit == "linear" and not (self.zeta > 0):
-            raise ParameterError("linear threshold must be positive")
-        if not (0.0 <= self.p_los <= 1.0):
-            raise ParameterError("p_los must lie in [0, 1]")
-
-    @property
-    def threshold_linear(self) -> float:
-        if self.zeta_unit == "linear":
-            return float(self.zeta)
-        return db_to_linear(self.zeta)
-
-
-_METHODS = ("closed-form", "quadrature", "monte-carlo")
-
-
-@dataclass(frozen=True)
-class MetricValue:
-    value: float
-    method: str
-    error: Optional[float] = None
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ParameterError(f"method must be one of {_METHODS}")
-        if not math.isfinite(self.value):
-            raise ParameterError("metric value must be finite")
-
-
-@dataclass(frozen=True)
-class SecrecyReport:
-    """Bundle of the security metrics with per-entry method tags."""
-
-    outage_r: Optional[MetricValue] = None
-    outage_e: Optional[MetricValue] = None
-    c_r: Optional[MetricValue] = None
-    c_e: Optional[MetricValue] = None
-    c_s: Optional[MetricValue] = None
-
-    def __post_init__(self):
-        for name in ("outage_r", "outage_e"):
-            entry = getattr(self, name)
-            if entry is not None and not (-1e-12 <= entry.value <= 1.0 + 1e-12):
-                raise ParameterError(f"{name} must be a probability")
-        if self.c_r is not None and self.c_e is not None and self.c_s is not None:
-            want = secrecy_capacity(self.c_r.value, self.c_e.value)
-            if abs(self.c_s.value - want) > 1e-9 + 1e-9 * abs(want):
-                raise ParameterError("c_s entry is inconsistent with c_r and c_e")
-
-
 # ---------------------------------------------------------------------------
 # link budget
 
@@ -225,20 +149,6 @@ def eve_link_params_from_geometry(g: NetworkGeometry, m_i: int, m_j: int) -> Eve
         nu_j=int(g.n_jammer_antennas) * int(m_j),
         beta_j=m_j / snr_j,
     )
-
-
-# ---------------------------------------------------------------------------
-# receiver outage
-
-
-def outage_receiver(q: OutageQuery, gamma_th: Optional[float] = None) -> float:
-    """Blockage-weighted outage probability of the receiver link."""
-    th = q.threshold_linear if gamma_th is None else float(gamma_th)
-    if not (th > 0):
-        raise ParameterError("gamma_th must be positive")
-    f_los = rician_shadowed_cdf(q.los_params, th)
-    f_nlos = rician_shadowed_cdf(q.nlos_params, th)
-    return float(mixture_cdf(q.p_los, f_los, f_nlos))
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +198,22 @@ def _ln_binom(n: int, q: int) -> float:
 
 
 def eve_sinr_cdf_integral(p: EveLinkParams, gamma) -> float:
-    """Defining-integral oracle: E_{gamma_J}[ F_I(gamma * (1 + gamma_J)) ]."""
+    """Defining-integral oracle: E_{gamma_J}[ F_I(gamma * (1 + gamma_J)) ].
+
+    Integrated in v = beta_J * gamma_J against the unit-rate Gamma(nu_J)
+    density: in gamma_J itself the density spans 1/beta_J, which reaches
+    1e8 at strong jamming, and quad over [0, inf) misses its mass.
+    """
     gamma = float(gamma)
     if gamma < 0:
         raise ParameterError("gamma must be non-negative")
     if gamma == 0.0:
         return 0.0
     f_i = GammaSnrParams(p.nu_i, p.beta_i)
-    f_j = GammaSnrParams(p.nu_j, p.beta_j)
+    f_v = GammaSnrParams(p.nu_j, 1.0)
 
-    def integrand(y):
-        return gamma_cdf(f_i, gamma * (1.0 + y)) * gamma_pdf(f_j, y)
+    def integrand(v):
+        return gamma_cdf(f_i, gamma * (1.0 + v / p.beta_j)) * gamma_pdf(f_v, v)
 
     val, err = scipy.integrate.quad(
         integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=400

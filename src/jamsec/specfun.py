@@ -1,12 +1,8 @@
 """Special-function kernels used by the link-performance closed forms.
 
-The gamma-family helpers wrap scipy's well-tested routines behind the
-domain checks the rest of the package relies on.  The Gauss hypergeometric
-series, the Meijer G-function, and the weighted sum of bivariate Fox-H
-instances needed by the eavesdropper capacity are evaluated here directly:
+The Meijer G-function and the weighted sum of bivariate Fox-H instances
+needed by the eavesdropper capacity are evaluated here directly:
 
-* ``gauss_2f1`` sums the defining power series with a term-ratio stopping
-  rule, mapping negative arguments into (0, 1) with the Pfaff transform.
 * ``meijer_g`` integrates the Mellin-Barnes representation numerically on
   a vertical contour placed strictly between the two pole families.
 * ``fox_h_bivariate`` integrates a whole weighted double sum of the
@@ -29,41 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sc
 
-from .errors import AccuracyError, ConvergenceError, ParameterError
+from .errors import AccuracyError, ParameterError
 
 _LN_TINY = -46.0  # exp(-46) ~ 1e-20, truncation target for contour tails
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Resolution and tolerance knobs for the contour integrators.
-
-    half_length: baseline imaginary half-length of the contour; extended
-        automatically when the integrand's mass sits farther out.
-    nodes: baseline midpoint-rule node count across [-L, L].
-    abs_tol / rel_tol: acceptance thresholds for the refinement loop.
-    max_refinements: how many (denser, longer) passes to try beyond the
-        first before giving up with an AccuracyError.
-    """
-
-    half_length: float = 24.0
-    nodes: int = 1200
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-9
-    max_refinements: int = 3
-
-    def __post_init__(self):
-        if not (self.half_length > 0):
-            raise ParameterError("half_length must be > 0")
-        if self.nodes < 15:
-            raise ParameterError("node count must be >= 15")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ParameterError("tolerances must be > 0")
-        if self.max_refinements < 0:
-            raise ParameterError("max_refinements must be >= 0")
-
-
-DEFAULT_QUAD = QuadratureConfig()
+# contour integrators: baseline imaginary half-length (extended when the
+# integrand's mass sits farther out), baseline midpoint-rule node count
+# across [-L, L], acceptance tolerances of the refinement loop, and how
+# many denser, longer passes to try before raising AccuracyError
+_HALF_LENGTH = 24.0
+_NODES = 1200
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-9
+_MAX_REFINEMENTS = 3
 
 
 @dataclass(frozen=True)
@@ -206,105 +180,6 @@ class BivariateFoxHSpec:
 
 
 # ---------------------------------------------------------------------------
-# gamma family
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if not (x > 0):
-        raise ParameterError(f"ln_gamma requires x > 0, got {x}")
-    return float(sc.gammaln(x))
-
-
-def pochhammer(x: float, i: int) -> float:
-    """Rising factorial (x)_i computed as a direct product (total in x)."""
-    if not (isinstance(i, (int, np.integer)) and i >= 0):
-        raise ParameterError("pochhammer order must be a non-negative integer")
-    out = 1.0
-    for k in range(int(i)):
-        out *= x + k
-    return out
-
-
-def gamma_lower(a: float, x: float) -> float:
-    """Lower incomplete gamma integral of t^(a-1) e^(-t) over [0, x]."""
-    if not (a > 0):
-        raise ParameterError(f"gamma_lower requires a > 0, got {a}")
-    if x < 0:
-        raise ParameterError(f"gamma_lower requires x >= 0, got {x}")
-    return float(sc.gammainc(a, x) * sc.gamma(a))
-
-
-def gamma_upper(a: float, x: float) -> float:
-    """Upper incomplete gamma integral of t^(a-1) e^(-t) over [x, inf)."""
-    if not (a > 0):
-        raise ParameterError(f"gamma_upper requires a > 0, got {a}")
-    if x < 0:
-        raise ParameterError(f"gamma_upper requires x >= 0, got {x}")
-    return float(sc.gammaincc(a, x) * sc.gamma(a))
-
-
-def beta(a: float, b: float) -> float:
-    """Beta function Gamma(a)Gamma(b)/Gamma(a+b)."""
-    if not (a > 0 and b > 0):
-        raise ParameterError("beta requires positive arguments")
-    return float(sc.beta(a, b))
-
-
-# ---------------------------------------------------------------------------
-# Gauss hypergeometric series
-
-
-def gauss_2f1(a, b, c, z, rel_tol: float = 1e-12, max_terms: int = 2000):
-    """2F1(a, b; c; z) by direct power series, Pfaff-transformed for z < 0.
-
-    Accepts scalar or array z with z < 1.  The stopping rule requires the
-    running term to stay below rel_tol times the partial sum for three
-    consecutive terms.
-    """
-    if c <= 0 and abs(c - round(c)) < 1e-12:
-        raise ParameterError("c must not be a non-positive integer")
-    z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    if np.any(z_arr >= 1.0):
-        raise ParameterError("gauss_2f1 argument must satisfy z < 1")
-
-    out = np.empty_like(z_arr)
-    neg = z_arr < 0.0
-    if np.any(neg):
-        # Pfaff: 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
-        zn = z_arr[neg]
-        out[neg] = (1.0 - zn) ** (-a) * _2f1_series(
-            a, c - b, c, zn / (zn - 1.0), rel_tol, max_terms
-        )
-    pos = ~neg
-    if np.any(pos):
-        out[pos] = _2f1_series(a, b, c, z_arr[pos], rel_tol, max_terms)
-    return float(out[0]) if scalar else out
-
-
-def _2f1_series(a, b, c, z, rel_tol, max_terms):
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    ok_streak = np.zeros(z.shape, dtype=int)
-    converged = np.zeros(z.shape, dtype=bool)
-    for k in range(max_terms):
-        term = term * ((a + k) * (b + k) / ((c + k) * (1.0 + k))) * z
-        total = total + np.where(converged, 0.0, term)
-        small = np.abs(term) <= rel_tol * np.abs(total)
-        ok_streak = np.where(small, ok_streak + 1, 0)
-        converged |= ok_streak >= 3
-        if np.all(converged):
-            return total
-    raise ConvergenceError(
-        f"2F1 series did not converge within {max_terms} terms",
-        partial=total,
-        terms=max_terms,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Mellin-Barnes contour integration
 
 
@@ -344,13 +219,12 @@ def _meijer_pass(spec, lnz, sigma, length, h, log_prefactor):
     return scale * float(acc.real) * h / math.pi
 
 
-def meijer_g(spec: MeijerGSpec, z: float, quad: QuadratureConfig = DEFAULT_QUAD,
-             log_prefactor: float = 0.0):
+def meijer_g(spec: MeijerGSpec, z: float, log_prefactor: float = 0.0):
     """Numerically evaluate exp(log_prefactor) * G^{m,n}_{p,q}(z).
 
     Returns (value, error_estimate).  The error estimate is the change in
-    the final refinement step; exceeding the configured tolerance after
-    max_refinements raises AccuracyError with the best value attached.
+    the final refinement step; exceeding the tolerance after the last
+    refinement raises AccuracyError with the best value attached.
     """
     if not (z > 0):
         raise ParameterError("meijer_g requires z > 0")
@@ -358,19 +232,19 @@ def meijer_g(spec: MeijerGSpec, z: float, quad: QuadratureConfig = DEFAULT_QUAD,
     sigma = spec.contour_abscissa()
     rho = spec.growth_exponent(sigma)
     decay = math.pi * spec.delta
-    length = _tail_length(rho, decay, quad.half_length)
-    h = _node_spacing(2.0 * quad.half_length / quad.nodes,
+    length = _tail_length(rho, decay, _HALF_LENGTH)
+    h = _node_spacing(2.0 * _HALF_LENGTH / _NODES,
                       spec.pole_clearance(sigma), lnz)
 
     value = _meijer_pass(spec, lnz, sigma, length, h, log_prefactor)
     err = math.inf
-    for _ in range(quad.max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         length *= 1.25
         h *= 0.5
         refined = _meijer_pass(spec, lnz, sigma, length, h, log_prefactor)
         err = abs(refined - value)
         value = refined
-        if err <= max(quad.abs_tol, quad.rel_tol * abs(value)):
+        if err <= max(_ABS_TOL, _REL_TOL * abs(value)):
             return value, err
     raise AccuracyError(
         "meijer_g refinement exhausted above tolerance",
@@ -424,8 +298,7 @@ def _foxh_pass(omega, coef, log_scale, lnx, lny, sig_s, sig_t, len_s, len_t,
     return scale * 2.0 * total * h * h / (4.0 * math.pi**2)
 
 
-def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float,
-                    quad: QuadratureConfig = DEFAULT_QUAD):
+def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float):
     """Evaluate the weighted sum sum_{n,q} c_{n,q} H_{n,q}(x, y).
 
     Double midpoint rule over vertical contours Re s = Re t = -1/3, which
@@ -473,7 +346,7 @@ def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float,
     value = _foxh_pass(omega, coef, log_scale, lnx, lny, sig, sig_t, len_s,
                        len_t, h)
     err = math.inf
-    for _ in range(quad.max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         len_s *= 1.2
         len_t *= 1.2
         h *= 0.55
@@ -481,7 +354,7 @@ def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float,
                              len_s, len_t, h)
         err = abs(refined - value)
         value = refined
-        if err <= max(quad.abs_tol, quad.rel_tol * abs(value)):
+        if err <= max(_ABS_TOL, _REL_TOL * abs(value)):
             return value, err
     raise AccuracyError(
         "fox_h_bivariate refinement exhausted above tolerance",

@@ -16,7 +16,6 @@ from jamsec.fading import (
     dksm_pdf,
     dksm_sample,
     gamma_cdf,
-    gamma_cdf_series,
     gamma_pdf,
     mixture_cdf,
     nakagami_limit_pdf,
@@ -33,6 +32,17 @@ def _pdf_quad(p, lo_u, hi_u):
         lo_u, hi_u, limit=400, epsabs=1e-13, epsrel=1e-11,
     )
     return val
+
+
+def gamma_cdf_series(p, g):
+    """Finite-series Gamma CDF for the integer shapes GammaSnrParams
+    carries: 1 - exp(-beta*g) * sum_{n<nu} (beta*g)^n / n!."""
+    x = p.beta * g
+    term = acc = 1.0
+    for n in range(1, p.nu):
+        term *= x / n
+        acc += term
+    return min(max(1.0 - math.exp(-x) * acc, 0.0), 1.0)
 
 
 def _knee_window(p):
@@ -60,12 +70,18 @@ class TestDoubleShadowedParams:
 class TestDoubleShadowedPdf:
     def test_normalization(self):
         rng = np.random.default_rng(42)
-        for _ in range(8):
-            p = DoubleKappaMuShadowedParams(
+        sets = [
+            DoubleKappaMuShadowedParams(
                 c=rng.uniform(0.5, 5.0), s=rng.uniform(1.5, 6.0),
                 mu=rng.uniform(0.5, 5.0), kappa=rng.uniform(0.0, 3.0),
                 mean_snr=rng.uniform(0.2, 10.0),
             )
+            for _ in range(8)
+        ]
+        # the 2F1 argument reaches z_max = mu*kappa/(c + mu*kappa) = 0.98
+        sets.append(DoubleKappaMuShadowedParams(c=0.5, s=2.5, mu=3.0, kappa=10.0,
+                                                mean_snr=1.0))
+        for p in sets:
             lo, hi = _knee_window(p)
             assert _pdf_quad(p, lo, hi) == pytest.approx(1.0, abs=2e-9)
 

@@ -55,8 +55,17 @@ class TestConfigs:
     def test_validate_range_diagnostics(self):
         cfg = load_config(_resolve_path("fig2"))
         cfg["receiver"]["p_los"] = 1.3
+        cfg["receiver"]["normalize_mean"] = "no"
+        cfg["variants"][0]["receiver"]["m"] = -1
         diags = validate_config(cfg)
-        assert any("receiver.p_los" in d and "1.3" in d for d in diags)
+        assert any(d.startswith("receiver.p_los:") and "1.3" in d for d in diags)
+        assert any(d.startswith("receiver.normalize_mean:") and "'no'" in d
+                   for d in diags)
+        # override values are checked on the merged mapping, and the base's
+        # own problems are not repeated under each variant
+        assert any(d.startswith("variants[0].receiver.m:") and "-1" in d
+                   for d in diags)
+        assert len(diags) == 3, diags
 
     def test_validate_shape_bound(self):
         cfg = load_config(_resolve_path("fig5"))
@@ -90,6 +99,9 @@ class TestConfigs:
         cfg["variants"][1]["geometry"]["n_jammer_antenna"] = 3
         cfg["variants"][2]["receiver"] = {"p_los": 0.5}
         cfg["variants"][3]["eves"] = {"m_i": 2}
+        # switching the fading model leaves the base model's keys unread
+        cfg["variants"][4]["receiver"] = {"fading": "rician_shadowed", "m": 1.0,
+                                          "xi": 1.0, "sigma2": 0.5}
         diags = validate_config(cfg)
         assert any(d.startswith("variants[1].geometry.n_jammer_antenna:")
                    and "'n_jammer_antennas'" in d for d in diags)
@@ -276,6 +288,9 @@ class TestCli:
         f.write_text(block.group(1))
         r = self._run("validate", str(f))
         assert r.returncode == 0, r.stderr
+        # r_je = 5 m puts the mean SNRs near 1e8: every route must hold
+        r = self._run("eval", str(f), "--at", "5")
+        assert r.returncode == 0, r.stderr
 
     def test_validate_bad_config(self, tmp_path):
         import yaml
@@ -286,6 +301,12 @@ class TestCli:
         r = self._run("validate", str(f))
         assert r.returncode == 1
         assert "receiver.p_los" in r.stderr
+        cfg = load_config(_resolve_path("fig2"))
+        cfg["variants"][0]["receiver"]["m"] = -1
+        f.write_text(yaml.safe_dump(cfg))
+        r = self._run("validate", str(f))
+        assert r.returncode == 1
+        assert "variants[0].receiver.m" in r.stderr
 
     def test_missing_scenario_file_io_error(self):
         r = self._run("sweep", "/no/such/file.yaml")

@@ -5,118 +5,14 @@ import pytest
 import scipy.integrate
 import scipy.special as sc
 
-from jamsec.errors import ConvergenceError, ParameterError
+from jamsec.errors import ParameterError
 from jamsec.specfun import (
     BivariateFoxHSpec,
     MeijerGSpec,
-    QuadratureConfig,
     _foxh_pass,
-    beta,
     fox_h_bivariate,
-    gamma_lower,
-    gamma_upper,
-    gauss_2f1,
-    ln_gamma,
     meijer_g,
-    pochhammer,
 )
-
-
-class TestGammaFamily:
-    def test_ln_gamma_known_values(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-13)
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
-
-    def test_ln_gamma_domain(self):
-        with pytest.raises(ParameterError):
-            ln_gamma(0.0)
-        with pytest.raises(ParameterError):
-            ln_gamma(-2.5)
-
-    def test_pochhammer_values(self):
-        assert pochhammer(3.7, 0) == 1.0
-        assert pochhammer(1.0, 4) == 24.0
-        assert pochhammer(3.0, 2) == 12.0
-
-    def test_pochhammer_recurrence_exact(self):
-        # must hold bit-for-bit given product construction order
-        for x in (0.3, 2.0, -1.5, 7.25):
-            for i in range(12):
-                assert pochhammer(x, i + 1) == pochhammer(x, i) * (x + i)
-
-    def test_pochhammer_total_at_negative_integers(self):
-        assert pochhammer(-2.0, 4) == 0.0
-
-    def test_incomplete_gamma_values(self):
-        assert gamma_lower(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
-        assert gamma_upper(3.0, 0.0) == pytest.approx(2.0, rel=1e-12)
-        # quadrature oracle for a non-trivial point
-        val, _ = scipy.integrate.quad(lambda t: t**1.5 * math.exp(-t), 0.0, 1.3)
-        assert gamma_lower(2.5, 1.3) == pytest.approx(val, rel=1e-10)
-
-    def test_incomplete_gamma_complement(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            a = rng.uniform(1e-3, 10.0)
-            x = rng.uniform(0.0, 20.0)
-            total = gamma_lower(a, x) + gamma_upper(a, x)
-            assert total == pytest.approx(math.gamma(a), rel=1e-12)
-
-    def test_beta_values(self):
-        assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-13)
-        assert beta(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-13)
-        assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
-
-    def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            gamma_lower(0.0, 1.0)
-        with pytest.raises(ParameterError):
-            gamma_upper(2.0, -1.0)
-        with pytest.raises(ParameterError):
-            beta(-1.0, 2.0)
-
-
-class TestGauss2F1:
-    def test_trivial_points(self):
-        assert gauss_2f1(1.3, 0.7, 2.0, 0.0) == 1.0
-        # 2F1(a,b;b;z) = (1-z)^(-a)
-        assert gauss_2f1(2.0, 3.0, 3.0, 0.25) == pytest.approx(
-            (1.0 - 0.25) ** -2, rel=1e-10
-        )
-        # 2F1(1,1;2;z) = -ln(1-z)/z
-        assert gauss_2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(
-            -math.log(0.5) / 0.5, rel=1e-10
-        )
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            a = rng.uniform(0.2, 6.0)
-            b = rng.uniform(0.2, 6.0)
-            c = rng.uniform(0.3, 8.0)
-            z = rng.uniform(-5.0, 0.9)
-            assert gauss_2f1(a, b, c, z) == pytest.approx(
-                float(sc.hyp2f1(a, b, c, z)), rel=1e-10
-            )
-
-    def test_vectorized(self):
-        z = np.array([0.0, 0.3, -2.0, 0.8])
-        got = gauss_2f1(1.5, 2.5, 3.5, z)
-        want = sc.hyp2f1(1.5, 2.5, 3.5, z)
-        np.testing.assert_allclose(got, want, rtol=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            gauss_2f1(1.0, 1.0, 2.0, 1.0)
-        with pytest.raises(ParameterError):
-            gauss_2f1(1.0, 1.0, -2.0, 0.5)
-
-    def test_nonconvergence_carries_partial(self):
-        with pytest.raises(ConvergenceError) as exc:
-            gauss_2f1(1.0, 1.0, 2.0, 0.999999, max_terms=20)
-        assert exc.value.terms == 20
-        assert np.all(np.asarray(exc.value.partial) > 1.0)
 
 
 ETA_IDENTITY_Z = (0.1, 0.5, 1.0, 2.0, 10.0)
@@ -187,12 +83,6 @@ class TestMeijerG:
         spec = MeijerGSpec(m=1, n=1, p=1, q=1, a_params=(-1.0,), b_params=(0.0,))
         with pytest.raises(ParameterError):
             meijer_g(spec, 0.0)
-
-    def test_quadrature_config_validation(self):
-        with pytest.raises(ParameterError):
-            QuadratureConfig(nodes=5)
-        with pytest.raises(ParameterError):
-            QuadratureConfig(abs_tol=0.0)
 
 
 class TestBivariateFoxH:
