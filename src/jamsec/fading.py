@@ -183,15 +183,21 @@ def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
         gp = g[pos]
         denom = big_t * gp + phi
         z = p.big_k * mu * kappa * gp / denom
+        ln_pdf = ln_amp + (mu - 1.0) * np.log(gp) - (s + mu) * np.log(denom)
         hyp = 1.0
         if kappa > 0:
             hyp = sc.hyp2f1(c, s + mu, mu, z)
-            # scipy recurses down from its larger parameter and gives up
-            # (NaN) past 1e4 steps: here once s > 1e4, the shadowing-off limit
-            lost = np.isnan(hyp)
+            # Both failures of exp(ln_pdf) * hyp come at large s: scipy
+            # gives up (NaN) past 1e4 recursion steps, i.e. once s > 1e4,
+            # and deep in the tail exp(ln_pdf) underflows while the 2F1
+            # overflows (0 * inf) or is merely huge.  Those points take the
+            # 2F1 in log space.  Below the cap an underflowed exp(ln_pdf)
+            # costs any normal-range product at most 1.1e-12 relative.
+            lost = ~(hyp <= _HYP_DIRECT_MAX)
             if np.any(lost):
-                hyp[lost] = _hyp2f1_series(c, s + mu, mu, z[lost])
-        ln_pdf = ln_amp + (mu - 1.0) * np.log(gp) - (s + mu) * np.log(denom)
+                ln_pdf[lost] += [_ln_hyp2f1_series(c, s + mu, mu, x)
+                                 for x in z[lost]]
+                hyp[lost] = 1.0
         out[pos] = np.exp(ln_pdf) * hyp
     if np.any(~pos):
         if mu > 1.0:
@@ -204,25 +210,29 @@ def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
     return float(out[0]) if scalar else out
 
 
-def _hyp2f1_series(a, b, c, z):
-    """2F1(a, b; c; z) by its power series, for a, b, c > 0 and
-    0 <= z < 1, where every term is positive.  Stops once three
-    consecutive terms fall below 1e-13 of the partial sums."""
-    max_terms = 2000
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    small = 0
-    for k in range(max_terms):
-        term = term * ((a + k) * (b + k) / ((c + k) * (1.0 + k))) * z
-        total = total + term
-        small = small + 1 if np.all(term <= 1e-13 * total) else 0
-        if small == 3:
-            return total
-    raise ConvergenceError(
-        f"2F1 series did not converge within {max_terms} terms",
-        partial=total,
-        terms=max_terms,
-    )
+# largest 2F1 factor that dksm_pdf multiplies by exp(ln_pdf) directly
+_HYP_DIRECT_MAX = 1e4
+
+
+def _ln_hyp2f1_series(a, b, c, z):
+    """ln 2F1(a, b; c; z) for a, b, c > 0 and 0 < z < 1, where every term
+    of the power series is positive.  The log-terms are cumulative sums of
+    the log term ratios, so neither a term nor the sum overflows; the
+    window doubles until it passes the last ratio >= 1 and its last term
+    lies e^-50 below the largest."""
+    # term ratio (a+k)(b+k)z / ((c+k)(1+k)) is < 1 beyond the largest root
+    qa, qb, qc = 1.0 - z, c + 1.0 - z * (a + b), c - z * a * b
+    disc = qb * qb - 4.0 * qa * qc
+    k_last = (math.sqrt(disc) - qb) / (2.0 * qa) if disc >= 0 else 0.0
+    n = 64
+    while True:
+        k = np.arange(n - 1.0)
+        ln_terms = np.concatenate(
+            ([0.0], np.cumsum(np.log((a + k) * (b + k) / ((c + k) * (1.0 + k)) * z))))
+        top = ln_terms.max()
+        if n > k_last + 1.0 and ln_terms[-1] < top - 50.0:
+            return top + math.log(np.exp(ln_terms - top).sum())
+        n *= 2
 
 
 def _dksm_log_knee(p: DoubleKappaMuShadowedParams) -> float:

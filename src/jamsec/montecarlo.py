@@ -6,15 +6,29 @@ SINR exactly as the analytic link model defines them.  Estimators are
 plain sample means so the oracle stays trivially auditable.
 
 Reproducibility contract: trials are split into fixed-size shards, and
-every (link, antenna, shard) triple owns a dedicated child stream of the
-config seed.  Sample arrays are therefore bit-identical for any worker
-count, and a worker pool can fill shards in any order.
+every (link role, antenna, shard) triple owns a dedicated child stream of
+the run seed; a blockage coin owns one per (link role, shard).  No stream
+is keyed by a sweep cell.  Every fading law here is a scale family in its
+mean (the Gamma law in 1/beta), so a link's per-antenna draws are made
+once at unit scale, summed over antennas, and multiplied by each caller's
+scale.  Cells of one run that share a link role, unit law and antenna
+count therefore see the same noise (common random numbers): differences
+between those cells carry no sampling noise of that link, and each
+cell's own standard error is unchanged.  Sample arrays are bit-identical
+for any worker count, with or without a cache, and a worker pool can
+fill shards in any order.
+
+Memory bound: a caller-owned cache holds one `trials`-length float array
+per distinct (link role, unit law, antenna count) in a run, never the
+per-antenna draws: 2 for fig2 (one receiver law per variant; LOS and
+NLOS share it), 2 for fig3 and fig4 (intercept, jammer), and 6 for fig5
+(receiver, intercept, and the jammer at K = 1, 2, 4, 8).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -109,59 +123,89 @@ def _shards(trials: int):
         yield k, lo, min(lo + SHARD_SIZE, trials)
 
 
-def _draw(spec: FadingSpec, seed: SamplerSeed, n: int) -> np.ndarray:
-    if isinstance(spec, DoubleKappaMuShadowedParams):
-        return dksm_sample(spec, seed, n)
-    if isinstance(spec, RicianShadowedParams):
-        return rician_shadowed_sample(spec, seed, n)
-    return seed.generator().gamma(shape=spec.nu, scale=1.0 / spec.beta, size=n)
+def _unit_law(spec: FadingSpec) -> tuple[FadingSpec, float]:
+    """(law at unit scale, scale): each law here is a scale family, so a
+    draw of `spec` is a draw of the unit law times the scale."""
+    if isinstance(spec, GammaSnrParams):
+        return GammaSnrParams(nu=spec.nu, beta=1.0), 1.0 / spec.beta
+    return replace(spec, mean_snr=1.0), spec.mean_snr
 
 
-def _link_samples(link: LinkSpec, base: SamplerSeed, link_id: int,
-                  n_antennas: int, trials: int) -> np.ndarray:
-    """Sum of per-antenna draws; blockage state is common to all antennas
-    of a link (it blocks the path, not individual elements)."""
-    out = np.empty(trials)
+def _draw(unit: FadingSpec, seed: SamplerSeed, n: int) -> np.ndarray:
+    if isinstance(unit, DoubleKappaMuShadowedParams):
+        return dksm_sample(unit, seed, n)
+    if isinstance(unit, RicianShadowedParams):
+        return rician_shadowed_sample(unit, seed, n)
+    return seed.generator().gamma(shape=unit.nu, scale=1.0 / unit.beta, size=n)
+
+
+def _unit_sum(unit: FadingSpec, base: SamplerSeed, role: int, n_antennas: int,
+              trials: int, cache: dict) -> np.ndarray:
+    """Per-trial sum of the per-antenna draws of a unit-scale law, drawn
+    once per (seed, role, law, antenna count, trials) and kept in `cache`.
+    Antenna a of shard k draws from stream (role, a, k) whatever the law."""
+    key = (role, unit, n_antennas, trials, base)
+    total = cache.get(key)
+    if total is None:
+        total = np.empty(trials)
+        for k, lo, hi in _shards(trials):
+            acc = np.zeros(hi - lo)
+            for a in range(n_antennas):
+                acc += _draw(unit, base.child(role, a, k), hi - lo)
+            total[lo:hi] = acc
+        cache[key] = total
+    return total
+
+
+def _link_samples(link: LinkSpec, base: SamplerSeed, role: int,
+                  n_antennas: int, trials: int,
+                  cache: Optional[dict]) -> np.ndarray:
+    """Per-trial link SNR: the unit-law antenna sum times the law's scale.
+    Blockage state is common to all antennas of a link (it blocks the
+    path, not individual elements), so a mixture picks its scale per
+    trial; LOS and NLOS branches with one unit law share one sum, which
+    is exact because the coin is independent of the draws."""
+    cache = {} if cache is None else cache
+    unit, scale = _unit_law(link.fading)
+    total = _unit_sum(unit, base, role, n_antennas, trials, cache)
+    if link.p_los is None:
+        return total * scale
+    unit_nlos, scale_nlos = _unit_law(link.fading_nlos)
+    total_nlos = _unit_sum(unit_nlos, base, role, n_antennas, trials, cache)
+    los = np.empty(trials, dtype=bool)
     for k, lo, hi in _shards(trials):
-        m = hi - lo
-        if link.p_los is not None:
-            # slot n_antennas is reserved for the blockage coin stream
-            coin = base.child(link_id, n_antennas, k).generator()
-            los_mask = coin.random(m) < link.p_los
-        acc = np.zeros(m)
-        for a in range(n_antennas):
-            branch = base.child(link_id, a, k)
-            if link.p_los is None:
-                acc += _draw(link.fading, branch, m)
-            else:
-                los = _draw(link.fading, branch.child(0), m)
-                nlos = _draw(link.fading_nlos, branch.child(1), m)
-                acc += np.where(los_mask, los, nlos)
-        out[lo:hi] = acc
-    return out
+        # the coin's key (role, k) is one index shorter than any antenna's
+        los[lo:hi] = base.child(role, k).generator().random(hi - lo) < link.p_los
+    if total_nlos is not total:  # the branches have different unit laws
+        total = np.where(los, total, total_nlos)
+    return total * np.where(los, scale, scale_nlos)
 
 
-def simulate_receiver_snr(cfg: SimConfig) -> np.ndarray:
-    """Per-trial receiver SNR: sum of the N per-antenna draws."""
+def simulate_receiver_snr(cfg: SimConfig, cache: Optional[dict] = None) -> np.ndarray:
+    """Per-trial receiver SNR: sum of the N per-antenna draws.
+
+    `cache` is an optional caller-owned dict of unit-law antenna sums;
+    the result is bit-identical with or without it."""
     if cfg.receiver_link is None:
         raise ParameterError("config has no receiver link fading spec")
     return _link_samples(
         cfg.receiver_link, cfg.seed, _LINK_RECEIVER,
-        cfg.geometry.n_bs_antennas, cfg.trials,
+        cfg.geometry.n_bs_antennas, cfg.trials, cache,
     )
 
 
-def simulate_eve_sinr(cfg: SimConfig) -> np.ndarray:
+def simulate_eve_sinr(cfg: SimConfig, cache: Optional[dict] = None) -> np.ndarray:
     """Per-trial eavesdropper SINR gamma_I / (1 + gamma_J).
 
     gamma_J is identically zero when no jammer link is configured, the
-    jammer has zero antennas, or its transmit power is zero.
+    jammer has zero antennas, or its transmit power is zero.  `cache` is
+    as for `simulate_receiver_snr`.
     """
     if cfg.eve_intercept_link is None:
         raise ParameterError("config has no eavesdropper intercept fading spec")
     gamma_i = _link_samples(
         cfg.eve_intercept_link, cfg.seed, _LINK_INTERCEPT,
-        cfg.geometry.n_bs_antennas, cfg.trials,
+        cfg.geometry.n_bs_antennas, cfg.trials, cache,
     )
     jam_off = (
         cfg.jammer_link is None
@@ -172,7 +216,7 @@ def simulate_eve_sinr(cfg: SimConfig) -> np.ndarray:
         return gamma_i
     gamma_j = _link_samples(
         cfg.jammer_link, cfg.seed, _LINK_JAMMER,
-        cfg.geometry.n_jammer_antennas, cfg.trials,
+        cfg.geometry.n_jammer_antennas, cfg.trials, cache,
     )
     return gamma_i / (1.0 + gamma_j)
 

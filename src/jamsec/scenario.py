@@ -436,15 +436,13 @@ class _PointSetup:
     eve_gamma_i: GammaSnrParams
     zetas: tuple
     trials: int
-    mc_seed: SamplerSeed
 
 
 def _merge(base: dict, override: dict) -> dict:
     return {**base, **override}
 
 
-def _resolve_point(sc: Scenario, overrides: dict, axis_value: float,
-                   mc_seed: SamplerSeed) -> _PointSetup:
+def _resolve_point(sc: Scenario, overrides: dict, axis_value: float) -> _PointSetup:
     geo = _merge(sc.geometry, overrides.get("geometry", {}))
     rec = _merge(sc.receiver, overrides.get("receiver", {}))
     eve = _merge(sc.eve, overrides.get("eve", {}))
@@ -521,7 +519,6 @@ def _resolve_point(sc: Scenario, overrides: dict, axis_value: float,
         eve_gamma_i=eve_gamma_i,
         zetas=tuple(secrecy.db_to_linear(z) for z in sc.zeta_db),
         trials=sc.trials,
-        mc_seed=mc_seed,
     )
 
 
@@ -543,7 +540,7 @@ def _rician_outage(setup: _PointSetup, th: float, cdf) -> float:
                              float(cdf(setup.receiver_nlos, th))))
 
 
-def _receiver_sim_config(setup: _PointSetup) -> montecarlo.SimConfig:
+def _receiver_sim_config(setup: _PointSetup, seed: SamplerSeed) -> montecarlo.SimConfig:
     # analytical receiver restriction: single-antenna receiver link
     geo = setup.geometry
     geo1 = secrecy.NetworkGeometry(
@@ -563,11 +560,11 @@ def _receiver_sim_config(setup: _PointSetup) -> montecarlo.SimConfig:
             fading_nlos=setup.receiver_nlos,
         )
     return montecarlo.SimConfig(
-        trials=setup.trials, seed=setup.mc_seed, geometry=geo1, receiver_link=link
+        trials=setup.trials, seed=seed, geometry=geo1, receiver_link=link
     )
 
 
-def _eve_sim_config(setup: _PointSetup) -> montecarlo.SimConfig:
+def _eve_sim_config(setup: _PointSetup, seed: SamplerSeed) -> montecarlo.SimConfig:
     geo = setup.geometry
     m_i_shape = setup.eve_gamma_i.nu // geo.n_bs_antennas
     intercept = montecarlo.LinkSpec(
@@ -580,27 +577,32 @@ def _eve_sim_config(setup: _PointSetup) -> montecarlo.SimConfig:
             fading=GammaSnrParams(nu=m_j_shape, beta=setup.eve.beta_j)
         )
     return montecarlo.SimConfig(
-        trials=setup.trials, seed=setup.mc_seed, geometry=geo,
+        trials=setup.trials, seed=seed, geometry=geo,
         eve_intercept_link=intercept, jammer_link=jammer,
     )
 
 
 class _Point:
     """One resolved grid point.  Monte Carlo samples are drawn on first
-    use, so at most once per point; `memo` holds the receiver capacities
-    already computed in this run."""
+    use, so at most once per point, from the run-level link streams of
+    `seed`; `memo` holds what this run already computed: receiver
+    capacities and the Monte Carlo unit-law link sums, which every cell
+    scales to its own means."""
 
-    def __init__(self, setup: _PointSetup, memo: dict):
+    def __init__(self, setup: _PointSetup, seed: SamplerSeed, memo: dict):
         self.setup = setup
+        self.seed = seed
         self.memo = memo
 
     @functools.cached_property
     def receiver_samples(self):
-        return montecarlo.simulate_receiver_snr(_receiver_sim_config(self.setup))
+        return montecarlo.simulate_receiver_snr(
+            _receiver_sim_config(self.setup, self.seed), self.memo)
 
     @functools.cached_property
     def eve_samples(self):
-        return montecarlo.simulate_eve_sinr(_eve_sim_config(self.setup))
+        return montecarlo.simulate_eve_sinr(
+            _eve_sim_config(self.setup, self.seed), self.memo)
 
     def receiver_capacity(self, route: str):
         """secrecy.<route> of the double-model receiver, once per distinct
@@ -653,10 +655,11 @@ _ROUTES = {
 
 
 def _eval_point(sc: Scenario, overrides: dict, axis_value: float,
-                mc_seed: SamplerSeed, memo: dict) -> dict:
+                memo: dict) -> dict:
     """All requested metric values at one grid point.  Keys are
     (metric, zeta-or-None, method)."""
-    pt = _Point(_resolve_point(sc, overrides, axis_value, mc_seed), memo)
+    pt = _Point(_resolve_point(sc, overrides, axis_value),
+                SamplerSeed(sc.seed), memo)
     out = {}
     for method in sc.methods:
         for metric in sc.metrics:
@@ -716,15 +719,11 @@ def run_scenario(path: str, *, seed=None, trials=None, methods=None,
     sc = Scenario.from_config(cfg, seed=seed, trials=trials, methods=methods,
                               grid=grid)
 
-    # each (variant, point) owns the Monte Carlo stream seed/vi/pi, so no
-    # two cells share a stream whatever the grid size
+    # Monte Carlo streams are keyed by link, not by cell: every cell of a
+    # run scales the same unit-law draws (see jamsec.montecarlo)
     cells = [(vi, pi) for vi in range(len(sc.variants))
              for pi in range(len(sc.grid))]
-    tasks = [
-        (sc, sc.variants[vi][1], sc.grid[pi],
-         SamplerSeed(sc.seed, stream=vi).child(pi))
-        for vi, pi in cells
-    ]
+    tasks = [(sc, sc.variants[vi][1], sc.grid[pi]) for vi, pi in cells]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,

@@ -94,6 +94,22 @@ class TestDoubleShadowedPdf:
         )
         assert mean == pytest.approx(2.5, rel=1e-7)
 
+    def test_far_tail_at_large_s(self):
+        # exp(ln_pdf) underflows there while the 2F1 factor is huge or
+        # overflows; references from mpmath at 40 digits
+        cases = [
+            (5e3, 1e3, 1.32752073729e-303),
+            (5e3, 500.0, 3.54201702622705e-156),
+            (5e3, 5e3, 0.0),   # 2.3e-1221
+            (1e5, 1e3, 0.0),   # 7.9e-325
+            (1e5, 5e3, 0.0),   # 1.0e-1610
+        ]
+        for s, g, want in cases:
+            p = DoubleKappaMuShadowedParams(c=2.5, s=s, mu=1.0, kappa=3.0,
+                                            mean_snr=2.4)
+            assert dksm_pdf(p, g) == pytest.approx(want, rel=1e-9, abs=0.0)
+            assert dksm_pdf(p, np.array([g, 1.0]))[0] == dksm_pdf(p, g)
+
     def test_origin_behavior(self):
         base = dict(c=2.0, s=2.0, kappa=1.0, mean_snr=1.0)
         assert dksm_pdf(DoubleKappaMuShadowedParams(mu=2.0, **base), 0.0) == 0.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,12 +91,16 @@ class TestReceiverSim:
                                              mean_snr=4.0)
         weak = DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=1.5, kappa=1.0,
                                            mean_snr=1.0)
-        cfg = _cfg(300_000, receiver_link=LinkSpec(
-            fading=strong, p_los=0.25, fading_nlos=weak))
-        draws = simulate_receiver_snr(cfg)
-        want = 0.25 * 4.0 + 0.75 * 1.0
-        se = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(draws.mean() - want) < 4.0 * se
+        # the second NLOS law has its own shape, so its own unit-law draws
+        weak_other = DoubleKappaMuShadowedParams(c=0.8, s=4.0, mu=1.0,
+                                                 kappa=0.2, mean_snr=1.0)
+        for nlos in (weak, weak_other):
+            cfg = _cfg(300_000, receiver_link=LinkSpec(
+                fading=strong, p_los=0.25, fading_nlos=nlos))
+            draws = simulate_receiver_snr(cfg)
+            want = 0.25 * 4.0 + 0.75 * 1.0
+            se = draws.std(ddof=1) / math.sqrt(draws.size)
+            assert abs(draws.mean() - want) < 4.0 * se
 
     def test_missing_link_rejected(self):
         with pytest.raises(ParameterError):
@@ -164,6 +169,57 @@ class TestEveSim:
         # configs replay bit-identically
         np.testing.assert_array_equal(a, simulate_eve_sinr(small))
         np.testing.assert_array_equal(b, simulate_eve_sinr(big))
+
+
+class TestLinkCache:
+    """A caller-owned cache keeps each link's unit-law antenna sum, which
+    every call scales to its own mean; the bits never depend on it."""
+
+    LOS = RicianShadowedParams(m=2.0, xi=1.0, sigma2=0.2, mean_snr=3.0)
+
+    def _full_cfg(self, seed=101, nlos=None):
+        nlos = nlos or replace(self.LOS, mean_snr=0.1)
+        return _cfg(
+            20_000, seed=seed, geometry=_geometry(n=2, k=3),
+            receiver_link=LinkSpec(fading=self.LOS, p_los=0.3, fading_nlos=nlos),
+            eve_intercept_link=LinkSpec(fading=GammaSnrParams(nu=2, beta=0.5)),
+            jammer_link=LinkSpec(fading=GammaSnrParams(nu=1, beta=2.0)),
+        )
+
+    def test_same_bits_with_and_without_cache(self):
+        cfg = self._full_cfg()
+        cache = {}
+        for _ in range(2):  # a miss, then a hit
+            np.testing.assert_array_equal(simulate_receiver_snr(cfg, cache),
+                                          simulate_receiver_snr(cfg))
+            np.testing.assert_array_equal(simulate_eve_sinr(cfg, cache),
+                                          simulate_eve_sinr(cfg))
+        # LOS and NLOS share one unit law: receiver, intercept, jammer
+        assert len(cache) == 3
+
+    def test_second_mean_adds_no_entry(self):
+        cache = {}
+        a = simulate_receiver_snr(_cfg(10_000, receiver_link=LinkSpec(fading=DKSM)),
+                                  cache)
+        b = simulate_receiver_snr(
+            _cfg(10_000, receiver_link=LinkSpec(fading=replace(DKSM, mean_snr=5.0))),
+            cache)
+        assert len(cache) == 1
+        (unit,) = cache.values()
+        np.testing.assert_array_equal(a, unit * DKSM.mean_snr)
+        np.testing.assert_array_equal(b, unit * 5.0)
+
+    def test_new_law_seed_or_antenna_count_draws_again(self):
+        cache = {}
+        base = simulate_receiver_snr(self._full_cfg(), cache)
+        other_law = self._full_cfg(nlos=replace(self.LOS, m=0.7, mean_snr=0.1))
+        other_seed = self._full_cfg(seed=102)
+        one_antenna = replace(other_seed, geometry=_geometry(n=1, k=3))
+        for cfg in (other_law, other_seed, one_antenna):
+            got = simulate_receiver_snr(cfg, cache)
+            np.testing.assert_array_equal(got, simulate_receiver_snr(cfg))
+            assert not np.array_equal(got, base)
+        assert len(cache) == 4
 
 
 class TestEstimators:

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -259,9 +260,48 @@ class TestReceiverMemo:
         assert seen[2:] == seen[:2]
 
     def test_pool_workers_keep_the_output(self):
-        t1 = run_scenario("fig5", workers=1, **self.KW)
-        t2 = run_scenario("fig5", workers=2, **self.KW)
+        # each worker fills its own memo, Monte Carlo link sums included
+        kw = dict(self.KW, methods=["quadrature", "monte-carlo"])
+        t1 = run_scenario("fig5", workers=1, **kw)
+        t2 = run_scenario("fig5", workers=2, **kw)
         assert t1.rows == t2.rows
+
+
+class TestCommonRandomNumbers:
+    """Monte Carlo cells of one run scale the same per-link draws, so
+    differences between cells carry no sampling noise of a shared link."""
+
+    MC = ["monte-carlo"]
+
+    def test_fig5_receiver_capacity_is_one_estimate(self):
+        table = run_scenario("fig5", methods=self.MC, trials=5000)
+        cols = [_col(table, f"{k}/c_r#monte-carlo")
+                for k in ("k0", "k1", "k2", "k4", "k8")]
+        assert all(c == cols[0] for c in cols[1:])
+
+    def test_fig2_outage_non_increasing_in_snr(self):
+        table = run_scenario("fig2", methods=self.MC, trials=20_000)
+        for variant in ("light", "dense"):
+            col = _col(table, f"{variant}/outage_r@10dB#monte-carlo")
+            assert all(b <= a for a, b in zip(col, col[1:]))
+
+    def test_fig3_outage_non_increasing_in_jammer_distance(self):
+        table = run_scenario("fig3", methods=self.MC, trials=20_000)
+        for z in ("-8dB", "-2dB"):
+            col = _col(table, f"outage_e@{z}#monte-carlo")
+            assert all(b <= a for a, b in zip(col, col[1:]))
+
+    def test_fig5_memory_stays_bounded(self):
+        # the cache holds one trials-length sum per distinct link law and
+        # antenna count (6 for fig5), never the per-antenna draws
+        run_scenario("fig5", methods=self.MC, grid=[0.0], trials=10)
+        tracemalloc.start()
+        try:
+            run_scenario("fig5", methods=self.MC)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestCli:
