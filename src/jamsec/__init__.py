@@ -43,7 +43,7 @@ from .secrecy import (
     mean_snr,
     secrecy_capacity,
 )
-from .specfun import BivariateFoxHSpec, MeijerGSpec, fox_h_bivariate, meijer_g
+from .specfun import BivariateFoxHSpec, fox_h_bivariate
 
 __all__ = [
     "__version__",
@@ -62,5 +62,5 @@ __all__ = [
     "capacity_receiver_quadrature", "capacity_receiver_series",
     "db_to_linear", "eve_link_params_from_geometry",
     "eve_sinr_cdf", "eve_sinr_cdf_integral", "mean_snr", "secrecy_capacity",
-    "BivariateFoxHSpec", "MeijerGSpec", "fox_h_bivariate", "meijer_g",
+    "BivariateFoxHSpec", "fox_h_bivariate",
 ]

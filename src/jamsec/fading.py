@@ -168,14 +168,14 @@ def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
     c, s, mu, kappa, gbar = p.c, p.s, p.mu, p.kappa, p.mean_snr
     big_t = p.big_t
     phi = (s - 1.0) * gbar
-    ln_amp = (
-        s * math.log(s - 1.0)
-        + c * math.log(c)
-        + mu * math.log(big_t)
-        + s * math.log(gbar)
-        - c * math.log(c + mu * kappa)
-        - (sc.gammaln(s) + sc.gammaln(mu) - sc.gammaln(s + mu))
-    )
+    # Gamma(s+mu)/Gamma(s) as one Pochhammer ratio and phi^(s+mu) (T g +
+    # phi)^-(s+mu) as (1 + T g/phi)^-(s+mu): at large s each pair is ~s ln s
+    # apart and its difference loses digits.  The log-gammas serve where
+    # poch overflows.
+    ratio = sc.poch(s, mu)
+    ln_ratio = math.log(ratio) if ratio < math.inf else sc.gammaln(s + mu) - sc.gammaln(s)
+    ln_amp = (mu * math.log(big_t / phi) - c * math.log1p(mu * kappa / c) + ln_ratio
+              - sc.gammaln(mu))
 
     out = np.zeros_like(g)
     pos = g > 0
@@ -183,7 +183,7 @@ def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
         gp = g[pos]
         denom = big_t * gp + phi
         z = p.big_k * mu * kappa * gp / denom
-        ln_pdf = ln_amp + (mu - 1.0) * np.log(gp) - (s + mu) * np.log(denom)
+        ln_pdf = ln_amp + (mu - 1.0) * np.log(gp) - (s + mu) * np.log1p(gp * (big_t / phi))
         hyp = 1.0
         if kappa > 0:
             hyp = sc.hyp2f1(c, s + mu, mu, z)
@@ -203,7 +203,7 @@ def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
         if mu > 1.0:
             val0 = 0.0
         elif mu == 1.0:
-            val0 = math.exp(ln_amp - (s + 1.0) * math.log(phi))
+            val0 = math.exp(ln_amp)
         else:
             val0 = math.inf
         out[~pos] = val0

@@ -20,9 +20,11 @@ fill shards in any order.
 
 Memory bound: a caller-owned cache holds one `trials`-length float array
 per distinct (link role, unit law, antenna count) in a run, never the
-per-antenna draws: 2 for fig2 (one receiver law per variant; LOS and
-NLOS share it), 2 for fig3 and fig4 (intercept, jammer), and 6 for fig5
-(receiver, intercept, and the jammer at K = 1, 2, 4, 8).
+per-antenna draws, plus one array of blockage uniforms per link role
+with a blockage mixture: 3 for fig2 (one receiver law per variant, LOS
+and NLOS sharing it, and the receiver's coin), 2 for fig3 and fig4
+(intercept, jammer), and 6 for fig5 (receiver, intercept, and the jammer
+at K = 1, 2, 4, 8).
 """
 
 from __future__ import annotations
@@ -172,10 +174,13 @@ def _link_samples(link: LinkSpec, base: SamplerSeed, role: int,
         return total * scale
     unit_nlos, scale_nlos = _unit_law(link.fading_nlos)
     total_nlos = _unit_sum(unit_nlos, base, role, n_antennas, trials, cache)
-    los = np.empty(trials, dtype=bool)
-    for k, lo, hi in _shards(trials):
-        # the coin's key (role, k) is one index shorter than any antenna's
-        los[lo:hi] = base.child(role, k).generator().random(hi - lo) < link.p_los
+    key = ("coin", role, trials, base)  # drawn once; each cell applies its p_los
+    if key not in cache:
+        cache[key] = np.empty(trials)
+        for k, lo, hi in _shards(trials):
+            # the coin's key (role, k) is one index shorter than any antenna's
+            cache[key][lo:hi] = base.child(role, k).generator().random(hi - lo)
+    los = cache[key] < link.p_los
     if total_nlos is not total:  # the branches have different unit laws
         total = np.where(los, total, total_nlos)
     return total * np.where(los, scale, scale_nlos)
@@ -221,15 +226,6 @@ def simulate_eve_sinr(cfg: SimConfig, cache: Optional[dict] = None) -> np.ndarra
     return gamma_i / (1.0 + gamma_j)
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    n = len(values)
-    mean = float(np.mean(values))  # numpy pairwise summation: order-stable
-    if n == 1:
-        return mean, 0.0
-    var = float(np.var(values, ddof=1))
-    return mean, math.sqrt(max(var, 0.0) / n)
-
-
 def estimate_outage(samples: np.ndarray, gamma_th: float) -> Estimate:
     """Outage probability P(sample < gamma_th) with its standard error."""
     samples = np.asarray(samples, dtype=float)
@@ -237,9 +233,12 @@ def estimate_outage(samples: np.ndarray, gamma_th: float) -> Estimate:
         raise ParameterError("empty sample stream")
     if not (gamma_th > 0):
         raise ParameterError("gamma_th must be positive")
-    ind = (samples < gamma_th).astype(float)
-    mean, se = _mean_se(ind)
-    return Estimate(value=mean, std_error=se, trials=len(ind))
+    n = samples.size
+    # k/n is the mean of the 0/1 indicator to the bit; its sample
+    # variance is n p (1-p) / (n-1)
+    p = np.count_nonzero(samples < gamma_th) / n
+    se = math.sqrt(p * (1.0 - p) / (n - 1)) if n > 1 else 0.0
+    return Estimate(value=p, std_error=se, trials=n)
 
 
 def estimate_capacity(samples: np.ndarray) -> Estimate:
@@ -250,5 +249,7 @@ def estimate_capacity(samples: np.ndarray) -> Estimate:
     if np.any(samples < 0):
         raise ParameterError("samples must be non-negative")
     vals = np.log2(1.0 + samples)
-    mean, se = _mean_se(vals)
-    return Estimate(value=mean, std_error=se, trials=len(vals))
+    n = vals.size
+    mean = float(np.mean(vals))  # numpy pairwise summation: order-stable
+    se = math.sqrt(float(np.var(vals, ddof=1)) / n) if n > 1 else 0.0
+    return Estimate(value=mean, std_error=se, trials=n)

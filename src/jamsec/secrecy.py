@@ -9,8 +9,9 @@ nu_I = N*m_I and nu_J = K*m_J.  The eavesdropper SINR is
 gamma_I / (1 + gamma_J).
 
 The receiver link carries the composite fading models from
-:mod:`jamsec.fading`; its ergodic capacity has a contour-integral series
-form evaluated through :mod:`jamsec.specfun`.
+:mod:`jamsec.fading`; its ergodic capacity is a series of Meijer-G
+contour integrals, evaluated as one contour integral through
+:mod:`jamsec.specfun`.
 
 All quantities here are linear; ``db_to_linear`` serves the
 configuration boundary.
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.integrate
 import scipy.special as sc
 
-from .errors import AccuracyError, ConvergenceError, ParameterError
+from .errors import AccuracyError, ParameterError
 from .fading import (
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
@@ -34,7 +35,7 @@ from .fading import (
     gamma_pdf,
     rician_shadowed_cdf,  # the scenario's closed-form receiver outage
 )
-from .specfun import BivariateFoxHSpec, MeijerGSpec, fox_h_bivariate, meijer_g
+from .specfun import BivariateFoxHSpec, fox_h_bivariate, meijer_series_fold
 
 __all__ = [
     "NetworkGeometry",
@@ -255,93 +256,20 @@ def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams) -> float:
     return max(val, 0.0)
 
 
-def capacity_receiver_series(
-    p: DoubleKappaMuShadowedParams,
-    rel_tol: float = 1e-10,
-    max_terms: int = 500,
-) -> float:
-    """Receiver ergodic capacity as a hypergeometric-coefficient series of
-    contour integrals.
+def capacity_receiver_series(p: DoubleKappaMuShadowedParams) -> float:
+    """Receiver ergodic capacity from its series of Meijer-G terms.
 
-    Term i carries a G(3,2;3,3) contour factor with parameter rows built
-    from alpha = mu + i and eta = i + s + mu; the full coefficient
-    (pochhammers, powers, 1/Gamma(eta), 1/Phi^eta) is folded into the
-    contour integrand in log space so individual factors never overflow
-    even when eta runs into the hundreds.
+    Up to a common factor, term i is (c)_i x^i / ((mu)_i i! z^i) times a
+    G^{3,2}_{3,3}(z) contour integral, with z = T/Phi, Phi = (s-1) mean_snr
+    and x = mu kappa / (c + mu kappa).  Shifted onto one contour the terms
+    share a gamma kernel, so the whole series is one integral of that
+    kernel times 2F1(c, -t; mu; x) (``specfun.meijer_series_fold``).
     """
     c, s, mu, kappa = p.c, p.s, p.mu, p.kappa
-    phi = (s - 1.0) * p.mean_snr
-    big_t = p.big_t
-    z = big_t / phi
-
-    ln_amp = (
-        s * math.log(phi)
-        + mu * math.log(big_t)
-        + c * math.log(c / (c + mu * kappa))
-        - sc.betaln(s, mu)
-        - math.log(_LN2)
-    )
-    ln_ratio = (
-        math.log(big_t) + math.log(mu * kappa) - math.log(c + mu * kappa)
-        if kappa > 0
-        else -math.inf
-    )
-
-    total = 0.0
-    total_err = 0.0
-    streak = 0
-    lp_c = 0.0      # ln (c)_i
-    lp_smu = 0.0    # ln (s+mu)_i
-    lp_mu = 0.0     # ln (mu)_i
-    ln_pow = 0.0    # i * ln(K mu kappa)
-    n_terms = max_terms if kappa > 0 else 1
-    for i in range(n_terms):
-        alpha = mu + i
-        eta = i + s + mu
-        ln_coef = (
-            ln_amp
-            + lp_c
-            + lp_smu
-            + ln_pow
-            - sc.gammaln(i + 1)
-            - lp_mu
-            - sc.gammaln(eta)
-            - eta * math.log(phi)
-        )
-        spec = MeijerGSpec(
-            m=3,
-            n=2,
-            p=3,
-            q=3,
-            a_params=(1.0 - eta, -alpha, 1.0 - alpha),
-            b_params=(0.0, -alpha, -alpha),
-        )
-        term, err = meijer_g(spec, z, log_prefactor=ln_coef)
-        total += term
-        total_err += err
-        if abs(term) <= rel_tol * max(abs(total), 1e-300):
-            streak += 1
-            if streak >= 3:
-                break
-        else:
-            streak = 0
-        lp_c += math.log(c + i)
-        lp_smu += math.log(s + mu + i)
-        lp_mu += math.log(mu + i)
-        ln_pow += ln_ratio
-    else:
-        if kappa > 0:
-            raise ConvergenceError(
-                f"capacity series did not settle in {max_terms} terms",
-                partial=total,
-                terms=max_terms,
-            )
-    if total_err > max(1e-9, 1e-4 * abs(total)):
-        raise AccuracyError(
-            "capacity series contour error too large",
-            best=total,
-            error_estimate=total_err,
-        )
+    z = p.big_t / ((s - 1.0) * p.mean_snr)
+    ln_prefactor = (mu * math.log(z) - c * math.log1p(mu * kappa / c) - sc.betaln(s, mu)
+                    - sc.gammaln(s + mu) - math.log(_LN2))
+    total, _ = meijer_series_fold(s, mu, c, mu * kappa / (c + mu * kappa), z, ln_prefactor)
     return max(total, 0.0)
 
 

@@ -1,10 +1,12 @@
 """Special-function kernels used by the link-performance closed forms.
 
-The Meijer G-function and the weighted sum of bivariate Fox-H instances
-needed by the eavesdropper capacity are evaluated here directly:
+Two Mellin-Barnes contour integrals, each a whole series folded into one
+integrand, share one refinement loop:
 
-* ``meijer_g`` integrates the Mellin-Barnes representation numerically on
-  a vertical contour placed strictly between the two pole families.
+* ``meijer_series_fold`` sums the receiver capacity's series of
+  G^{3,2}_{3,3} terms: shifted onto one contour, the terms share a gamma
+  kernel, and their coefficients sum to a Gauss 2F1 in the contour
+  variable (``hyp2f1_complex``).
 * ``fox_h_bivariate`` integrates a whole weighted double sum of the
   instance H^{1,0;1,1;1,1}_{0,1;1,1;1,1} on one double contour: the terms
   differ only by Pochhammer factors, so the sum is one polynomial times a
@@ -12,13 +14,14 @@ needed by the eavesdropper capacity are evaluated here directly:
   on a 1-D lattice too: each pass takes log-gammas of three 1-D arrays
   and one convolution per polynomial row, never a 2-D grid.
 
-``meijer_g`` accepts a ``log_prefactor`` and ``fox_h_bivariate`` takes its
-weights as logs, so that a huge series coefficient and a huge G/H value
+``meijer_series_fold`` accepts a ``log_prefactor`` and ``fox_h_bivariate``
+takes its weights as logs, so that a huge coefficient and a huge integral
 can be combined in log space without overflowing intermediate floats.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +29,13 @@ import numpy as np
 import scipy.special as sc
 
 from .errors import AccuracyError, ParameterError
+
+__all__ = [
+    "BivariateFoxHSpec",
+    "fox_h_bivariate",
+    "hyp2f1_complex",
+    "meijer_series_fold",
+]
 
 _LN_TINY = -46.0  # exp(-46) ~ 1e-20, truncation target for contour tails
 
@@ -38,95 +48,6 @@ _NODES = 1200
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-9
 _MAX_REFINEMENTS = 3
-
-
-@dataclass(frozen=True)
-class MeijerGSpec:
-    """Order and parameter rows of a Meijer G-function G^{m,n}_{p,q}.
-
-    Only the small orders used by the capacity analysis are accepted
-    (p, q <= 4).  The constructor rejects rows for which no vertical
-    contour can separate the poles of Gamma(b_j - s) from those of
-    Gamma(1 - a_k + s).
-    """
-
-    m: int
-    n: int
-    p: int
-    q: int
-    a_params: tuple
-    b_params: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_params", tuple(float(v) for v in self.a_params))
-        object.__setattr__(self, "b_params", tuple(float(v) for v in self.b_params))
-        if len(self.a_params) != self.p or len(self.b_params) != self.q:
-            raise ParameterError("parameter row lengths must match the stated orders")
-        if not (0 <= self.n <= self.p and 1 <= self.m <= self.q):
-            raise ParameterError("need 0 <= n <= p and 1 <= m <= q")
-        if self.p > 4 or self.q > 4:
-            raise ParameterError("orders beyond p,q = 4 are out of scope")
-        if self.delta <= 0:
-            raise ParameterError(
-                "m + n - (p+q)/2 must be positive for the vertical contour"
-            )
-        lo, hi = self._contour_window()
-        if not lo < hi:
-            raise ParameterError("contour cannot separate the two pole families")
-        for a in self.a_params[: self.n]:
-            for b in self.b_params[: self.m]:
-                d = a - b
-                if d > 0.5 and abs(d - round(d)) < 1e-12:
-                    raise ParameterError(
-                        f"pole collision: a - b = {d} is a positive integer"
-                    )
-
-    @property
-    def delta(self) -> float:
-        return self.m + self.n - 0.5 * (self.p + self.q)
-
-    def _contour_window(self):
-        lo = -math.inf
-        if self.n:
-            lo = max(self.a_params[: self.n]) - 1.0
-        hi = min(self.b_params[: self.m])
-        return lo, hi
-
-    def contour_abscissa(self) -> float:
-        lo, hi = self._contour_window()
-        if math.isinf(lo):
-            return hi - 0.5
-        return 0.5 * (lo + hi)
-
-    def pole_clearance(self, sigma: float) -> float:
-        lo, hi = self._contour_window()
-        d = hi - sigma
-        if not math.isinf(lo):
-            d = min(d, sigma - lo)
-        return d
-
-    def growth_exponent(self, sigma: float) -> float:
-        # |integrand(sigma + i tau)| ~ |tau|^rho * exp(-pi*delta*|tau|)
-        rho = 0.0
-        for j, b in enumerate(self.b_params):
-            rho += (b - sigma - 0.5) if j < self.m else -(0.5 - b + sigma)
-        for j, a in enumerate(self.a_params):
-            rho += (0.5 - a + sigma) if j < self.n else -(a - sigma - 0.5)
-        return rho
-
-    def log_integrand(self, t):
-        val = np.zeros_like(t)
-        for j, b in enumerate(self.b_params):
-            if j < self.m:
-                val = val + sc.loggamma(b - t)
-            else:
-                val = val - sc.loggamma(1.0 - b + t)
-        for j, a in enumerate(self.a_params):
-            if j < self.n:
-                val = val + sc.loggamma(1.0 - a + t)
-            else:
-                val = val - sc.loggamma(a - t)
-        return val
 
 
 @dataclass(frozen=True)
@@ -203,54 +124,112 @@ def _node_spacing(base_h: float, clearance: float, ln_scale: float) -> float:
     return min(h, math.pi / (3.0 * (1.0 + abs(ln_scale))))
 
 
-def _meijer_pass(spec, lnz, sigma, length, h, log_prefactor):
-    count = max(8, int(math.ceil(length / h)))
-    tau = (np.arange(count) + 0.5) * h
-    t = sigma + 1j * tau
-    logf = spec.log_integrand(t) + t * lnz + log_prefactor
-    peak = float(np.max(logf.real))
-    if peak == -math.inf:
-        return 0.0
-    # conjugate symmetry: integral over the full line is twice the real
-    # part of the upper half
-    acc = np.sum(np.exp(logf - peak))
-    with np.errstate(over="ignore"):
-        scale = float(np.exp(peak))
-    return scale * float(acc.real) * h / math.pi
-
-
-def meijer_g(spec: MeijerGSpec, z: float, log_prefactor: float = 0.0):
-    """Numerically evaluate exp(log_prefactor) * G^{m,n}_{p,q}(z).
-
-    Returns (value, error_estimate).  The error estimate is the change in
-    the final refinement step; exceeding the tolerance after the last
-    refinement raises AccuracyError with the best value attached.
+def _refine(run_pass, lengths, h, grow, shrink, name):
+    """Rerun ``run_pass(lengths, h)`` on longer (lengths * grow), denser
+    (h * shrink) contours until two passes agree.  Returns (value, change
+    in the last step); AccuracyError, carrying the best value, if none do.
     """
-    if not (z > 0):
-        raise ParameterError("meijer_g requires z > 0")
-    lnz = math.log(z)
-    sigma = spec.contour_abscissa()
-    rho = spec.growth_exponent(sigma)
-    decay = math.pi * spec.delta
-    length = _tail_length(rho, decay, _HALF_LENGTH)
-    h = _node_spacing(2.0 * _HALF_LENGTH / _NODES,
-                      spec.pole_clearance(sigma), lnz)
-
-    value = _meijer_pass(spec, lnz, sigma, length, h, log_prefactor)
+    value = run_pass(lengths, h)
     err = math.inf
     for _ in range(_MAX_REFINEMENTS):
-        length *= 1.25
-        h *= 0.5
-        refined = _meijer_pass(spec, lnz, sigma, length, h, log_prefactor)
+        lengths = tuple(length * grow for length in lengths)
+        h *= shrink
+        refined = run_pass(lengths, h)
         err = abs(refined - value)
         value = refined
         if err <= max(_ABS_TOL, _REL_TOL * abs(value)):
             return value, err
     raise AccuracyError(
-        "meijer_g refinement exhausted above tolerance",
+        f"{name} refinement exhausted above tolerance",
         best=value,
         error_estimate=err,
     )
+
+
+def _hyp2f1_series(a, b, c, x):
+    """Power series of 2F1(a, b; c; x) for complex arrays b, c, summed
+    until no term is above 1e-17 of its partial sum (a NaN ends it too)."""
+    term = total = np.ones(np.broadcast(b, c).shape, dtype=complex)
+    for k in itertools.count():
+        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0)) * x)
+        total = total + term
+        if not np.any(np.abs(term) > 1e-17 * np.abs(total)):
+            return total
+
+
+def hyp2f1_complex(a: float, b, c: float, x: float):
+    """Gauss 2F1(a, b; c; x) for real a, real c > 0, complex array b and
+    0 <= x < 1.
+
+    Up to x = 1/2 the power series, whose terms outgrow the sum about
+    e^(x |b|)-fold at large |b| (a contour kernel decaying like
+    e^(-2 pi |tau|) outweighs that loss).  Above it the 1 - x connection
+    formula (A&S 15.3.6, DLMF 15.8(ii)): its two series run in 1 - x < 1/2
+    and do not cancel that way.  1/Gamma(c - a) and 1/Gamma(a) come from
+    rgamma, so a connection term whose gamma ratio vanishes (c - a a
+    non-positive integer) reads 0, not NaN.  The formula needs c - a - b
+    off the integers, which holds for any b off the real axis.
+    """
+    b = np.asarray(b, dtype=complex)
+    if x <= 0.5:
+        return _hyp2f1_series(a, b, c, x)
+    y = 1.0 - x
+    lg = sc.loggamma
+    first = (sc.rgamma(c - a) * np.exp(lg(c) + lg(c - a - b) - lg(c - b))
+             * _hyp2f1_series(a, b, a + b - c + 1.0, y))
+    second = (sc.rgamma(a)
+              * np.exp((c - a - b) * math.log(y) + lg(c) + lg(a + b - c) - lg(b))
+              * _hyp2f1_series(c - a, c - b, c - a - b + 1.0, y))
+    return first + second
+
+
+def _fold_pass(s, mu, a, x, lnz, log_prefactor, sigma, length, h):
+    count = max(8, int(math.ceil(length / h)))
+    t = sigma + 1j * ((np.arange(count) + 0.5) * h)
+    lg = sc.loggamma
+    log_kernel = (lg(-t) + 2.0 * lg(-mu - t) + lg(s + mu + t) + lg(1.0 + mu + t)
+                  - lg(1.0 - mu - t) + t * lnz)
+    peak = float(np.max(log_kernel.real))
+    # conjugate symmetry: the integral over the full line is twice the
+    # real part of the upper half
+    acc = np.sum(np.exp(log_kernel - peak) * hyp2f1_complex(a, -t, mu, x))
+    with np.errstate(over="ignore"):
+        scale = float(np.exp(peak + log_prefactor))
+    return scale * float(acc.real) * h / math.pi
+
+
+def meijer_series_fold(s: float, mu: float, a: float, x: float, z: float,
+                       log_prefactor: float = 0.0):
+    """exp(log_prefactor) times the Mellin-Barnes integral
+
+        1/(2 pi i) Int K(t) z^t 2F1(a, -t; mu; x) dt,  Re t = -mu - 1/2,
+        K(t) = Gamma(-t) Gamma(-mu-t)^2 Gamma(s+mu+t) Gamma(1+mu+t)
+               / Gamma(1-mu-t),
+
+    i.e. the series sum_i (a)_i x^i / ((mu)_i i! z^i) G_i of G^{3,2}_{3,3}
+    integrals G_i(z) with rows (1-s-mu-i, -mu-i, 1-mu-i; 0, -mu-i, -mu-i):
+    shifted by t -> t - i, every G_i has the kernel K times (-t)_i, and the
+    sum over i of those factors is the 2F1.
+
+    Midpoint rule on the upper half line, refined on the total; returns
+    (value, error_estimate).  The tail covers the 2F1's growth
+    ~|tau|^max(-a, a-mu) on top of the kernel's, and the spacing resolves
+    the phases z^(i tau) and (1 - x)^(i tau) and the contour's clearance
+    from the poles of Gamma(-mu-t) (1/2) and Gamma(s+mu+t) (s - 1/2).
+    """
+    if not (z > 0 and 0.0 <= x < 1.0 and mu > 0 and a > 0 and s > 0.5):
+        raise ParameterError("meijer_series_fold needs z > 0, 0 <= x < 1, "
+                             "mu > 0, a > 0 and s > 1/2 (pole collision)")
+    lnz = math.log(z)
+    sigma = -mu - 0.5
+    rho = mu + s - 2.0 + max(-a, a - mu)
+    length = _tail_length(rho, 2.0 * math.pi, _HALF_LENGTH)
+    h = _node_spacing(2.0 * _HALF_LENGTH / _NODES, min(0.5, s - 0.5),
+                      abs(lnz) + abs(math.log1p(-x)))
+    return _refine(
+        lambda lengths, h: _fold_pass(s, mu, a, x, lnz, log_prefactor, sigma,
+                                      lengths[0], h),
+        (length,), h, 1.25, 0.5, "meijer_series_fold")
 
 
 def _foxh_pass(omega, coef, log_scale, lnx, lny, sig_s, sig_t, len_s, len_t,
@@ -343,21 +322,7 @@ def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float):
     # one spacing for both axes keeps s + t on a single lattice
     h = min(_node_spacing(base_h, clear, lnx), _node_spacing(base_h, clear, lny))
 
-    value = _foxh_pass(omega, coef, log_scale, lnx, lny, sig, sig_t, len_s,
-                       len_t, h)
-    err = math.inf
-    for _ in range(_MAX_REFINEMENTS):
-        len_s *= 1.2
-        len_t *= 1.2
-        h *= 0.55
-        refined = _foxh_pass(omega, coef, log_scale, lnx, lny, sig, sig_t,
-                             len_s, len_t, h)
-        err = abs(refined - value)
-        value = refined
-        if err <= max(_ABS_TOL, _REL_TOL * abs(value)):
-            return value, err
-    raise AccuracyError(
-        "fox_h_bivariate refinement exhausted above tolerance",
-        best=value,
-        error_estimate=err,
-    )
+    return _refine(
+        lambda lengths, h: _foxh_pass(omega, coef, log_scale, lnx, lny, sig,
+                                      sig_t, *lengths, h),
+        (len_s, len_t), h, 1.2, 0.55, "fox_h_bivariate")

@@ -40,7 +40,7 @@ from jamsec.secrecy import (
     eve_sinr_cdf,
     eve_sinr_cdf_integral,
 )
-from jamsec.specfun import MeijerGSpec, meijer_g
+from jamsec.specfun import hyp2f1_complex, meijer_series_fold
 
 
 def _bisect_cdf_level(p, target, lo, hi):
@@ -213,26 +213,31 @@ class TestEnvelopeNakagamiLimit:
 
 
 class TestContourEngineIdentities:
-    """The two reference identities the capacity series is assembled from."""
+    """The two reference identities the capacity fold is assembled from:
+    its 2F1 factor and its gamma-kernel contour integral."""
 
     Z = (0.1, 0.5, 1.0, 2.0, 10.0)
 
     def test_power_law_identity(self):
-        for eta in (0.7, 1.0, 2.5, 4.0):
-            spec = MeijerGSpec(m=1, n=1, p=1, q=1,
-                               a_params=(1.0 - eta,), b_params=(0.0,))
-            for z in self.Z:
-                val, _ = meijer_g(spec, z)
-                want = math.gamma(eta) * (1.0 + z) ** (-eta)
-                assert abs(val - want) / want <= 1e-8
+        # 2F1(a, -t; a; x) = (1 - x)^t on the fold's contour
+        # t = -mu - 1/2 + i tau, x on both sides of the 1/2 branch point
+        tau = np.array([0.1, 1.0, 5.0, 20.0])
+        for a in (0.7, 1.0, 2.5, 4.0):
+            t = -a - 0.5 + 1j * tau
+            for x in (0.3, 0.7, 0.95):
+                val = hyp2f1_complex(a, -t, a, x)
+                want = (1.0 - x) ** t
+                assert np.max(np.abs(val - want) / np.abs(want)) <= 1e-12
 
     def test_log_identity(self):
-        spec = MeijerGSpec(m=1, n=2, p=2, q=2,
-                           a_params=(1.0, 1.0), b_params=(1.0, 0.0))
+        # s = 2, mu = 1, x = 0: the kernel integral is
+        # phi^3 (ln phi / (phi-1)^2 - 1 / (phi (phi-1))) with phi = 1/z
         for z in self.Z:
-            val, _ = meijer_g(spec, z)
-            want = math.log1p(z)
-            assert abs(val - want) / want <= 1e-8
+            val, _ = meijer_series_fold(2.0, 1.0, 1.0, 0.0, z)
+            phi = 1.0 / z
+            want = 0.5 if z == 1.0 else phi**3 * (
+                math.log(phi) / (phi - 1.0) ** 2 - 1.0 / (phi * (phi - 1.0)))
+            assert abs(val - want) / want <= 1e-12
 
 
 class TestSystemTrends:

@@ -110,6 +110,33 @@ class TestDoubleShadowedPdf:
             assert dksm_pdf(p, g) == pytest.approx(want, rel=1e-9, abs=0.0)
             assert dksm_pdf(p, np.array([g, 1.0]))[0] == dksm_pdf(p, g)
 
+    def test_large_s_against_mpmath(self):
+        # ln_pdf groups its powers as -(s+mu) log1p(T g / phi) and its
+        # gamma ratio as one Pochhammer, so nothing of size ~s ln s
+        # cancels; references from mpmath at 40 digits
+        p = DoubleKappaMuShadowedParams(c=2.5, s=1e5, mu=1.0, kappa=3.0,
+                                        mean_snr=2.4)
+        cases = [
+            (0.01, 0.23355821634308752),
+            (0.3, 0.2631764360311762),
+            (2.0, 0.21906976056779556),
+            (10.0, 0.003070615075368319),
+            (60.0, 1.3429219705132769e-18),
+            (300.0, 2.016497929292706e-96),
+        ]
+        for g, want in cases:
+            assert dksm_pdf(p, g) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_gamma_ratio_beyond_overflow(self):
+        # Gamma(s+mu)/Gamma(s) overflows a float at s = 1e5, mu = 80; the
+        # density still integrates to one
+        p = DoubleKappaMuShadowedParams(c=2.0, s=1e5, mu=80.0, kappa=1.0,
+                                        mean_snr=1.0)
+        total, _ = scipy.integrate.quad(
+            lambda u: dksm_pdf(p, math.exp(u)) * math.exp(u), -3.0, 3.0,
+            limit=200, epsabs=1e-13, epsrel=1e-11)
+        assert total == pytest.approx(1.0, rel=1e-9)
+
     def test_origin_behavior(self):
         base = dict(c=2.0, s=2.0, kappa=1.0, mean_snr=1.0)
         assert dksm_pdf(DoubleKappaMuShadowedParams(mu=2.0, **base), 0.0) == 0.0

@@ -194,8 +194,19 @@ class TestLinkCache:
                                           simulate_receiver_snr(cfg))
             np.testing.assert_array_equal(simulate_eve_sinr(cfg, cache),
                                           simulate_eve_sinr(cfg))
-        # LOS and NLOS share one unit law: receiver, intercept, jammer
-        assert len(cache) == 3
+        # LOS and NLOS share one unit law: receiver, its blockage coin,
+        # intercept, jammer
+        assert len(cache) == 4
+
+    def test_blockage_coin_is_drawn_once_per_run(self):
+        cache = {}
+        cfg = self._full_cfg()
+        simulate_receiver_snr(cfg, cache)
+        link = replace(cfg.receiver_link, p_los=0.8)
+        denser = replace(cfg, receiver_link=link)
+        np.testing.assert_array_equal(simulate_receiver_snr(denser, cache),
+                                      simulate_receiver_snr(denser))
+        assert len(cache) == 2  # the receiver's unit sum and its coin
 
     def test_second_mean_adds_no_entry(self):
         cache = {}
@@ -219,7 +230,9 @@ class TestLinkCache:
             got = simulate_receiver_snr(cfg, cache)
             np.testing.assert_array_equal(got, simulate_receiver_snr(cfg))
             assert not np.array_equal(got, base)
-        assert len(cache) == 4
+        # sums: base, other NLOS law, other seed, one antenna; coins: the
+        # two seeds
+        assert len(cache) == 6
 
 
 class TestEstimators:
@@ -232,6 +245,15 @@ class TestEstimators:
     def test_outage_half(self):
         e = estimate_outage(np.array([0.5, 2.0]), 1.0)
         assert e.value == 0.5
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 1000, 200_001))
+    def test_outage_is_the_indicator_mean(self, n):
+        samples = np.random.default_rng(n).exponential(size=n)
+        ind = (samples < 0.7).astype(float)
+        e = estimate_outage(samples, 0.7)
+        assert e.value == float(np.mean(ind))  # to the bit
+        want = math.sqrt(np.var(ind, ddof=1) / n) if n > 1 else 0.0
+        assert e.std_error == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_capacity_constant(self):
         e = estimate_capacity(np.ones(10))

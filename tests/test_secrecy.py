@@ -143,7 +143,25 @@ class TestEveSinrCdf:
             assert eve_sinr_cdf(stronger, g) > eve_sinr_cdf(base, g)
 
 
+def _receiver_grid():
+    # includes c = 0.5, mu = 3, kappa = 10, s = 2.5 at mean 10, where the
+    # term-by-term series did not settle; half-integer c puts a pole of
+    # each connection term of the 2F1 factor on the contour
+    for c, mu, kappa, s, mean in itertools.product(
+            (0.5, 1.5, 5.0), (0.6, 2.0, 3.0), (0.0, 1.5, 10.0), (1.8, 2.5),
+            (0.1, 10.0, 1e4)):
+        yield pytest.param(c, mu, kappa, s, mean,
+                           id=f"{c:g}-{mu:g}-{kappa:g}-{s:g}-{mean:g}")
+
+
 class TestReceiverCapacity:
+    @pytest.mark.parametrize("c, mu, kappa, s, mean", _receiver_grid())
+    def test_fold_matches_quadrature_grid(self, c, mu, kappa, s, mean):
+        p = DoubleKappaMuShadowedParams(c=c, s=s, mu=mu, kappa=kappa,
+                                        mean_snr=mean)
+        assert capacity_receiver_series(p) == pytest.approx(
+            capacity_receiver_quadrature(p), rel=1e-9, abs=0.0)
+
     def test_series_matches_quadrature(self):
         for p in (
             DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=1.5, kappa=1.0, mean_snr=5.0),
