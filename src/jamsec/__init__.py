@@ -22,7 +22,6 @@ from .fading import (
 from .montecarlo import (
     Estimate,
     LinkSpec,
-    SimConfig,
     estimate_capacity,
     estimate_outage,
     simulate_eve_sinr,
@@ -52,7 +51,7 @@ __all__ = [
     "SamplerSeed", "dksm_cdf", "dksm_pdf", "dksm_sample",
     "gamma_cdf", "gamma_pdf", "mixture_cdf",
     "nakagami_limit_pdf", "rician_shadowed_cdf", "rician_shadowed_pdf",
-    "Estimate", "LinkSpec", "SimConfig",
+    "Estimate", "LinkSpec",
     "estimate_capacity", "estimate_outage",
     "simulate_eve_sinr", "simulate_receiver_snr",
     "ResultTable", "Scenario", "ScenarioError", "emit", "read_table",

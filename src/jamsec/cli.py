@@ -23,7 +23,6 @@ from .scenario import (
     load_config,
     run_scenario,
     validate_config,
-    _resolve_path,
 )
 
 EXIT_OK = 0
@@ -84,7 +83,7 @@ def main(argv=None) -> int:
 
         if args.command == "validate":
             try:
-                cfg = load_config(_resolve_path(args.scenario))
+                cfg = load_config(args.scenario)
             except ScenarioError as exc:
                 for d in exc.diagnostics:
                     print(d, file=sys.stderr)

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.integrate
 import scipy.special as sc
 
-from .errors import ConvergenceError, ParameterError
+from .errors import AccuracyError, ConvergenceError, ParameterError
 
 __all__ = [
     "DoubleKappaMuShadowedParams",
@@ -39,6 +39,10 @@ __all__ = [
     "nakagami_limit_pdf",
     "mixture_cdf",
 ]
+
+_HEAD_SEGMENTS = 96  # dksm_cdf_at_sorted panels below the first grid point
+_SERIES_REL_TOL = 1e-12  # rician_shadowed_cdf stopping rule, relative to the sum
+_SERIES_MAX_TERMS = 500
 
 
 @dataclass(frozen=True)
@@ -257,19 +261,23 @@ def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
         return dksm_pdf(p, t) * t
 
     pts = [knee] if u_lo < knee < u_hi else None
-    val, _ = scipy.integrate.quad(
+    val, err = scipy.integrate.quad(
         integrand, u_lo, u_hi, points=pts, limit=300, epsabs=1e-13, epsrel=1e-11
     )
+    if err > max(1e-11, 1e-9 * abs(val)):
+        raise AccuracyError(
+            "receiver CDF quadrature did not reach tolerance", best=val, error_estimate=err
+        )
     return min(max(val, 0.0), 1.0)
 
 
-def dksm_cdf_at_sorted(p: DoubleKappaMuShadowedParams, g_sorted: np.ndarray,
-                       head_segments: int = 96) -> np.ndarray:
+def dksm_cdf_at_sorted(p: DoubleKappaMuShadowedParams, g_sorted: np.ndarray) -> np.ndarray:
     """CDF evaluated at an ascending grid in one cumulative pass.
 
     Composite Gauss-Legendre in u = ln(gamma) between consecutive grid
-    points; used by the KS fidelity checks where per-point adaptive
-    quadrature would be wasteful.
+    points, with _HEAD_SEGMENTS panels below the first one; used by the
+    KS fidelity checks where per-point adaptive quadrature would be
+    wasteful.
     """
     g_sorted = np.asarray(g_sorted, dtype=float)
     if g_sorted.ndim != 1 or len(g_sorted) == 0:
@@ -279,7 +287,7 @@ def dksm_cdf_at_sorted(p: DoubleKappaMuShadowedParams, g_sorted: np.ndarray,
 
     u = np.log(g_sorted)
     u_lo = min(u[0], _dksm_log_knee(p)) - 60.0 / p.mu
-    head = np.linspace(u_lo, u[0], head_segments + 1)
+    head = np.linspace(u_lo, u[0], _HEAD_SEGMENTS + 1)
     knots = np.concatenate([head, u[1:]])
 
     nodes, weights = np.polynomial.legendre.leggauss(8)
@@ -292,7 +300,7 @@ def dksm_cdf_at_sorted(p: DoubleKappaMuShadowedParams, g_sorted: np.ndarray,
         total += w * dksm_pdf(p, t) * t
     seg = 0.5 * width * total
     cum = np.cumsum(seg)
-    cdf = cum[head_segments - 1 :]
+    cdf = cum[_HEAD_SEGMENTS - 1 :]
     return np.clip(cdf, 0.0, 1.0)
 
 
@@ -349,11 +357,12 @@ def rician_shadowed_pdf(p: RicianShadowedParams, gamma):
     return float(out[0]) if scalar else out
 
 
-def rician_shadowed_cdf(p: RicianShadowedParams, gamma,
-                        rel_tol: float = 1e-12, max_terms: int = 500):
+def rician_shadowed_cdf(p: RicianShadowedParams, gamma):
     """CDF via the incomplete-gamma series with term-recurrence updates.
 
-    Clamped to [0, 1] after convergence.  Vectorized over gamma.
+    Stops once three terms in a row fall below _SERIES_REL_TOL of the sum
+    and raises ConvergenceError after _SERIES_MAX_TERMS.  Clamped to
+    [0, 1] after convergence.  Vectorized over gamma.
     """
     g = np.asarray(gamma, dtype=float)
     scalar = g.ndim == 0
@@ -371,10 +380,10 @@ def rician_shadowed_cdf(p: RicianShadowedParams, gamma,
     tail = x * expx           # x^(i+1) e^(-x) / (i+1)!
     total = np.zeros_like(x)
     streak = 0
-    for i in range(max_terms):
+    for i in range(_SERIES_MAX_TERMS):
         term = coef * reg
         total += term
-        if np.all(np.abs(term) <= rel_tol * np.maximum(total, 1e-300)):
+        if np.all(np.abs(term) <= _SERIES_REL_TOL * np.maximum(total, 1e-300)):
             streak += 1
             if streak >= 3:
                 out = np.clip(base * total, 0.0, 1.0)
@@ -385,9 +394,9 @@ def rician_shadowed_cdf(p: RicianShadowedParams, gamma,
         reg = reg - tail
         tail = tail * x / (i + 2.0)
     raise ConvergenceError(
-        f"LOS-shadowed CDF series did not converge in {max_terms} terms",
+        f"LOS-shadowed CDF series did not converge in {_SERIES_MAX_TERMS} terms",
         partial=base * total,
-        terms=max_terms,
+        terms=_SERIES_MAX_TERMS,
     )
 
 

@@ -1,9 +1,14 @@
 """Simulation oracle for the analytical link metrics.
 
-Per trial the per-antenna SNRs are drawn from the configured fading law,
-summed across antennas, and combined into receiver SNR or eavesdropper
-SINR exactly as the analytic link model defines them.  Estimators are
-plain sample means so the oracle stays trivially auditable.
+A link is a `LinkSpec`: its per-antenna fading law, its antenna count
+and an optional blockage mixture.  Per trial the per-antenna SNRs of a
+link are drawn one antenna at a time and summed, so the oracle checks
+the analytic side's Gamma aggregation rather than assuming it:
+`simulate_receiver_snr(link, trials, seed)` returns the receiver SNR
+and `simulate_eve_sinr(intercept, jammer, trials, seed)` the
+eavesdropper SINR gamma_I / (1 + gamma_J), with `jammer=None` for no
+jamming.  Estimators are plain sample means so the oracle stays
+trivially auditable.
 
 Reproducibility contract: trials are split into fixed-size shards, and
 every (link role, antenna, shard) triple owns a dedicated child stream of
@@ -44,12 +49,10 @@ from .fading import (
     dksm_sample,
     rician_shadowed_sample,
 )
-from .secrecy import NetworkGeometry
 
 __all__ = [
     "SHARD_SIZE",
     "LinkSpec",
-    "SimConfig",
     "Estimate",
     "simulate_receiver_snr",
     "simulate_eve_sinr",
@@ -69,10 +72,12 @@ _LINK_JAMMER = 2
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """Per-antenna fading law of one link, with an optional blockage
-    mixture (p_los chooses `fading`, otherwise `fading_nlos`)."""
+    """One link: the per-antenna fading law, the number of antennas whose
+    draws add up per trial, and an optional blockage mixture (p_los
+    chooses `fading`, otherwise `fading_nlos`)."""
 
     fading: FadingSpec
+    antennas: int = 1
     p_los: Optional[float] = None
     fading_nlos: Optional[FadingSpec] = None
 
@@ -82,26 +87,12 @@ class LinkSpec:
             (DoubleKappaMuShadowedParams, GammaSnrParams, RicianShadowedParams),
         ):
             raise ParameterError("unsupported fading spec")
+        if not (isinstance(self.antennas, (int, np.integer)) and self.antennas >= 1):
+            raise ParameterError("antennas must be a positive integer")
         if (self.p_los is None) != (self.fading_nlos is None):
             raise ParameterError("p_los and fading_nlos must be given together")
         if self.p_los is not None and not (0.0 <= self.p_los <= 1.0):
             raise ParameterError("p_los must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    trials: int
-    seed: SamplerSeed
-    geometry: NetworkGeometry
-    receiver_link: Optional[LinkSpec] = None
-    eve_intercept_link: Optional[LinkSpec] = None
-    jammer_link: Optional[LinkSpec] = None
-
-    def __post_init__(self):
-        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
-            raise ParameterError("trials must be a positive integer")
-        if not isinstance(self.seed, SamplerSeed):
-            raise ParameterError("seed must be a SamplerSeed")
 
 
 @dataclass(frozen=True)
@@ -159,71 +150,60 @@ def _unit_sum(unit: FadingSpec, base: SamplerSeed, role: int, n_antennas: int,
     return total
 
 
-def _link_samples(link: LinkSpec, base: SamplerSeed, role: int,
-                  n_antennas: int, trials: int,
+def _link_samples(link: LinkSpec, role: int, trials: int, seed: SamplerSeed,
                   cache: Optional[dict]) -> np.ndarray:
     """Per-trial link SNR: the unit-law antenna sum times the law's scale.
     Blockage state is common to all antennas of a link (it blocks the
     path, not individual elements), so a mixture picks its scale per
     trial; LOS and NLOS branches with one unit law share one sum, which
     is exact because the coin is independent of the draws."""
+    if not isinstance(link, LinkSpec):
+        raise ParameterError("link must be a LinkSpec")
+    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise ParameterError("trials must be a positive integer")
+    if not isinstance(seed, SamplerSeed):
+        raise ParameterError("seed must be a SamplerSeed")
     cache = {} if cache is None else cache
     unit, scale = _unit_law(link.fading)
-    total = _unit_sum(unit, base, role, n_antennas, trials, cache)
+    total = _unit_sum(unit, seed, role, link.antennas, trials, cache)
     if link.p_los is None:
         return total * scale
     unit_nlos, scale_nlos = _unit_law(link.fading_nlos)
-    total_nlos = _unit_sum(unit_nlos, base, role, n_antennas, trials, cache)
-    key = ("coin", role, trials, base)  # drawn once; each cell applies its p_los
+    total_nlos = _unit_sum(unit_nlos, seed, role, link.antennas, trials, cache)
+    key = ("coin", role, trials, seed)  # drawn once; each cell applies its p_los
     if key not in cache:
         cache[key] = np.empty(trials)
         for k, lo, hi in _shards(trials):
             # the coin's key (role, k) is one index shorter than any antenna's
-            cache[key][lo:hi] = base.child(role, k).generator().random(hi - lo)
+            cache[key][lo:hi] = seed.child(role, k).generator().random(hi - lo)
     los = cache[key] < link.p_los
     if total_nlos is not total:  # the branches have different unit laws
         total = np.where(los, total, total_nlos)
     return total * np.where(los, scale, scale_nlos)
 
 
-def simulate_receiver_snr(cfg: SimConfig, cache: Optional[dict] = None) -> np.ndarray:
-    """Per-trial receiver SNR: sum of the N per-antenna draws.
+def simulate_receiver_snr(link: LinkSpec, trials: int, seed: SamplerSeed,
+                          cache: Optional[dict] = None) -> np.ndarray:
+    """Per-trial receiver SNR: sum of the link's per-antenna draws.
 
     `cache` is an optional caller-owned dict of unit-law antenna sums;
     the result is bit-identical with or without it."""
-    if cfg.receiver_link is None:
-        raise ParameterError("config has no receiver link fading spec")
-    return _link_samples(
-        cfg.receiver_link, cfg.seed, _LINK_RECEIVER,
-        cfg.geometry.n_bs_antennas, cfg.trials, cache,
-    )
+    return _link_samples(link, _LINK_RECEIVER, trials, seed, cache)
 
 
-def simulate_eve_sinr(cfg: SimConfig, cache: Optional[dict] = None) -> np.ndarray:
+def simulate_eve_sinr(intercept: LinkSpec, jammer: Optional[LinkSpec],
+                      trials: int, seed: SamplerSeed,
+                      cache: Optional[dict] = None) -> np.ndarray:
     """Per-trial eavesdropper SINR gamma_I / (1 + gamma_J).
 
-    gamma_J is identically zero when no jammer link is configured, the
-    jammer has zero antennas, or its transmit power is zero.  `cache` is
-    as for `simulate_receiver_snr`.
+    `jammer=None` means the jammer is off: gamma_J is identically zero
+    and the SINR is the intercept SNR itself.  `cache` is as for
+    `simulate_receiver_snr`.
     """
-    if cfg.eve_intercept_link is None:
-        raise ParameterError("config has no eavesdropper intercept fading spec")
-    gamma_i = _link_samples(
-        cfg.eve_intercept_link, cfg.seed, _LINK_INTERCEPT,
-        cfg.geometry.n_bs_antennas, cfg.trials, cache,
-    )
-    jam_off = (
-        cfg.jammer_link is None
-        or cfg.geometry.n_jammer_antennas == 0
-        or cfg.geometry.p_j == 0.0
-    )
-    if jam_off:
+    gamma_i = _link_samples(intercept, _LINK_INTERCEPT, trials, seed, cache)
+    if jammer is None:
         return gamma_i
-    gamma_j = _link_samples(
-        cfg.jammer_link, cfg.seed, _LINK_JAMMER,
-        cfg.geometry.n_jammer_antennas, cfg.trials, cache,
-    )
-    return gamma_i / (1.0 + gamma_j)
+    return gamma_i / (1.0 + _link_samples(jammer, _LINK_JAMMER, trials, seed, cache))
 
 
 def estimate_outage(samples: np.ndarray, gamma_th: float) -> Estimate:

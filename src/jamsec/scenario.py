@@ -28,7 +28,7 @@ import scipy.integrate
 import yaml
 
 from . import montecarlo, secrecy
-from .errors import ParameterError
+from .errors import AccuracyError, ParameterError
 from .fading import (
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
@@ -104,13 +104,12 @@ def _resolve_path(name_or_path: str) -> str:
     return str(res)
 
 
-def load_config(path: str) -> dict:
-    """Parse the YAML tree; syntax errors become line-tagged diagnostics."""
+def load_config(name_or_path: str) -> dict:
+    """Parse the YAML tree of a scenario file or built-in name; syntax
+    errors become line-tagged diagnostics."""
     try:
-        with open(path, "r") as fh:
+        with open(_resolve_path(name_or_path), "r") as fh:
             cfg = yaml.safe_load(fh)
-    except OSError:
-        raise
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
@@ -427,11 +426,9 @@ class ResultTable:
 class _PointSetup:
     """Fully resolved inputs for one (variant, axis value) evaluation."""
 
-    geometry: secrecy.NetworkGeometry
-    receiver_dksm: Optional[DoubleKappaMuShadowedParams]  # None: Rician model
-    receiver_los: Optional[RicianShadowedParams]
-    receiver_nlos: Optional[RicianShadowedParams]
-    p_los: Optional[float]
+    receiver: montecarlo.LinkSpec  # one antenna, as in the analytic receiver model
+    intercept: montecarlo.LinkSpec  # per-antenna Gamma law over N antennas
+    jammer: Optional[montecarlo.LinkSpec]  # over K antennas; None when off
     eve: Optional[secrecy.EveLinkParams]   # None when the jammer is off
     eve_gamma_i: GammaSnrParams
     zetas: tuple
@@ -447,10 +444,7 @@ def _resolve_point(sc: Scenario, overrides: dict, axis_value: float) -> _PointSe
     rec = _merge(sc.receiver, overrides.get("receiver", {}))
     eve = _merge(sc.eve, overrides.get("eve", {}))
 
-    snr_r_override = None
-    if sc.axis == "snr_r_db":
-        snr_r_override = secrecy.db_to_linear(axis_value)
-    elif sc.axis == "r_je_m":
+    if sc.axis == "r_je_m":
         geo["r_je_m"] = axis_value
     elif sc.axis == "p_s_db":
         geo["p_s_db"] = axis_value
@@ -459,62 +453,57 @@ def _resolve_point(sc: Scenario, overrides: dict, axis_value: float) -> _PointSe
     elif sc.axis == "k":
         geo["n_jammer_antennas"] = int(axis_value)
 
-    geometry = secrecy.NetworkGeometry(
-        n_bs_antennas=int(geo["n_bs_antennas"]),
-        n_jammer_antennas=int(geo["n_jammer_antennas"]),
-        r_sr=float(geo["r_sr_m"]),
-        r_se=float(geo["r_se_m"]),
-        r_je=float(geo["r_je_m"]),
-        delta=float(geo["delta"]),
-        p_s=secrecy.db_to_linear(geo["p_s_db"]),
-        p_j=secrecy.db_to_linear(geo["p_j_db"]) if "p_j_db" in geo else 0.0,
-        noise_var_r=float(geo["noise_var_r"]),
-        noise_var_e=float(geo["noise_var_e"]),
-    )
-
+    delta = float(geo["delta"])
+    p_s = secrecy.db_to_linear(geo["p_s_db"])
+    p_j = secrecy.db_to_linear(geo["p_j_db"]) if "p_j_db" in geo else 0.0
+    noise_var_e = float(geo["noise_var_e"])
     snr_r = (
-        snr_r_override
-        if snr_r_override is not None
-        else secrecy.mean_snr(geometry.p_s, geometry.r_sr, geometry.delta,
-                              geometry.noise_var_r)
+        secrecy.db_to_linear(axis_value) if sc.axis == "snr_r_db"
+        else secrecy.mean_snr(p_s, float(geo["r_sr_m"]), delta,
+                              float(geo["noise_var_r"]))
     )
 
-    receiver_dksm = receiver_los = receiver_nlos = None
-    p_los = None
     if rec["fading"] == "double_kappa_mu_shadowed":
-        receiver_dksm = DoubleKappaMuShadowedParams(
+        receiver = montecarlo.LinkSpec(fading=DoubleKappaMuShadowedParams(
             c=float(rec["c"]), s=float(rec["s"]), mu=float(rec["mu"]),
             kappa=float(rec["kappa"]), mean_snr=snr_r,
-        )
+        ))
     else:
         m, xi, sigma2 = float(rec["m"]), float(rec["xi"]), float(rec["sigma2"])
         # scale so the stated mean SNR is the distribution mean
         norm = (xi + 2.0 * sigma2) if rec.get("normalize_mean", True) else 1.0
-        receiver_los = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2,
-                                            mean_snr=snr_r / norm)
+        p_los = nlos = None
         if "p_los" in rec:
             p_los = float(rec["p_los"])
             loss = secrecy.db_to_linear(-float(rec["nlos_extra_loss_db"]))
-            receiver_nlos = RicianShadowedParams(
-                m=m, xi=xi, sigma2=sigma2, mean_snr=snr_r * loss / norm
-            )
+            nlos = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2,
+                                        mean_snr=snr_r * loss / norm)
+        receiver = montecarlo.LinkSpec(
+            fading=RicianShadowedParams(m=m, xi=xi, sigma2=sigma2,
+                                        mean_snr=snr_r / norm),
+            p_los=p_los, fading_nlos=nlos,
+        )
 
     m_i = int(eve.get("m_i", 1))
     m_j = int(eve.get("m_j", 1))
-    snr_i = secrecy.mean_snr(geometry.p_s, geometry.r_se, geometry.delta,
-                             geometry.noise_var_e)
-    eve_gamma_i = GammaSnrParams(nu=geometry.n_bs_antennas * m_i, beta=m_i / snr_i)
-    jam_on = geometry.n_jammer_antennas >= 1 and geometry.p_j > 0
-    eve_params = (
-        secrecy.eve_link_params_from_geometry(geometry, m_i, m_j) if jam_on else None
-    )
+    snr_i = secrecy.mean_snr(p_s, float(geo["r_se_m"]), delta, noise_var_e)
+    intercept = montecarlo.LinkSpec(fading=GammaSnrParams(nu=m_i, beta=m_i / snr_i),
+                                    antennas=int(geo["n_bs_antennas"]))
+    eve_gamma_i = secrecy.gamma_antenna_sum(intercept.fading, intercept.antennas)
+    jammer = eve_params = None
+    k = int(geo["n_jammer_antennas"])
+    if k >= 1 and p_j > 0:  # a k-axis sweep can reach K >= 1 with no p_j_db
+        snr_j = secrecy.mean_snr(p_j, float(geo["r_je_m"]), delta, noise_var_e)
+        jammer = montecarlo.LinkSpec(fading=GammaSnrParams(nu=m_j, beta=m_j / snr_j),
+                                     antennas=k)
+        gamma_j = secrecy.gamma_antenna_sum(jammer.fading, k)
+        eve_params = secrecy.EveLinkParams(nu_i=eve_gamma_i.nu, beta_i=eve_gamma_i.beta,
+                                           nu_j=gamma_j.nu, beta_j=gamma_j.beta)
 
     return _PointSetup(
-        geometry=geometry,
-        receiver_dksm=receiver_dksm,
-        receiver_los=receiver_los,
-        receiver_nlos=receiver_nlos,
-        p_los=p_los,
+        receiver=receiver,
+        intercept=intercept,
+        jammer=jammer,
         eve=eve_params,
         eve_gamma_i=eve_gamma_i,
         zetas=tuple(secrecy.db_to_linear(z) for z in sc.zeta_db),
@@ -523,63 +512,25 @@ def _resolve_point(sc: Scenario, overrides: dict, axis_value: float) -> _PointSe
 
 
 def _rician_outage_quadrature(p: RicianShadowedParams, th: float) -> float:
-    val, _ = scipy.integrate.quad(
+    val, err = scipy.integrate.quad(
         lambda t: rician_shadowed_pdf(p, t), 0.0, th, limit=200,
         epsabs=1e-12, epsrel=1e-10,
     )
+    if err > max(1e-11, 1e-9 * abs(val)):
+        raise AccuracyError(
+            "receiver outage quadrature did not reach tolerance", best=val,
+            error_estimate=err,
+        )
     return min(max(val, 0.0), 1.0)
 
 
-def _rician_outage(setup: _PointSetup, th: float, cdf) -> float:
+def _rician_outage(rx: montecarlo.LinkSpec, th: float, cdf) -> float:
     """Receiver outage of the Rician model, blended with the NLOS branch
-    when the scenario has a blockage mixture."""
-    f_los = float(cdf(setup.receiver_los, th))
-    if setup.p_los is None:
+    when the link has a blockage mixture."""
+    f_los = float(cdf(rx.fading, th))
+    if rx.p_los is None:
         return f_los
-    return float(mixture_cdf(setup.p_los, f_los,
-                             float(cdf(setup.receiver_nlos, th))))
-
-
-def _receiver_sim_config(setup: _PointSetup, seed: SamplerSeed) -> montecarlo.SimConfig:
-    # analytical receiver restriction: single-antenna receiver link
-    geo = setup.geometry
-    geo1 = secrecy.NetworkGeometry(
-        n_bs_antennas=1,
-        n_jammer_antennas=geo.n_jammer_antennas,
-        r_sr=geo.r_sr, r_se=geo.r_se, r_je=geo.r_je, delta=geo.delta,
-        p_s=geo.p_s, p_j=geo.p_j,
-        noise_var_r=geo.noise_var_r, noise_var_e=geo.noise_var_e,
-    )
-    if setup.receiver_dksm is not None:
-        link = montecarlo.LinkSpec(fading=setup.receiver_dksm)
-    elif setup.p_los is None:
-        link = montecarlo.LinkSpec(fading=setup.receiver_los)
-    else:
-        link = montecarlo.LinkSpec(
-            fading=setup.receiver_los, p_los=setup.p_los,
-            fading_nlos=setup.receiver_nlos,
-        )
-    return montecarlo.SimConfig(
-        trials=setup.trials, seed=seed, geometry=geo1, receiver_link=link
-    )
-
-
-def _eve_sim_config(setup: _PointSetup, seed: SamplerSeed) -> montecarlo.SimConfig:
-    geo = setup.geometry
-    m_i_shape = setup.eve_gamma_i.nu // geo.n_bs_antennas
-    intercept = montecarlo.LinkSpec(
-        fading=GammaSnrParams(nu=m_i_shape, beta=setup.eve_gamma_i.beta)
-    )
-    jammer = None
-    if setup.eve is not None:
-        m_j_shape = setup.eve.nu_j // geo.n_jammer_antennas
-        jammer = montecarlo.LinkSpec(
-            fading=GammaSnrParams(nu=m_j_shape, beta=setup.eve.beta_j)
-        )
-    return montecarlo.SimConfig(
-        trials=setup.trials, seed=seed, geometry=geo,
-        eve_intercept_link=intercept, jammer_link=jammer,
-    )
+    return float(mixture_cdf(rx.p_los, f_los, float(cdf(rx.fading_nlos, th))))
 
 
 class _Point:
@@ -593,22 +544,26 @@ class _Point:
         self.setup = setup
         self.seed = seed
         self.memo = memo
+        rx = setup.receiver.fading
+        # the receiver's double-model law; None for the Rician model
+        self.dksm = rx if isinstance(rx, DoubleKappaMuShadowedParams) else None
 
     @functools.cached_property
     def receiver_samples(self):
         return montecarlo.simulate_receiver_snr(
-            _receiver_sim_config(self.setup, self.seed), self.memo)
+            self.setup.receiver, self.setup.trials, self.seed, self.memo)
 
     @functools.cached_property
     def eve_samples(self):
         return montecarlo.simulate_eve_sinr(
-            _eve_sim_config(self.setup, self.seed), self.memo)
+            self.setup.intercept, self.setup.jammer, self.setup.trials,
+            self.seed, self.memo)
 
     def receiver_capacity(self, route: str):
         """secrecy.<route> of the double-model receiver, once per distinct
         link in a run (variants and grid points often share it: fig5's
         jammer sizes all do)."""
-        rx = self.setup.receiver_dksm
+        rx = self.dksm
         if rx is None:
             return None  # analytic receiver capacity is defined for the double model
         if (rx, route) not in self.memo:
@@ -621,11 +576,11 @@ class _Point:
 # binding them here, so a rebinding of those names takes effect.
 _ROUTES = {
     ("outage_r", "closed-form"): lambda pt, th: (
-        None if pt.setup.receiver_dksm is not None  # no closed-form CDF
-        else _rician_outage(pt.setup, th, secrecy.rician_shadowed_cdf)),
+        None if pt.dksm is not None  # no closed-form CDF
+        else _rician_outage(pt.setup.receiver, th, secrecy.rician_shadowed_cdf)),
     ("outage_r", "quadrature"): lambda pt, th: (
-        dksm_cdf(pt.setup.receiver_dksm, th) if pt.setup.receiver_dksm is not None
-        else _rician_outage(pt.setup, th, _rician_outage_quadrature)),
+        dksm_cdf(pt.dksm, th) if pt.dksm is not None
+        else _rician_outage(pt.setup.receiver, th, _rician_outage_quadrature)),
     ("outage_r", "monte-carlo"): lambda pt, th:
         montecarlo.estimate_outage(pt.receiver_samples, th).value,
     # jammer off: the SINR is the plain Gamma SNR for either analytic route
@@ -715,7 +670,7 @@ def run_scenario(path: str, *, seed=None, trials=None, methods=None,
     dispatches grid points to a process pool; output is identical for any
     worker count.
     """
-    cfg = load_config(_resolve_path(path))
+    cfg = load_config(path)
     sc = Scenario.from_config(cfg, seed=seed, trials=trials, methods=methods,
                               grid=grid)
 

@@ -50,10 +50,12 @@ __all__ = [
     "capacity_eve_foxh",
     "capacity_gamma_quadrature",
     "secrecy_capacity",
+    "gamma_antenna_sum",
     "eve_link_params_from_geometry",
 ]
 
 _LN2 = math.log(2.0)
+_U_MAX = 700.0  # upper limit of the receiver quadrature in u = ln(gamma)
 
 
 def db_to_linear(x_db: float) -> float:
@@ -131,11 +133,17 @@ def mean_snr(p: float, r: float, delta: float, noise_var: float) -> float:
     return p * r ** (-delta) / noise_var
 
 
+def gamma_antenna_sum(per_antenna: GammaSnrParams, antennas: int) -> GammaSnrParams:
+    """SNR summed over `antennas` independent antennas of one Gamma law:
+    the shapes add and the common rate is kept."""
+    return GammaSnrParams(nu=antennas * per_antenna.nu, beta=per_antenna.beta)
+
+
 def eve_link_params_from_geometry(g: NetworkGeometry, m_i: int, m_j: int) -> EveLinkParams:
     """Aggregate per-antenna Nakagami-m links at the eavesdropper.
 
-    Shapes add across antennas; the common Gamma rate is shape over the
-    per-antenna mean SNR.
+    Each per-antenna law has rate shape over the per-antenna mean SNR;
+    `gamma_antenna_sum` adds the shapes across antennas.
     """
     for name, v in (("m_i", m_i), ("m_j", m_j)):
         if not (isinstance(v, (int, np.integer)) and v >= 1):
@@ -144,12 +152,11 @@ def eve_link_params_from_geometry(g: NetworkGeometry, m_i: int, m_j: int) -> Eve
         raise ParameterError("jamming link requires at least one jammer antenna")
     snr_i = mean_snr(g.p_s, g.r_se, g.delta, g.noise_var_e)
     snr_j = mean_snr(g.p_j, g.r_je, g.delta, g.noise_var_e)
-    return EveLinkParams(
-        nu_i=int(g.n_bs_antennas) * int(m_i),
-        beta_i=m_i / snr_i,
-        nu_j=int(g.n_jammer_antennas) * int(m_j),
-        beta_j=m_j / snr_j,
-    )
+    gamma_i = gamma_antenna_sum(GammaSnrParams(nu=m_i, beta=m_i / snr_i), g.n_bs_antennas)
+    gamma_j = gamma_antenna_sum(GammaSnrParams(nu=m_j, beta=m_j / snr_j),
+                                g.n_jammer_antennas)
+    return EveLinkParams(nu_i=gamma_i.nu, beta_i=gamma_i.beta,
+                         nu_j=gamma_j.nu, beta_j=gamma_j.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +241,14 @@ def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams) -> float:
     """E[log2(1 + gamma)] by adaptive quadrature of the receiver density.
 
     Integrates in u = ln(gamma): the substitution removes the power-law
-    endpoint at zero and compresses the heavy tail.
+    endpoint at zero and compresses the heavy tail.  Above the knee the
+    integrand falls like u e^(-s u), so capping the upper limit at
+    _U_MAX loses nothing and keeps exp(u) finite as s -> 1, where the
+    uncapped limit would pass ln(max double) = 709.8.
     """
     knee = math.log((p.s - 1.0) * p.mean_snr / p.big_t)
     u_lo = knee - 60.0 / p.mu - 5.0
-    u_hi = knee + 85.0 / (p.s - 1.0) + 15.0
+    u_hi = min(knee + 85.0 / (p.s - 1.0) + 15.0, _U_MAX)
 
     def integrand(u):
         t = math.exp(u)

@@ -25,14 +25,12 @@ from jamsec.fading import (
 )
 from jamsec.montecarlo import (
     LinkSpec,
-    SimConfig,
     estimate_capacity,
     simulate_eve_sinr,
 )
 from jamsec.scenario import emit, run_scenario
 from jamsec.secrecy import (
     EveLinkParams,
-    NetworkGeometry,
     capacity_eve_foxh,
     capacity_eve_quadrature,
     capacity_receiver_quadrature,
@@ -51,14 +49,6 @@ def _bisect_cdf_level(p, target, lo, hi):
         else:
             hi = mid
     return math.sqrt(lo * hi)
-
-
-def _unit_geometry(k):
-    return NetworkGeometry(
-        n_bs_antennas=1, n_jammer_antennas=k,
-        r_sr=1.0, r_se=1.0, r_je=1.0, delta=0.0,
-        p_s=1.0, p_j=1.0, noise_var_r=1.0, noise_var_e=1.0,
-    )
 
 
 def _col(table, name):
@@ -88,13 +78,11 @@ class TestEavesdropperCdfTripleAgreement:
             worst = max(worst, abs(closed - integral) / integral)
         assert worst <= 1e-8
 
-        cfg = SimConfig(
-            trials=10_000_000, seed=SamplerSeed(seed=424242),
-            geometry=_unit_geometry(k=1),
-            eve_intercept_link=LinkSpec(fading=GammaSnrParams(nu=3, beta=0.7)),
-            jammer_link=LinkSpec(fading=GammaSnrParams(nu=2, beta=1.1)),
-        )
-        draws = np.sort(simulate_eve_sinr(cfg))
+        draws = np.sort(simulate_eve_sinr(
+            LinkSpec(fading=GammaSnrParams(nu=3, beta=0.7)),
+            LinkSpec(fading=GammaSnrParams(nu=2, beta=1.1)),
+            10_000_000, SamplerSeed(seed=424242),
+        ))
         emp = np.searchsorted(draws, grid, side="right") / draws.size
         for g, e in zip(grid, emp):
             f = eve_sinr_cdf(link, g)
@@ -141,15 +129,11 @@ class TestEavesdropperCapacityOraclePair:
             quad = capacity_eve_quadrature(link)
             assert abs(closed - quad) / quad <= 1e-3
 
-            cfg = SimConfig(
-                trials=2_000_000, seed=SamplerSeed(seed=31337 + i),
-                geometry=_unit_geometry(k=1),
-                eve_intercept_link=LinkSpec(
-                    fading=GammaSnrParams(nu=link.nu_i, beta=link.beta_i)),
-                jammer_link=LinkSpec(
-                    fading=GammaSnrParams(nu=link.nu_j, beta=link.beta_j)),
-            )
-            est = estimate_capacity(simulate_eve_sinr(cfg))
+            est = estimate_capacity(simulate_eve_sinr(
+                LinkSpec(fading=GammaSnrParams(nu=link.nu_i, beta=link.beta_i)),
+                LinkSpec(fading=GammaSnrParams(nu=link.nu_j, beta=link.beta_j)),
+                2_000_000, SamplerSeed(seed=31337 + i),
+            ))
             assert abs(est.value - closed) <= 3.0 * est.std_error
             assert abs(est.value - quad) <= 3.0 * est.std_error
         assert time.monotonic() - t0 < 300.0

@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from jamsec.errors import ConvergenceError, ParameterError
+from jamsec.errors import AccuracyError, ConvergenceError, ParameterError
 from jamsec.fading import (
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
@@ -173,6 +173,15 @@ class TestDoubleShadowedCdf:
             want = _pdf_quad(p, lo, math.log(g))
             assert dksm_cdf(p, g) == pytest.approx(want, rel=1e-8, abs=1e-12)
 
+    def test_error_estimate_is_checked(self, monkeypatch):
+        p = DoubleKappaMuShadowedParams(c=1.5, s=2.5, mu=2.0, kappa=1.0, mean_snr=1.0)
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (0.5, 1e-10))
+        assert dksm_cdf(p, 1.0) == 0.5  # within 1e-9 relative
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (0.5, 1e-6))
+        with pytest.raises(AccuracyError) as exc:
+            dksm_cdf(p, 1.0)
+        assert (exc.value.best, exc.value.error_estimate) == (0.5, 1e-6)
+
     def test_sorted_evaluator_agrees(self):
         p = DoubleKappaMuShadowedParams(c=1.2, s=2.0, mu=1.5, kappa=0.3, mean_snr=1.0)
         grid = np.sort(np.random.default_rng(3).uniform(0.01, 6.0, size=40))
@@ -265,10 +274,12 @@ class TestRicianShadowed:
         assert math.isfinite(val) and val > 0
 
     def test_series_nonconvergence(self):
-        p = RicianShadowedParams(m=5.0, xi=30.0, sigma2=0.05, mean_snr=1.0)
+        # rho = 1 - 1e-6: the (m)_i rho^i / i! weights decay too slowly
+        # for the 500-term budget
+        p = RicianShadowedParams(m=0.5, xi=1000.0, sigma2=0.001, mean_snr=1.0)
         with pytest.raises(ConvergenceError) as exc:
-            rician_shadowed_cdf(p, 20.0, max_terms=3)
-        assert exc.value.terms == 3
+            rician_shadowed_cdf(p, 20.0)
+        assert exc.value.terms == 500
 
     def test_sampler(self):
         p = RicianShadowedParams(m=2.0, xi=1.5, sigma2=0.25, mean_snr=2.0)

@@ -1,9 +1,12 @@
+import ast
+import inspect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from jamsec import montecarlo
 from jamsec.errors import ParameterError
 from jamsec.fading import (
     DoubleKappaMuShadowedParams,
@@ -15,46 +18,60 @@ from jamsec.fading import (
 from jamsec.montecarlo import (
     Estimate,
     LinkSpec,
-    SimConfig,
     estimate_capacity,
     estimate_outage,
     simulate_eve_sinr,
     simulate_receiver_snr,
 )
-from jamsec.secrecy import EveLinkParams, NetworkGeometry, eve_sinr_cdf
+from jamsec.secrecy import EveLinkParams, eve_sinr_cdf
 
 DKSM = DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=1.5, kappa=1.0, mean_snr=2.0)
 
 
-def _geometry(n=1, k=2, p_j=1.0):
-    return NetworkGeometry(
-        n_bs_antennas=n, n_jammer_antennas=k,
-        r_sr=1.0, r_se=1.0, r_je=1.0, delta=0.0,
-        p_s=1.0, p_j=p_j, noise_var_r=1.0, noise_var_e=1.0,
-    )
+def _rx(link, trials, seed=101, cache=None):
+    return simulate_receiver_snr(link, trials, SamplerSeed(seed=seed), cache)
 
 
-def _cfg(trials, seed=101, **links):
-    return SimConfig(trials=trials, seed=SamplerSeed(seed=seed),
-                     geometry=links.pop("geometry", _geometry()), **links)
+def _eve(intercept, jammer, trials, seed=101, cache=None):
+    return simulate_eve_sinr(intercept, jammer, trials, SamplerSeed(seed=seed), cache)
+
+
+def test_imports_no_analytic_module():
+    # the oracle draws every antenna itself; leaning on the analytic side
+    # would let it agree with an aggregation it is meant to check
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(montecarlo))):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    assert names.isdisjoint({"secrecy", "specfun", "scenario"})
 
 
 class TestConfigTypes:
     def test_link_spec_validation(self):
         LinkSpec(fading=DKSM)
-        LinkSpec(fading=DKSM, p_los=0.5, fading_nlos=DKSM)
+        LinkSpec(fading=DKSM, antennas=4, p_los=0.5, fading_nlos=DKSM)
         with pytest.raises(ParameterError):
             LinkSpec(fading=DKSM, p_los=0.5)
         with pytest.raises(ParameterError):
             LinkSpec(fading=DKSM, p_los=1.5, fading_nlos=DKSM)
         with pytest.raises(ParameterError):
             LinkSpec(fading="rayleigh")
+        for antennas in (0, 1.5):
+            with pytest.raises(ParameterError):
+                LinkSpec(fading=DKSM, antennas=antennas)
 
-    def test_sim_config_validation(self):
+    def test_trials_and_seed_validation(self):
+        link = LinkSpec(fading=DKSM)
         with pytest.raises(ParameterError):
-            _cfg(0, receiver_link=LinkSpec(fading=DKSM))
+            _rx(link, 0)
         with pytest.raises(ParameterError):
-            SimConfig(trials=10, seed=42, geometry=_geometry())
+            simulate_receiver_snr(link, 10, 42)
+        with pytest.raises(ParameterError):
+            _eve(LinkSpec(fading=GammaSnrParams(nu=1, beta=1.0)), None, 0)
 
     def test_estimate_half_width(self):
         e = Estimate(value=0.5, std_error=0.01, trials=100)
@@ -63,25 +80,18 @@ class TestConfigTypes:
 
 class TestReceiverSim:
     def test_deterministic_replay(self):
-        cfg = _cfg(50_000, receiver_link=LinkSpec(fading=DKSM))
-        a = simulate_receiver_snr(cfg)
-        b = simulate_receiver_snr(cfg)
-        np.testing.assert_array_equal(a, b)
+        link = LinkSpec(fading=DKSM)
+        np.testing.assert_array_equal(_rx(link, 50_000), _rx(link, 50_000))
 
     def test_distribution_matches_cdf(self):
-        cfg = _cfg(200_000, receiver_link=LinkSpec(fading=DKSM))
-        draws = np.sort(simulate_receiver_snr(cfg))
+        draws = np.sort(_rx(LinkSpec(fading=DKSM), 200_000))
         theory = dksm_cdf_at_sorted(DKSM, draws)
         emp = np.arange(1, draws.size + 1) / draws.size
         assert np.max(np.abs(emp - theory)) < 0.005
 
     def test_antenna_sum_doubles_mean(self):
-        one = _cfg(200_000, geometry=_geometry(n=1),
-                   receiver_link=LinkSpec(fading=DKSM))
-        two = _cfg(200_000, geometry=_geometry(n=2),
-                   receiver_link=LinkSpec(fading=DKSM))
-        s1 = simulate_receiver_snr(one)
-        s2 = simulate_receiver_snr(two)
+        s1 = _rx(LinkSpec(fading=DKSM, antennas=1), 200_000)
+        s2 = _rx(LinkSpec(fading=DKSM, antennas=2), 200_000)
         se = s2.std(ddof=1) / math.sqrt(s2.size)
         assert abs(s2.mean() - 2.0 * s1.mean()) < 3.0 * se + 3.0 * s1.std(
             ddof=1) / math.sqrt(s1.size)
@@ -95,26 +105,24 @@ class TestReceiverSim:
         weak_other = DoubleKappaMuShadowedParams(c=0.8, s=4.0, mu=1.0,
                                                  kappa=0.2, mean_snr=1.0)
         for nlos in (weak, weak_other):
-            cfg = _cfg(300_000, receiver_link=LinkSpec(
-                fading=strong, p_los=0.25, fading_nlos=nlos))
-            draws = simulate_receiver_snr(cfg)
+            draws = _rx(LinkSpec(fading=strong, p_los=0.25, fading_nlos=nlos),
+                        300_000)
             want = 0.25 * 4.0 + 0.75 * 1.0
             se = draws.std(ddof=1) / math.sqrt(draws.size)
             assert abs(draws.mean() - want) < 4.0 * se
 
     def test_missing_link_rejected(self):
         with pytest.raises(ParameterError):
-            simulate_receiver_snr(_cfg(10))
+            _rx(None, 10)
+        with pytest.raises(ParameterError):
+            _eve(None, None, 10)
 
 
 class TestEveSim:
     def test_sinr_empirical_cdf(self):
         p = GammaSnrParams(nu=2, beta=1.0)
         j = GammaSnrParams(nu=2, beta=0.5)
-        cfg = _cfg(1_000_000, geometry=_geometry(n=1, k=1),
-                   eve_intercept_link=LinkSpec(fading=p),
-                   jammer_link=LinkSpec(fading=j))
-        draws = simulate_eve_sinr(cfg)
+        draws = _eve(LinkSpec(fading=p), LinkSpec(fading=j), 1_000_000)
         # closed form takes the aggregated (single-antenna here) shapes
         agg = EveLinkParams(nu_i=2, beta_i=1.0, nu_j=2, beta_j=0.5)
         grid = np.quantile(draws, np.linspace(0.05, 0.95, 19))
@@ -122,99 +130,67 @@ class TestEveSim:
         theory = eve_sinr_cdf(agg, grid)
         assert np.max(np.abs(emp - theory)) < 0.005
 
-    def test_jammer_off_paths_agree(self):
-        p = GammaSnrParams(nu=2, beta=1.0)
-        j = GammaSnrParams(nu=1, beta=1.0)
-        base = dict(eve_intercept_link=LinkSpec(fading=p))
-        no_link = _cfg(10_000, geometry=_geometry(n=1, k=1), **base)
-        k_zero = _cfg(10_000, geometry=_geometry(n=1, k=0),
-                      jammer_link=LinkSpec(fading=j), **base)
-        p_zero = _cfg(10_000, geometry=_geometry(n=1, k=1, p_j=0.0),
-                      jammer_link=LinkSpec(fading=j), **base)
-        a = simulate_eve_sinr(no_link)
-        np.testing.assert_array_equal(a, simulate_eve_sinr(k_zero))
-        np.testing.assert_array_equal(a, simulate_eve_sinr(p_zero))
-
     def test_jamming_reduces_sinr(self):
-        p = GammaSnrParams(nu=2, beta=1.0)
-        j = GammaSnrParams(nu=2, beta=0.5)
-        off = _cfg(100_000, geometry=_geometry(n=1, k=0),
-                   eve_intercept_link=LinkSpec(fading=p))
-        on = _cfg(100_000, geometry=_geometry(n=1, k=1),
-                  eve_intercept_link=LinkSpec(fading=p),
-                  jammer_link=LinkSpec(fading=j))
-        assert simulate_eve_sinr(on).mean() < simulate_eve_sinr(off).mean()
+        intercept = LinkSpec(fading=GammaSnrParams(nu=2, beta=1.0))
+        jammer = LinkSpec(fading=GammaSnrParams(nu=2, beta=0.5))
+        off = _eve(intercept, None, 100_000)
+        on = _eve(intercept, jammer, 100_000)
+        assert on.mean() < off.mean()
 
     def test_stream_independence_from_receiver(self):
         # receiver and eve links must draw from unrelated child streams
-        cfg = _cfg(100_000, geometry=_geometry(n=1, k=0),
-                   receiver_link=LinkSpec(fading=DKSM),
-                   eve_intercept_link=LinkSpec(fading=GammaSnrParams(nu=1, beta=1.0)))
-        r = simulate_receiver_snr(cfg)
-        e = simulate_eve_sinr(cfg)
+        r = _rx(LinkSpec(fading=DKSM), 100_000)
+        e = _eve(LinkSpec(fading=GammaSnrParams(nu=1, beta=1.0)), None, 100_000)
         corr = np.corrcoef(r, e)[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(r.size)
 
     def test_shard_boundary_stability(self):
         # the first SHARD_SIZE draws must not depend on the total count
-        p = GammaSnrParams(nu=1, beta=1.0)
-        small = _cfg(1000, geometry=_geometry(n=1, k=0),
-                     eve_intercept_link=LinkSpec(fading=p))
-        big = _cfg(2500, geometry=_geometry(n=1, k=0),
-                   eve_intercept_link=LinkSpec(fading=p))
-        a = simulate_eve_sinr(small)
-        b = simulate_eve_sinr(big)
+        link = LinkSpec(fading=GammaSnrParams(nu=1, beta=1.0))
+        a = _eve(link, None, 1000)
+        b = _eve(link, None, 2500)
         # different trial counts share no prefix guarantee within a shard
         # (one generator fills the shard in a single call), but identical
         # configs replay bit-identically
-        np.testing.assert_array_equal(a, simulate_eve_sinr(small))
-        np.testing.assert_array_equal(b, simulate_eve_sinr(big))
+        np.testing.assert_array_equal(a, _eve(link, None, 1000))
+        np.testing.assert_array_equal(b, _eve(link, None, 2500))
 
 
 class TestLinkCache:
     """A caller-owned cache keeps each link's unit-law antenna sum, which
     every call scales to its own mean; the bits never depend on it."""
 
+    TRIALS = 20_000
     LOS = RicianShadowedParams(m=2.0, xi=1.0, sigma2=0.2, mean_snr=3.0)
-
-    def _full_cfg(self, seed=101, nlos=None):
-        nlos = nlos or replace(self.LOS, mean_snr=0.1)
-        return _cfg(
-            20_000, seed=seed, geometry=_geometry(n=2, k=3),
-            receiver_link=LinkSpec(fading=self.LOS, p_los=0.3, fading_nlos=nlos),
-            eve_intercept_link=LinkSpec(fading=GammaSnrParams(nu=2, beta=0.5)),
-            jammer_link=LinkSpec(fading=GammaSnrParams(nu=1, beta=2.0)),
-        )
+    RX = LinkSpec(fading=LOS, antennas=2, p_los=0.3,
+                  fading_nlos=replace(LOS, mean_snr=0.1))
+    INTERCEPT = LinkSpec(fading=GammaSnrParams(nu=2, beta=0.5), antennas=2)
+    JAMMER = LinkSpec(fading=GammaSnrParams(nu=1, beta=2.0), antennas=3)
 
     def test_same_bits_with_and_without_cache(self):
-        cfg = self._full_cfg()
         cache = {}
         for _ in range(2):  # a miss, then a hit
-            np.testing.assert_array_equal(simulate_receiver_snr(cfg, cache),
-                                          simulate_receiver_snr(cfg))
-            np.testing.assert_array_equal(simulate_eve_sinr(cfg, cache),
-                                          simulate_eve_sinr(cfg))
+            np.testing.assert_array_equal(_rx(self.RX, self.TRIALS, cache=cache),
+                                          _rx(self.RX, self.TRIALS))
+            np.testing.assert_array_equal(
+                _eve(self.INTERCEPT, self.JAMMER, self.TRIALS, cache=cache),
+                _eve(self.INTERCEPT, self.JAMMER, self.TRIALS))
         # LOS and NLOS share one unit law: receiver, its blockage coin,
         # intercept, jammer
         assert len(cache) == 4
 
     def test_blockage_coin_is_drawn_once_per_run(self):
         cache = {}
-        cfg = self._full_cfg()
-        simulate_receiver_snr(cfg, cache)
-        link = replace(cfg.receiver_link, p_los=0.8)
-        denser = replace(cfg, receiver_link=link)
-        np.testing.assert_array_equal(simulate_receiver_snr(denser, cache),
-                                      simulate_receiver_snr(denser))
+        _rx(self.RX, self.TRIALS, cache=cache)
+        denser = replace(self.RX, p_los=0.8)
+        np.testing.assert_array_equal(_rx(denser, self.TRIALS, cache=cache),
+                                      _rx(denser, self.TRIALS))
         assert len(cache) == 2  # the receiver's unit sum and its coin
 
     def test_second_mean_adds_no_entry(self):
         cache = {}
-        a = simulate_receiver_snr(_cfg(10_000, receiver_link=LinkSpec(fading=DKSM)),
-                                  cache)
-        b = simulate_receiver_snr(
-            _cfg(10_000, receiver_link=LinkSpec(fading=replace(DKSM, mean_snr=5.0))),
-            cache)
+        a = _rx(LinkSpec(fading=DKSM), 10_000, cache=cache)
+        b = _rx(LinkSpec(fading=replace(DKSM, mean_snr=5.0)), 10_000, cache=cache)
         assert len(cache) == 1
         (unit,) = cache.values()
         np.testing.assert_array_equal(a, unit * DKSM.mean_snr)
@@ -222,13 +198,12 @@ class TestLinkCache:
 
     def test_new_law_seed_or_antenna_count_draws_again(self):
         cache = {}
-        base = simulate_receiver_snr(self._full_cfg(), cache)
-        other_law = self._full_cfg(nlos=replace(self.LOS, m=0.7, mean_snr=0.1))
-        other_seed = self._full_cfg(seed=102)
-        one_antenna = replace(other_seed, geometry=_geometry(n=1, k=3))
-        for cfg in (other_law, other_seed, one_antenna):
-            got = simulate_receiver_snr(cfg, cache)
-            np.testing.assert_array_equal(got, simulate_receiver_snr(cfg))
+        base = _rx(self.RX, self.TRIALS, cache=cache)
+        other_law = replace(self.RX, fading_nlos=replace(self.LOS, m=0.7, mean_snr=0.1))
+        one_antenna = replace(self.RX, antennas=1)
+        for link, seed in ((other_law, 101), (self.RX, 102), (one_antenna, 102)):
+            got = _rx(link, self.TRIALS, seed, cache)
+            np.testing.assert_array_equal(got, _rx(link, self.TRIALS, seed))
             assert not np.array_equal(got, base)
         # sums: base, other NLOS law, other seed, one antenna; coins: the
         # two seeds

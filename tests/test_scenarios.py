@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
-from jamsec import secrecy
-from jamsec.fading import GammaSnrParams, gamma_cdf
+from jamsec import scenario, secrecy
+from jamsec.errors import AccuracyError
+from jamsec.fading import GammaSnrParams, RicianShadowedParams, SamplerSeed, gamma_cdf
+from jamsec.montecarlo import LinkSpec, estimate_capacity, simulate_eve_sinr
 from jamsec.scenario import (
     ResultTable,
-    _resolve_path,
     Scenario,
     ScenarioError,
     builtin_scenarios,
@@ -37,14 +39,14 @@ class TestConfigs:
 
     def test_all_builtins_validate(self):
         for name in builtin_scenarios():
-            cfg = load_config(_resolve_path(name))
+            cfg = load_config(name)
             assert validate_config(cfg) == [], name
 
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_config("/nonexistent/path.yaml")
         with pytest.raises(ScenarioError):
-            _resolve_path("not-a-builtin")
+            load_config("not-a-builtin")
 
     def test_bad_yaml_reports_location(self, tmp_path):
         f = tmp_path / "broken.yaml"
@@ -54,7 +56,7 @@ class TestConfigs:
         assert "line" in str(exc.value)
 
     def test_validate_range_diagnostics(self):
-        cfg = load_config(_resolve_path("fig2"))
+        cfg = load_config("fig2")
         cfg["receiver"]["p_los"] = 1.3
         cfg["receiver"]["normalize_mean"] = "no"
         cfg["variants"][0]["receiver"]["m"] = -1
@@ -69,19 +71,19 @@ class TestConfigs:
         assert len(diags) == 3, diags
 
     def test_validate_shape_bound(self):
-        cfg = load_config(_resolve_path("fig5"))
+        cfg = load_config("fig5")
         cfg["receiver"]["s"] = 0.9
         diags = validate_config(cfg)
         assert any("receiver.s" in d and "0.9" in d for d in diags)
 
     def test_validate_empty_grid(self):
-        cfg = load_config(_resolve_path("fig3"))
+        cfg = load_config("fig3")
         cfg["sweep"]["grid"] = []
         diags = validate_config(cfg)
         assert any("grid" in d for d in diags)
 
     def test_unknown_keys_rejected_with_suggestion(self):
-        cfg = load_config(_resolve_path("fig5"))
+        cfg = load_config("fig5")
         cfg["seeed"] = 3
         cfg["geometry"]["r_je"] = 2.0
         cfg["receiver"]["kapa"] = 1.0
@@ -96,7 +98,7 @@ class TestConfigs:
         assert len(diags) == 5
 
     def test_unknown_keys_in_variant_overrides(self):
-        cfg = load_config(_resolve_path("fig5"))
+        cfg = load_config("fig5")
         cfg["variants"][1]["geometry"]["n_jammer_antenna"] = 3
         cfg["variants"][2]["receiver"] = {"p_los": 0.5}
         cfg["variants"][3]["eves"] = {"m_i": 2}
@@ -114,7 +116,7 @@ class TestConfigs:
         assert len(diags) == 3
 
     def test_digest_stability_and_sensitivity(self):
-        cfg = load_config(_resolve_path("fig3"))
+        cfg = load_config("fig3")
         a = Scenario.from_config(cfg).digest()
         b = Scenario.from_config(cfg).digest()
         c = Scenario.from_config(cfg, seed=999).digest()
@@ -123,7 +125,7 @@ class TestConfigs:
         assert a != c
 
     def test_overrides_applied(self):
-        cfg = load_config(_resolve_path("fig3"))
+        cfg = load_config("fig3")
         sc = Scenario.from_config(cfg, seed=7, trials=1234,
                                   methods=["quadrature"], grid=[1.0, 2.0])
         assert sc.seed == 7
@@ -180,7 +182,7 @@ class TestRunScenario:
             assert all(b <= a + 1e-12 for a, b in zip(col, col[1:]))
         # far-jammer limit: jamming negligible, outage approaches the
         # jammer-free Gamma CDF floor
-        cfg = load_config(_resolve_path("fig3"))
+        cfg = load_config("fig3")
         sc = Scenario.from_config(cfg)
         e = sc.eve
         g = sc.geometry
@@ -240,6 +242,16 @@ class TestRunScenario:
         assert all(b <= a + 1e-12 for a, b in zip(col, col[1:]))
 
 
+def test_rician_outage_quadrature_checks_its_error(monkeypatch):
+    p = RicianShadowedParams(m=2.0, xi=1.0, sigma2=0.2, mean_snr=3.0)
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (0.5, 1e-10))
+    assert scenario._rician_outage_quadrature(p, 1.0) == 0.5  # within 1e-9 relative
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (0.5, 1e-6))
+    with pytest.raises(AccuracyError) as exc:
+        scenario._rician_outage_quadrature(p, 1.0)
+    assert (exc.value.best, exc.value.error_estimate) == (0.5, 1e-6)
+
+
 class TestReceiverMemo:
     KW = dict(methods=["quadrature"], grid=[-10.0, 35.0])
 
@@ -278,6 +290,19 @@ class TestCommonRandomNumbers:
         cols = [_col(table, f"{k}/c_r#monte-carlo")
                 for k in ("k0", "k1", "k2", "k4", "k8")]
         assert all(c == cols[0] for c in cols[1:])
+
+    def test_fig5_jammer_off_is_the_intercept_alone(self):
+        # K = 0 draws no jamming link: the SINR is the intercept SNR itself
+        cfg = load_config("fig5")
+        geo, m_i = cfg["geometry"], cfg["eve"]["m_i"]
+        table = run_scenario("fig5", methods=self.MC, trials=5000)
+        for p_s_db, got in zip(_col(table, "p_s_db"), _col(table, "k0/c_e#monte-carlo")):
+            snr_i = secrecy.mean_snr(secrecy.db_to_linear(p_s_db), geo["r_se_m"],
+                                     geo["delta"], geo["noise_var_e"])
+            intercept = LinkSpec(fading=GammaSnrParams(nu=m_i, beta=m_i / snr_i),
+                                 antennas=geo["n_bs_antennas"])
+            draws = simulate_eve_sinr(intercept, None, 5000, SamplerSeed(cfg["seed"]))
+            assert got == estimate_capacity(draws).value
 
     def test_fig2_outage_non_increasing_in_snr(self):
         table = run_scenario("fig2", methods=self.MC, trials=20_000)
@@ -334,14 +359,14 @@ class TestCli:
 
     def test_validate_bad_config(self, tmp_path):
         import yaml
-        cfg = load_config(_resolve_path("fig3"))
+        cfg = load_config("fig3")
         cfg["receiver"]["p_los"] = 1.3
         f = tmp_path / "bad.yaml"
         f.write_text(yaml.safe_dump(cfg))
         r = self._run("validate", str(f))
         assert r.returncode == 1
         assert "receiver.p_los" in r.stderr
-        cfg = load_config(_resolve_path("fig2"))
+        cfg = load_config("fig2")
         cfg["variants"][0]["receiver"]["m"] = -1
         f.write_text(yaml.safe_dump(cfg))
         r = self._run("validate", str(f))
@@ -355,6 +380,15 @@ class TestCli:
     def test_unknown_builtin_validation_error(self):
         r = self._run("sweep", "not-a-builtin")
         assert r.returncode == 1
+
+    def test_quadrature_near_s_one(self, tmp_path):
+        import yaml
+        cfg = load_config("fig5")
+        cfg["receiver"]["s"] = 1.05
+        f = tmp_path / "s105.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        r = self._run("eval", str(f), "--at", "10", "--methods", "quadrature")
+        assert r.returncode == 0, r.stderr
 
     def test_eval_at_point_json(self):
         r = self._run("eval", "fig3", "--at", "10.0", "--trials", "2000",

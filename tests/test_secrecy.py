@@ -172,6 +172,14 @@ class TestReceiverCapacity:
             quad = capacity_receiver_quadrature(p)
             assert series == pytest.approx(quad, rel=1e-6)
 
+    @pytest.mark.parametrize("s", (1.01, 1.05, 1.12))
+    def test_quadrature_near_s_one(self, s):
+        # the tail bound 85/(s-1) passes ln(max double) here; the capped
+        # upper limit must still match the fold
+        p = DoubleKappaMuShadowedParams(c=5.0, s=s, mu=2.0, kappa=1.5, mean_snr=10.0)
+        assert capacity_receiver_quadrature(p) == pytest.approx(
+            capacity_receiver_series(p), rel=1e-12, abs=0.0)
+
     def test_exponential_limit(self):
         # shadowing off, kappa -> 0, mu = 1: mean capacity of a Rayleigh
         # channel at unit mean SNR is e * E1(1) / ln 2
