@@ -30,13 +30,11 @@ from .montecarlo import (
 from .scenario import ResultTable, Scenario, ScenarioError, emit, read_table, run_scenario
 from .secrecy import (
     EveLinkParams,
-    NetworkGeometry,
     capacity_eve_foxh,
     capacity_eve_quadrature,
     capacity_receiver_quadrature,
     capacity_receiver_series,
     db_to_linear,
-    eve_link_params_from_geometry,
     eve_sinr_cdf,
     eve_sinr_cdf_integral,
     mean_snr,
@@ -56,10 +54,10 @@ __all__ = [
     "simulate_eve_sinr", "simulate_receiver_snr",
     "ResultTable", "Scenario", "ScenarioError", "emit", "read_table",
     "run_scenario",
-    "EveLinkParams", "NetworkGeometry",
+    "EveLinkParams",
     "capacity_eve_foxh", "capacity_eve_quadrature",
     "capacity_receiver_quadrature", "capacity_receiver_series",
-    "db_to_linear", "eve_link_params_from_geometry",
+    "db_to_linear",
     "eve_sinr_cdf", "eve_sinr_cdf_integral", "mean_snr", "secrecy_capacity",
     "BivariateFoxHSpec", "fox_h_bivariate",
 ]

@@ -161,6 +161,25 @@ class GammaSnrParams:
 # double shadowed kappa-mu
 
 
+def _dksm_ln_amp(p: DoubleKappaMuShadowedParams) -> float:
+    """ln of the density's constant factor.
+
+    Gamma(s+mu)/Gamma(s) is one Pochhammer ratio: at large s the two
+    log-gammas are ~s ln s apart and their difference loses digits.  The
+    log-gammas serve where poch overflows."""
+    c, s, mu = p.c, p.s, p.mu
+    ratio = sc.poch(s, mu)
+    ln_ratio = math.log(ratio) if ratio < math.inf else sc.gammaln(s + mu) - sc.gammaln(s)
+    return float(mu * math.log(p.big_t / ((s - 1.0) * p.mean_snr))
+                 - c * math.log1p(mu * p.kappa / c) + ln_ratio - sc.gammaln(mu))
+
+
+def _dksm_pdf_at_zero(mu: float, ln_amp: float) -> float:
+    if mu > 1.0:
+        return 0.0
+    return math.exp(ln_amp) if mu == 1.0 else math.inf
+
+
 def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
     """SNR density.  Vectorized over gamma >= 0."""
     g = np.asarray(gamma, dtype=float)
@@ -172,14 +191,7 @@ def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
     c, s, mu, kappa, gbar = p.c, p.s, p.mu, p.kappa, p.mean_snr
     big_t = p.big_t
     phi = (s - 1.0) * gbar
-    # Gamma(s+mu)/Gamma(s) as one Pochhammer ratio and phi^(s+mu) (T g +
-    # phi)^-(s+mu) as (1 + T g/phi)^-(s+mu): at large s each pair is ~s ln s
-    # apart and its difference loses digits.  The log-gammas serve where
-    # poch overflows.
-    ratio = sc.poch(s, mu)
-    ln_ratio = math.log(ratio) if ratio < math.inf else sc.gammaln(s + mu) - sc.gammaln(s)
-    ln_amp = (mu * math.log(big_t / phi) - c * math.log1p(mu * kappa / c) + ln_ratio
-              - sc.gammaln(mu))
+    ln_amp = _dksm_ln_amp(p)
 
     out = np.zeros_like(g)
     pos = g > 0
@@ -187,6 +199,8 @@ def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
         gp = g[pos]
         denom = big_t * gp + phi
         z = p.big_k * mu * kappa * gp / denom
+        # phi^(s+mu) (T g + phi)^-(s+mu) as (1 + T g/phi)^-(s+mu), which
+        # keeps its digits at large s
         ln_pdf = ln_amp + (mu - 1.0) * np.log(gp) - (s + mu) * np.log1p(gp * (big_t / phi))
         hyp = 1.0
         if kappa > 0:
@@ -204,14 +218,35 @@ def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
                 hyp[lost] = 1.0
         out[pos] = np.exp(ln_pdf) * hyp
     if np.any(~pos):
-        if mu > 1.0:
-            val0 = 0.0
-        elif mu == 1.0:
-            val0 = math.exp(ln_amp)
-        else:
-            val0 = math.inf
-        out[~pos] = val0
+        out[~pos] = _dksm_pdf_at_zero(mu, ln_amp)
     return float(out[0]) if scalar else out
+
+
+def _dksm_pdf_scalar(p: DoubleKappaMuShadowedParams):
+    """Scalar twin of `dksm_pdf` for quadrature integrands: returns
+    f(gamma) for one float gamma >= 0.  The law's constants are computed
+    once here, so each call is float arithmetic plus one scalar 2F1."""
+    c, s, mu, kappa = p.c, p.s, p.mu, p.kappa
+    big_t = p.big_t
+    phi = (s - 1.0) * p.mean_snr
+    t_over_phi = big_t / phi
+    z_scale = p.big_k * mu * kappa
+    ln_amp = _dksm_ln_amp(p)
+    at_zero = _dksm_pdf_at_zero(mu, ln_amp)
+
+    def pdf(g):
+        if not g > 0.0:
+            return at_zero
+        ln_pdf = ln_amp + (mu - 1.0) * math.log(g) - (s + mu) * math.log1p(g * t_over_phi)
+        if kappa > 0:
+            z = z_scale * g / (big_t * g + phi)
+            hyp = sc.hyp2f1(c, s + mu, mu, z)
+            if not hyp <= _HYP_DIRECT_MAX:
+                return math.exp(ln_pdf + _ln_hyp2f1_series(c, s + mu, mu, z))
+            return math.exp(ln_pdf) * float(hyp)
+        return math.exp(ln_pdf)
+
+    return pdf
 
 
 # largest 2F1 factor that dksm_pdf multiplies by exp(ln_pdf) directly
@@ -246,7 +281,8 @@ def _dksm_log_knee(p: DoubleKappaMuShadowedParams) -> float:
 
 def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
     """CDF by adaptive quadrature of the density (substituted u = ln t,
-    which removes the gamma^(mu-1) endpoint behavior)."""
+    which removes the gamma^(mu-1) endpoint behavior).  The integrand
+    evaluates the density as a scalar (`_dksm_pdf_scalar`)."""
     gamma = float(gamma)
     if gamma < 0:
         raise ParameterError("gamma must be non-negative")
@@ -256,9 +292,11 @@ def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
     knee = _dksm_log_knee(p)
     u_lo = min(u_hi, knee) - 60.0 / p.mu
 
+    pdf = _dksm_pdf_scalar(p)
+
     def integrand(u):
         t = math.exp(u)
-        return dksm_pdf(p, t) * t
+        return pdf(t) * t
 
     pts = [knee] if u_lo < knee < u_hi else None
     val, err = scipy.integrate.quad(
@@ -325,6 +363,25 @@ def dksm_sample(p: DoubleKappaMuShadowedParams, seed: SamplerSeed, n: int) -> np
 # LOS-shadowed Rician
 
 
+def _rician_constants(p: RicianShadowedParams):
+    """(rho, scale, ln_amp): the density is
+    exp(ln_amp - x) 1F1(m; 1; rho x) at x = gamma / scale."""
+    rho = p.los_fraction
+    scale = 2.0 * p.sigma2 * p.mean_snr
+    return rho, scale, p.m * math.log1p(-rho) - math.log(scale)
+
+
+# above this z = rho x the density takes _rician_ln_asymptote
+_RICIAN_Z_ASYMPTOTE = 650.0
+
+
+def _rician_ln_asymptote(m, ln_amp, x, z):
+    """ln density from the exp-dominant asymptote of 1F1(m; 1; z); only
+    reached deep in the upper tail.  Takes floats or arrays."""
+    return (ln_amp - x + z + (m - 1.0) * np.log(z) - sc.gammaln(m)
+            + np.log1p((1.0 - m) * (1.0 - m) / z))
+
+
 def rician_shadowed_pdf(p: RicianShadowedParams, gamma):
     """Density of the LOS-shadowed Rician SNR (confluent hypergeometric
     form).  Vectorized over gamma."""
@@ -333,28 +390,32 @@ def rician_shadowed_pdf(p: RicianShadowedParams, gamma):
     g = np.atleast_1d(g)
     if np.any(g < 0):
         raise ParameterError("gamma must be non-negative")
-    rho = p.los_fraction
-    scale = 2.0 * p.sigma2 * p.mean_snr
+    rho, scale, ln_amp = _rician_constants(p)
     x = g / scale
-    ln_amp = p.m * math.log1p(-rho) - math.log(scale)
     z = rho * x
-    big = z > 650.0
+    big = z > _RICIAN_Z_ASYMPTOTE
     out = np.empty_like(g)
     zs = np.where(big, 0.0, z)
     out[:] = np.exp(ln_amp - x) * sc.hyp1f1(p.m, 1.0, zs)
     if np.any(big):
-        # exp-dominant asymptotic; only reached deep in the upper tail
-        zb = z[big]
-        ln_asym = (
-            ln_amp
-            - x[big]
-            + zb
-            + (p.m - 1.0) * np.log(zb)
-            - sc.gammaln(p.m)
-            + np.log1p((1.0 - p.m) * (1.0 - p.m) / zb)
-        )
-        out[big] = np.exp(ln_asym)
+        out[big] = np.exp(_rician_ln_asymptote(p.m, ln_amp, x[big], z[big]))
     return float(out[0]) if scalar else out
+
+
+def _rician_shadowed_pdf_scalar(p: RicianShadowedParams):
+    """Scalar twin of `rician_shadowed_pdf` for quadrature integrands:
+    returns f(gamma) for one float gamma >= 0."""
+    m = p.m
+    rho, scale, ln_amp = _rician_constants(p)
+
+    def pdf(g):
+        x = g / scale
+        z = rho * x
+        if z > _RICIAN_Z_ASYMPTOTE:
+            return math.exp(_rician_ln_asymptote(m, ln_amp, x, z))
+        return math.exp(ln_amp - x) * float(sc.hyp1f1(m, 1.0, z))
+
+    return pdf
 
 
 def rician_shadowed_cdf(p: RicianShadowedParams, gamma):
@@ -435,14 +496,31 @@ def gamma_pdf(p: GammaSnrParams, gamma):
     return float(out[0]) if scalar else out
 
 
+def _gamma_pdf_scalar(p: GammaSnrParams):
+    """Scalar twin of `gamma_pdf` for quadrature integrands: returns
+    f(gamma) for one float gamma >= 0."""
+    nu, beta = p.nu, p.beta
+    ln_rate = nu * math.log(beta)
+    ln_norm = float(sc.gammaln(nu))
+    at_zero = beta if nu == 1 else 0.0
+
+    def pdf(g):
+        if not g > 0.0:
+            return at_zero
+        return math.exp(ln_rate + (nu - 1.0) * math.log(g) - beta * g - ln_norm)
+
+    return pdf
+
+
 def gamma_cdf(p: GammaSnrParams, gamma):
-    """1 - upper_incomplete(nu, beta*gamma)/Gamma(nu)."""
+    """Regularized lower incomplete gamma P(nu, beta*gamma), taken
+    directly: 1 - Q(nu, beta*gamma) would cancel at small CDF values."""
     g = np.asarray(gamma, dtype=float)
     scalar = g.ndim == 0
     g = np.atleast_1d(g)
     if np.any(g < 0):
         raise ParameterError("gamma must be non-negative")
-    out = 1.0 - sc.gammaincc(p.nu, p.beta * g)
+    out = sc.gammainc(p.nu, p.beta * g)
     return float(out[0]) if scalar else out
 
 

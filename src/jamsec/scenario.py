@@ -34,10 +34,10 @@ from .fading import (
     GammaSnrParams,
     RicianShadowedParams,
     SamplerSeed,
+    _rician_shadowed_pdf_scalar,
     dksm_cdf,
     gamma_cdf,
     mixture_cdf,
-    rician_shadowed_pdf,
 )
 
 __all__ = [
@@ -512,8 +512,10 @@ def _resolve_point(sc: Scenario, overrides: dict, axis_value: float) -> _PointSe
 
 
 def _rician_outage_quadrature(p: RicianShadowedParams, th: float) -> float:
+    """Rician receiver outage by adaptive quadrature of the scalar
+    density (`fading._rician_shadowed_pdf_scalar`) over [0, th]."""
     val, err = scipy.integrate.quad(
-        lambda t: rician_shadowed_pdf(p, t), 0.0, th, limit=200,
+        _rician_shadowed_pdf_scalar(p), 0.0, th, limit=200,
         epsabs=1e-12, epsrel=1e-10,
     )
     if err > max(1e-11, 1e-9 * abs(val)):

@@ -30,15 +30,13 @@ from .errors import AccuracyError, ParameterError
 from .fading import (
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
-    dksm_pdf,
-    gamma_cdf,
-    gamma_pdf,
+    _dksm_pdf_scalar,
+    _gamma_pdf_scalar,
     rician_shadowed_cdf,  # the scenario's closed-form receiver outage
 )
 from .specfun import BivariateFoxHSpec, fox_h_bivariate, meijer_series_fold
 
 __all__ = [
-    "NetworkGeometry",
     "EveLinkParams",
     "db_to_linear",
     "mean_snr",
@@ -51,7 +49,6 @@ __all__ = [
     "capacity_gamma_quadrature",
     "secrecy_capacity",
     "gamma_antenna_sum",
-    "eve_link_params_from_geometry",
 ]
 
 _LN2 = math.log(2.0)
@@ -60,41 +57,6 @@ _U_MAX = 700.0  # upper limit of the receiver quadrature in u = ln(gamma)
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (float(x_db) / 10.0)
-
-
-@dataclass(frozen=True)
-class NetworkGeometry:
-    """Node layout and radio constants.
-
-    K = 0 means no jammer is deployed (the eavesdropper then sees plain
-    SNR); closed forms that need a jamming Gamma shape require K >= 1.
-    """
-
-    n_bs_antennas: int
-    n_jammer_antennas: int
-    r_sr: float
-    r_se: float
-    r_je: float
-    delta: float
-    p_s: float
-    p_j: float
-    noise_var_r: float
-    noise_var_e: float
-
-    def __post_init__(self):
-        if not (isinstance(self.n_bs_antennas, (int, np.integer)) and self.n_bs_antennas >= 1):
-            raise ParameterError("n_bs_antennas must be a positive integer")
-        if not (isinstance(self.n_jammer_antennas, (int, np.integer)) and self.n_jammer_antennas >= 0):
-            raise ParameterError("n_jammer_antennas must be a non-negative integer")
-        for name in ("r_sr", "r_se", "r_je"):
-            if not (getattr(self, name) > 0):
-                raise ParameterError(f"{name} must be positive (meters)")
-        if self.delta < 0:
-            raise ParameterError("path-loss exponent must be non-negative")
-        if self.p_s < 0 or self.p_j < 0:
-            raise ParameterError("transmit powers must be non-negative")
-        if not (self.noise_var_r > 0 and self.noise_var_e > 0):
-            raise ParameterError("noise variances must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,26 +99,6 @@ def gamma_antenna_sum(per_antenna: GammaSnrParams, antennas: int) -> GammaSnrPar
     """SNR summed over `antennas` independent antennas of one Gamma law:
     the shapes add and the common rate is kept."""
     return GammaSnrParams(nu=antennas * per_antenna.nu, beta=per_antenna.beta)
-
-
-def eve_link_params_from_geometry(g: NetworkGeometry, m_i: int, m_j: int) -> EveLinkParams:
-    """Aggregate per-antenna Nakagami-m links at the eavesdropper.
-
-    Each per-antenna law has rate shape over the per-antenna mean SNR;
-    `gamma_antenna_sum` adds the shapes across antennas.
-    """
-    for name, v in (("m_i", m_i), ("m_j", m_j)):
-        if not (isinstance(v, (int, np.integer)) and v >= 1):
-            raise ParameterError(f"{name} must be an integer >= 1")
-    if g.n_jammer_antennas < 1:
-        raise ParameterError("jamming link requires at least one jammer antenna")
-    snr_i = mean_snr(g.p_s, g.r_se, g.delta, g.noise_var_e)
-    snr_j = mean_snr(g.p_j, g.r_je, g.delta, g.noise_var_e)
-    gamma_i = gamma_antenna_sum(GammaSnrParams(nu=m_i, beta=m_i / snr_i), g.n_bs_antennas)
-    gamma_j = gamma_antenna_sum(GammaSnrParams(nu=m_j, beta=m_j / snr_j),
-                                g.n_jammer_antennas)
-    return EveLinkParams(nu_i=gamma_i.nu, beta_i=gamma_i.beta,
-                         nu_j=gamma_j.nu, beta_j=gamma_j.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +152,20 @@ def eve_sinr_cdf_integral(p: EveLinkParams, gamma) -> float:
 
     Integrated in v = beta_J * gamma_J against the unit-rate Gamma(nu_J)
     density: in gamma_J itself the density spans 1/beta_J, which reaches
-    1e8 at strong jamming, and quad over [0, inf) misses its mass.
+    1e8 at strong jamming, and quad over [0, inf) misses its mass.  The
+    integrand is scalar: F_I is the regularized incomplete gamma
+    P(nu_I, .) and the density is `_gamma_pdf_scalar`.
     """
     gamma = float(gamma)
     if gamma < 0:
         raise ParameterError("gamma must be non-negative")
     if gamma == 0.0:
         return 0.0
-    f_i = GammaSnrParams(p.nu_i, p.beta_i)
-    f_v = GammaSnrParams(p.nu_j, 1.0)
+    nu_i, beta_i, beta_j = p.nu_i, p.beta_i, p.beta_j
+    pdf_v = _gamma_pdf_scalar(GammaSnrParams(p.nu_j, 1.0))
 
     def integrand(v):
-        return gamma_cdf(f_i, gamma * (1.0 + v / p.beta_j)) * gamma_pdf(f_v, v)
+        return float(sc.gammainc(nu_i, beta_i * (gamma * (1.0 + v / beta_j)))) * pdf_v(v)
 
     val, err = scipy.integrate.quad(
         integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=400
@@ -244,15 +188,18 @@ def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams) -> float:
     endpoint at zero and compresses the heavy tail.  Above the knee the
     integrand falls like u e^(-s u), so capping the upper limit at
     _U_MAX loses nothing and keeps exp(u) finite as s -> 1, where the
-    uncapped limit would pass ln(max double) = 709.8.
+    uncapped limit would pass ln(max double) = 709.8.  The integrand
+    evaluates the density as a scalar (`fading._dksm_pdf_scalar`).
     """
     knee = math.log((p.s - 1.0) * p.mean_snr / p.big_t)
     u_lo = knee - 60.0 / p.mu - 5.0
     u_hi = min(knee + 85.0 / (p.s - 1.0) + 15.0, _U_MAX)
 
+    pdf = _dksm_pdf_scalar(p)
+
     def integrand(u):
         t = math.exp(u)
-        return math.log1p(t) / _LN2 * dksm_pdf(p, t) * t
+        return math.log1p(t) / _LN2 * pdf(t) * t
 
     val, err = scipy.integrate.quad(
         integrand, u_lo, u_hi, points=[knee], limit=400, epsabs=1e-12, epsrel=1e-10
@@ -364,10 +311,12 @@ def capacity_eve_foxh(p: EveLinkParams) -> float:
 
 
 def capacity_gamma_quadrature(p: GammaSnrParams) -> float:
-    """E[log2(1 + gamma)] for a plain Gamma SNR (jammer-free paths)."""
+    """E[log2(1 + gamma)] for a plain Gamma SNR (jammer-free paths), by
+    adaptive quadrature of the scalar density (`_gamma_pdf_scalar`)."""
+    pdf = _gamma_pdf_scalar(p)
 
     def integrand(t):
-        return math.log1p(t) / _LN2 * gamma_pdf(p, t)
+        return math.log1p(t) / _LN2 * pdf(t)
 
     val, err = scipy.integrate.quad(
         integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=400

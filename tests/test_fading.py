@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special as sc
 import scipy.stats
 
 from jamsec.errors import AccuracyError, ConvergenceError, ParameterError
@@ -11,6 +12,11 @@ from jamsec.fading import (
     GammaSnrParams,
     RicianShadowedParams,
     SamplerSeed,
+    _HYP_DIRECT_MAX,
+    _RICIAN_Z_ASYMPTOTE,
+    _dksm_pdf_scalar,
+    _gamma_pdf_scalar,
+    _rician_shadowed_pdf_scalar,
     dksm_cdf,
     dksm_cdf_at_sorted,
     dksm_pdf,
@@ -43,6 +49,19 @@ def gamma_cdf_series(p, g):
         term *= x / n
         acc += term
     return min(max(1.0 - math.exp(-x) * acc, 0.0), 1.0)
+
+
+# s = 1e5, where scipy's 2F1 gives up and dksm_pdf sums it in log space;
+# densities from mpmath at 40 digits
+LARGE_S = DoubleKappaMuShadowedParams(c=2.5, s=1e5, mu=1.0, kappa=3.0, mean_snr=2.4)
+LARGE_S_CASES = [
+    (0.01, 0.23355821634308752),
+    (0.3, 0.2631764360311762),
+    (2.0, 0.21906976056779556),
+    (10.0, 0.003070615075368319),
+    (60.0, 1.3429219705132769e-18),
+    (300.0, 2.016497929292706e-96),
+]
 
 
 def _knee_window(p):
@@ -113,19 +132,9 @@ class TestDoubleShadowedPdf:
     def test_large_s_against_mpmath(self):
         # ln_pdf groups its powers as -(s+mu) log1p(T g / phi) and its
         # gamma ratio as one Pochhammer, so nothing of size ~s ln s
-        # cancels; references from mpmath at 40 digits
-        p = DoubleKappaMuShadowedParams(c=2.5, s=1e5, mu=1.0, kappa=3.0,
-                                        mean_snr=2.4)
-        cases = [
-            (0.01, 0.23355821634308752),
-            (0.3, 0.2631764360311762),
-            (2.0, 0.21906976056779556),
-            (10.0, 0.003070615075368319),
-            (60.0, 1.3429219705132769e-18),
-            (300.0, 2.016497929292706e-96),
-        ]
-        for g, want in cases:
-            assert dksm_pdf(p, g) == pytest.approx(want, rel=1e-12, abs=0.0)
+        # cancels
+        for g, want in LARGE_S_CASES:
+            assert dksm_pdf(LARGE_S, g) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_gamma_ratio_beyond_overflow(self):
         # Gamma(s+mu)/Gamma(s) overflows a float at s = 1e5, mu = 80; the
@@ -325,6 +334,58 @@ class TestGammaSnr:
         p = GammaSnrParams(nu=3, beta=1.2)
         g = np.linspace(0, 10, 7)
         np.testing.assert_allclose(gamma_cdf(p, g), [gamma_cdf(p, x) for x in g])
+
+    @pytest.mark.parametrize("nu, x, want", [
+        # regularized lower incomplete gamma P(nu, x), mpmath at 40 digits
+        (4, 1e-3, 4.163334721825484e-14),
+        (2, 1e-6, 4.9999966666679162e-13),
+        (8, 0.05, 9.2670799237086712e-16),
+        (3, 30.0, 0.99999999995498983),
+    ])
+    def test_small_cdf_keeps_relative_accuracy(self, nu, x, want):
+        # 1 - Q(nu, x) cancels here: 4% off at nu = 8, x = 0.05
+        p = GammaSnrParams(nu=nu, beta=1.0)
+        assert gamma_cdf(p, x) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _assert_twins(scalar, vector, nodes):
+    nodes = np.asarray(nodes, dtype=float)
+    np.testing.assert_allclose([scalar(float(g)) for g in nodes], vector(nodes),
+                               rtol=1e-13, atol=0.0)
+
+
+class TestScalarTwins:
+    """The scalar densities the quadrature integrands call match their
+    vectorised twins on every branch."""
+
+    def test_dksm(self):
+        nodes = np.concatenate(([0.0], np.geomspace(1e-8, 1e4, 60)))
+        for mu in (0.6, 1.0, 2.5):
+            for kappa in (0.0, 1.5, 10.0):
+                p = DoubleKappaMuShadowedParams(c=1.5, s=2.5, mu=mu, kappa=kappa,
+                                                mean_snr=10.0)
+                _assert_twins(_dksm_pdf_scalar(p), lambda g: dksm_pdf(p, g), nodes)
+
+    def test_dksm_log_space_2f1(self):
+        p = LARGE_S
+        g = np.array([g for g, _ in LARGE_S_CASES])
+        z = p.big_k * p.mu * p.kappa * g / (p.big_t * g + (p.s - 1.0) * p.mean_snr)
+        assert not np.all(sc.hyp2f1(p.c, p.s + p.mu, p.mu, z) <= _HYP_DIRECT_MAX)
+        _assert_twins(_dksm_pdf_scalar(p), lambda g: dksm_pdf(p, g), g)
+
+    def test_rician_both_branches(self):
+        p = RicianShadowedParams(m=1.2, xi=50.0, sigma2=0.01, mean_snr=1.0)
+        nodes = np.concatenate(([0.0], np.geomspace(1e-6, 60.0, 80)))
+        z = p.los_fraction * nodes / (2.0 * p.sigma2 * p.mean_snr)
+        assert np.any(z <= _RICIAN_Z_ASYMPTOTE) and np.any(z > _RICIAN_Z_ASYMPTOTE)
+        _assert_twins(_rician_shadowed_pdf_scalar(p),
+                      lambda g: rician_shadowed_pdf(p, g), nodes)
+
+    def test_gamma(self):
+        nodes = [0.0, 1e-300, 1e-200, 1e-12, 1e-6, 1e-3, 0.5, 1.0, 10.0, 200.0]
+        for nu, beta in ((1, 0.5), (1, 3e4), (4, 2.0), (8, 1e-3)):
+            p = GammaSnrParams(nu=nu, beta=beta)
+            _assert_twins(_gamma_pdf_scalar(p), lambda g: gamma_pdf(p, g), nodes)
 
 
 class TestNakagamiLimit:

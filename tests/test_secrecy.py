@@ -1,38 +1,35 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special as sc
 
 from jamsec.errors import AccuracyError, ParameterError
-from jamsec.fading import DoubleKappaMuShadowedParams, GammaSnrParams
+from jamsec.fading import (
+    DoubleKappaMuShadowedParams,
+    GammaSnrParams,
+    RicianShadowedParams,
+    dksm_cdf,
+)
+from jamsec.scenario import _rician_outage_quadrature
 from jamsec.secrecy import (
     EveLinkParams,
-    NetworkGeometry,
     capacity_eve_foxh,
     capacity_eve_quadrature,
     capacity_gamma_quadrature,
     capacity_receiver_quadrature,
     capacity_receiver_series,
     db_to_linear,
-    eve_link_params_from_geometry,
     eve_sinr_cdf,
     eve_sinr_cdf_integral,
+    gamma_antenna_sum,
     mean_snr,
     secrecy_capacity,
 )
-
-
-def _geometry(**over):
-    base = dict(
-        n_bs_antennas=2, n_jammer_antennas=3,
-        r_sr=10.0, r_se=15.0, r_je=5.0, delta=2.7,
-        p_s=2.0, p_j=1.0, noise_var_r=1e-3, noise_var_e=2e-3,
-    )
-    base.update(over)
-    return NetworkGeometry(**base)
 
 
 class TestUnitsAndTypes:
@@ -41,17 +38,6 @@ class TestUnitsAndTypes:
         assert db_to_linear(0.0) == 1.0
         for x in (0.03, 1.0, 17.5, 4e4):
             assert db_to_linear(10.0 * math.log10(x)) == pytest.approx(x, rel=1e-12)
-
-    def test_geometry_validation(self):
-        _geometry(n_jammer_antennas=0)  # jammer absent is representable
-        with pytest.raises(ParameterError):
-            _geometry(n_bs_antennas=0)
-        with pytest.raises(ParameterError):
-            _geometry(n_jammer_antennas=-1)
-        with pytest.raises(ParameterError):
-            _geometry(noise_var_r=0.0)
-        with pytest.raises(ParameterError):
-            _geometry(r_se=-2.0)
 
     def test_eve_link_validation(self):
         with pytest.raises(ParameterError):
@@ -74,17 +60,18 @@ class TestLinkBudget:
         with pytest.raises(ParameterError):
             mean_snr(1.0, 1.0, -0.5, 1.0)
 
-    def test_eve_params_from_geometry(self):
-        g = _geometry()
-        p = eve_link_params_from_geometry(g, m_i=2, m_j=3)
-        assert p.nu_i == 2 * 2
-        assert p.nu_j == 3 * 3
-        snr_i = 2.0 * 15.0 ** -2.7 / 2e-3
-        snr_j = 1.0 * 5.0 ** -2.7 / 2e-3
-        assert p.beta_i == pytest.approx(2.0 / snr_i, rel=1e-12)
-        assert p.beta_j == pytest.approx(3.0 / snr_j, rel=1e-12)
+    def test_gamma_antenna_sum(self):
+        # Nakagami-m per antenna has rate m / (per-antenna mean SNR); the
+        # shapes add across antennas and the rate is kept
+        snr_i = mean_snr(2.0, 15.0, 2.7, 2e-3)
+        snr_j = mean_snr(1.0, 5.0, 2.7, 2e-3)
+        gamma_i = gamma_antenna_sum(GammaSnrParams(nu=2, beta=2.0 / snr_i), 2)
+        gamma_j = gamma_antenna_sum(GammaSnrParams(nu=3, beta=3.0 / snr_j), 3)
+        assert (gamma_i.nu, gamma_j.nu) == (2 * 2, 3 * 3)
+        assert gamma_i.beta == pytest.approx(2.0 / (2.0 * 15.0 ** -2.7 / 2e-3), rel=1e-12)
+        assert gamma_j.beta == pytest.approx(3.0 / (1.0 * 5.0 ** -2.7 / 2e-3), rel=1e-12)
         with pytest.raises(ParameterError):
-            eve_link_params_from_geometry(_geometry(n_jammer_antennas=0), 1, 1)
+            gamma_antenna_sum(GammaSnrParams(nu=1, beta=1.0), 0)
 
 
 class TestEveSinrCdf:
@@ -122,11 +109,13 @@ class TestEveSinrCdf:
             assert eve_sinr_cdf(p, g) == pytest.approx(want, rel=1e-9)
         # the README example: noise_var 1e-7 puts the mean SNRs near 1e8,
         # so the jamming density spans ~1e8 in gamma_J
+        snr_i = mean_snr(db_to_linear(10.0), 15.0, 2.7, 1e-7)
+        gamma_i = gamma_antenna_sum(GammaSnrParams(nu=1, beta=1.0 / snr_i), 1)
         for r_je in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0):
-            g = _geometry(n_bs_antennas=1, n_jammer_antennas=1, r_je=r_je,
-                          p_s=db_to_linear(10.0), p_j=db_to_linear(5.0),
-                          noise_var_r=1e-7, noise_var_e=1e-7)
-            p = eve_link_params_from_geometry(g, m_i=1, m_j=1)
+            snr_j = mean_snr(db_to_linear(5.0), r_je, 2.7, 1e-7)
+            gamma_j = gamma_antenna_sum(GammaSnrParams(nu=1, beta=1.0 / snr_j), 1)
+            p = EveLinkParams(nu_i=gamma_i.nu, beta_i=gamma_i.beta,
+                              nu_j=gamma_j.nu, beta_j=gamma_j.beta)
             for zeta_db in (-8.0, -2.0):
                 th = db_to_linear(zeta_db)
                 assert eve_sinr_cdf_integral(p, th) == pytest.approx(
@@ -311,3 +300,49 @@ class TestSecrecyCapacity:
             secrecy_capacity(math.inf, 1.0)
         with pytest.raises(ParameterError):
             secrecy_capacity(-1.0, 1.0)
+
+
+def _dksm_laws():
+    for c, s, mu, kappa, mean in itertools.product(
+            (0.5, 5.0), (1.01, 1e5), (0.1, 3.0), (0.0, 1.5), (0.1, 1e4)):
+        yield DoubleKappaMuShadowedParams(c=c, s=s, mu=mu, kappa=kappa, mean_snr=mean)
+
+
+def _gamma_laws():
+    for nu, beta in itertools.product((1, 2, 8, 24), (1e-8, 1e-3, 1.0, 1e3, 1e8)):
+        yield GammaSnrParams(nu=nu, beta=beta)
+
+
+def _quadrature_routes():
+    for p in _dksm_laws():
+        yield lambda p=p: capacity_receiver_quadrature(p)
+        for th in (1e-6, 1.0, 1e6):
+            yield lambda p=p, th=th: dksm_cdf(p, th)
+    for p in _gamma_laws():
+        yield lambda p=p: capacity_gamma_quadrature(p)
+    for q in _gamma_laws():
+        for p in _gamma_laws():
+            for th in (1e-3, 10.0):
+                eve = EveLinkParams(nu_i=p.nu, beta_i=p.beta, nu_j=q.nu, beta_j=q.beta)
+                yield lambda eve=eve, th=th: eve_sinr_cdf_integral(eve, th)
+    for m, xi, sigma2 in ((0.739, 8.97e-4, 0.063), (19.4, 1.29, 0.158), (1.2, 50.0, 0.01)):
+        p = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2, mean_snr=1.0)
+        for th in (1e-3, 1.0, 60.0, 1e4):
+            yield lambda p=p, th=th: _rician_outage_quadrature(p, th)
+
+
+def test_integrands_finite_at_their_limits(monkeypatch):
+    # each integrand is a scalar function under math: at every route's
+    # limits it must return a finite value, never raise OverflowError or
+    # ValueError (an infinite limit is probed at the largest double)
+    limits = []
+    monkeypatch.setattr(scipy.integrate, "quad",
+                        lambda f, a, b, **_: limits.append((f, a, b)) or (0.0, 0.0))
+    routes = list(_quadrature_routes())
+    for route in routes:
+        route()
+    assert len(limits) == len(routes)
+    for f, a, b in limits:
+        for x in (a, b):
+            v = f(min(x, sys.float_info.max))
+            assert math.isfinite(v) and v >= 0.0
