@@ -13,11 +13,8 @@ from .fading import (
     dksm_pdf,
     dksm_sample,
     gamma_cdf,
-    gamma_pdf,
     mixture_cdf,
-    nakagami_limit_pdf,
     rician_shadowed_cdf,
-    rician_shadowed_pdf,
 )
 from .montecarlo import (
     Estimate,
@@ -47,8 +44,7 @@ __all__ = [
     "AccuracyError", "ConvergenceError", "ParameterError",
     "DoubleKappaMuShadowedParams", "GammaSnrParams", "RicianShadowedParams",
     "SamplerSeed", "dksm_cdf", "dksm_pdf", "dksm_sample",
-    "gamma_cdf", "gamma_pdf", "mixture_cdf",
-    "nakagami_limit_pdf", "rician_shadowed_cdf", "rician_shadowed_pdf",
+    "gamma_cdf", "mixture_cdf", "rician_shadowed_cdf",
     "Estimate", "LinkSpec",
     "estimate_capacity", "estimate_outage",
     "simulate_eve_sinr", "simulate_receiver_snr",

@@ -4,8 +4,12 @@ The receiver channel follows a kappa-mu envelope whose dominant components
 fluctuate with a Gamma (Nakagami-m power) shadowing layer of shape ``c``
 and whose whole envelope is further shadowed by an inverse-Nakagami layer
 of shape ``s`` ("double shadowed" model).  Special cases used elsewhere:
-LOS-shadowed Rician (mu=1, dominant shadowing only), Gamma/Nakagami-m SNR,
-and the Nakagami envelope limit.
+LOS-shadowed Rician (mu=1, dominant shadowing only) and Gamma/Nakagami-m
+SNR.
+
+The quadrature routes integrate one scalar density per law
+(`_dksm_pdf_scalar`, `_rician_shadowed_pdf_scalar`, `_gamma_pdf_scalar`)
+and accept a result only through `_quad`.
 
 SNR domain throughout; all means are linear (dB handling lives at the
 configuration boundary).
@@ -31,46 +35,57 @@ __all__ = [
     "dksm_cdf",
     "dksm_cdf_at_sorted",
     "dksm_sample",
-    "rician_shadowed_pdf",
     "rician_shadowed_cdf",
+    "rician_shadowed_cdf_integral",
     "rician_shadowed_sample",
-    "gamma_pdf",
     "gamma_cdf",
-    "nakagami_limit_pdf",
     "mixture_cdf",
 ]
 
 _HEAD_SEGMENTS = 96  # dksm_cdf_at_sorted panels below the first grid point
 _SERIES_REL_TOL = 1e-12  # rician_shadowed_cdf stopping rule, relative to the sum
 _SERIES_MAX_TERMS = 500
+_U_MAX = 700.0  # |u| bound of the quadratures in u = ln(gamma): exp(u) stays normal
+
+
+def _quad(pieces, tol, message, **options) -> float:
+    """Sum of ``scipy.integrate.quad(f, a, b, **options)`` over the pieces
+    (f, a, b): the one acceptance rule of the quadrature routes.  The sum
+    is accepted only if it and its summed error estimate are finite and
+    the error is within max(tol[0], tol[1] * |sum|); otherwise
+    AccuracyError carries both."""
+    val = err = 0.0
+    for f, a, b in pieces:
+        v, e = scipy.integrate.quad(f, a, b, **options)
+        val += v
+        err += e
+    if not (math.isfinite(val) and err <= max(tol[0], tol[1] * abs(val))):
+        raise AccuracyError(message, best=val, error_estimate=err)
+    return val
 
 
 @dataclass(frozen=True)
 class SamplerSeed:
-    """Deterministic sampler identity: (seed, stream) fixes the sequence.
+    """Deterministic sampler identity: (seed, lineage) fixes the sequence.
 
     ``lineage`` is internal plumbing for antenna/shard substreams; child
     seeds are guaranteed independent, non-overlapping streams.
     """
 
     seed: int
-    stream: int = 0
     lineage: tuple = ()
 
     def __post_init__(self):
         if not (0 <= int(self.seed) < 2**64):
             raise ParameterError("seed must fit in 64 unsigned bits")
-        if int(self.stream) < 0:
-            raise ParameterError("stream index must be non-negative")
         object.__setattr__(self, "lineage", tuple(int(v) for v in self.lineage))
 
     def child(self, *indices: int) -> "SamplerSeed":
-        return SamplerSeed(self.seed, self.stream, self.lineage + tuple(indices))
+        return SamplerSeed(self.seed, self.lineage + tuple(indices))
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(int(self.stream),) + self.lineage
-        )
+        # the leading 0 was a stream index; keeping it keeps every stream
+        ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(0,) + self.lineage)
         return np.random.default_rng(ss)
 
 
@@ -223,7 +238,7 @@ def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
 
 
 def _dksm_pdf_scalar(p: DoubleKappaMuShadowedParams):
-    """Scalar twin of `dksm_pdf` for quadrature integrands: returns
+    """Scalar form of `dksm_pdf` for quadrature integrands: returns
     f(gamma) for one float gamma >= 0.  The law's constants are computed
     once here, so each call is float arithmetic plus one scalar 2F1."""
     c, s, mu, kappa = p.c, p.s, p.mu, p.kappa
@@ -282,7 +297,11 @@ def _dksm_log_knee(p: DoubleKappaMuShadowedParams) -> float:
 def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
     """CDF by adaptive quadrature of the density (substituted u = ln t,
     which removes the gamma^(mu-1) endpoint behavior).  The integrand
-    evaluates the density as a scalar (`_dksm_pdf_scalar`)."""
+    evaluates the density as a scalar (`_dksm_pdf_scalar`).
+
+    Below u = -_U_MAX, reached at small mu, exp(u) would underflow; the
+    mass there, where the density is A gamma^(mu-1) (1 + O(gamma)), is
+    added in closed form."""
     gamma = float(gamma)
     if gamma < 0:
         raise ParameterError("gamma must be non-negative")
@@ -291,6 +310,10 @@ def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
     u_hi = math.log(gamma)
     knee = _dksm_log_knee(p)
     u_lo = min(u_hi, knee) - 60.0 / p.mu
+    head = 0.0
+    if u_lo < -_U_MAX:
+        u_lo = -_U_MAX
+        head = math.exp(_dksm_ln_amp(p) + p.mu * u_lo) / p.mu
 
     pdf = _dksm_pdf_scalar(p)
 
@@ -299,13 +322,9 @@ def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
         return pdf(t) * t
 
     pts = [knee] if u_lo < knee < u_hi else None
-    val, err = scipy.integrate.quad(
-        integrand, u_lo, u_hi, points=pts, limit=300, epsabs=1e-13, epsrel=1e-11
-    )
-    if err > max(1e-11, 1e-9 * abs(val)):
-        raise AccuracyError(
-            "receiver CDF quadrature did not reach tolerance", best=val, error_estimate=err
-        )
+    val = head + _quad([(integrand, u_lo, u_hi)], (1e-11, 1e-9),
+                       "receiver CDF quadrature did not reach tolerance",
+                       points=pts, limit=300, epsabs=1e-13, epsrel=1e-11)
     return min(max(val, 0.0), 1.0)
 
 
@@ -363,57 +382,26 @@ def dksm_sample(p: DoubleKappaMuShadowedParams, seed: SamplerSeed, n: int) -> np
 # LOS-shadowed Rician
 
 
-def _rician_constants(p: RicianShadowedParams):
-    """(rho, scale, ln_amp): the density is
-    exp(ln_amp - x) 1F1(m; 1; rho x) at x = gamma / scale."""
-    rho = p.los_fraction
-    scale = 2.0 * p.sigma2 * p.mean_snr
-    return rho, scale, p.m * math.log1p(-rho) - math.log(scale)
-
-
-# above this z = rho x the density takes _rician_ln_asymptote
-_RICIAN_Z_ASYMPTOTE = 650.0
-
-
-def _rician_ln_asymptote(m, ln_amp, x, z):
-    """ln density from the exp-dominant asymptote of 1F1(m; 1; z); only
-    reached deep in the upper tail.  Takes floats or arrays."""
-    return (ln_amp - x + z + (m - 1.0) * np.log(z) - sc.gammaln(m)
-            + np.log1p((1.0 - m) * (1.0 - m) / z))
-
-
-def rician_shadowed_pdf(p: RicianShadowedParams, gamma):
-    """Density of the LOS-shadowed Rician SNR (confluent hypergeometric
-    form).  Vectorized over gamma."""
-    g = np.asarray(gamma, dtype=float)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)
-    if np.any(g < 0):
-        raise ParameterError("gamma must be non-negative")
-    rho, scale, ln_amp = _rician_constants(p)
-    x = g / scale
-    z = rho * x
-    big = z > _RICIAN_Z_ASYMPTOTE
-    out = np.empty_like(g)
-    zs = np.where(big, 0.0, z)
-    out[:] = np.exp(ln_amp - x) * sc.hyp1f1(p.m, 1.0, zs)
-    if np.any(big):
-        out[big] = np.exp(_rician_ln_asymptote(p.m, ln_amp, x[big], z[big]))
-    return float(out[0]) if scalar else out
-
-
 def _rician_shadowed_pdf_scalar(p: RicianShadowedParams):
-    """Scalar twin of `rician_shadowed_pdf` for quadrature integrands:
-    returns f(gamma) for one float gamma >= 0."""
-    m = p.m
-    rho, scale, ln_amp = _rician_constants(p)
+    """Density of the LOS-shadowed Rician SNR for quadrature integrands:
+    returns f(gamma) for one float gamma >= 0.
+
+    f = exp(ln_amp - x) 1F1(m; 1; rho x) at x = gamma / scale, taken
+    through Kummer's transformation (DLMF 13.2.39) as
+    exp(ln_amp - (1 - rho) x) 1F1(1 - m; 1; -rho x): the exponential
+    factor never grows, and the 1F1 neither overflows nor needs an
+    asymptote at large rho x."""
+    rho = p.los_fraction
+    # 1 - rho from its own ratio: near rho = 1 the difference would be
+    # mostly rho's rounding error
+    one_minus_rho = 2.0 * p.sigma2 * p.m / (p.xi + 2.0 * p.sigma2 * p.m)
+    scale = 2.0 * p.sigma2 * p.mean_snr
+    ln_amp = p.m * math.log(one_minus_rho) - math.log(scale)
+    decay = one_minus_rho / scale
+    a, z_scale = 1.0 - p.m, -rho / scale
 
     def pdf(g):
-        x = g / scale
-        z = rho * x
-        if z > _RICIAN_Z_ASYMPTOTE:
-            return math.exp(_rician_ln_asymptote(m, ln_amp, x, z))
-        return math.exp(ln_amp - x) * float(sc.hyp1f1(m, 1.0, z))
+        return math.exp(ln_amp - decay * g) * float(sc.hyp1f1(a, 1.0, z_scale * g))
 
     return pdf
 
@@ -461,6 +449,16 @@ def rician_shadowed_cdf(p: RicianShadowedParams, gamma):
     )
 
 
+def rician_shadowed_cdf_integral(p: RicianShadowedParams, gamma: float) -> float:
+    """Defining-integral oracle of `rician_shadowed_cdf`: adaptive
+    quadrature of the density (`_rician_shadowed_pdf_scalar`) over
+    [0, gamma]."""
+    val = _quad([(_rician_shadowed_pdf_scalar(p), 0.0, gamma)], (1e-11, 1e-9),
+                "receiver outage quadrature did not reach tolerance",
+                limit=200, epsabs=1e-12, epsrel=1e-10)
+    return min(max(val, 0.0), 1.0)
+
+
 def rician_shadowed_sample(p: RicianShadowedParams, seed: SamplerSeed,
                            n: int) -> np.ndarray:
     """Draws via Gamma-shadowed LOS power inside a noncentral chi-square."""
@@ -476,29 +474,9 @@ def rician_shadowed_sample(p: RicianShadowedParams, seed: SamplerSeed,
 # Gamma SNR (Nakagami-m links)
 
 
-def gamma_pdf(p: GammaSnrParams, gamma):
-    g = np.asarray(gamma, dtype=float)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)
-    if np.any(g < 0):
-        raise ParameterError("gamma must be non-negative")
-    out = np.zeros_like(g)
-    pos = g > 0
-    gp = g[pos]
-    out[pos] = np.exp(
-        p.nu * math.log(p.beta)
-        + (p.nu - 1.0) * np.log(gp)
-        - p.beta * gp
-        - sc.gammaln(p.nu)
-    )
-    if p.nu == 1:
-        out[~pos] = p.beta
-    return float(out[0]) if scalar else out
-
-
 def _gamma_pdf_scalar(p: GammaSnrParams):
-    """Scalar twin of `gamma_pdf` for quadrature integrands: returns
-    f(gamma) for one float gamma >= 0."""
+    """Gamma SNR density for quadrature integrands: returns f(gamma) for
+    one float gamma >= 0."""
     nu, beta = p.nu, p.beta
     ln_rate = nu * math.log(beta)
     ln_norm = float(sc.gammaln(nu))
@@ -525,37 +503,7 @@ def gamma_cdf(p: GammaSnrParams, gamma):
 
 
 # ---------------------------------------------------------------------------
-# limits and mixtures
-
-
-def nakagami_limit_pdf(m: float, rms: float, x):
-    """Nakagami-m envelope density with RMS level ``rms`` (the limit the
-    double shadowed envelope approaches when both shadowing layers turn
-    off and kappa -> 0 with mu = m)."""
-    if not (m > 0 and rms > 0):
-        raise ParameterError("m and rms must be positive")
-    xx = np.asarray(x, dtype=float)
-    scalar = xx.ndim == 0
-    xx = np.atleast_1d(xx)
-    if np.any(xx < 0):
-        raise ParameterError("x must be non-negative")
-    out = np.zeros_like(xx)
-    pos = xx > 0
-    xp = xx[pos]
-    out[pos] = np.exp(
-        math.log(2.0)
-        - sc.gammaln(m)
-        + m * math.log(m / rms**2)
-        - m * xp**2 / rms**2
-        + (2.0 * m - 1.0) * np.log(xp)
-    )
-    if m == 0.5:
-        out[~pos] = math.exp(
-            math.log(2.0) - sc.gammaln(0.5) + 0.5 * math.log(0.5 / rms**2)
-        )
-    elif m < 0.5:
-        out[~pos] = math.inf
-    return float(out[0]) if scalar else out
+# blockage mixture
 
 
 def mixture_cdf(p_los: float, cdf_los, cdf_nlos):

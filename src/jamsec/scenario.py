@@ -24,20 +24,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-import scipy.integrate
 import yaml
 
 from . import montecarlo, secrecy
-from .errors import AccuracyError, ParameterError
+from .errors import ParameterError
 from .fading import (
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
     RicianShadowedParams,
     SamplerSeed,
-    _rician_shadowed_pdf_scalar,
     dksm_cdf,
     gamma_cdf,
     mixture_cdf,
+    rician_shadowed_cdf_integral,
 )
 
 __all__ = [
@@ -511,21 +510,6 @@ def _resolve_point(sc: Scenario, overrides: dict, axis_value: float) -> _PointSe
     )
 
 
-def _rician_outage_quadrature(p: RicianShadowedParams, th: float) -> float:
-    """Rician receiver outage by adaptive quadrature of the scalar
-    density (`fading._rician_shadowed_pdf_scalar`) over [0, th]."""
-    val, err = scipy.integrate.quad(
-        _rician_shadowed_pdf_scalar(p), 0.0, th, limit=200,
-        epsabs=1e-12, epsrel=1e-10,
-    )
-    if err > max(1e-11, 1e-9 * abs(val)):
-        raise AccuracyError(
-            "receiver outage quadrature did not reach tolerance", best=val,
-            error_estimate=err,
-        )
-    return min(max(val, 0.0), 1.0)
-
-
 def _rician_outage(rx: montecarlo.LinkSpec, th: float, cdf) -> float:
     """Receiver outage of the Rician model, blended with the NLOS branch
     when the link has a blockage mixture."""
@@ -582,7 +566,7 @@ _ROUTES = {
         else _rician_outage(pt.setup.receiver, th, secrecy.rician_shadowed_cdf)),
     ("outage_r", "quadrature"): lambda pt, th: (
         dksm_cdf(pt.dksm, th) if pt.dksm is not None
-        else _rician_outage(pt.setup.receiver, th, _rician_outage_quadrature)),
+        else _rician_outage(pt.setup.receiver, th, rician_shadowed_cdf_integral)),
     ("outage_r", "monte-carlo"): lambda pt, th:
         montecarlo.estimate_outage(pt.receiver_samples, th).value,
     # jammer off: the SINR is the plain Gamma SNR for either analytic route

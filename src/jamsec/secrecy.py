@@ -23,15 +23,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.special as sc
 
-from .errors import AccuracyError, ParameterError
+from .errors import ParameterError
 from .fading import (
+    _U_MAX,
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
     _dksm_pdf_scalar,
     _gamma_pdf_scalar,
+    _quad,
     rician_shadowed_cdf,  # the scenario's closed-form receiver outage
 )
 from .specfun import BivariateFoxHSpec, fox_h_bivariate, meijer_series_fold
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_U_MAX = 700.0  # upper limit of the receiver quadrature in u = ln(gamma)
 
 
 def db_to_linear(x_db: float) -> float:
@@ -167,13 +167,9 @@ def eve_sinr_cdf_integral(p: EveLinkParams, gamma) -> float:
     def integrand(v):
         return float(sc.gammainc(nu_i, beta_i * (gamma * (1.0 + v / beta_j)))) * pdf_v(v)
 
-    val, err = scipy.integrate.quad(
-        integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=400
-    )
-    if err > max(1e-11, 1e-9 * abs(val)):
-        raise AccuracyError(
-            "SINR CDF integral did not reach tolerance", best=val, error_estimate=err
-        )
+    val = _quad([(integrand, 0.0, np.inf)], (1e-11, 1e-9),
+                "SINR CDF integral did not reach tolerance",
+                epsabs=1e-14, epsrel=1e-12, limit=400)
     return min(max(val, 0.0), 1.0)
 
 
@@ -188,11 +184,14 @@ def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams) -> float:
     endpoint at zero and compresses the heavy tail.  Above the knee the
     integrand falls like u e^(-s u), so capping the upper limit at
     _U_MAX loses nothing and keeps exp(u) finite as s -> 1, where the
-    uncapped limit would pass ln(max double) = 709.8.  The integrand
+    uncapped limit would pass ln(max double) = 709.8.  The lower limit
+    is floored at -_U_MAX, where exp(u) still does not underflow (small
+    mu puts knee - 60/mu below it); the integrand is ~ gamma^(1+mu)
+    there, so the mass below is beyond double precision.  The integrand
     evaluates the density as a scalar (`fading._dksm_pdf_scalar`).
     """
     knee = math.log((p.s - 1.0) * p.mean_snr / p.big_t)
-    u_lo = knee - 60.0 / p.mu - 5.0
+    u_lo = max(knee - 60.0 / p.mu - 5.0, -_U_MAX)
     u_hi = min(knee + 85.0 / (p.s - 1.0) + 15.0, _U_MAX)
 
     pdf = _dksm_pdf_scalar(p)
@@ -201,15 +200,9 @@ def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams) -> float:
         t = math.exp(u)
         return math.log1p(t) / _LN2 * pdf(t) * t
 
-    val, err = scipy.integrate.quad(
-        integrand, u_lo, u_hi, points=[knee], limit=400, epsabs=1e-12, epsrel=1e-10
-    )
-    if err > max(1e-8, 1e-6 * abs(val)):
-        raise AccuracyError(
-            "receiver capacity quadrature did not reach tolerance",
-            best=val,
-            error_estimate=err,
-        )
+    val = _quad([(integrand, u_lo, u_hi)], (1e-8, 1e-6),
+                "receiver capacity quadrature did not reach tolerance",
+                points=[knee], limit=400, epsabs=1e-12, epsrel=1e-10)
     return max(val, 0.0)
 
 
@@ -246,8 +239,7 @@ def capacity_eve_quadrature(p: EveLinkParams) -> float:
     """
     base = p.nu_j * math.log(p.beta_j) - sc.gammaln(p.nu_j) - math.log(_LN2)
     points = sorted({math.log(p.beta_j / p.beta_i), 0.0, -math.log(p.beta_i)})
-    total = 0.0
-    total_err = 0.0
+    pieces = []
     for n in range(p.nu_i):
         # below every break the integrand grows like e^{(n+1)u}; above
         # them it falls like v^n e^{-v} in v = beta_I t, and u_hi puts v
@@ -274,18 +266,10 @@ def capacity_eve_quadrature(p: EveLinkParams) -> float:
                     - math.log1p(t)
                 )
 
-            val, err = scipy.integrate.quad(
-                integrand, u_lo, u_hi, points=points, epsabs=1e-13,
-                epsrel=1e-11, limit=400,
-            )
-            total += val
-            total_err += err
-    if total_err > max(1e-9, 1e-6 * abs(total)):
-        raise AccuracyError(
-            "eavesdropper capacity quadrature did not reach tolerance",
-            best=total,
-            error_estimate=total_err,
-        )
+            pieces.append((integrand, u_lo, u_hi))
+    total = _quad(pieces, (1e-9, 1e-6),
+                  "eavesdropper capacity quadrature did not reach tolerance",
+                  points=points, epsabs=1e-13, epsrel=1e-11, limit=400)
     return max(total, 0.0)
 
 
@@ -318,13 +302,9 @@ def capacity_gamma_quadrature(p: GammaSnrParams) -> float:
     def integrand(t):
         return math.log1p(t) / _LN2 * pdf(t)
 
-    val, err = scipy.integrate.quad(
-        integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=400
-    )
-    if err > max(1e-8, 1e-6 * abs(val)):
-        raise AccuracyError(
-            "capacity quadrature did not reach tolerance", best=val, error_estimate=err
-        )
+    val = _quad([(integrand, 0.0, np.inf)], (1e-8, 1e-6),
+                "capacity quadrature did not reach tolerance",
+                epsabs=1e-12, epsrel=1e-10, limit=400)
     return max(val, 0.0)
 
 

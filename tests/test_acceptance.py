@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from jamsec.fading import (
     DoubleKappaMuShadowedParams,
@@ -21,7 +22,6 @@ from jamsec.fading import (
     dksm_pdf,
     dksm_sample,
     gamma_cdf,
-    nakagami_limit_pdf,
 )
 from jamsec.montecarlo import (
     LinkSpec,
@@ -192,7 +192,7 @@ class TestEnvelopeNakagamiLimit:
         # unit-RMS envelope: x = sqrt(gamma), f_X(x) = 2 x f_gamma(x^2)
         x = np.linspace(1e-3, 4.0, 400)
         envelope = 2.0 * x * np.array([dksm_pdf(p, float(v**2)) for v in x])
-        target = nakagami_limit_pdf(float(m), 1.0, x)
+        target = scipy.stats.nakagami.pdf(x, m)
         assert float(np.max(np.abs(envelope - target))) <= 1e-2
 
 

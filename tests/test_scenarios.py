@@ -8,11 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate
 
-from jamsec import scenario, secrecy
-from jamsec.errors import AccuracyError
-from jamsec.fading import GammaSnrParams, RicianShadowedParams, SamplerSeed, gamma_cdf
+from jamsec import secrecy
+from jamsec.fading import GammaSnrParams, SamplerSeed, gamma_cdf
 from jamsec.montecarlo import LinkSpec, estimate_capacity, simulate_eve_sinr
 from jamsec.scenario import (
     ResultTable,
@@ -240,16 +238,6 @@ class TestRunScenario:
         assert [r[0] for r in table.rows] == grid
         col = _col(table, "outage_e@-8dB#closed-form")
         assert all(b <= a + 1e-12 for a, b in zip(col, col[1:]))
-
-
-def test_rician_outage_quadrature_checks_its_error(monkeypatch):
-    p = RicianShadowedParams(m=2.0, xi=1.0, sigma2=0.2, mean_snr=3.0)
-    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (0.5, 1e-10))
-    assert scenario._rician_outage_quadrature(p, 1.0) == 0.5  # within 1e-9 relative
-    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (0.5, 1e-6))
-    with pytest.raises(AccuracyError) as exc:
-        scenario._rician_outage_quadrature(p, 1.0)
-    assert (exc.value.best, exc.value.error_estimate) == (0.5, 1e-6)
 
 
 class TestReceiverMemo:

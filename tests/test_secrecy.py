@@ -14,8 +14,8 @@ from jamsec.fading import (
     GammaSnrParams,
     RicianShadowedParams,
     dksm_cdf,
+    rician_shadowed_cdf_integral,
 )
-from jamsec.scenario import _rician_outage_quadrature
 from jamsec.secrecy import (
     EveLinkParams,
     capacity_eve_foxh,
@@ -169,6 +169,15 @@ class TestReceiverCapacity:
         assert capacity_receiver_quadrature(p) == pytest.approx(
             capacity_receiver_series(p), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("mu", (0.02, 0.05, 0.08))
+    def test_quadrature_small_mu(self, mu):
+        # knee - 60/mu lies below u = -700 here: the lower limit is floored
+        # where exp(u) is still a normal double; at exp(u) = 0 the density
+        # is infinite for mu < 1 and the integrand NaN
+        p = DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=mu, kappa=1.0, mean_snr=5.0)
+        assert capacity_receiver_quadrature(p) == pytest.approx(
+            capacity_receiver_series(p), rel=1e-12, abs=0.0)
+
     def test_exponential_limit(self):
         # shadowing off, kappa -> 0, mu = 1: mean capacity of a Rayleigh
         # channel at unit mean SNR is e * E1(1) / ln 2
@@ -306,6 +315,8 @@ def _dksm_laws():
     for c, s, mu, kappa, mean in itertools.product(
             (0.5, 5.0), (1.01, 1e5), (0.1, 3.0), (0.0, 1.5), (0.1, 1e4)):
         yield DoubleKappaMuShadowedParams(c=c, s=s, mu=mu, kappa=kappa, mean_snr=mean)
+    # the lower limits floor at u = -700
+    yield DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=0.05, kappa=1.0, mean_snr=5.0)
 
 
 def _gamma_laws():
@@ -328,7 +339,7 @@ def _quadrature_routes():
     for m, xi, sigma2 in ((0.739, 8.97e-4, 0.063), (19.4, 1.29, 0.158), (1.2, 50.0, 0.01)):
         p = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2, mean_snr=1.0)
         for th in (1e-3, 1.0, 60.0, 1e4):
-            yield lambda p=p, th=th: _rician_outage_quadrature(p, th)
+            yield lambda p=p, th=th: rician_shadowed_cdf_integral(p, th)
 
 
 def test_integrands_finite_at_their_limits(monkeypatch):
@@ -346,3 +357,36 @@ def test_integrands_finite_at_their_limits(monkeypatch):
         for x in (a, b):
             v = f(min(x, sys.float_info.max))
             assert math.isfinite(v) and v >= 0.0
+
+
+# one call per quadrature route, each small enough to make one quad call
+_DKSM = DoubleKappaMuShadowedParams(c=1.5, s=2.5, mu=2.0, kappa=1.0, mean_snr=1.0)
+_EVE = EveLinkParams(nu_i=1, beta_i=1.0, nu_j=2, beta_j=0.5)
+_ROUTES = {
+    "dksm_cdf": lambda: dksm_cdf(_DKSM, 1.0),
+    "capacity_receiver_quadrature": lambda: capacity_receiver_quadrature(_DKSM),
+    "eve_sinr_cdf_integral": lambda: eve_sinr_cdf_integral(_EVE, 1.0),
+    "capacity_eve_quadrature": lambda: capacity_eve_quadrature(_EVE),
+    "capacity_gamma_quadrature": lambda: capacity_gamma_quadrature(GammaSnrParams(2, 1.0)),
+    "rician_shadowed_cdf_integral": lambda: rician_shadowed_cdf_integral(
+        RicianShadowedParams(m=2.0, xi=1.0, sigma2=0.2, mean_snr=3.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+@pytest.mark.parametrize("result", [
+    (math.nan, 0.0), (0.5, math.nan), (math.inf, math.inf), (0.5, 1e-6)],
+    ids=["nan-value", "nan-error", "inf", "error-too-large"])
+def test_quad_acceptance_rule_rejects(monkeypatch, route, result):
+    # a non-finite value or error estimate never passes, nor does an
+    # error beyond every route's tolerance
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: result)
+    with pytest.raises(AccuracyError) as exc:
+        _ROUTES[route]()
+    np.testing.assert_equal((exc.value.best, exc.value.error_estimate), result)
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_quad_acceptance_rule_accepts(monkeypatch, route):
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (0.5, 1e-10))
+    assert _ROUTES[route]() == 0.5
