@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import AccuracyError, ConvergenceError, ParameterError
+from .errors import AccuracyError, ParameterError
 from .scenario import (
     ScenarioError,
     builtin_scenarios,
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"invalid parameter: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (AccuracyError, ConvergenceError) as exc:
+    except AccuracyError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_ACCURACY
     except OSError as exc:

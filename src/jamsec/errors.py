@@ -6,16 +6,9 @@ class ParameterError(ValueError):
 
 
 class ConvergenceError(ArithmeticError):
-    """A truncated series failed its stopping rule within the term budget.
-
-    Carries the partial sum and the number of terms consumed so callers can
-    inspect how far the evaluation got.
-    """
-
-    def __init__(self, message, partial=None, terms=None):
-        super().__init__(message)
-        self.partial = partial
-        self.terms = terms
+    """A truncated series failed its stopping rule.  Nothing in the package
+    raises it any more (each series stops by a bound on what it leaves
+    out); it stays exported for code that catches it."""
 
 
 class AccuracyError(ArithmeticError):

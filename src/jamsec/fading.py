@@ -24,7 +24,7 @@ import numpy as np
 import scipy.integrate
 import scipy.special as sc
 
-from .errors import AccuracyError, ConvergenceError, ParameterError
+from .errors import AccuracyError, ParameterError
 
 __all__ = [
     "DoubleKappaMuShadowedParams",
@@ -39,12 +39,12 @@ __all__ = [
     "rician_shadowed_cdf_integral",
     "rician_shadowed_sample",
     "gamma_cdf",
+    "gamma_cdf_integral",
     "mixture_cdf",
 ]
 
 _HEAD_SEGMENTS = 96  # dksm_cdf_at_sorted panels below the first grid point
-_SERIES_REL_TOL = 1e-12  # rician_shadowed_cdf stopping rule, relative to the sum
-_SERIES_MAX_TERMS = 500
+_LN_WINDOW_TOL = math.log(1e-17)  # what _ln_window_sum may leave out, relative to the sum
 _U_MAX = 700.0  # |u| bound of the quadratures in u = ln(gamma): exp(u) stays normal
 
 
@@ -62,6 +62,38 @@ def _quad(pieces, tol, message, **options) -> float:
     if not (math.isfinite(val) and err <= max(tol[0], tol[1] * abs(val))):
         raise AccuracyError(message, best=val, error_estimate=err)
     return val
+
+
+def _ln_window_sum(ln_terms, ratio_sup, peak, spread) -> np.ndarray:
+    """ln sum_k t_k of positive series, one per `peak`, summed in log space
+    over a window around the peak (Ding, Appl. Stat. 41, 1992).
+    ln_terms(rows, k) is ln t_k of series `rows` at integers k, one row
+    each; ratio_sup(rows, k) bounds t_{j+1}/t_j for all j >= k.  The terms
+    peak once, maybe after a dip, so over [0, lo] they are largest at 0 or
+    lo unless the window's maximum is at lo.  A window starts 20 spreads
+    wide and doubles until the tail above it, at most t_hi r/(1-r), and
+    the head below, at most lo max(t_0, t_lo), are _LN_WINDOW_TOL below
+    its sum: no term budget.  A row's windows depend on its own inputs."""
+    peak = np.floor(peak)
+    out = np.empty(peak.shape)
+    width = 2.0 ** np.ceil(np.log2(np.maximum(32.0, 20.0 * spread)))  # inf once done
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while (w := width.min(initial=np.inf)) < np.inf:
+            rows = np.nonzero(width == w)[0]
+            lo = np.maximum(peak[rows] - w // 2, 0.0)
+            k = lo[:, None] + np.arange(w)
+            lt = ln_terms(rows, k)
+            top = lt.max(axis=1, keepdims=True)
+            top[~np.isfinite(top)] = 0.0  # every term underflowed: the sum is 0
+            out[rows] = top[:, 0] + np.log(np.exp(lt - top).sum(axis=1))
+            r = ratio_sup(rows, k[:, -1])
+            left_out = np.where(r < 1.0, lt[:, -1] + np.log(r / (1.0 - r)), np.inf)
+            if lo.any():
+                head = np.maximum(lt[:, 0], ln_terms(rows, np.zeros((rows.size, 1)))[:, 0])
+                left_out = np.maximum(left_out, np.log(lo) + head)
+            # a NaN sum ends too
+            width[rows] = np.where(left_out > out[rows] + _LN_WINDOW_TOL, 2.0 * w, np.inf)
+    return out
 
 
 @dataclass(frozen=True)
@@ -228,8 +260,7 @@ def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
             # costs any normal-range product at most 1.1e-12 relative.
             lost = ~(hyp <= _HYP_DIRECT_MAX)
             if np.any(lost):
-                ln_pdf[lost] += [_ln_hyp2f1_series(c, s + mu, mu, x)
-                                 for x in z[lost]]
+                ln_pdf[lost] += _ln_hyp2f1_series(c, s + mu, mu, z[lost])
                 hyp[lost] = 1.0
         out[pos] = np.exp(ln_pdf) * hyp
     if np.any(~pos):
@@ -257,7 +288,7 @@ def _dksm_pdf_scalar(p: DoubleKappaMuShadowedParams):
             z = z_scale * g / (big_t * g + phi)
             hyp = sc.hyp2f1(c, s + mu, mu, z)
             if not hyp <= _HYP_DIRECT_MAX:
-                return math.exp(ln_pdf + _ln_hyp2f1_series(c, s + mu, mu, z))
+                return math.exp(ln_pdf + _ln_hyp2f1_series(c, s + mu, mu, [z])[0])
             return math.exp(ln_pdf) * float(hyp)
         return math.exp(ln_pdf)
 
@@ -268,25 +299,44 @@ def _dksm_pdf_scalar(p: DoubleKappaMuShadowedParams):
 _HYP_DIRECT_MAX = 1e4
 
 
-def _ln_hyp2f1_series(a, b, c, z):
-    """ln 2F1(a, b; c; z) for a, b, c > 0 and 0 < z < 1, where every term
-    of the power series is positive.  The log-terms are cumulative sums of
-    the log term ratios, so neither a term nor the sum overflows; the
-    window doubles until it passes the last ratio >= 1 and its last term
-    lies e^-50 below the largest."""
-    # term ratio (a+k)(b+k)z / ((c+k)(1+k)) is < 1 beyond the largest root
+def _ln_poch(x: float, k):
+    """ln (x)_k = ln Gamma(x+k) - ln Gamma(x); from x = 50 on, Stirling's
+    series (DLMF 5.11.1) differenced in closed form, as two log-gammas of
+    size x ln x would lose 1e-10 of it at x = 1e5."""
+    if x < 50.0:
+        return sc.gammaln(x + k) - sc.gammaln(x)
+
+    def remainder(v):  # of Stirling's series, to 1e-15 from v = 50 on
+        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * v * v)) / (v * v)) / v
+
+    return k * np.log(x + k) + (x - 0.5) * np.log1p(k / x) - k + remainder(x + k) - remainder(x)
+
+
+def _ln_hyp2f1_series(a, b, c, z) -> np.ndarray:
+    """ln 2F1(a, b; c; z), a, b, c > 0, at an array of 0 < z < 1 by one
+    `_ln_window_sum` of the positive power series.  The term ratio
+    (a+k)(b+k)z / ((c+k)(1+k)) exceeds 1 only between the roots of a
+    downward parabola, so the terms may dip, then peak at the larger root;
+    they spread like a negative binomial's, then fall at rate z."""
+    z = np.asarray(z, dtype=float)
     qa, qb, qc = 1.0 - z, c + 1.0 - z * (a + b), c - z * a * b
     disc = qb * qb - 4.0 * qa * qc
-    k_last = (math.sqrt(disc) - qb) / (2.0 * qa) if disc >= 0 else 0.0
-    n = 64
-    while True:
-        k = np.arange(n - 1.0)
-        ln_terms = np.concatenate(
-            ([0.0], np.cumsum(np.log((a + k) * (b + k) / ((c + k) * (1.0 + k)) * z))))
-        top = ln_terms.max()
-        if n > k_last + 1.0 and ln_terms[-1] < top - 50.0:
-            return top + math.log(np.exp(ln_terms - top).sum())
-        n *= 2
+    peak = np.where(disc > 0, np.maximum((np.sqrt(np.abs(disc)) - qb) / (2.0 * qa), 0.0), 0.0)
+    lnz = np.log(z)
+
+    def ln_terms(rows, k):
+        # log-gammas at the window's first k, then the cumulative log term
+        # ratios: all positive, so nothing cancels
+        k0, kk, lz = k[:, :1], k[:, :-1], lnz[rows, None]
+        first = _ln_poch(a, k0) + _ln_poch(b, k0) - _ln_poch(c, k0) - sc.gammaln(k0 + 1.0) + k0 * lz
+        steps = np.log((a + kk) * (b + kk) / ((c + kk) * (1.0 + kk))) + lz
+        return first + np.concatenate((np.zeros_like(k0), np.cumsum(steps, axis=1)), axis=1)
+
+    def ratio_sup(rows, k):  # past k, (a+k)/(c+k) and (b+k)/(1+k) stay on one side of 1
+        return z[rows] * np.maximum((a + k) / (c + k), 1.0) * np.maximum((b + k) / (1.0 + k), 1.0)
+
+    spread = np.sqrt(peak * (1.0 + peak / b)) - 2.0 / lnz
+    return _ln_window_sum(ln_terms, ratio_sup, peak, spread)
 
 
 def _dksm_log_knee(p: DoubleKappaMuShadowedParams) -> float:
@@ -294,28 +344,27 @@ def _dksm_log_knee(p: DoubleKappaMuShadowedParams) -> float:
     return math.log((p.s - 1.0) * p.mean_snr / p.big_t)
 
 
-def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
-    """CDF by adaptive quadrature of the density (substituted u = ln t,
-    which removes the gamma^(mu-1) endpoint behavior).  The integrand
-    evaluates the density as a scalar (`_dksm_pdf_scalar`).
+def _log_floor(u_top: float, knee: float, rate: float, ln_amp: float):
+    """(u_lo, mass below it) for a CDF integral in u = ln(t) up to u_top of
+    a density A t^(rate-1) (1 + O(t)): 60/rate below the knee or u_top,
+    floored at -_U_MAX, where exp(u) would underflow; below the floor the
+    mass is A e^(rate u) / rate."""
+    u_lo = min(u_top, knee) - 60.0 / rate
+    if u_lo >= -_U_MAX:
+        return u_lo, 0.0
+    return -_U_MAX, math.exp(ln_amp + rate * -_U_MAX) / rate
 
-    Below u = -_U_MAX, reached at small mu, exp(u) would underflow; the
-    mass there, where the density is A gamma^(mu-1) (1 + O(gamma)), is
-    added in closed form."""
+
+def _log_cdf(pdf, gamma, knee: float, rate: float, ln_amp: float, what: str) -> float:
+    """CDF at gamma of the scalar density `pdf` by adaptive quadrature in
+    u = ln(t), split at `knee`, from `_log_floor`."""
     gamma = float(gamma)
     if gamma < 0:
         raise ParameterError("gamma must be non-negative")
     if gamma == 0.0:
         return 0.0
-    u_hi = math.log(gamma)
-    knee = _dksm_log_knee(p)
-    u_lo = min(u_hi, knee) - 60.0 / p.mu
-    head = 0.0
-    if u_lo < -_U_MAX:
-        u_lo = -_U_MAX
-        head = math.exp(_dksm_ln_amp(p) + p.mu * u_lo) / p.mu
-
-    pdf = _dksm_pdf_scalar(p)
+    u_hi = min(math.log(gamma), _U_MAX)  # the mass beyond e^700 is beyond double precision
+    u_lo, head = _log_floor(u_hi, knee, rate, ln_amp)
 
     def integrand(u):
         t = math.exp(u)
@@ -323,18 +372,24 @@ def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
 
     pts = [knee] if u_lo < knee < u_hi else None
     val = head + _quad([(integrand, u_lo, u_hi)], (1e-11, 1e-9),
-                       "receiver CDF quadrature did not reach tolerance",
+                       f"{what} CDF quadrature did not reach tolerance",
                        points=pts, limit=300, epsabs=1e-13, epsrel=1e-11)
     return min(max(val, 0.0), 1.0)
+
+
+def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
+    """CDF by `_log_cdf` of `_dksm_pdf_scalar`, split at the knee."""
+    return _log_cdf(_dksm_pdf_scalar(p), gamma, _dksm_log_knee(p), p.mu, _dksm_ln_amp(p),
+                    "receiver")
 
 
 def dksm_cdf_at_sorted(p: DoubleKappaMuShadowedParams, g_sorted: np.ndarray) -> np.ndarray:
     """CDF evaluated at an ascending grid in one cumulative pass.
 
     Composite Gauss-Legendre in u = ln(gamma) between consecutive grid
-    points, with _HEAD_SEGMENTS panels below the first one; used by the
-    KS fidelity checks where per-point adaptive quadrature would be
-    wasteful.
+    points, with _HEAD_SEGMENTS panels below the first one down to
+    `_log_floor`; used by the KS fidelity checks where per-point adaptive
+    quadrature would be wasteful.
     """
     g_sorted = np.asarray(g_sorted, dtype=float)
     if g_sorted.ndim != 1 or len(g_sorted) == 0:
@@ -343,7 +398,7 @@ def dksm_cdf_at_sorted(p: DoubleKappaMuShadowedParams, g_sorted: np.ndarray) -> 
         raise ParameterError("grid must be ascending and positive")
 
     u = np.log(g_sorted)
-    u_lo = min(u[0], _dksm_log_knee(p)) - 60.0 / p.mu
+    u_lo, below = _log_floor(u[0], _dksm_log_knee(p), p.mu, _dksm_ln_amp(p))
     head = np.linspace(u_lo, u[0], _HEAD_SEGMENTS + 1)
     knots = np.concatenate([head, u[1:]])
 
@@ -356,7 +411,7 @@ def dksm_cdf_at_sorted(p: DoubleKappaMuShadowedParams, g_sorted: np.ndarray) -> 
         t = np.exp(uu)
         total += w * dksm_pdf(p, t) * t
     seg = 0.5 * width * total
-    cum = np.cumsum(seg)
+    cum = below + np.cumsum(seg)
     cdf = cum[_HEAD_SEGMENTS - 1 :]
     return np.clip(cdf, 0.0, 1.0)
 
@@ -407,46 +462,38 @@ def _rician_shadowed_pdf_scalar(p: RicianShadowedParams):
 
 
 def rician_shadowed_cdf(p: RicianShadowedParams, gamma):
-    """CDF via the incomplete-gamma series with term-recurrence updates.
-
-    Stops once three terms in a row fall below _SERIES_REL_TOL of the sum
-    and raises ConvergenceError after _SERIES_MAX_TERMS.  Clamped to
-    [0, 1] after convergence.  Vectorized over gamma.
-    """
+    """CDF as the negative-binomial mixture of Gamma CDFs (Abdi et al.,
+    IEEE TWC 2(3), 2003), sum_i NB(m, rho)_i P(i + 1, x) at
+    x = gamma / (2 sigma2 mean_snr), by one `_ln_window_sum`: it holds as
+    rho -> 1, where the NB mass moves out to i ~ m rho / (1 - rho).  The
+    terms are log-concave (m >= 1) or falling (m < 1).  Vectorized over
+    gamma."""
     g = np.asarray(gamma, dtype=float)
     scalar = g.ndim == 0
     g = np.atleast_1d(g)
-    if np.any(g < 0):
+    if not np.all(g >= 0):  # NaN too: it has no window
         raise ParameterError("gamma must be non-negative")
-    rho = p.los_fraction
+    m, rho = p.m, p.los_fraction
+    # ln(1 - rho) and ln(rho) from their own ratios, as in the density
+    ln_rest = math.log(2.0 * p.sigma2 * m / (p.xi + 2.0 * p.sigma2 * m))
+    ln_rho = -math.log1p(2.0 * p.sigma2 * m / p.xi)
+    ln_nb0 = m * ln_rest - sc.gammaln(m)
     x = g / (2.0 * p.sigma2 * p.mean_snr)
-    base = math.exp(p.m * math.log1p(-rho))
+    pos = np.nonzero(x > 0)[0]  # F(0) = 0
+    xp = x[pos]
 
-    coef = 1.0  # (m)_i rho^i / i!
-    with np.errstate(under="ignore"):
-        expx = np.exp(-x)
-    reg = 1.0 - expx          # regularized lower incomplete gamma P(i+1, x)
-    tail = x * expx           # x^(i+1) e^(-x) / (i+1)!
-    total = np.zeros_like(x)
-    streak = 0
-    for i in range(_SERIES_MAX_TERMS):
-        term = coef * reg
-        total += term
-        if np.all(np.abs(term) <= _SERIES_REL_TOL * np.maximum(total, 1e-300)):
-            streak += 1
-            if streak >= 3:
-                out = np.clip(base * total, 0.0, 1.0)
-                return float(out[0]) if scalar else out
-        else:
-            streak = 0
-        coef *= (p.m + i) * rho / (i + 1.0)
-        reg = reg - tail
-        tail = tail * x / (i + 2.0)
-    raise ConvergenceError(
-        f"LOS-shadowed CDF series did not converge in {_SERIES_MAX_TERMS} terms",
-        partial=base * total,
-        terms=_SERIES_MAX_TERMS,
-    )
+    def ln_terms(rows, i):
+        return (ln_nb0 + sc.gammaln(m + i) - sc.gammaln(i + 1.0) + i * ln_rho
+                + np.log(sc.gammainc(i + 1.0, xp[rows, None])))
+
+    def ratio_sup(rows, i):  # P(i+2, x) / P(i+1, x) <= x / (i+2)
+        return rho * np.maximum((m + i) / (i + 1.0), 1.0) * np.minimum(xp[rows] / (i + 2.0), 1.0)
+
+    peak = np.minimum(xp, max(m - 1.0, 0.0) * math.exp(ln_rho - ln_rest))  # the NB mode
+    out = np.zeros_like(x)
+    out[pos] = np.exp(_ln_window_sum(ln_terms, ratio_sup, peak, np.sqrt(peak)))
+    out = np.clip(out, 0.0, 1.0)
+    return float(out[0]) if scalar else out
 
 
 def rician_shadowed_cdf_integral(p: RicianShadowedParams, gamma: float) -> float:
@@ -500,6 +547,13 @@ def gamma_cdf(p: GammaSnrParams, gamma):
         raise ParameterError("gamma must be non-negative")
     out = sc.gammainc(p.nu, p.beta * g)
     return float(out[0]) if scalar else out
+
+
+def gamma_cdf_integral(p: GammaSnrParams, gamma: float) -> float:
+    """Defining-integral oracle of `gamma_cdf`: `_log_cdf` of the density
+    (`_gamma_pdf_scalar`), split at the mode ln(nu/beta)."""
+    return _log_cdf(_gamma_pdf_scalar(p), gamma, math.log(p.nu / p.beta), p.nu,
+                    p.nu * math.log(p.beta) - sc.gammaln(p.nu), "Gamma")
 
 
 # ---------------------------------------------------------------------------

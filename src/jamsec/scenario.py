@@ -35,6 +35,7 @@ from .fading import (
     SamplerSeed,
     dksm_cdf,
     gamma_cdf,
+    gamma_cdf_integral,
     mixture_cdf,
     rician_shadowed_cdf_integral,
 )
@@ -569,12 +570,12 @@ _ROUTES = {
         else _rician_outage(pt.setup.receiver, th, rician_shadowed_cdf_integral)),
     ("outage_r", "monte-carlo"): lambda pt, th:
         montecarlo.estimate_outage(pt.receiver_samples, th).value,
-    # jammer off: the SINR is the plain Gamma SNR for either analytic route
+    # jammer off: the SINR is the plain Gamma SNR, by its own routes
     ("outage_e", "closed-form"): lambda pt, th: (
         gamma_cdf(pt.setup.eve_gamma_i, th) if pt.setup.eve is None
         else secrecy.eve_sinr_cdf(pt.setup.eve, th)),
     ("outage_e", "quadrature"): lambda pt, th: (
-        gamma_cdf(pt.setup.eve_gamma_i, th) if pt.setup.eve is None
+        gamma_cdf_integral(pt.setup.eve_gamma_i, th) if pt.setup.eve is None
         else secrecy.eve_sinr_cdf_integral(pt.setup.eve, th)),
     ("outage_e", "monte-carlo"): lambda pt, th:
         montecarlo.estimate_outage(pt.eve_samples, th).value,

@@ -177,33 +177,31 @@ def eve_sinr_cdf_integral(p: EveLinkParams, gamma) -> float:
 # receiver ergodic capacity
 
 
-def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams) -> float:
-    """E[log2(1 + gamma)] by adaptive quadrature of the receiver density.
-
-    Integrates in u = ln(gamma): the substitution removes the power-law
-    endpoint at zero and compresses the heavy tail.  Above the knee the
-    integrand falls like u e^(-s u), so capping the upper limit at
-    _U_MAX loses nothing and keeps exp(u) finite as s -> 1, where the
-    uncapped limit would pass ln(max double) = 709.8.  The lower limit
-    is floored at -_U_MAX, where exp(u) still does not underflow (small
-    mu puts knee - 60/mu below it); the integrand is ~ gamma^(1+mu)
-    there, so the mass below is beyond double precision.  The integrand
-    evaluates the density as a scalar (`fading._dksm_pdf_scalar`).
-    """
-    knee = math.log((p.s - 1.0) * p.mean_snr / p.big_t)
-    u_lo = max(knee - 60.0 / p.mu - 5.0, -_U_MAX)
-    u_hi = min(knee + 85.0 / (p.s - 1.0) + 15.0, _U_MAX)
-
-    pdf = _dksm_pdf_scalar(p)
+def _log_capacity(pdf, u_lo: float, u_hi: float, points, what: str) -> float:
+    """E[log2(1 + gamma)] of the scalar density `pdf` by adaptive
+    quadrature in u = ln(gamma) over [u_lo, u_hi], split at `points`."""
 
     def integrand(u):
         t = math.exp(u)
         return math.log1p(t) / _LN2 * pdf(t) * t
 
     val = _quad([(integrand, u_lo, u_hi)], (1e-8, 1e-6),
-                "receiver capacity quadrature did not reach tolerance",
-                points=[knee], limit=400, epsabs=1e-12, epsrel=1e-10)
+                f"{what} capacity quadrature did not reach tolerance",
+                points=points, limit=400, epsabs=1e-12, epsrel=1e-10)
     return max(val, 0.0)
+
+
+def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams) -> float:
+    """E[log2(1 + gamma)] by `_log_capacity` of the receiver density
+    (`fading._dksm_pdf_scalar`).  Above the knee the integrand falls like
+    u e^(-s u), so capping the upper limit at _U_MAX loses nothing and
+    keeps exp(u) finite as s -> 1.  Below the lower limit, floored at
+    -_U_MAX, the integrand is ~ gamma^(1+mu): the mass there is beyond
+    double precision."""
+    knee = math.log((p.s - 1.0) * p.mean_snr / p.big_t)
+    u_lo = max(knee - 60.0 / p.mu - 5.0, -_U_MAX)
+    u_hi = min(knee + 85.0 / (p.s - 1.0) + 15.0, _U_MAX)
+    return _log_capacity(_dksm_pdf_scalar(p), u_lo, u_hi, [knee], "receiver")
 
 
 def capacity_receiver_series(p: DoubleKappaMuShadowedParams) -> float:
@@ -295,17 +293,17 @@ def capacity_eve_foxh(p: EveLinkParams) -> float:
 
 
 def capacity_gamma_quadrature(p: GammaSnrParams) -> float:
-    """E[log2(1 + gamma)] for a plain Gamma SNR (jammer-free paths), by
-    adaptive quadrature of the scalar density (`_gamma_pdf_scalar`)."""
-    pdf = _gamma_pdf_scalar(p)
-
-    def integrand(t):
-        return math.log1p(t) / _LN2 * pdf(t)
-
-    val = _quad([(integrand, 0.0, np.inf)], (1e-8, 1e-6),
-                "capacity quadrature did not reach tolerance",
-                epsabs=1e-12, epsrel=1e-10, limit=400)
-    return max(val, 0.0)
+    """E[log2(1 + gamma)] for a plain Gamma SNR (jammer-free paths) by
+    `_log_capacity` of `_gamma_pdf_scalar`, split at u = 0 (log1p) and
+    the mode ln(nu/beta): in gamma itself the density spans nu/beta, 1e6
+    at 60 dB, and quad over [0, inf) misses its mass.  Below both breaks
+    the integrand rises like e^((nu+1) u); above the mode it falls like
+    v^nu e^(-v) in v = beta gamma, and u_hi puts v at 60 + 2 nu."""
+    mode = math.log(p.nu / p.beta)
+    u_lo = max(min(0.0, mode) - 60.0 / p.nu, -_U_MAX)
+    u_hi = min(math.log((60.0 + 2.0 * p.nu) / p.beta), _U_MAX)
+    pts = [v for v in sorted({0.0, mode}) if u_lo < v < u_hi]
+    return _log_capacity(_gamma_pdf_scalar(p), u_lo, u_hi, pts or None, "Gamma")
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,8 @@ class BivariateFoxHSpec:
     def __post_init__(self):
         rows = tuple(tuple(float(v) for v in row) for row in self.log_weights)
         object.__setattr__(self, "log_weights", rows)
-        if not (self.omega > 0):
-            raise ParameterError("omega must be positive")
+        if not (self.omega >= 1):
+            raise ParameterError("omega must be >= 1")
         if not rows or any(len(row) != n + 1 for n, row in enumerate(rows)):
             raise ParameterError(
                 "log_weights must be lower-triangular: row n holds n+1 entries"
@@ -283,11 +283,11 @@ def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float):
     Double midpoint rule over vertical contours Re s = Re t = -1/3, which
     keeps a clearance of 1/3 from every pole family for all n >= 0 and
     omega >= 1 (and from the sliding family 1+n+s+t).  The whole sum is
-    one integrand on one grid: node spacing from the smallest term's pole
-    clearance (one spacing for both axes), tail lengths from the largest
-    (n, q), and one refinement loop on the total.  A pass works on a
-    shared lattice (see ``_foxh_pass``), so its cost and memory grow with
-    the node counts along the axes, not with their product.  Returns
+    one integrand on one grid: node spacing from that clearance (one
+    spacing for both axes), tail lengths from the largest (n, q), and one
+    refinement loop on the total.  A pass works on a shared lattice (see
+    ``_foxh_pass``), so its cost and memory grow with the node counts
+    along the axes, not with their product.  Returns
     (value, error_estimate), the estimate being the change of the total in
     the last refinement.
     """
@@ -297,7 +297,6 @@ def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float):
     lny = math.log(y)
     omega = spec.omega
     terms = spec.terms()
-    n_lo = min(n for n, _ in terms)
     n_hi = max(n for n, _ in terms)
     nq_hi = max(n + q for n, q in terms)
     # weights scaled by their maximum, so the polynomial cannot overflow
@@ -309,20 +308,19 @@ def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float):
     coef = np.exp(log_w - log_scale)
 
     sig = -1.0 / 3.0
-    sig_t = sig if omega >= 0.9 else -0.45 * omega
     decay = 1.5 * math.pi  # three gammas lose exp(-pi/2 |tau|) each, per axis
-    rho_s = n_hi + sig + sig_t + 0.5
-    rho_t = nq_hi + omega + sig + sig_t - 0.5
+    rho_s = n_hi + sig + sig + 0.5
+    rho_t = nq_hi + omega + sig + sig - 0.5
     len_s = _tail_length(rho_s, decay, 10.0)
     len_t = _tail_length(rho_t, decay, 10.0)
     # aliasing error of the midpoint rule ~ exp(-2*pi*clearance/h); the
     # 1-D node baseline is irrelevant here, clearance drives the spacing
-    clear = min(1.0 / 3.0, abs(sig_t), omega + sig_t, 1.0 + n_lo + sig + sig_t)
+    clear = 1.0 / 3.0
     base_h = 2.0 * math.pi * clear / 30.0
     # one spacing for both axes keeps s + t on a single lattice
     h = min(_node_spacing(base_h, clear, lnx), _node_spacing(base_h, clear, lny))
 
     return _refine(
         lambda lengths, h: _foxh_pass(omega, coef, log_scale, lnx, lny, sig,
-                                      sig_t, *lengths, h),
+                                      sig, *lengths, h),
         (len_s, len_t), h, 1.2, 0.55, "fox_h_bivariate")

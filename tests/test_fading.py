@@ -6,7 +6,7 @@ import scipy.integrate
 import scipy.special as sc
 import scipy.stats
 
-from jamsec.errors import ConvergenceError, ParameterError
+from jamsec.errors import ParameterError
 from jamsec.fading import (
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
@@ -15,12 +15,14 @@ from jamsec.fading import (
     _HYP_DIRECT_MAX,
     _dksm_pdf_scalar,
     _gamma_pdf_scalar,
+    _ln_hyp2f1_series,
     _rician_shadowed_pdf_scalar,
     dksm_cdf,
     dksm_cdf_at_sorted,
     dksm_pdf,
     dksm_sample,
     gamma_cdf,
+    gamma_cdf_integral,
     mixture_cdf,
     rician_shadowed_cdf,
     rician_shadowed_cdf_integral,
@@ -58,6 +60,15 @@ LARGE_S_CASES = [
     (10.0, 0.003070615075368319),
     (60.0, 1.3429219705132769e-18),
     (300.0, 2.016497929292706e-96),
+]
+
+
+# rho = 0.9923 and 0.9980, where the NB mass of the Rician CDF sits near
+# i ~ 2500; mpmath at 40 digits
+NEAR_RHO_ONE = [
+    (19.4, 13.0, 1.2250537412005977462e-6),
+    (19.4, 20.0, 0.00035195760727448423139),
+    (5.0, 20.0, 0.053013191084383033862),
 ]
 
 
@@ -162,6 +173,26 @@ class TestDoubleShadowedPdf:
         np.testing.assert_allclose(dksm_pdf(p, g), [dksm_pdf(p, x) for x in g])
 
 
+class TestLogSpace2F1:
+    @pytest.mark.parametrize("a, b, c, z, want", [
+        # mpmath at 40 digits.  The terms dip to k ~ 58 before they peak
+        # at k ~ 316; the head holds 29% of the sum
+        (0.05, 200.0, 193.3, 0.99, 1.548010589793448621927745),
+        # peak near k = 4.9e6, about 20k terms wide
+        (0.5, 100003.0, 3.0, 0.98, 391175.6454986660880069207),
+        # (b)_k at b = 1e5 loses 1e-10 as a difference of log-gammas
+        (2.5, 100001.0, 1.0, 0.0027, 278.4931655498799814893129),
+    ])
+    def test_against_mpmath(self, a, b, c, z, want):
+        assert _ln_hyp2f1_series(a, b, c, [z])[0] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_rows_are_independent(self):
+        z = np.array([0.0027, 0.5, 0.9, 1e-7])
+        np.testing.assert_array_equal(
+            _ln_hyp2f1_series(2.5, 1e5 + 1.0, 1.0, z),
+            [_ln_hyp2f1_series(2.5, 1e5 + 1.0, 1.0, [v])[0] for v in z])
+
+
 class TestDoubleShadowedCdf:
     def test_limits_and_monotone(self):
         p = DoubleKappaMuShadowedParams(c=1.5, s=2.5, mu=2.0, kappa=1.0, mean_snr=1.0)
@@ -189,6 +220,21 @@ class TestDoubleShadowedCdf:
         # the integral starts there and the mass below is A gamma^mu / mu
         p = DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=mu, kappa=1.0, mean_snr=5.0)
         assert dksm_cdf(p, 1.0) == pytest.approx(want, rel=0.0, abs=3e-15)
+
+    def test_infinite_threshold(self):
+        p = DoubleKappaMuShadowedParams(c=5.0, s=2.5, mu=2.0, kappa=1.5, mean_snr=10.0)
+        assert dksm_cdf(p, math.inf) == pytest.approx(1.0, abs=1e-12)
+        assert gamma_cdf_integral(GammaSnrParams(nu=2, beta=1.0), math.inf) == pytest.approx(
+            1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mu", (0.02, 0.05, 0.08))
+    def test_sorted_evaluator_small_mu_head(self, mu):
+        # the KS reference takes dksm_cdf's floor at u = -700 and its
+        # closed-form head, where exp(u) would underflow to a NaN density
+        p = DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=mu, kappa=1.0, mean_snr=5.0)
+        grid = np.array([0.5, 1.0, 2.0])
+        np.testing.assert_allclose(dksm_cdf_at_sorted(p, grid),
+                                   [dksm_cdf(p, g) for g in grid], rtol=1e-11, atol=0.0)
 
     def test_sorted_evaluator_agrees(self):
         p = DoubleKappaMuShadowedParams(c=1.2, s=2.0, mu=1.5, kappa=0.3, mean_snr=1.0)
@@ -250,17 +296,30 @@ class TestRicianShadowed:
             assert rician_shadowed_cdf(p, g) == pytest.approx(
                 rician_shadowed_cdf_integral(p, g), rel=1e-9)
 
-    @pytest.mark.parametrize("m, th, want", [
-        # rho = 0.9923 and 0.9980, where the closed-form series gives up;
-        # mpmath at 40 digits
-        (19.4, 13.0, 1.2250537412005977462e-6),
-        (19.4, 20.0, 0.00035195760727448423139),
-        (5.0, 20.0, 0.053013191084383033862),
-    ])
+    @pytest.mark.parametrize("m, th, want", NEAR_RHO_ONE)
     def test_cdf_integral_near_rho_one(self, m, th, want):
         p = RicianShadowedParams(m=m, xi=50.0, sigma2=0.01, mean_snr=1.0)
         assert rician_shadowed_cdf_integral(p, th) == pytest.approx(
             want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("m, th, want", NEAR_RHO_ONE)
+    def test_cdf_near_rho_one(self, m, th, want):
+        # the NB mass sits near i ~ m rho / (1 - rho) ~ 2500 here
+        p = RicianShadowedParams(m=m, xi=50.0, sigma2=0.01, mean_snr=1.0)
+        assert rician_shadowed_cdf(p, th) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_cdf_small_argument(self):
+        # P(1, x) = 1 - e^-x at x = 7.9e-7, where the subtraction loses
+        # 2e-9; mpmath at 40 digits
+        p = RicianShadowedParams(m=19.4, xi=1.29, sigma2=0.158, mean_snr=1000.0)
+        assert rician_shadowed_cdf(p, 2.5e-4) == pytest.approx(
+            1.946463893938038203e-8, rel=1e-12, abs=0.0)
+
+    def test_cdf_rejects_nan(self):
+        p = RicianShadowedParams(m=2.0, xi=1.0, sigma2=0.25, mean_snr=1.0)
+        with pytest.raises(ParameterError):
+            rician_shadowed_cdf(p, [1.0, math.nan])
+        assert rician_shadowed_cdf(p, [0.0, math.inf]).tolist() == [0.0, 1.0]
 
     def test_cdf_bounds(self):
         p = RicianShadowedParams(m=0.739, xi=8.97e-4, sigma2=0.063, mean_snr=1.0)
@@ -290,13 +349,12 @@ class TestRicianShadowed:
             val = pdf(g)
             assert math.isfinite(val) and val > 0
 
-    def test_series_nonconvergence(self):
-        # rho = 1 - 1e-6: the (m)_i rho^i / i! weights decay too slowly
-        # for the 500-term budget
+    def test_cdf_at_rho_one_minus_1e6(self):
+        # the (m)_i rho^i / i! weights decay over ~1e4 terms here, which
+        # a 500-term budget once cut short
         p = RicianShadowedParams(m=0.5, xi=1000.0, sigma2=0.001, mean_snr=1.0)
-        with pytest.raises(ConvergenceError) as exc:
-            rician_shadowed_cdf(p, 20.0)
-        assert exc.value.terms == 500
+        assert rician_shadowed_cdf(p, 20.0) == pytest.approx(
+            rician_shadowed_cdf_integral(p, 20.0), rel=1e-11, abs=0.0)
 
     def test_sampler(self):
         p = RicianShadowedParams(m=2.0, xi=1.5, sigma2=0.25, mean_snr=2.0)
@@ -338,6 +396,15 @@ class TestGammaSnr:
                 b = gamma_cdf_series(p, g)
                 worst = max(worst, abs(a - b))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("nu", (1, 4, 32))
+    def test_cdf_integral_matches_closed_form(self, nu):
+        # the oracle integrates in ln(gamma), so the mean may sit anywhere
+        for mean in (1e-3, 1.0, 1e9):
+            p = GammaSnrParams(nu=nu, beta=nu / mean)
+            for g in mean * np.array([1e-3, 0.5, 1.0, 3.0]):
+                assert gamma_cdf_integral(p, g) == pytest.approx(
+                    gamma_cdf(p, g), rel=1e-9, abs=1e-14)
 
     def test_vectorized(self):
         p = GammaSnrParams(nu=3, beta=1.2)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jamsec import secrecy
+from jamsec import scenario, secrecy
 from jamsec.fading import GammaSnrParams, SamplerSeed, gamma_cdf
 from jamsec.montecarlo import LinkSpec, estimate_capacity, simulate_eve_sinr
 from jamsec.scenario import (
@@ -27,6 +27,15 @@ from jamsec.scenario import (
 
 def _col(table, name):
     return [r[table.columns.index(name)] for r in table.rows]
+
+
+def _fig5_intercept(cfg, p_s_db):
+    """The eavesdropper's intercept link of fig5 at source power p_s_db."""
+    geo, m_i = cfg["geometry"], cfg["eve"]["m_i"]
+    snr_i = secrecy.mean_snr(secrecy.db_to_linear(p_s_db), geo["r_se_m"],
+                             geo["delta"], geo["noise_var_e"])
+    return LinkSpec(fading=GammaSnrParams(nu=m_i, beta=m_i / snr_i),
+                    antennas=geo["n_bs_antennas"])
 
 
 class TestConfigs:
@@ -282,15 +291,46 @@ class TestCommonRandomNumbers:
     def test_fig5_jammer_off_is_the_intercept_alone(self):
         # K = 0 draws no jamming link: the SINR is the intercept SNR itself
         cfg = load_config("fig5")
-        geo, m_i = cfg["geometry"], cfg["eve"]["m_i"]
         table = run_scenario("fig5", methods=self.MC, trials=5000)
         for p_s_db, got in zip(_col(table, "p_s_db"), _col(table, "k0/c_e#monte-carlo")):
-            snr_i = secrecy.mean_snr(secrecy.db_to_linear(p_s_db), geo["r_se_m"],
-                                     geo["delta"], geo["noise_var_e"])
-            intercept = LinkSpec(fading=GammaSnrParams(nu=m_i, beta=m_i / snr_i),
-                                 antennas=geo["n_bs_antennas"])
-            draws = simulate_eve_sinr(intercept, None, 5000, SamplerSeed(cfg["seed"]))
+            draws = simulate_eve_sinr(_fig5_intercept(cfg, p_s_db), None, 5000,
+                                      SamplerSeed(cfg["seed"]))
             assert got == estimate_capacity(draws).value
+
+    def test_fig5_jammer_off_capacity_quadrature(self):
+        # mean intercept SNRs 2.5e3 to 2.5e8: integrated in linear gamma
+        # the route lost the density's mass (0.0 at 60 dB, where Monte
+        # Carlo reads 19.74)
+        cfg = load_config("fig5")
+        grid = [40.0, 60.0, 90.0]
+        table = run_scenario("fig5", methods=["quadrature", "monte-carlo"], grid=grid)
+        for p_s_db, quad, mc in zip(grid, _col(table, "k0/c_e#quadrature"),
+                                    _col(table, "k0/c_e#monte-carlo")):
+            est = estimate_capacity(simulate_eve_sinr(
+                _fig5_intercept(cfg, p_s_db), None, cfg["trials"], SamplerSeed(cfg["seed"])))
+            assert mc == est.value
+            assert abs(quad - est.value) <= 5.0 * est.std_error
+
+    def test_jammer_off_outage_quadrature_is_its_own_route(self, tmp_path, monkeypatch):
+        # with the jammer off the quadrature outage integrates the Gamma
+        # density; it must not share gamma_cdf with the closed form
+        import yaml
+        cfg = load_config("fig3")
+        cfg["geometry"].update(n_jammer_antennas=0, p_s_db=60.0)
+        cfg["zeta_db"] = [-8.0, 55.0, 70.0]
+        f = tmp_path / "k0.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        closed = run_scenario(str(f), methods=["closed-form"])
+
+        def closed_form_only(*_):
+            raise AssertionError("quadrature route called gamma_cdf")
+
+        monkeypatch.setattr(scenario, "gamma_cdf", closed_form_only)
+        quad = run_scenario(str(f), methods=["quadrature"])
+        for z in ("-8", "55", "70"):
+            np.testing.assert_allclose(_col(quad, f"outage_e@{z}dB#quadrature"),
+                                       _col(closed, f"outage_e@{z}dB#closed-form"),
+                                       rtol=1e-9, atol=0.0)
 
     def test_fig2_outage_non_increasing_in_snr(self):
         table = run_scenario("fig2", methods=self.MC, trials=20_000)
@@ -324,11 +364,27 @@ class TestCli:
             capture_output=True, text=True, timeout=300,
         )
 
-    def test_list_scenarios(self):
-        r = self._run("list-scenarios")
-        assert r.returncode == 0
+    @pytest.fixture(scope="class")
+    def listing(self):
+        # one fresh start-up serves two tests: -X importtime names on
+        # stderr every module it loads
+        return subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "jamsec.cli", "list-scenarios"],
+            capture_output=True, text=True, timeout=300,
+        )
+
+    def test_list_scenarios(self, listing):
+        assert listing.returncode == 0
         for name in ("fig2", "fig3", "fig4", "fig5"):
-            assert name in r.stdout
+            assert name in listing.stdout
+
+    def test_cli_import_loads_no_stats_or_mpmath(self, listing):
+        # import time is most of a short run's start-up; scipy.stats alone
+        # would add ~0.6 s to it
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in listing.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "scipy.special" in loaded
+        assert [m for m in loaded if m.startswith(("scipy.stats", "mpmath"))] == []
 
     def test_validate_ok(self):
         r = self._run("validate", "fig3")

@@ -14,6 +14,7 @@ from jamsec.fading import (
     GammaSnrParams,
     RicianShadowedParams,
     dksm_cdf,
+    gamma_cdf_integral,
     rician_shadowed_cdf_integral,
 )
 from jamsec.secrecy import (
@@ -287,6 +288,20 @@ class TestEveCapacity:
         want = math.e * float(sc.exp1(1.0)) / math.log(2.0)
         assert capacity_gamma_quadrature(p) == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("nu", (1, 4, 16, 32))
+    def test_gamma_quadrature_against_expn(self, nu):
+        # ln2 C = e^beta sum_{k<=nu} E_k(beta) for an integer shape
+        # (Alouini & Goldsmith, IEEE TVT 48(4), 1999); the route once
+        # lost the density's mass from mean 1e4 on, reading 0.0.  Where
+        # e^beta overflows a double the sum is from mpmath at 30 digits
+        beyond = {1600.0: 0.0099472699240182466618, 3200.0: 0.0099487997650191384638}
+        for mean in np.logspace(-2.0, 8.0, 11):
+            beta = nu / mean
+            want = beyond[beta] if beta > 700.0 else (
+                math.exp(beta) * sum(sc.expn(k, beta) for k in range(1, nu + 1)))
+            got = capacity_gamma_quadrature(GammaSnrParams(nu=nu, beta=beta))
+            assert got == pytest.approx(want / math.log(2.0), rel=1e-9, abs=0.0)
+
 
 class TestSecrecyCapacity:
     def test_values(self):
@@ -313,7 +328,7 @@ class TestSecrecyCapacity:
 
 def _dksm_laws():
     for c, s, mu, kappa, mean in itertools.product(
-            (0.5, 5.0), (1.01, 1e5), (0.1, 3.0), (0.0, 1.5), (0.1, 1e4)):
+            (0.5, 5.0), (1.01, 1e5), (0.1, 3.0), (0.0, 1.5, 10.0), (0.1, 1e4)):
         yield DoubleKappaMuShadowedParams(c=c, s=s, mu=mu, kappa=kappa, mean_snr=mean)
     # the lower limits floor at u = -700
     yield DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=0.05, kappa=1.0, mean_snr=5.0)
@@ -331,6 +346,8 @@ def _quadrature_routes():
             yield lambda p=p, th=th: dksm_cdf(p, th)
     for p in _gamma_laws():
         yield lambda p=p: capacity_gamma_quadrature(p)
+        for th in (1e-6, 1.0, 1e6):
+            yield lambda p=p, th=th: gamma_cdf_integral(p, th)
     for q in _gamma_laws():
         for p in _gamma_laws():
             for th in (1e-3, 10.0):
@@ -368,6 +385,7 @@ _ROUTES = {
     "eve_sinr_cdf_integral": lambda: eve_sinr_cdf_integral(_EVE, 1.0),
     "capacity_eve_quadrature": lambda: capacity_eve_quadrature(_EVE),
     "capacity_gamma_quadrature": lambda: capacity_gamma_quadrature(GammaSnrParams(2, 1.0)),
+    "gamma_cdf_integral": lambda: gamma_cdf_integral(GammaSnrParams(2, 1.0), 1.0),
     "rician_shadowed_cdf_integral": lambda: rician_shadowed_cdf_integral(
         RicianShadowedParams(m=2.0, xi=1.0, sigma2=0.2, mean_snr=3.0), 1.0),
 }

@@ -151,6 +151,10 @@ class TestBivariateFoxH:
             BivariateFoxHSpec.term(n=-1, omega=1.0)
         with pytest.raises(ParameterError):
             BivariateFoxHSpec.term(n=0, omega=0.0)
+        # every caller passes omega = nu_J >= 1; the contour's 1/3
+        # clearance from the Gamma(omega+t) poles needs it
+        with pytest.raises(ParameterError):
+            BivariateFoxHSpec.term(n=0, omega=0.5)
 
     def test_table_validation(self):
         with pytest.raises(ParameterError):
