@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.special as sc
 
 from .errors import AccuracyError, ParameterError
@@ -45,6 +44,7 @@ __all__ = [
 
 _HEAD_SEGMENTS = 96  # dksm_cdf_at_sorted panels below the first grid point
 _LN_WINDOW_TOL = math.log(1e-17)  # what _ln_window_sum may leave out, relative to the sum
+_LN_CHUNK = 2.0**16  # widest block of terms _ln_window_sum builds at once
 _U_MAX = 700.0  # |u| bound of the quadratures in u = ln(gamma): exp(u) stays normal
 
 
@@ -53,7 +53,11 @@ def _quad(pieces, tol, message, **options) -> float:
     (f, a, b): the one acceptance rule of the quadrature routes.  The sum
     is accepted only if it and its summed error estimate are finite and
     the error is within max(tol[0], tol[1] * |sum|); otherwise
-    AccuracyError carries both."""
+    AccuracyError carries both.  scipy.integrate is imported here, its one
+    user: it drags in scipy.optimize, .sparse and .linalg, which closed-form
+    and Monte Carlo runs never need."""
+    import scipy.integrate
+
     val = err = 0.0
     for f, a, b in pieces:
         v, e = scipy.integrate.quad(f, a, b, **options)
@@ -73,7 +77,9 @@ def _ln_window_sum(ln_terms, ratio_sup, peak, spread) -> np.ndarray:
     lo unless the window's maximum is at lo.  A window starts 20 spreads
     wide and doubles until the tail above it, at most t_hi r/(1-r), and
     the head below, at most lo max(t_0, t_lo), are _LN_WINDOW_TOL below
-    its sum: no term budget.  A row's windows depend on its own inputs."""
+    its sum: no term budget.  A window wider than _LN_CHUNK is summed
+    _LN_CHUNK columns at a time against a running maximum, so memory stays
+    rows x _LN_CHUNK.  A row's windows depend on its own inputs."""
     peak = np.floor(peak)
     out = np.empty(peak.shape)
     width = 2.0 ** np.ceil(np.log2(np.maximum(32.0, 20.0 * spread)))  # inf once done
@@ -81,15 +87,21 @@ def _ln_window_sum(ln_terms, ratio_sup, peak, spread) -> np.ndarray:
         while (w := width.min(initial=np.inf)) < np.inf:
             rows = np.nonzero(width == w)[0]
             lo = np.maximum(peak[rows] - w // 2, 0.0)
-            k = lo[:, None] + np.arange(w)
-            lt = ln_terms(rows, k)
-            top = lt.max(axis=1, keepdims=True)
-            top[~np.isfinite(top)] = 0.0  # every term underflowed: the sum is 0
-            out[rows] = top[:, 0] + np.log(np.exp(lt - top).sum(axis=1))
-            r = ratio_sup(rows, k[:, -1])
+            top = np.full(rows.size, -np.inf)  # ln of the largest term so far
+            acc = np.zeros(rows.size)  # the sum so far over exp(shift)
+            for j in np.arange(0.0, w, _LN_CHUNK):
+                lt = ln_terms(rows, lo[:, None] + np.arange(j, min(j + _LN_CHUNK, w)))
+                if j == 0.0:
+                    first = lt[:, 0]
+                prev, top = top, np.maximum(top, lt.max(axis=1))
+                # every term underflowed: the sum is 0
+                shift = np.where(np.isfinite(top), top, 0.0)
+                acc = acc * np.exp(prev - shift) + np.exp(lt - shift[:, None]).sum(axis=1)
+            out[rows] = shift + np.log(acc)
+            r = ratio_sup(rows, lo + (w - 1.0))
             left_out = np.where(r < 1.0, lt[:, -1] + np.log(r / (1.0 - r)), np.inf)
             if lo.any():
-                head = np.maximum(lt[:, 0], ln_terms(rows, np.zeros((rows.size, 1)))[:, 0])
+                head = np.maximum(first, ln_terms(rows, np.zeros((rows.size, 1)))[:, 0])
                 left_out = np.maximum(left_out, np.log(lo) + head)
             # a NaN sum ends too
             width[rows] = np.where(left_out > out[rows] + _LN_WINDOW_TOL, 2.0 * w, np.inf)

@@ -71,6 +71,10 @@ _EVE_KEYS = ("m_i", "m_j")
 _SWEEP_KEYS = ("axis", "grid")
 _VARIANT_KEYS = ("name", "geometry", "receiver", "eve")
 
+# libyaml's parser when PyYAML was built with it: both loaders share the
+# Python constructor, so a file parses to the same tree, ~7x faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ScenarioError(Exception):
     """Config rejected; `diagnostics` lists every violated invariant."""
@@ -90,7 +94,7 @@ def builtin_scenarios() -> dict:
     root = importlib.resources.files("jamsec") / "scenarios"
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".yaml"):
-            cfg = yaml.safe_load(entry.read_text())
+            cfg = yaml.load(entry.read_text(), Loader=_YAML_LOADER)
             out[entry.name[:-5]] = str(cfg.get("description", "")).strip()
     return out
 
@@ -109,7 +113,7 @@ def load_config(name_or_path: str) -> dict:
     errors become line-tagged diagnostics."""
     try:
         with open(_resolve_path(name_or_path), "r") as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""

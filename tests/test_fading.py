@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,6 +356,21 @@ class TestRicianShadowed:
         p = RicianShadowedParams(m=0.5, xi=1000.0, sigma2=0.001, mean_snr=1.0)
         assert rician_shadowed_cdf(p, 20.0) == pytest.approx(
             rician_shadowed_cdf_integral(p, 20.0), rel=1e-11, abs=0.0)
+
+    def test_cdf_wide_window_memory(self, monkeypatch):
+        # x = 1e6 against 1/(1 - rho) = 1e6: the window doubles to 2^20
+        # terms, summed in 2^16-term blocks; one 2^20-wide block of
+        # log-terms and its temporaries peaks at ~36 MB
+        p = RicianShadowedParams(m=0.5, xi=1000.0, sigma2=0.001, mean_snr=1.0)
+        tracemalloc.start()
+        try:
+            val = rician_shadowed_cdf(p, 2000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        monkeypatch.setattr("jamsec.fading._LN_CHUNK", 2.0**21)
+        assert val == pytest.approx(rician_shadowed_cdf(p, 2000.0), rel=0.0, abs=1e-12)
 
     def test_sampler(self):
         p = RicianShadowedParams(m=2.0, xi=1.5, sigma2=0.25, mean_snr=2.0)

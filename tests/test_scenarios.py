@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from jamsec import scenario, secrecy
 from jamsec.fading import GammaSnrParams, SamplerSeed, gamma_cdf
 from jamsec.montecarlo import LinkSpec, estimate_capacity, simulate_eve_sinr
 from jamsec.scenario import (
+    _YAML_LOADER,
     ResultTable,
     Scenario,
     ScenarioError,
@@ -27,6 +29,12 @@ from jamsec.scenario import (
 
 def _col(table, name):
     return [r[table.columns.index(name)] for r in table.rows]
+
+
+def _imported(run):
+    """Modules a `python -X importtime` run loaded, from its stderr."""
+    return {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+            if line.startswith("import time:")}
 
 
 def _fig5_intercept(cfg, p_s_db):
@@ -55,12 +63,19 @@ class TestConfigs:
         with pytest.raises(ScenarioError):
             load_config("not-a-builtin")
 
-    def test_bad_yaml_reports_location(self, tmp_path):
+    def test_builtins_parse_alike_under_both_loaders(self, monkeypatch):
+        want = {name: load_config(name) for name in builtin_scenarios()}
+        monkeypatch.setattr(scenario, "_YAML_LOADER", yaml.SafeLoader)
+        assert {name: load_config(name) for name in want} == want
+
+    def test_bad_yaml_reports_location(self, tmp_path, monkeypatch):
         f = tmp_path / "broken.yaml"
         f.write_text("name: x\ngeometry: [unclosed\n")
-        with pytest.raises(ScenarioError) as exc:
-            load_config(str(f))
-        assert "line" in str(exc.value)
+        for loader in (_YAML_LOADER, yaml.SafeLoader):  # libyaml's, then PyYAML's
+            monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
+            with pytest.raises(ScenarioError) as exc:
+                load_config(str(f))
+            assert "line" in str(exc.value), loader
 
     def test_validate_range_diagnostics(self):
         cfg = load_config("fig2")
@@ -314,7 +329,6 @@ class TestCommonRandomNumbers:
     def test_jammer_off_outage_quadrature_is_its_own_route(self, tmp_path, monkeypatch):
         # with the jammer off the quadrature outage integrates the Gamma
         # density; it must not share gamma_cdf with the closed form
-        import yaml
         cfg = load_config("fig3")
         cfg["geometry"].update(n_jammer_antennas=0, p_s_db=60.0)
         cfg["zeta_db"] = [-8.0, 55.0, 70.0]
@@ -381,10 +395,16 @@ class TestCli:
     def test_cli_import_loads_no_stats_or_mpmath(self, listing):
         # import time is most of a short run's start-up; scipy.stats alone
         # would add ~0.6 s to it
-        loaded = {line.rsplit("|", 1)[-1].strip() for line in listing.stderr.splitlines()
-                  if line.startswith("import time:")}
+        loaded = _imported(listing)
         assert "scipy.special" in loaded
         assert [m for m in loaded if m.startswith(("scipy.stats", "mpmath"))] == []
+
+    def test_cli_import_loads_no_integrator(self, listing):
+        # scipy.integrate and what it drags in load on the first quadrature
+        # call only; test_readme_example_validates makes that call
+        loaded = _imported(listing)
+        heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+        assert [m for m in loaded if m.startswith(heavy)] == []
 
     def test_validate_ok(self):
         r = self._run("validate", "fig3")
@@ -402,7 +422,6 @@ class TestCli:
         assert r.returncode == 0, r.stderr
 
     def test_validate_bad_config(self, tmp_path):
-        import yaml
         cfg = load_config("fig3")
         cfg["receiver"]["p_los"] = 1.3
         f = tmp_path / "bad.yaml"
@@ -426,7 +445,6 @@ class TestCli:
         assert r.returncode == 1
 
     def test_quadrature_near_s_one(self, tmp_path):
-        import yaml
         cfg = load_config("fig5")
         cfg["receiver"]["s"] = 1.05
         f = tmp_path / "s105.yaml"
