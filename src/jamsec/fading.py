@@ -21,9 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sc
 
+from ._lazy import lazy_import
 from .errors import AccuracyError, ParameterError
+
+sc = lazy_import("scipy.special")
 
 __all__ = [
     "DoubleKappaMuShadowedParams",
@@ -54,8 +56,10 @@ def _quad(pieces, tol, message, **options) -> float:
     is accepted only if it and its summed error estimate are finite and
     the error is within max(tol[0], tol[1] * |sum|); otherwise
     AccuracyError carries both.  scipy.integrate is imported here, its one
-    user: it drags in scipy.optimize, .sparse and .linalg, which closed-form
-    and Monte Carlo runs never need."""
+    user, so it loads on the first quadrature: it drags in scipy.optimize,
+    .sparse and .linalg, which closed-form and Monte Carlo runs never need.
+    scipy.special, bound as `sc`, loads on the first analytic route of
+    either kind; a Monte Carlo run never executes it."""
     import scipy.integrate
 
     val = err = 0.0

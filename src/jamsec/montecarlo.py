@@ -29,7 +29,8 @@ per-antenna draws, plus one array of blockage uniforms per link role
 with a blockage mixture: 3 for fig2 (one receiver law per variant, LOS
 and NLOS sharing it, and the receiver's coin), 2 for fig3 and fig4
 (intercept, jammer), and 6 for fig5 (receiver, intercept, and the jammer
-at K = 1, 2, 4, 8).
+at K = 1, 2, 4, 8).  A sum for K antennas continues the cached sum for
+the most antennas below K, so fig5's jammer draws 8 arrays, not 15.
 """
 
 from __future__ import annotations
@@ -136,16 +137,20 @@ def _unit_sum(unit: FadingSpec, base: SamplerSeed, role: int, n_antennas: int,
               trials: int, cache: dict) -> np.ndarray:
     """Per-trial sum of the per-antenna draws of a unit-scale law, drawn
     once per (seed, role, law, antenna count, trials) and kept in `cache`.
-    Antenna a of shard k draws from stream (role, a, k) whatever the law."""
+    Antenna a of shard k draws from stream (role, a, k) whatever the law,
+    so a sum continues the cached sum of the most antennas below
+    `n_antennas`, adding the remaining draws in the same order: the bits
+    are those of a sum from zero."""
     key = (role, unit, n_antennas, trials, base)
     total = cache.get(key)
     if total is None:
-        total = np.empty(trials)
+        start = next((n for n in range(n_antennas - 1, 0, -1)
+                      if (role, unit, n, trials, base) in cache), 0)
+        total = (cache[(role, unit, start, trials, base)].copy() if start
+                 else np.zeros(trials))
         for k, lo, hi in _shards(trials):
-            acc = np.zeros(hi - lo)
-            for a in range(n_antennas):
-                acc += _draw(unit, base.child(role, a, k), hi - lo)
-            total[lo:hi] = acc
+            for a in range(start, n_antennas):
+                total[lo:hi] += _draw(unit, base.child(role, a, k), hi - lo)
         cache[key] = total
     return total
 

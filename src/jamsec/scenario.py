@@ -17,6 +17,7 @@ from __future__ import annotations
 import difflib
 import functools
 import hashlib
+import importlib
 import importlib.resources
 import json
 import os
@@ -55,6 +56,12 @@ __all__ = [
 _AXES = ("snr_r_db", "r_je_m", "p_s_db", "p_j_db", "k")
 _METHODS = ("closed-form", "quadrature", "monte-carlo")
 _METRICS = ("outage_r", "outage_e", "c_r", "c_e", "c_s")
+# the libraries each method's routes load on first use
+_METHOD_LIBRARIES = {
+    "closed-form": ("scipy.special",),
+    "quadrature": ("scipy.special", "scipy.integrate"),
+    "monte-carlo": (),
+}
 
 # every key a config may carry, per level; anything else is a diagnostic
 _TOP_KEYS = ("name", "description", "geometry", "receiver", "eve", "sweep",
@@ -672,6 +679,10 @@ def run_scenario(path: str, *, seed=None, trials=None, methods=None,
     tasks = [(sc, sc.variants[vi][1], sc.grid[pi]) for vi, pi in cells]
 
     if workers > 1:
+        # forked workers inherit what is loaded here instead of each
+        # importing it; reading an attribute executes a lazily bound module
+        for name in sorted({n for m in sc.methods for n in _METHOD_LIBRARIES[m]}):
+            getattr(importlib.import_module(name), "__name__")
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker) as pool:
             results = list(pool.map(_eval_task, tasks))

@@ -14,7 +14,9 @@ contour integrals, evaluated as one contour integral through
 :mod:`jamsec.specfun`.
 
 All quantities here are linear; ``db_to_linear`` serves the
-configuration boundary.
+configuration boundary.  ``sc`` is ``scipy.special`` bound lazily
+(``jamsec._lazy``), so the library loads on the first closed-form or
+quadrature route, never on import.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sc
 
+from ._lazy import lazy_import
 from .errors import ParameterError
 from .fading import (
     _U_MAX,
@@ -36,6 +38,8 @@ from .fading import (
     rician_shadowed_cdf,  # the scenario's closed-form receiver outage
 )
 from .specfun import BivariateFoxHSpec, fox_h_bivariate, meijer_series_fold
+
+sc = lazy_import("scipy.special")
 
 __all__ = [
     "EveLinkParams",

@@ -17,6 +17,9 @@ integrand, share one refinement loop:
 ``meijer_series_fold`` accepts a ``log_prefactor`` and ``fox_h_bivariate``
 takes its weights as logs, so that a huge coefficient and a huge integral
 can be combined in log space without overflowing intermediate floats.
+
+``sc`` is ``scipy.special`` bound lazily (``jamsec._lazy``): importing
+this module does not execute it; the first kernel call does.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sc
 
+from ._lazy import lazy_import
 from .errors import AccuracyError, ParameterError
+
+sc = lazy_import("scipy.special")
 
 __all__ = [
     "BivariateFoxHSpec",

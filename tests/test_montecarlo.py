@@ -209,6 +209,23 @@ class TestLinkCache:
         # two seeds
         assert len(cache) == 6
 
+    @pytest.mark.parametrize("order, jammer_draws",
+                             [((1, 2, 4, 8), 8), ((8, 4, 2, 1), 15), ((2, 8, 1, 4), 11)])
+    def test_antenna_sums_continue_smaller_ones(self, order, jammer_draws, monkeypatch):
+        # three shards, so each continued sum spans shard boundaries
+        monkeypatch.setattr(montecarlo, "SHARD_SIZE", 700)
+        links = [replace(self.JAMMER, antennas=k) for k in order]
+        cold = [_eve(self.INTERCEPT, link, 2000) for link in links]
+        draws = []
+        real_draw = montecarlo._draw
+        monkeypatch.setattr(montecarlo, "_draw", lambda *a: draws.append(a) or real_draw(*a))
+        cache = {}
+        for link, want in zip(links, cold):
+            np.testing.assert_array_equal(_eve(self.INTERCEPT, link, 2000, cache=cache), want)
+        # per shard: the intercept's 2 antennas, then each K continued
+        # from the most antennas below it already cached
+        assert len(draws) == 3 * (2 + jammer_draws)
+
 
 class TestEstimators:
     def test_outage_all_above(self):

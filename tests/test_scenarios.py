@@ -254,6 +254,30 @@ class TestRunScenario:
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("method, loaded", [
+        ("quadrature", [True, True]),
+        ("closed-form", [True, False]),
+        ("monte-carlo", [False, False]),
+    ])
+    def test_pool_forks_after_loading_what_the_method_needs(self, method, loaded):
+        # a fresh interpreter, so only this run can have loaded anything;
+        # the recorder notes sys.modules when the pool is built, then
+        # stops the run
+        script = (
+            "import sys\n"
+            "from jamsec import scenario\n"
+            "def recorder(*args, **kwargs):\n"
+            "    print([m in sys.modules for m in ('scipy.special._ufuncs', 'scipy.integrate')])\n"
+            "    raise SystemExit(0)\n"
+            "scenario.ProcessPoolExecutor = recorder\n"
+            f"scenario.run_scenario('fig3', methods=[{method!r}], workers=2)\n"
+            "raise SystemExit('no pool was built')\n"
+        )
+        r = subprocess.run([sys.executable, "-c", script],
+                           capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == str(loaded)
+
     def test_grid_beyond_a_thousand_points(self):
         # cells are keyed by (variant, point), not by an encoded integer
         # that a 1000-point grid would overflow into the next variant
@@ -394,10 +418,35 @@ class TestCli:
 
     def test_cli_import_loads_no_stats_or_mpmath(self, listing):
         # import time is most of a short run's start-up; scipy.stats alone
-        # would add ~0.6 s to it
+        # would add ~0.6 s to it, and scipy.special ~0.3 s, which is bound
+        # at import but executes on the first analytic route
         loaded = _imported(listing)
-        assert "scipy.special" in loaded
+        assert "scipy.special._ufuncs" not in loaded
         assert [m for m in loaded if m.startswith(("scipy.stats", "mpmath"))] == []
+
+    @pytest.mark.parametrize("args", [("validate", "fig3"),
+                                      ("sweep", "fig3", "--methods", "monte-carlo")])
+    def test_no_special_functions_without_an_analytic_route(self, args):
+        r = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "jamsec.cli", *args],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert r.returncode == 0
+        assert "scipy.special._ufuncs" not in _imported(r)
+
+    def test_closed_form_sweep_loads_special_functions(self, tmp_path):
+        out = tmp_path / "fig3.csv"
+        r = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "jamsec.cli", "sweep", "fig3",
+             "--methods", "closed-form", "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert r.returncode == 0
+        assert "scipy.special._ufuncs" in _imported(r)
+        # loading on first use changes no bit of the output
+        buf = io.StringIO()
+        emit(run_scenario("fig3", methods=["closed-form"]), format="csv", destination=buf)
+        assert out.read_text() == buf.getvalue()
 
     def test_cli_import_loads_no_integrator(self, listing):
         # scipy.integrate and what it drags in load on the first quadrature
