@@ -24,7 +24,7 @@ from .montecarlo import (
     simulate_eve_sinr,
     simulate_receiver_snr,
 )
-from .scenario import ResultTable, Scenario, ScenarioError, emit, read_table, run_scenario
+from .scenario import ResultTable, Scenario, ScenarioError, emit, run_scenario
 from .secrecy import (
     EveLinkParams,
     capacity_eve_foxh,
@@ -37,7 +37,7 @@ from .secrecy import (
     mean_snr,
     secrecy_capacity,
 )
-from .specfun import BivariateFoxHSpec, fox_h_bivariate
+from .specfun import fox_h_bivariate
 
 __all__ = [
     "__version__",
@@ -48,12 +48,11 @@ __all__ = [
     "Estimate", "LinkSpec",
     "estimate_capacity", "estimate_outage",
     "simulate_eve_sinr", "simulate_receiver_snr",
-    "ResultTable", "Scenario", "ScenarioError", "emit", "read_table",
-    "run_scenario",
+    "ResultTable", "Scenario", "ScenarioError", "emit", "run_scenario",
     "EveLinkParams",
     "capacity_eve_foxh", "capacity_eve_quadrature",
     "capacity_receiver_quadrature", "capacity_receiver_series",
     "db_to_linear",
     "eve_sinr_cdf", "eve_sinr_cdf_integral", "mean_snr", "secrecy_capacity",
-    "BivariateFoxHSpec", "fox_h_bivariate",
+    "fox_h_bivariate",
 ]

@@ -215,10 +215,6 @@ class GammaSnrParams:
         if not (self.beta > 0):
             raise ParameterError("beta must be positive")
 
-    @property
-    def mean(self) -> float:
-        return self.nu / self.beta
-
 
 # ---------------------------------------------------------------------------
 # double shadowed kappa-mu

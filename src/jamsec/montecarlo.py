@@ -36,7 +36,7 @@ the most antennas below K, so fig5's jammer draws 8 arrays, not 15.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -101,14 +101,12 @@ class Estimate:
     value: float
     std_error: float
     trials: int
-    half_width: float = field(init=False)
 
     def __post_init__(self):
         if self.std_error < 0:
             raise ParameterError("std_error must be non-negative")
         if self.trials < 1:
             raise ParameterError("trials must be positive")
-        object.__setattr__(self, "half_width", 1.96 * self.std_error)
 
 
 def _shards(trials: int):

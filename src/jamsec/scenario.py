@@ -20,10 +20,10 @@ import hashlib
 import importlib
 import importlib.resources
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import yaml
 
@@ -50,7 +50,6 @@ __all__ = [
     "validate_config",
     "run_scenario",
     "emit",
-    "read_table",
 ]
 
 _AXES = ("snr_r_db", "r_je_m", "p_s_db", "p_j_db", "k")
@@ -130,14 +129,32 @@ def load_config(name_or_path: str) -> dict:
     return cfg
 
 
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _one_line(text: str) -> bool:
+    return "".join(text.splitlines()) == text
+
+
 def _num(d, key, diags, prefix, lo=None, hi=None, lo_strict=None, required=True):
     if key not in d:
         if required:
             diags.append(f"{prefix}{key}: required field is missing")
         return None
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         diags.append(f"{prefix}{key}: must be a number (got {v!r})")
+        return None
+    if not _finite(v):
+        diags.append(f"{prefix}{key}: must be finite (got {v})")
         return None
     if lo_strict is not None and not (v > lo_strict):
         diags.append(f"{prefix}{key}: must be > {lo_strict} (got {v})")
@@ -162,7 +179,7 @@ def _check_keys(d, allowed, diags, prefix, what="unknown key"):
         diags.append(f"{prefix}{key}: {what} ({hint})")
 
 
-def _check_geometry(g, diags, p="geometry."):
+def _check_geometry(g, diags, p="geometry.", k_sweep_jams=False):
     if not isinstance(g, dict):
         diags.append(f"{p[:-1]}: must be a mapping")
         return
@@ -179,8 +196,10 @@ def _check_geometry(g, diags, p="geometry."):
     _num(g, "p_j_db", diags, p, required=False)
     _num(g, "noise_var_r", diags, p, lo_strict=0.0)
     _num(g, "noise_var_e", diags, p, lo_strict=0.0)
-    if g.get("n_jammer_antennas", 0) and "p_j_db" not in g:
-        diags.append(f"{p}p_j_db: required when n_jammer_antennas >= 1")
+    n_jam = g.get("n_jammer_antennas", 0)
+    if "p_j_db" not in g and (n_jam or k_sweep_jams):
+        why = "n_jammer_antennas >= 1" if n_jam else "the k sweep reaches K >= 1"
+        diags.append(f"{p}p_j_db: required when {why}")
 
 
 def _check_receiver(r, diags, p="receiver."):
@@ -227,10 +246,6 @@ def _check_eve(e, diags, p="eve."):
             diags.append(f"{p}{key}: must be an integer >= 1 (got {v!r})")
 
 
-_SECTION_CHECKS = (("geometry", _check_geometry), ("receiver", _check_receiver),
-                   ("eve", _check_eve))
-
-
 def _variant_section(base, over):
     """The mapping a variant's section override resolves to."""
     base = base if isinstance(base, dict) else {}
@@ -238,7 +253,7 @@ def _variant_section(base, over):
     # model's keys, so they are not checked against the new model
     if over.get("fading", base.get("fading")) != base.get("fading"):
         return over
-    return _merge(base, over)
+    return {**base, **over}
 
 
 def validate_config(cfg: dict) -> list:
@@ -247,15 +262,25 @@ def validate_config(cfg: dict) -> list:
     _check_keys(cfg, _TOP_KEYS, diags, "")
     if not isinstance(cfg.get("name"), str) or not cfg.get("name"):
         diags.append("name: required non-empty string")
+    elif not _one_line(cfg["name"]):
+        diags.append(f"name: must be a single line (got {cfg['name']!r})")
 
+    sweep = cfg.get("sweep")
+    grid = sweep.get("grid") if isinstance(sweep, dict) else None
+    # a k sweep sets the jammer size itself: any K >= 1 needs a jammer power
+    k_sweep_jams = (isinstance(sweep, dict) and sweep.get("axis") == "k"
+                    and isinstance(grid, list)
+                    and any(_is_number(v) and v >= 1 for v in grid))
+    check_geometry = functools.partial(_check_geometry, k_sweep_jams=k_sweep_jams)
+    section_checks = (("geometry", check_geometry), ("receiver", _check_receiver),
+                      ("eve", _check_eve))
     base_problems = {}
-    for section, check in _SECTION_CHECKS:
+    for section, check in section_checks:
         found = []
         check(cfg.get(section, {}), found)
         diags += found
         base_problems[section] = {d[len(section):] for d in found}
 
-    sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         diags.append("sweep: required mapping with 'axis' and 'grid'")
     else:
@@ -263,11 +288,12 @@ def validate_config(cfg: dict) -> list:
         axis = sweep.get("axis")
         if axis not in _AXES:
             diags.append(f"sweep.axis: must be one of {_AXES} (got {axis!r})")
-        grid = sweep.get("grid")
         if not isinstance(grid, list) or not grid:
             diags.append("sweep.grid: must be a non-empty list")
-        elif not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid):
+        elif not all(_is_number(v) for v in grid):
             diags.append("sweep.grid: entries must be numbers")
+        elif not all(_finite(v) for v in grid):
+            diags.append(f"sweep.grid: entries must be finite (got {grid!r})")
         elif any(b <= a for a, b in zip(grid, grid[1:])):
             diags.append("sweep.grid: must be strictly increasing")
         elif axis == "k" and not all(isinstance(v, int) and v >= 0 for v in grid):
@@ -278,18 +304,26 @@ def validate_config(cfg: dict) -> list:
         diags.append("methods: must be a non-empty list")
     elif not all(m in _METHODS for m in methods):
         diags.append(f"methods: entries must be among {_METHODS} (got {methods!r})")
+    elif len(set(methods)) != len(methods):
+        diags.append(f"methods: entries must be unique (got {methods!r})")
 
     metrics = cfg.get("metrics")
     if not isinstance(metrics, list) or not metrics:
         diags.append("metrics: must be a non-empty list")
     elif not all(m in _METRICS for m in metrics):
         diags.append(f"metrics: entries must be among {_METRICS} (got {metrics!r})")
+    elif len(set(metrics)) != len(metrics):
+        diags.append(f"metrics: entries must be unique (got {metrics!r})")
 
     zetas = cfg.get("zeta_db", [])
-    if not isinstance(zetas, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in zetas
-    ):
+    if not isinstance(zetas, list) or not all(_is_number(v) for v in zetas):
         diags.append("zeta_db: must be a list of numbers (dB)")
+    elif not all(_finite(v) for v in zetas):
+        diags.append(f"zeta_db: entries must be finite (got {zetas!r})")
+    elif len({_fmt_zeta(z) for z in zetas}) != len(zetas):
+        # the column labels, not the values, must differ
+        diags.append("zeta_db: thresholds must differ in their column labels"
+                     f" {[_fmt_zeta(z) for z in zetas]}")
     elif isinstance(metrics, list) and not zetas and (
         "outage_r" in metrics or "outage_e" in metrics
     ):
@@ -313,8 +347,11 @@ def validate_config(cfg: dict) -> list:
                 continue
             names.append(var["name"])
             p = f"variants[{i}]."
+            if any(c in var["name"] for c in ',"') or not _one_line(var["name"]):
+                diags.append(f"{p}name: must be CSV-safe: no comma, double quote"
+                             f" or line break (got {var['name']!r})")
             _check_keys(var, _VARIANT_KEYS, diags, p, "unknown override section")
-            for section, check in _SECTION_CHECKS:
+            for section, check in section_checks:
                 over = var.get(section)
                 if over is None:
                     continue
@@ -339,7 +376,6 @@ def validate_config(cfg: dict) -> list:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    description: str
     geometry: dict
     receiver: dict
     eve: dict
@@ -375,7 +411,6 @@ class Scenario:
         )
         return cls(
             name=cfg["name"],
-            description=str(cfg.get("description", "")).strip(),
             geometry=dict(cfg["geometry"]),
             receiver=dict(cfg["receiver"]),
             eve=dict(cfg.get("eve") or {}),
@@ -433,95 +468,6 @@ class ResultTable:
 # per-point evaluation
 
 
-@dataclass(frozen=True)
-class _PointSetup:
-    """Fully resolved inputs for one (variant, axis value) evaluation."""
-
-    receiver: montecarlo.LinkSpec  # one antenna, as in the analytic receiver model
-    intercept: montecarlo.LinkSpec  # per-antenna Gamma law over N antennas
-    jammer: Optional[montecarlo.LinkSpec]  # over K antennas; None when off
-    eve: Optional[secrecy.EveLinkParams]   # None when the jammer is off
-    eve_gamma_i: GammaSnrParams
-    zetas: tuple
-    trials: int
-
-
-def _merge(base: dict, override: dict) -> dict:
-    return {**base, **override}
-
-
-def _resolve_point(sc: Scenario, overrides: dict, axis_value: float) -> _PointSetup:
-    geo = _merge(sc.geometry, overrides.get("geometry", {}))
-    rec = _merge(sc.receiver, overrides.get("receiver", {}))
-    eve = _merge(sc.eve, overrides.get("eve", {}))
-
-    if sc.axis == "r_je_m":
-        geo["r_je_m"] = axis_value
-    elif sc.axis == "p_s_db":
-        geo["p_s_db"] = axis_value
-    elif sc.axis == "p_j_db":
-        geo["p_j_db"] = axis_value
-    elif sc.axis == "k":
-        geo["n_jammer_antennas"] = int(axis_value)
-
-    delta = float(geo["delta"])
-    p_s = secrecy.db_to_linear(geo["p_s_db"])
-    p_j = secrecy.db_to_linear(geo["p_j_db"]) if "p_j_db" in geo else 0.0
-    noise_var_e = float(geo["noise_var_e"])
-    snr_r = (
-        secrecy.db_to_linear(axis_value) if sc.axis == "snr_r_db"
-        else secrecy.mean_snr(p_s, float(geo["r_sr_m"]), delta,
-                              float(geo["noise_var_r"]))
-    )
-
-    if rec["fading"] == "double_kappa_mu_shadowed":
-        receiver = montecarlo.LinkSpec(fading=DoubleKappaMuShadowedParams(
-            c=float(rec["c"]), s=float(rec["s"]), mu=float(rec["mu"]),
-            kappa=float(rec["kappa"]), mean_snr=snr_r,
-        ))
-    else:
-        m, xi, sigma2 = float(rec["m"]), float(rec["xi"]), float(rec["sigma2"])
-        # scale so the stated mean SNR is the distribution mean
-        norm = (xi + 2.0 * sigma2) if rec.get("normalize_mean", True) else 1.0
-        p_los = nlos = None
-        if "p_los" in rec:
-            p_los = float(rec["p_los"])
-            loss = secrecy.db_to_linear(-float(rec["nlos_extra_loss_db"]))
-            nlos = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2,
-                                        mean_snr=snr_r * loss / norm)
-        receiver = montecarlo.LinkSpec(
-            fading=RicianShadowedParams(m=m, xi=xi, sigma2=sigma2,
-                                        mean_snr=snr_r / norm),
-            p_los=p_los, fading_nlos=nlos,
-        )
-
-    m_i = int(eve.get("m_i", 1))
-    m_j = int(eve.get("m_j", 1))
-    snr_i = secrecy.mean_snr(p_s, float(geo["r_se_m"]), delta, noise_var_e)
-    intercept = montecarlo.LinkSpec(fading=GammaSnrParams(nu=m_i, beta=m_i / snr_i),
-                                    antennas=int(geo["n_bs_antennas"]))
-    eve_gamma_i = secrecy.gamma_antenna_sum(intercept.fading, intercept.antennas)
-    jammer = eve_params = None
-    k = int(geo["n_jammer_antennas"])
-    if k >= 1 and p_j > 0:  # a k-axis sweep can reach K >= 1 with no p_j_db
-        snr_j = secrecy.mean_snr(p_j, float(geo["r_je_m"]), delta, noise_var_e)
-        jammer = montecarlo.LinkSpec(fading=GammaSnrParams(nu=m_j, beta=m_j / snr_j),
-                                     antennas=k)
-        gamma_j = secrecy.gamma_antenna_sum(jammer.fading, k)
-        eve_params = secrecy.EveLinkParams(nu_i=eve_gamma_i.nu, beta_i=eve_gamma_i.beta,
-                                           nu_j=gamma_j.nu, beta_j=gamma_j.beta)
-
-    return _PointSetup(
-        receiver=receiver,
-        intercept=intercept,
-        jammer=jammer,
-        eve=eve_params,
-        eve_gamma_i=eve_gamma_i,
-        zetas=tuple(secrecy.db_to_linear(z) for z in sc.zeta_db),
-        trials=sc.trials,
-    )
-
-
 def _rician_outage(rx: montecarlo.LinkSpec, th: float, cdf) -> float:
     """Receiver outage of the Rician model, blended with the NLOS branch
     when the link has a blockage mixture."""
@@ -532,30 +478,90 @@ def _rician_outage(rx: montecarlo.LinkSpec, th: float, cdf) -> float:
 
 
 class _Point:
-    """One resolved grid point.  Monte Carlo samples are drawn on first
-    use, so at most once per point, from the run-level link streams of
-    `seed`; `memo` holds what this run already computed: receiver
-    capacities and the Monte Carlo unit-law link sums, which every cell
-    scales to its own means."""
+    """The fully resolved inputs of one (variant, axis value) evaluation.
+    Monte Carlo samples are drawn on first use, so at most once per point,
+    from the run-level link streams of the scenario's seed; `memo` holds
+    what this run already computed: receiver capacities and the Monte
+    Carlo unit-law link sums, which every cell scales to its own means."""
 
-    def __init__(self, setup: _PointSetup, seed: SamplerSeed, memo: dict):
-        self.setup = setup
-        self.seed = seed
+    def __init__(self, sc: Scenario, overrides: dict, axis_value: float,
+                 memo: dict):
+        geo = {**sc.geometry, **overrides.get("geometry", {})}
+        rec = {**sc.receiver, **overrides.get("receiver", {})}
+        eve = {**sc.eve, **overrides.get("eve", {})}
+        if sc.axis == "k":
+            geo["n_jammer_antennas"] = int(axis_value)
+        elif sc.axis != "snr_r_db":
+            geo[sc.axis] = axis_value
+
+        delta = float(geo["delta"])
+        p_s = secrecy.db_to_linear(geo["p_s_db"])
+        noise_var_e = float(geo["noise_var_e"])
+        snr_r = (
+            secrecy.db_to_linear(axis_value) if sc.axis == "snr_r_db"
+            else secrecy.mean_snr(p_s, float(geo["r_sr_m"]), delta,
+                                  float(geo["noise_var_r"]))
+        )
+
+        # the receiver has one antenna, as in the analytic receiver model;
+        # `dksm` is its double-model law, None for the Rician model
+        self.dksm = None
+        if rec["fading"] == "double_kappa_mu_shadowed":
+            self.dksm = DoubleKappaMuShadowedParams(
+                c=float(rec["c"]), s=float(rec["s"]), mu=float(rec["mu"]),
+                kappa=float(rec["kappa"]), mean_snr=snr_r)
+            self.receiver = montecarlo.LinkSpec(fading=self.dksm)
+        else:
+            m, xi, sigma2 = float(rec["m"]), float(rec["xi"]), float(rec["sigma2"])
+            # scale so the stated mean SNR is the distribution mean
+            norm = (xi + 2.0 * sigma2) if rec.get("normalize_mean", True) else 1.0
+            p_los = nlos = None
+            if "p_los" in rec:
+                p_los = float(rec["p_los"])
+                loss = secrecy.db_to_linear(-float(rec["nlos_extra_loss_db"]))
+                nlos = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2,
+                                            mean_snr=snr_r * loss / norm)
+            self.receiver = montecarlo.LinkSpec(
+                fading=RicianShadowedParams(m=m, xi=xi, sigma2=sigma2,
+                                            mean_snr=snr_r / norm),
+                p_los=p_los, fading_nlos=nlos,
+            )
+
+        # per-antenna Gamma laws: the intercept over N antennas, the jammer
+        # over K; with the jammer off (K = 0) `jammer` and `eve` are None
+        m_i = int(eve.get("m_i", 1))
+        m_j = int(eve.get("m_j", 1))
+        snr_i = secrecy.mean_snr(p_s, float(geo["r_se_m"]), delta, noise_var_e)
+        self.intercept = montecarlo.LinkSpec(
+            fading=GammaSnrParams(nu=m_i, beta=m_i / snr_i),
+            antennas=int(geo["n_bs_antennas"]))
+        self.eve_gamma_i = secrecy.gamma_antenna_sum(self.intercept.fading,
+                                                     self.intercept.antennas)
+        self.jammer = self.eve = None
+        k = int(geo["n_jammer_antennas"])
+        if k >= 1:
+            snr_j = secrecy.mean_snr(secrecy.db_to_linear(geo["p_j_db"]),
+                                     float(geo["r_je_m"]), delta, noise_var_e)
+            self.jammer = montecarlo.LinkSpec(
+                fading=GammaSnrParams(nu=m_j, beta=m_j / snr_j), antennas=k)
+            gamma_j = secrecy.gamma_antenna_sum(self.jammer.fading, k)
+            self.eve = secrecy.EveLinkParams(
+                nu_i=self.eve_gamma_i.nu, beta_i=self.eve_gamma_i.beta,
+                nu_j=gamma_j.nu, beta_j=gamma_j.beta)
+
+        self.trials = sc.trials
+        self.seed = SamplerSeed(sc.seed)
         self.memo = memo
-        rx = setup.receiver.fading
-        # the receiver's double-model law; None for the Rician model
-        self.dksm = rx if isinstance(rx, DoubleKappaMuShadowedParams) else None
 
     @functools.cached_property
     def receiver_samples(self):
         return montecarlo.simulate_receiver_snr(
-            self.setup.receiver, self.setup.trials, self.seed, self.memo)
+            self.receiver, self.trials, self.seed, self.memo)
 
     @functools.cached_property
     def eve_samples(self):
         return montecarlo.simulate_eve_sinr(
-            self.setup.intercept, self.setup.jammer, self.setup.trials,
-            self.seed, self.memo)
+            self.intercept, self.jammer, self.trials, self.seed, self.memo)
 
     def receiver_capacity(self, route: str):
         """secrecy.<route> of the double-model receiver, once per distinct
@@ -575,19 +581,19 @@ class _Point:
 _ROUTES = {
     ("outage_r", "closed-form"): lambda pt, th: (
         None if pt.dksm is not None  # no closed-form CDF
-        else _rician_outage(pt.setup.receiver, th, secrecy.rician_shadowed_cdf)),
+        else _rician_outage(pt.receiver, th, secrecy.rician_shadowed_cdf)),
     ("outage_r", "quadrature"): lambda pt, th: (
         dksm_cdf(pt.dksm, th) if pt.dksm is not None
-        else _rician_outage(pt.setup.receiver, th, rician_shadowed_cdf_integral)),
+        else _rician_outage(pt.receiver, th, rician_shadowed_cdf_integral)),
     ("outage_r", "monte-carlo"): lambda pt, th:
         montecarlo.estimate_outage(pt.receiver_samples, th).value,
     # jammer off: the SINR is the plain Gamma SNR, by its own routes
     ("outage_e", "closed-form"): lambda pt, th: (
-        gamma_cdf(pt.setup.eve_gamma_i, th) if pt.setup.eve is None
-        else secrecy.eve_sinr_cdf(pt.setup.eve, th)),
+        gamma_cdf(pt.eve_gamma_i, th) if pt.eve is None
+        else secrecy.eve_sinr_cdf(pt.eve, th)),
     ("outage_e", "quadrature"): lambda pt, th: (
-        gamma_cdf_integral(pt.setup.eve_gamma_i, th) if pt.setup.eve is None
-        else secrecy.eve_sinr_cdf_integral(pt.setup.eve, th)),
+        gamma_cdf_integral(pt.eve_gamma_i, th) if pt.eve is None
+        else secrecy.eve_sinr_cdf_integral(pt.eve, th)),
     ("outage_e", "monte-carlo"): lambda pt, th:
         montecarlo.estimate_outage(pt.eve_samples, th).value,
     ("c_r", "closed-form"): lambda pt, _:
@@ -597,11 +603,11 @@ _ROUTES = {
     ("c_r", "monte-carlo"): lambda pt, _:
         montecarlo.estimate_capacity(pt.receiver_samples).value,
     ("c_e", "closed-form"): lambda pt, _: (
-        None if pt.setup.eve is None  # contour form needs a jamming shape >= 1
-        else secrecy.capacity_eve_foxh(pt.setup.eve)),
+        None if pt.eve is None  # contour form needs a jamming shape >= 1
+        else secrecy.capacity_eve_foxh(pt.eve)),
     ("c_e", "quadrature"): lambda pt, _: (
-        secrecy.capacity_gamma_quadrature(pt.setup.eve_gamma_i) if pt.setup.eve is None
-        else secrecy.capacity_eve_quadrature(pt.setup.eve)),
+        secrecy.capacity_gamma_quadrature(pt.eve_gamma_i) if pt.eve is None
+        else secrecy.capacity_eve_quadrature(pt.eve)),
     ("c_e", "monte-carlo"): lambda pt, _:
         montecarlo.estimate_capacity(pt.eve_samples).value,
 }
@@ -611,14 +617,14 @@ def _eval_point(sc: Scenario, overrides: dict, axis_value: float,
                 memo: dict) -> dict:
     """All requested metric values at one grid point.  Keys are
     (metric, zeta-or-None, method)."""
-    pt = _Point(_resolve_point(sc, overrides, axis_value),
-                SamplerSeed(sc.seed), memo)
+    pt = _Point(sc, overrides, axis_value, memo)
     out = {}
     for method in sc.methods:
         for metric in sc.metrics:
             if metric in ("outage_r", "outage_e"):
-                for z_db, z in zip(sc.zeta_db, pt.setup.zetas):
-                    out[(metric, z_db, method)] = _ROUTES[(metric, method)](pt, z)
+                for z_db in sc.zeta_db:
+                    out[(metric, z_db, method)] = _ROUTES[(metric, method)](
+                        pt, secrecy.db_to_linear(z_db))
             elif metric != "c_s":
                 out[(metric, None, method)] = _ROUTES[(metric, method)](pt, None)
         if "c_s" in sc.metrics:
@@ -761,39 +767,3 @@ def emit(table: ResultTable, format: str = "csv", destination="-") -> None:
         return
     with open(destination, "w", newline="") as fh:
         fh.write(payload)
-
-
-def read_table(source) -> ResultTable:
-    """Parse a table emitted by `emit` (CSV or JSON, auto-detected)."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r") as fh:
-            text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
-        rows = tuple(
-            tuple(None if c is None else float(c) for c in r) for r in doc["rows"]
-        )
-        return ResultTable(
-            columns=tuple(doc["columns"]), rows=rows, metadata=dict(doc["metadata"])
-        )
-    metadata = {}
-    header = None
-    rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            metadata[key.strip()] = value.strip()
-        elif header is None:
-            header = line.split(",")
-        else:
-            rows.append(
-                tuple(None if c == "NA" else float(c) for c in line.split(","))
-            )
-    if header is None:
-        raise ParameterError("no header row found")
-    return ResultTable(columns=tuple(header), rows=tuple(rows), metadata=metadata)

@@ -37,7 +37,7 @@ from .fading import (
     _quad,
     rician_shadowed_cdf,  # the scenario's closed-form receiver outage
 )
-from .specfun import BivariateFoxHSpec, fox_h_bivariate, meijer_series_fold
+from .specfun import fox_h_bivariate, meijer_series_fold
 
 sc = lazy_import("scipy.special")
 
@@ -284,15 +284,13 @@ def capacity_eve_foxh(p: EveLinkParams) -> float:
     grid with one refinement loop.
     """
     base = -math.log(_LN2) - sc.gammaln(p.nu_j) - math.log(p.beta_i)
-    log_weights = [
-        [
-            base + _ln_binom(n, q) - sc.gammaln(n + 1) - q * math.log(p.beta_j)
-            for q in range(n + 1)
-        ]
-        for n in range(p.nu_i)
-    ]
-    spec = BivariateFoxHSpec(omega=float(p.nu_j), log_weights=log_weights)
-    total, _ = fox_h_bivariate(spec, 1.0 / p.beta_i, 1.0 / p.beta_j)
+    log_weights = np.full((p.nu_i, p.nu_i), -math.inf)
+    for n in range(p.nu_i):
+        for q in range(n + 1):
+            log_weights[n, q] = (base + _ln_binom(n, q) - sc.gammaln(n + 1)
+                                 - q * math.log(p.beta_j))
+    total, _ = fox_h_bivariate(float(p.nu_j), log_weights, 1.0 / p.beta_i,
+                               1.0 / p.beta_j)
     return max(total, 0.0)
 
 

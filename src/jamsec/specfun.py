@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .errors import AccuracyError, ParameterError
 sc = lazy_import("scipy.special")
 
 __all__ = [
-    "BivariateFoxHSpec",
     "fox_h_bivariate",
     "hyp2f1_complex",
     "meijer_series_fold",
@@ -53,56 +51,6 @@ _NODES = 1200
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-9
 _MAX_REFINEMENTS = 3
-
-
-@dataclass(frozen=True)
-class BivariateFoxHSpec:
-    """A weighted double sum of the one bivariate Fox-H instance the
-    eavesdropper capacity needs.
-
-    Term (n, q) is H^{1,0;1,1;1,1}_{0,1;1,1;1,1}(x, y) with parameter
-    groups ((-n; 1, 1)), ((0,1)/(0,1)), ((1-omega-q,1)/(0,1)), i.e. the
-    double Mellin-Barnes kernel
-
-        Gamma(1+n+s+t) Gamma(-s) Gamma(1+s) Gamma(-t) Gamma(omega+q+t)
-
-    integrated in x^s y^t over vertical contours.  ``log_weights`` is a
-    lower-triangular table: row n holds ln c_{n,q} for q = 0..n, and -inf
-    marks an absent term.  The spec stands for sum_{n,q} c_{n,q} H_{n,q};
-    a single term is the one-hot table built by :meth:`term`.  Arbitrary
-    bivariate Fox-H evaluation is deliberately out of scope.
-    """
-
-    omega: float
-    log_weights: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in row) for row in self.log_weights)
-        object.__setattr__(self, "log_weights", rows)
-        if not (self.omega >= 1):
-            raise ParameterError("omega must be >= 1")
-        if not rows or any(len(row) != n + 1 for n, row in enumerate(rows)):
-            raise ParameterError(
-                "log_weights must be lower-triangular: row n holds n+1 entries"
-            )
-        if any(math.isnan(v) or v == math.inf for row in rows for v in row):
-            raise ParameterError("log weights must be finite or -inf")
-        if not self.terms():
-            raise ParameterError("at least one weight must be nonzero")
-
-    @classmethod
-    def term(cls, n: int, omega: float) -> "BivariateFoxHSpec":
-        """The single term H_{n,0} with unit weight."""
-        if not (isinstance(n, (int, np.integer)) and n >= 0):
-            raise ParameterError("n must be a non-negative integer")
-        rows = [[-math.inf] * (k + 1) for k in range(n + 1)]
-        rows[n][0] = 0.0
-        return cls(omega=omega, log_weights=rows)
-
-    def terms(self) -> list:
-        """The (n, q) index pairs that carry a nonzero weight."""
-        return [(n, q) for n, row in enumerate(self.log_weights)
-                for q, v in enumerate(row) if v > -math.inf]
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +230,13 @@ def _foxh_pass(omega, coef, log_scale, lnx, lny, sig_s, sig_t, len_s, len_t,
     return scale * 2.0 * total * h * h / (4.0 * math.pi**2)
 
 
-def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float):
-    """Evaluate the weighted sum sum_{n,q} c_{n,q} H_{n,q}(x, y).
+def fox_h_bivariate(omega: float, log_weights, x: float, y: float):
+    """Evaluate sum_{n,q} c_{n,q} H_{n,q}(x, y) for the one bivariate Fox-H
+    instance the eavesdropper capacity needs: H_{n,q} integrates the kernel
+    Gamma(1+n+s+t) Gamma(-s) Gamma(1+s) Gamma(-t) Gamma(omega+q+t) in
+    x^s y^t.  ``log_weights`` is a square 2-D array whose row n holds
+    ln c_{n,q} for q = 0..n; -inf marks an absent term, and entries above
+    the diagonal are not read.
 
     Double midpoint rule over vertical contours Re s = Re t = -1/3, which
     keeps a clearance of 1/3 from every pole family for all n >= 0 and
@@ -298,17 +251,23 @@ def fox_h_bivariate(spec: BivariateFoxHSpec, x: float, y: float):
     """
     if not (x > 0 and y > 0):
         raise ParameterError("fox_h_bivariate requires x, y > 0")
+    if not (omega >= 1):
+        raise ParameterError("omega must be >= 1")
+    log_w = np.asarray(log_weights, dtype=float)
+    if log_w.ndim != 2 or log_w.shape[0] != log_w.shape[1]:
+        raise ParameterError("log_weights must be a square 2-D array")
+    log_w = np.where(np.tri(len(log_w), dtype=bool), log_w, -math.inf)
+    if np.any(np.isnan(log_w) | (log_w == math.inf)):
+        raise ParameterError("log weights must be finite or -inf")
+    n_idx, q_idx = np.nonzero(log_w > -math.inf)
+    if not n_idx.size:
+        raise ParameterError("at least one weight must be nonzero")
     lnx = math.log(x)
     lny = math.log(y)
-    omega = spec.omega
-    terms = spec.terms()
-    n_hi = max(n for n, _ in terms)
-    nq_hi = max(n + q for n, q in terms)
+    n_hi = int(n_idx.max())
+    nq_hi = int((n_idx + q_idx).max())
     # weights scaled by their maximum, so the polynomial cannot overflow
-    n_rows = n_hi + 1
-    log_w = np.full((n_rows, n_rows), -math.inf)
-    for n, row in enumerate(spec.log_weights[:n_rows]):
-        log_w[n, : n + 1] = row
+    log_w = log_w[: n_hi + 1, : n_hi + 1]
     log_scale = float(np.max(log_w))
     coef = np.exp(log_w - log_scale)
 

@@ -397,7 +397,6 @@ class TestGammaSnr:
         assert pdf(0.0) == pytest.approx(0.5)
         assert pdf(2.0) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
         assert gamma_cdf(p, 2.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
-        assert p.mean == pytest.approx(2.0)
 
     def test_cdf_equals_finite_series(self):
         # the two closed forms must agree essentially to machine precision

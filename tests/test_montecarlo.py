@@ -16,7 +16,6 @@ from jamsec.fading import (
     dksm_cdf_at_sorted,
 )
 from jamsec.montecarlo import (
-    Estimate,
     LinkSpec,
     estimate_capacity,
     estimate_outage,
@@ -72,10 +71,6 @@ class TestConfigTypes:
             simulate_receiver_snr(link, 10, 42)
         with pytest.raises(ParameterError):
             _eve(LinkSpec(fading=GammaSnrParams(nu=1, beta=1.0)), None, 0)
-
-    def test_estimate_half_width(self):
-        e = Estimate(value=0.5, std_error=0.01, trials=100)
-        assert e.half_width == pytest.approx(1.96 * 0.01)
 
 
 class TestReceiverSim:

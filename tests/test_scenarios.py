@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -21,7 +22,6 @@ from jamsec.scenario import (
     builtin_scenarios,
     emit,
     load_config,
-    read_table,
     run_scenario,
     validate_config,
 )
@@ -137,6 +137,73 @@ class TestConfigs:
                    for d in diags)
         assert len(diags) == 3
 
+    def test_k_sweep_needs_jammer_power(self):
+        # a k sweep sets K itself: without p_j_db its K >= 1 points used to
+        # run with the jammer off, giving the K = 0 values
+        cfg = load_config("fig3")
+        cfg["sweep"] = {"axis": "k", "grid": [0, 1, 2]}
+        cfg["geometry"]["n_jammer_antennas"] = 0
+        del cfg["geometry"]["p_j_db"]
+        want = ["geometry.p_j_db: required when the k sweep reaches K >= 1"]
+        assert validate_config(cfg) == want
+        # each variant's merged geometry too; the base's problem is not repeated
+        cfg["variants"] = [{"name": "on", "geometry": {"p_j_db": 5.0}},
+                           {"name": "off", "geometry": {"r_je_m": 2.0}}]
+        assert validate_config(cfg) == want
+        assert validate_config({**cfg, "sweep": {"axis": "k", "grid": [0]}}) == []
+
+    def test_k_sweep_runs_the_jammer(self, tmp_path):
+        cfg = load_config("fig3")
+        cfg["sweep"] = {"axis": "k", "grid": [0, 1, 2]}
+        cfg["geometry"]["n_jammer_antennas"] = 0
+        f = tmp_path / "k.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        table = run_scenario(str(f), methods=["closed-form"])
+        assert len({r[1:] for r in table.rows}) == 3
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("geometry", "p_s_db", math.nan),
+        ("geometry", "delta", math.nan),
+        ("geometry", "r_sr_m", math.inf),
+        ("receiver", "kappa", -math.inf),
+        # an int no float can hold
+        pytest.param("receiver", "mu", 10**400, id="receiver-mu-huge-int"),
+    ])
+    def test_non_finite_numbers_rejected(self, section, key, value):
+        cfg = load_config("fig3")
+        cfg[section][key] = value
+        assert validate_config(cfg) == [f"{section}.{key}: must be finite (got {value})"]
+
+    def test_non_finite_grid_and_thresholds_rejected(self):
+        cfg = load_config("fig3")
+        cfg["sweep"]["grid"] = [0.5, math.nan, 2.0]
+        cfg["zeta_db"] = [-8.0, math.nan]
+        diags = validate_config(cfg)
+        assert [d.split(":")[0] for d in diags] == ["sweep.grid", "zeta_db"], diags
+        assert all("must be finite" in d for d in diags)
+
+    @pytest.mark.parametrize("key, value", [
+        ("metrics", ["outage_e", "outage_e"]),
+        ("methods", ["closed-form", "quadrature", "closed-form"]),
+        # distinct values, one column label: both read outage_e@-8dB
+        ("zeta_db", [-8, -8.0000001]),
+        # a line break in the name writes a bare line above the header
+        ("name", "fig3\nagain"),
+    ])
+    def test_columns_unique_and_csv_safe(self, key, value):
+        cfg = load_config("fig3")
+        cfg[key] = value
+        diags = validate_config(cfg)
+        assert len(diags) == 1 and diags[0].startswith(f"{key}:"), diags
+
+    @pytest.mark.parametrize("name", ["a,b", 'say "a"', "a\nb"])
+    def test_variant_names_csv_safe(self, name):
+        # a comma would give the CSV header one more field than each row
+        cfg = load_config("fig2")
+        cfg["variants"][0]["name"] = name
+        diags = validate_config(cfg)
+        assert len(diags) == 1 and diags[0].startswith("variants[0].name:"), diags
+
     def test_digest_stability_and_sensitivity(self):
         cfg = load_config("fig3")
         a = Scenario.from_config(cfg).digest()
@@ -163,19 +230,28 @@ class TestResultTable:
         with pytest.raises(Exception):
             ResultTable(columns=("x", "y"), rows=((2.0, 1.0), (1.0, 1.0)))
 
-    def test_round_trip_csv_and_json(self):
+    def test_emitted_csv_and_json(self):
         table = ResultTable(
             columns=("x", "a#closed-form", "b#monte-carlo"),
             rows=((1.0, 0.25, None), (2.5, 0.125, 3.75)),
-            metadata={"scenario": "t", "seed": "3"},
+            metadata={"seed": "3", "scenario": "t"},
         )
-        for fmt in ("csv", "json"):
-            buf = io.StringIO()
-            emit(table, format=fmt, destination=buf)
-            back = read_table(io.StringIO(buf.getvalue()))
-            assert back.columns == table.columns
-            assert back.rows == table.rows
-            assert back.metadata["scenario"] == "t"
+        buf = io.StringIO()
+        emit(table, format="csv", destination=buf)
+        assert buf.getvalue() == (
+            "# scenario: t\n"
+            "# seed: 3\n"
+            "x,a#closed-form,b#monte-carlo\n"
+            "1.0,0.25,NA\n"
+            "2.5,0.125,3.75\n"
+        )
+        buf = io.StringIO()
+        emit(table, format="json", destination=buf)
+        assert json.loads(buf.getvalue()) == {
+            "metadata": {"scenario": "t", "seed": "3"},
+            "columns": ["x", "a#closed-form", "b#monte-carlo"],
+            "rows": [[1.0, 0.25, None], [2.5, 0.125, 3.75]],
+        }
 
     def test_emission_is_byte_stable(self):
         table = ResultTable(columns=("x", "v#quadrature"),
@@ -485,6 +561,17 @@ class TestCli:
         assert r.returncode == 1
         assert "variants[0].receiver.m" in r.stderr
 
+    def test_validate_non_finite_power(self, tmp_path):
+        cfg = load_config("fig3")
+        cfg["geometry"]["p_s_db"] = math.nan
+        f = tmp_path / "nan.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        assert "p_s_db: .nan" in f.read_text()
+        for args in (("validate", str(f)), ("eval", str(f), "--at", "1")):
+            r = self._run(*args)
+            assert r.returncode == 1
+            assert r.stderr == "geometry.p_s_db: must be finite (got nan)\n"
+
     def test_missing_scenario_file_io_error(self):
         r = self._run("sweep", "/no/such/file.yaml")
         assert r.returncode == 3
@@ -514,9 +601,11 @@ class TestCli:
         r = self._run("sweep", "fig3", "--trials", "2000",
                       "--methods", "closed-form", "--out", str(out))
         assert r.returncode == 0
-        table = read_table(str(out))
-        assert table.metadata["scenario"] == "fig3"
-        assert len(table.rows) == len(table.rows)
+        lines = out.read_text().splitlines()
+        assert "# scenario: fig3" in lines
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        assert lines[header].split(",")[0] == "r_je_m"
+        assert len(lines) - header - 1 == len(load_config("fig3")["sweep"]["grid"])
         r2 = self._run("sweep", "fig3", "--trials", "2000",
                        "--methods", "closed-form", "--out", str(out) + ".b")
         assert (tmp_path / "r.csv").read_bytes() == (

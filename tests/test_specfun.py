@@ -7,7 +7,6 @@ import scipy.special as sc
 
 from jamsec.errors import ParameterError
 from jamsec.specfun import (
-    BivariateFoxHSpec,
     _foxh_pass,
     fox_h_bivariate,
     hyp2f1_complex,
@@ -16,6 +15,13 @@ from jamsec.specfun import (
 
 
 ETA_IDENTITY_Z = (0.1, 0.5, 1.0, 2.0, 10.0)
+
+
+def _one_hot(n, q=0, log_weight=0.0):
+    """Fox-H log weights of the single term (n, q)."""
+    table = np.full((n + 1, n + 1), -math.inf)
+    table[n, q] = log_weight
+    return table
 
 
 class TestMeijerG:
@@ -146,41 +152,27 @@ class TestHyp2F1Complex:
 
 
 class TestBivariateFoxH:
-    def test_spec_validation(self):
-        with pytest.raises(ParameterError):
-            BivariateFoxHSpec.term(n=-1, omega=1.0)
-        with pytest.raises(ParameterError):
-            BivariateFoxHSpec.term(n=0, omega=0.0)
-        # every caller passes omega = nu_J >= 1; the contour's 1/3
-        # clearance from the Gamma(omega+t) poles needs it
-        with pytest.raises(ParameterError):
-            BivariateFoxHSpec.term(n=0, omega=0.5)
-
     def test_table_validation(self):
-        with pytest.raises(ParameterError):
-            BivariateFoxHSpec(omega=1.0, log_weights=((0.0,), (0.0,)))
-        with pytest.raises(ParameterError):
-            BivariateFoxHSpec(omega=1.0, log_weights=((-math.inf,),))
-        with pytest.raises(ParameterError):
-            BivariateFoxHSpec(omega=1.0, log_weights=((math.nan,),))
+        for table in ([[-math.inf]], [[math.nan]], [[math.inf]],  # no weight, NaN, +inf
+                      [0.0], [[0.0, -math.inf]]):  # not a square 2-D array
+            with pytest.raises(ParameterError):
+                fox_h_bivariate(1.0, np.array(table), 1.0, 1.0)
 
     def test_weighted_sum_matches_its_terms(self):
         # the fold equals the weighted sum of its one-hot terms, including
         # q > 0 entries (the (omega+t)_q Horner path)
-        table = ((0.3,), (-1.0, 0.7), (-math.inf, 0.2, -2.5))
-        folded, _ = fox_h_bivariate(
-            BivariateFoxHSpec(omega=2.0, log_weights=table), 0.8, 1.6)
+        table = np.array([[0.3, -math.inf, -math.inf],
+                          [-1.0, 0.7, -math.inf],
+                          [-math.inf, 0.2, -2.5]])
+        folded, _ = fox_h_bivariate(2.0, table, 0.8, 1.6)
         parts = 0.0
-        for n, row in enumerate(table):
-            for q, lw in enumerate(row):
-                if lw == -math.inf:
-                    continue
-                one_hot = [[-math.inf] * (k + 1) for k in range(n + 1)]
-                one_hot[n][q] = lw
-                val, _ = fox_h_bivariate(
-                    BivariateFoxHSpec(omega=2.0, log_weights=one_hot), 0.8, 1.6)
-                parts += val
+        for n, q in zip(*np.nonzero(table > -math.inf)):
+            val, _ = fox_h_bivariate(2.0, _one_hot(n, q, table[n, q]), 0.8, 1.6)
+            parts += val
         assert folded == pytest.approx(parts, rel=1e-9)
+        # entries above the diagonal are not read
+        table[0, 2] = 5.0
+        assert fox_h_bivariate(2.0, table, 0.8, 1.6)[0] == folded
 
     @pytest.mark.parametrize("nu_i", (1, 4))
     @pytest.mark.parametrize("omega", (1.0, 8.0))
@@ -217,19 +209,22 @@ class TestBivariateFoxH:
     def test_single_term_against_closed_form(self):
         # n=0, omega=1, x=y=1 collapses to an exponential-integral identity:
         # H(1,1) = e*(1/e - E1(1)) = 1 - e*E1(1)
-        spec = BivariateFoxHSpec.term(n=0, omega=1.0)
-        val, err = fox_h_bivariate(spec, 1.0, 1.0)
+        val, err = fox_h_bivariate(1.0, _one_hot(0), 1.0, 1.0)
         want = math.e * (math.exp(-1.0) - float(sc.exp1(1.0)))
         assert val == pytest.approx(want, rel=1e-10)
         assert err < 1e-9
 
     def test_deterministic(self):
-        spec = BivariateFoxHSpec.term(n=2, omega=3.0)
-        assert fox_h_bivariate(spec, 0.5, 2.0) == fox_h_bivariate(spec, 0.5, 2.0)
+        table = _one_hot(2)
+        assert fox_h_bivariate(3.0, table, 0.5, 2.0) == fox_h_bivariate(3.0, table, 0.5, 2.0)
 
     def test_domain(self):
-        spec = BivariateFoxHSpec.term(n=0, omega=1.0)
         with pytest.raises(ParameterError):
-            fox_h_bivariate(spec, 0.0, 1.0)
+            fox_h_bivariate(1.0, _one_hot(0), 0.0, 1.0)
         with pytest.raises(ParameterError):
-            fox_h_bivariate(spec, 1.0, -2.0)
+            fox_h_bivariate(1.0, _one_hot(0), 1.0, -2.0)
+        # every caller passes omega = nu_J >= 1; the contour's 1/3
+        # clearance from the Gamma(omega+t) poles needs it
+        for omega in (0.0, 0.5, math.nan):
+            with pytest.raises(ParameterError):
+                fox_h_bivariate(omega, _one_hot(0), 1.0, 1.0)
