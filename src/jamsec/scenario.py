@@ -3,8 +3,8 @@
 A scenario is a single YAML tree: geometry, per-link fading, one sweep
 axis with a grid, optional variants (parameter overlays producing extra
 column groups), requested metrics and methods.  Keys that carry units
-say so in their names (r_je_m, p_s_db); dB is converted to linear
-exactly once, on load.
+say so in their names (r_je_m, p_s_db); dB values stay as written and
+convert to linear per grid point and per outage threshold.
 
 Output is a ResultTable: one row per grid point, one column per
 variant x metric x method, metadata (scenario hash, seed, tool version)
@@ -20,10 +20,11 @@ import hashlib
 import importlib
 import importlib.resources
 import json
-import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import yaml
 
@@ -52,7 +53,6 @@ __all__ = [
     "emit",
 ]
 
-_AXES = ("snr_r_db", "r_je_m", "p_s_db", "p_j_db", "k")
 _METHODS = ("closed-form", "quadrature", "monte-carlo")
 _METRICS = ("outage_r", "outage_e", "c_r", "c_e", "c_s")
 # the libraries each method's routes load on first use
@@ -62,20 +62,71 @@ _METHOD_LIBRARIES = {
     "monte-carlo": (),
 }
 
-# every key a config may carry, per level; anything else is a diagnostic
-_TOP_KEYS = ("name", "description", "geometry", "receiver", "eve", "sweep",
-             "zeta_db", "metrics", "methods", "trials", "seed", "variants")
-_GEOMETRY_KEYS = ("n_bs_antennas", "n_jammer_antennas", "r_sr_m", "r_se_m",
-                  "r_je_m", "delta", "p_s_db", "p_j_db", "noise_var_r",
-                  "noise_var_e")
-_RECEIVER_KEYS = {
-    "double_kappa_mu_shadowed": ("fading", "c", "s", "mu", "kappa"),
-    "rician_shadowed": ("fading", "m", "xi", "sigma2", "normalize_mean",
-                        "p_los", "nlos_extra_loss_db"),
+_REQUIRED = object()
+_DB_LIMIT = 3000.0  # 10**(x/10) is a normal double for |x| up to this
+
+
+class _Key(NamedTuple):
+    """One config key: its kind ("int", "num", "db" or "bool"), bounds and
+    default.  `default` _REQUIRED means the key must be given, None that
+    it may be left out and has no default."""
+
+    kind: str
+    gt: float | None = None  # exclusive lower bound
+    ge: float | None = None  # inclusive lower bound
+    le: float | None = None  # inclusive upper bound
+    default: object = _REQUIRED
+
+    def problem(self, v):
+        """Why `v` is not a value of this key, or None."""
+        if self.kind == "bool":
+            return None if isinstance(v, bool) else f"must be true or false (got {v!r})"
+        if self.kind == "int":
+            ok = isinstance(v, int) and not isinstance(v, bool) and v >= self.ge
+            return None if ok else f"must be an integer >= {self.ge} (got {v!r})"
+        if not _is_number(v):
+            return f"must be a number (got {v!r})"
+        if not abs(v) <= sys.float_info.max:  # NaN, inf, or an int beyond float
+            return f"must be finite (got {v})"
+        if self.kind == "db" and abs(v) > _DB_LIMIT:
+            return f"must be between {-_DB_LIMIT:g} and {_DB_LIMIT:g} dB (got {v})"
+        if self.gt is not None and not v > self.gt:
+            return f"must be > {self.gt} (got {v})"
+        if self.ge is not None and v < self.ge:
+            return f"must be >= {self.ge} (got {v})"
+        if self.le is not None and v > self.le:
+            return f"must be <= {self.le} (got {v})"
+        return None
+
+
+_DB, _POSITIVE = _Key("db"), _Key("num", gt=0.0)
+# every key of a section; unknown-key detection reads the same tables
+_GEOMETRY = {
+    "n_bs_antennas": _Key("int", ge=1), "n_jammer_antennas": _Key("int", ge=0),
+    "r_sr_m": _POSITIVE, "r_se_m": _POSITIVE, "r_je_m": _POSITIVE,
+    "delta": _Key("num", ge=0.0), "p_s_db": _DB,
+    "p_j_db": _Key("db", default=None),  # required when the jammer is on
+    "noise_var_r": _POSITIVE, "noise_var_e": _POSITIVE,
 }
-_EVE_KEYS = ("m_i", "m_j")
-_SWEEP_KEYS = ("axis", "grid")
-_VARIANT_KEYS = ("name", "geometry", "receiver", "eve")
+_RECEIVER = {  # per fading model
+    "double_kappa_mu_shadowed": {"c": _POSITIVE, "s": _Key("num", gt=1.0),
+                                 "mu": _POSITIVE, "kappa": _Key("num", ge=0.0)},
+    "rician_shadowed": {
+        "m": _POSITIVE, "xi": _POSITIVE, "sigma2": _POSITIVE,
+        "normalize_mean": _Key("bool", default=True),
+        # the blockage mixture: given together or not at all
+        "p_los": _Key("num", ge=0.0, le=1.0, default=None),
+        "nlos_extra_loss_db": _Key("db", default=None),
+    },
+}
+_EVE = {"m_i": _Key("int", ge=1, default=1), "m_j": _Key("int", ge=1, default=1)}
+_RUN = {"trials": _Key("int", ge=1, default=100_000), "seed": _Key("int", ge=0, default=0)}
+# each sweep axis, by the kind of its grid values
+_AXES = {"snr_r_db": _DB, "r_je_m": _POSITIVE, "p_s_db": _DB, "p_j_db": _DB,
+         "k": _GEOMETRY["n_jammer_antennas"]}
+# the other top-level keys; anything else is a diagnostic
+_TOP_KEYS = ("name", "description", "geometry", "receiver", "eve", "sweep",
+             "zeta_db", "metrics", "methods", "variants")
 
 # libyaml's parser when PyYAML was built with it: both loaders share the
 # Python constructor, so a file parses to the same tree, ~7x faster
@@ -129,13 +180,6 @@ def load_config(name_or_path: str) -> dict:
     return cfg
 
 
-def _finite(v) -> bool:
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -144,58 +188,32 @@ def _one_line(text: str) -> bool:
     return "".join(text.splitlines()) == text
 
 
-def _num(d, key, diags, prefix, lo=None, hi=None, lo_strict=None, required=True):
-    if key not in d:
-        if required:
-            diags.append(f"{prefix}{key}: required field is missing")
-        return None
-    v = d[key]
-    if not _is_number(v):
-        diags.append(f"{prefix}{key}: must be a number (got {v!r})")
-        return None
-    if not _finite(v):
-        diags.append(f"{prefix}{key}: must be finite (got {v})")
-        return None
-    if lo_strict is not None and not (v > lo_strict):
-        diags.append(f"{prefix}{key}: must be > {lo_strict} (got {v})")
-        return None
-    if lo is not None and v < lo:
-        diags.append(f"{prefix}{key}: must be >= {lo} (got {v})")
-        return None
-    if hi is not None and v > hi:
-        diags.append(f"{prefix}{key}: must be <= {hi} (got {v})")
-        return None
-    return v
-
-
-def _check_keys(d, allowed, diags, prefix, what="unknown key"):
-    """Flag keys outside `allowed`, suggesting the nearest valid one."""
+def _check_section(d, table, diags, prefix, extra=(), what="unknown key"):
+    """Mapping `d` against its key table: keys outside it and `extra`
+    (each with the nearest valid one), required keys left out, and each
+    value's kind and bounds."""
+    allowed = (*extra, *table)
     for key in d:
-        if key in allowed:
-            continue
-        near = difflib.get_close_matches(str(key), allowed, n=1)
-        hint = f"did you mean '{near[0]}'?" if near else (
-            "valid keys: " + ", ".join(allowed))
-        diags.append(f"{prefix}{key}: {what} ({hint})")
+        if key not in allowed:
+            near = difflib.get_close_matches(str(key), allowed, n=1)
+            hint = f"did you mean '{near[0]}'?" if near else (
+                "valid keys: " + ", ".join(allowed))
+            diags.append(f"{prefix}{key}: {what} ({hint})")
+    for key, spec in table.items():
+        if key not in d:
+            if spec.default is _REQUIRED:
+                diags.append(f"{prefix}{key}: required field is missing")
+        elif problem := spec.problem(d[key]):
+            diags.append(f"{prefix}{key}: {problem}")
+
+
+def _first_problem(values, spec):
+    """The problem of the first entry of `values` that `spec` rejects."""
+    return next(filter(None, map(spec.problem, values)), None)
 
 
 def _check_geometry(g, diags, p="geometry.", k_sweep_jams=False):
-    if not isinstance(g, dict):
-        diags.append(f"{p[:-1]}: must be a mapping")
-        return
-    _check_keys(g, _GEOMETRY_KEYS, diags, p)
-    for key in ("n_bs_antennas", "n_jammer_antennas"):
-        v = g.get(key)
-        lo = 1 if key == "n_bs_antennas" else 0
-        if not isinstance(v, int) or isinstance(v, bool) or v < lo:
-            diags.append(f"{p}{key}: must be an integer >= {lo} (got {v!r})")
-    for key in ("r_sr_m", "r_se_m", "r_je_m"):
-        _num(g, key, diags, p, lo_strict=0.0)
-    _num(g, "delta", diags, p, lo=0.0)
-    _num(g, "p_s_db", diags, p)
-    _num(g, "p_j_db", diags, p, required=False)
-    _num(g, "noise_var_r", diags, p, lo_strict=0.0)
-    _num(g, "noise_var_e", diags, p, lo_strict=0.0)
+    _check_section(g, _GEOMETRY, diags, p)
     n_jam = g.get("n_jammer_antennas", 0)
     if "p_j_db" not in g and (n_jam or k_sweep_jams):
         why = "n_jammer_antennas >= 1" if n_jam else "the k sweep reaches K >= 1"
@@ -203,47 +221,18 @@ def _check_geometry(g, diags, p="geometry.", k_sweep_jams=False):
 
 
 def _check_receiver(r, diags, p="receiver."):
-    if not isinstance(r, dict):
-        diags.append(f"{p[:-1]}: must be a mapping")
-        return
     model = r.get("fading")
-    if model in _RECEIVER_KEYS:
-        _check_keys(r, _RECEIVER_KEYS[model], diags, p,
-                    f"not a key of fading: {model}")
-    if model == "double_kappa_mu_shadowed":
-        _num(r, "c", diags, p, lo_strict=0.0)
-        _num(r, "s", diags, p, lo_strict=1.0)
-        _num(r, "mu", diags, p, lo_strict=0.0)
-        _num(r, "kappa", diags, p, lo=0.0)
-    elif model == "rician_shadowed":
-        _num(r, "m", diags, p, lo_strict=0.0)
-        _num(r, "xi", diags, p, lo_strict=0.0)
-        _num(r, "sigma2", diags, p, lo_strict=0.0)
-        _num(r, "p_los", diags, p, lo=0.0, hi=1.0, required=False)
-        _num(r, "nlos_extra_loss_db", diags, p, required=False)
-        if not isinstance(r.get("normalize_mean", True), bool):
-            diags.append(f"{p}normalize_mean: must be true or false"
-                         f" (got {r['normalize_mean']!r})")
-        if ("p_los" in r) != ("nlos_extra_loss_db" in r):
-            diags.append(f"{p}p_los: give p_los and nlos_extra_loss_db together")
-    else:
-        diags.append(
-            f"{p}fading: must be 'double_kappa_mu_shadowed' or 'rician_shadowed'"
-            f" (got {model!r})"
-        )
+    table = _RECEIVER.get(model) if isinstance(model, str) else None
+    if table is None:
+        diags.append(f"{p}fading: must be one of {tuple(_RECEIVER)} (got {model!r})")
+        return
+    _check_section(r, table, diags, p, ("fading",), f"not a key of fading: {model}")
+    if "p_los" in table and ("p_los" in r) != ("nlos_extra_loss_db" in r):
+        diags.append(f"{p}p_los: give p_los and nlos_extra_loss_db together")
 
 
 def _check_eve(e, diags, p="eve."):
-    if e is None:
-        return
-    if not isinstance(e, dict):
-        diags.append(f"{p[:-1]}: must be a mapping")
-        return
-    _check_keys(e, _EVE_KEYS, diags, p)
-    for key in _EVE_KEYS:
-        v = e.get(key, 1)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            diags.append(f"{p}{key}: must be an integer >= 1 (got {v!r})")
+    _check_section(e, _EVE, diags, p)
 
 
 def _variant_section(base, over):
@@ -259,7 +248,7 @@ def _variant_section(base, over):
 def validate_config(cfg: dict) -> list:
     """All violated invariants, as 'field: problem' strings.  Empty = clean."""
     diags = []
-    _check_keys(cfg, _TOP_KEYS, diags, "")
+    _check_section(cfg, _RUN, diags, "", _TOP_KEYS)
     if not isinstance(cfg.get("name"), str) or not cfg.get("name"):
         diags.append("name: required non-empty string")
     elif not _one_line(cfg["name"]):
@@ -276,50 +265,44 @@ def validate_config(cfg: dict) -> list:
                       ("eve", _check_eve))
     base_problems = {}
     for section, check in section_checks:
-        found = []
-        check(cfg.get(section, {}), found)
+        found, given = [], cfg.get(section, {})
+        if isinstance(given, dict):
+            check(given, found)
+        elif given is not None or section != "eve":  # eve: null keeps the defaults
+            found.append(f"{section}: must be a mapping")
         diags += found
         base_problems[section] = {d[len(section):] for d in found}
 
     if not isinstance(sweep, dict):
         diags.append("sweep: required mapping with 'axis' and 'grid'")
     else:
-        _check_keys(sweep, _SWEEP_KEYS, diags, "sweep.")
+        _check_section(sweep, {}, diags, "sweep.", ("axis", "grid"))
         axis = sweep.get("axis")
-        if axis not in _AXES:
-            diags.append(f"sweep.axis: must be one of {_AXES} (got {axis!r})")
+        entry = _AXES.get(axis) if isinstance(axis, str) else None
+        if entry is None:
+            diags.append(f"sweep.axis: must be one of {tuple(_AXES)} (got {axis!r})")
         if not isinstance(grid, list) or not grid:
             diags.append("sweep.grid: must be a non-empty list")
-        elif not all(_is_number(v) for v in grid):
-            diags.append("sweep.grid: entries must be numbers")
-        elif not all(_finite(v) for v in grid):
-            diags.append(f"sweep.grid: entries must be finite (got {grid!r})")
+        elif problem := _first_problem(grid, entry or _Key("num")):
+            diags.append(f"sweep.grid: entries {problem}")
         elif any(b <= a for a, b in zip(grid, grid[1:])):
             diags.append("sweep.grid: must be strictly increasing")
-        elif axis == "k" and not all(isinstance(v, int) and v >= 0 for v in grid):
-            diags.append("sweep.grid: antenna-count axis needs integers >= 0")
 
-    methods = cfg.get("methods")
-    if not isinstance(methods, list) or not methods:
-        diags.append("methods: must be a non-empty list")
-    elif not all(m in _METHODS for m in methods):
-        diags.append(f"methods: entries must be among {_METHODS} (got {methods!r})")
-    elif len(set(methods)) != len(methods):
-        diags.append(f"methods: entries must be unique (got {methods!r})")
-
+    for key, names in (("methods", _METHODS), ("metrics", _METRICS)):
+        entries = cfg.get(key)
+        if not isinstance(entries, list) or not entries:
+            diags.append(f"{key}: must be a non-empty list")
+        elif not all(m in names for m in entries):
+            diags.append(f"{key}: entries must be among {names} (got {entries!r})")
+        elif len(set(entries)) != len(entries):
+            diags.append(f"{key}: entries must be unique (got {entries!r})")
     metrics = cfg.get("metrics")
-    if not isinstance(metrics, list) or not metrics:
-        diags.append("metrics: must be a non-empty list")
-    elif not all(m in _METRICS for m in metrics):
-        diags.append(f"metrics: entries must be among {_METRICS} (got {metrics!r})")
-    elif len(set(metrics)) != len(metrics):
-        diags.append(f"metrics: entries must be unique (got {metrics!r})")
 
     zetas = cfg.get("zeta_db", [])
-    if not isinstance(zetas, list) or not all(_is_number(v) for v in zetas):
+    if not isinstance(zetas, list):
         diags.append("zeta_db: must be a list of numbers (dB)")
-    elif not all(_finite(v) for v in zetas):
-        diags.append(f"zeta_db: entries must be finite (got {zetas!r})")
+    elif problem := _first_problem(zetas, _DB):
+        diags.append(f"zeta_db: entries {problem}")
     elif len({_fmt_zeta(z) for z in zetas}) != len(zetas):
         # the column labels, not the values, must differ
         diags.append("zeta_db: thresholds must differ in their column labels"
@@ -328,13 +311,6 @@ def validate_config(cfg: dict) -> list:
         "outage_r" in metrics or "outage_e" in metrics
     ):
         diags.append("zeta_db: outage metrics need at least one threshold")
-
-    trials = cfg.get("trials", 100_000)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        diags.append(f"trials: must be a positive integer (got {trials!r})")
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        diags.append(f"seed: must be a non-negative integer (got {seed!r})")
 
     variants = cfg.get("variants", [])
     if variants is not None and not isinstance(variants, list):
@@ -350,7 +326,8 @@ def validate_config(cfg: dict) -> list:
             if any(c in var["name"] for c in ',"') or not _one_line(var["name"]):
                 diags.append(f"{p}name: must be CSV-safe: no comma, double quote"
                              f" or line break (got {var['name']!r})")
-            _check_keys(var, _VARIANT_KEYS, diags, p, "unknown override section")
+            _check_section(var, {}, diags, p, ("name", "geometry", "receiver", "eve"),
+                           "unknown override section")
             for section, check in section_checks:
                 over = var.get(section)
                 if over is None:
@@ -419,8 +396,8 @@ class Scenario:
             zeta_db=tuple(float(z) for z in cfg.get("zeta_db", [])),
             metrics=tuple(cfg["metrics"]),
             methods=tuple(cfg["methods"]),
-            trials=int(cfg.get("trials", 100_000)),
-            seed=int(cfg.get("seed", 0)),
+            trials=int(cfg.get("trials", _RUN["trials"].default)),
+            seed=int(cfg.get("seed", _RUN["seed"].default)),
             variants=variants,
         )
 
@@ -514,7 +491,8 @@ class _Point:
         else:
             m, xi, sigma2 = float(rec["m"]), float(rec["xi"]), float(rec["sigma2"])
             # scale so the stated mean SNR is the distribution mean
-            norm = (xi + 2.0 * sigma2) if rec.get("normalize_mean", True) else 1.0
+            default = _RECEIVER["rician_shadowed"]["normalize_mean"].default
+            norm = (xi + 2.0 * sigma2) if rec.get("normalize_mean", default) else 1.0
             p_los = nlos = None
             if "p_los" in rec:
                 p_los = float(rec["p_los"])
@@ -529,8 +507,8 @@ class _Point:
 
         # per-antenna Gamma laws: the intercept over N antennas, the jammer
         # over K; with the jammer off (K = 0) `jammer` and `eve` are None
-        m_i = int(eve.get("m_i", 1))
-        m_j = int(eve.get("m_j", 1))
+        m_i = int(eve.get("m_i", _EVE["m_i"].default))
+        m_j = int(eve.get("m_j", _EVE["m_j"].default))
         snr_i = secrecy.mean_snr(p_s, float(geo["r_se_m"]), delta, noise_var_e)
         self.intercept = montecarlo.LinkSpec(
             fading=GammaSnrParams(nu=m_i, beta=m_i / snr_i),

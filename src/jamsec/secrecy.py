@@ -96,7 +96,14 @@ def mean_snr(p: float, r: float, delta: float, noise_var: float) -> float:
         raise ParameterError("path-loss exponent must be non-negative")
     if not (noise_var > 0):
         raise ParameterError("noise variance must be positive")
-    return p * r ** (-delta) / noise_var
+    try:
+        snr = p * r ** (-delta) / noise_var
+    except OverflowError:
+        snr = math.inf
+    if not (0.0 < snr < math.inf):
+        raise ParameterError(f"mean SNR {p:g} * {r:g}^(-{delta:g}) / {noise_var:g}"
+                             " is not a positive finite double")
+    return snr
 
 
 def gamma_antenna_sum(per_antenna: GammaSnrParams, antennas: int) -> GammaSnrParams:

@@ -204,6 +204,69 @@ class TestConfigs:
         diags = validate_config(cfg)
         assert len(diags) == 1 and diags[0].startswith("variants[0].name:"), diags
 
+    @pytest.mark.parametrize("fig, path, value, field", [
+        ("fig3", ("geometry", "p_s_db"), 4000, "geometry.p_s_db"),
+        ("fig3", ("geometry", "p_j_db"), -4000.0, "geometry.p_j_db"),
+        ("fig2", ("receiver", "nlos_extra_loss_db"), -4000, "receiver.nlos_extra_loss_db"),
+        ("fig4", ("variants", 0, "geometry", "p_j_db"), 4000, "variants[0].geometry.p_j_db"),
+        ("fig3", ("zeta_db",), [-8.0, 4000.0], "zeta_db"),
+        ("fig4", ("sweep", "grid"), [10, 4000], "sweep.grid"),
+        ("fig2", ("sweep", "grid"), [-4000, 0], "sweep.grid"),
+    ])
+    def test_db_levels_convert_to_a_finite_double(self, fig, path, value, field):
+        # 10**(x/10) overflowed past ~3083 dB, crashing the run
+        cfg = load_config(fig)
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        diags = validate_config(cfg)
+        assert len(diags) == 1 and diags[0].startswith(f"{field}:"), diags
+        assert "between -3000 and 3000 dB" in diags[0]
+        node[path[-1]] = ([-3000.0, 3000.0] if isinstance(value, list)
+                          else math.copysign(3000.0, value))
+        assert validate_config(cfg) == []
+
+    def test_grid_entries_take_the_axis_kind(self):
+        cfg = load_config("fig3")
+        cfg["sweep"]["grid"] = [-1.0, 2.0]  # a distance
+        assert validate_config(cfg) == ["sweep.grid: entries must be > 0.0 (got -1.0)"]
+        cfg["sweep"] = {"axis": "k", "grid": [0, 1.5]}
+        assert validate_config(cfg) == [
+            "sweep.grid: entries must be an integer >= 0 (got 1.5)"]
+
+    def test_list_valued_switches_are_diagnostics(self):
+        # a list is unhashable: looking it up in a key table used to raise
+        cfg = load_config("fig3")
+        cfg["receiver"]["fading"] = ["rician_shadowed"]
+        cfg["sweep"]["axis"] = ["k"]
+        diags = validate_config(cfg)
+        assert [d.split(":")[0] for d in diags] == ["receiver.fading", "sweep.axis"]
+
+    def test_defaults_applied_once(self, tmp_path):
+        # every key that may be left out, stated at its README default
+        cfg = load_config("fig2")
+        cfg["geometry"].update(n_jammer_antennas=1, p_j_db=5.0)
+        cfg["metrics"] = ["outage_r", "outage_e", "c_e"]
+        cfg.update(trials=100000, seed=0, eve={"m_i": 1, "m_j": 1})
+        cfg["receiver"]["normalize_mean"] = True
+        left_out = {k: v for k, v in cfg.items() if k not in ("trials", "seed", "eve")}
+        left_out["receiver"] = {k: v for k, v in cfg["receiver"].items()
+                                if k != "normalize_mean"}
+        cfg_off = {**cfg, "receiver": {**cfg["receiver"], "normalize_mean": False}}
+        tables = []
+        for name, c in (("stated", cfg), ("left_out", left_out), ("off", cfg_off)):
+            f = tmp_path / f"{name}.yaml"
+            f.write_text(yaml.safe_dump(c))
+            tables.append(run_scenario(str(f), grid=[0.0, 20.0]))
+        stated, implied, off = tables
+        assert implied.rows == stated.rows
+        assert {k: implied.metadata[k] for k in ("seed", "trials")} == {
+            "seed": "0", "trials": "100000"}
+        # the hash covers the config as written
+        assert implied.metadata["scenario_hash"] != stated.metadata["scenario_hash"]
+        assert off.rows != stated.rows
+
     def test_digest_stability_and_sensitivity(self):
         cfg = load_config("fig3")
         a = Scenario.from_config(cfg).digest()
@@ -571,6 +634,44 @@ class TestCli:
             r = self._run(*args)
             assert r.returncode == 1
             assert r.stderr == "geometry.p_s_db: must be finite (got nan)\n"
+
+    @pytest.mark.parametrize("fig, section, key, value, at", [
+        ("fig3", "geometry", "p_s_db", 4000, "1"),
+        ("fig2", "receiver", "nlos_extra_loss_db", -4000, "10"),
+    ])
+    def test_db_overflow_is_a_diagnostic(self, tmp_path, fig, section, key, value, at):
+        cfg = load_config(fig)
+        cfg[section][key] = value
+        f = tmp_path / "loud.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        want = f"{section}.{key}: must be between -3000 and 3000 dB (got {value})\n"
+        for args in (("validate", str(f)), ("eval", str(f), "--at", at)):
+            r = self._run(*args)
+            assert (r.returncode, r.stderr) == (1, want), args
+
+    def test_db_grid_overflow_is_a_diagnostic(self, tmp_path):
+        cfg = load_config("fig4")
+        cfg["sweep"]["grid"] = [10, 4000]
+        f = tmp_path / "grid.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        for args in (("validate", str(f)), ("eval", str(f), "--at", "4000")):
+            r = self._run(*args)
+            assert r.returncode == 1, args
+            assert r.stderr.startswith("sweep.grid: entries must be between -3000 and 3000")
+
+    @pytest.mark.parametrize("key, value, at", [
+        ("delta", 400, "30"),  # the mean SNR underflows to 0 at r_je = 30 m
+        ("r_se_m", 1e-200, "1"),  # r ** -delta overflows
+    ])
+    def test_link_budget_out_of_range(self, tmp_path, key, value, at):
+        cfg = load_config("fig3")
+        cfg["geometry"][key] = value
+        f = tmp_path / "budget.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        r = self._run("eval", str(f), "--at", at)
+        assert r.returncode == 1
+        assert r.stderr.startswith("invalid parameter: mean SNR"), r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_missing_scenario_file_io_error(self):
         r = self._run("sweep", "/no/such/file.yaml")

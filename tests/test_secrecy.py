@@ -61,6 +61,15 @@ class TestLinkBudget:
         with pytest.raises(ParameterError):
             mean_snr(1.0, 1.0, -0.5, 1.0)
 
+    @pytest.mark.parametrize("p, r, delta", [
+        (db_to_linear(5.0), 30.0, 400.0),  # underflows to 0
+        (10.0, 1e-200, 2.0),  # r ** -delta overflows
+        (1e300, 1e-10, 2.0),  # the product overflows
+    ])
+    def test_mean_snr_must_be_a_positive_finite_double(self, p, r, delta):
+        with pytest.raises(ParameterError, match="mean SNR"):
+            mean_snr(p, r, delta, 1.0)
+
     def test_gamma_antenna_sum(self):
         # Nakagami-m per antenna has rate m / (per-antenna mean SNR); the
         # shapes add across antennas and the rate is kept
