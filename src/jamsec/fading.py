@@ -438,11 +438,13 @@ def dksm_sample(p: DoubleKappaMuShadowedParams, seed: SamplerSeed, n: int) -> np
         raise ParameterError("n must be >= 1")
     rng = seed.generator()
     c, s, mu, kappa, gbar = p.c, p.s, p.mu, p.kappa, p.mean_snr
-    dominant = rng.gamma(shape=c, scale=1.0 / c, size=n)
-    body = rng.noncentral_chisquare(df=2.0 * mu, nonc=2.0 * mu * kappa * dominant)
-    snr = body * (gbar / (2.0 * mu * (1.0 + kappa)))
-    envelope = rng.gamma(shape=s, scale=1.0 / (s - 1.0), size=n)
-    return snr / envelope
+    nonc = rng.gamma(shape=c, scale=1.0 / c, size=n)  # the dominant power
+    nonc *= 2.0 * mu * kappa
+    snr = rng.noncentral_chisquare(df=2.0 * mu, nonc=nonc)
+    del nonc  # scaled in place below, with at most two arrays live
+    snr *= gbar / (2.0 * mu * (1.0 + kappa))
+    snr /= rng.gamma(shape=s, scale=1.0 / (s - 1.0), size=n)  # the envelope
+    return snr
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +526,13 @@ def rician_shadowed_sample(p: RicianShadowedParams, seed: SamplerSeed,
     if n < 1:
         raise ParameterError("n must be >= 1")
     rng = seed.generator()
-    los_power = rng.gamma(shape=p.m, scale=p.xi / p.m, size=n)
-    power = rng.noncentral_chisquare(df=2.0, nonc=los_power / p.sigma2) * p.sigma2
-    return p.mean_snr * power
+    nonc = rng.gamma(shape=p.m, scale=p.xi / p.m, size=n)  # the LOS power
+    nonc /= p.sigma2
+    power = rng.noncentral_chisquare(df=2.0, nonc=nonc)
+    del nonc  # scaled in place below, with one array live
+    power *= p.sigma2
+    power *= p.mean_snr
+    return power
 
 
 # ---------------------------------------------------------------------------

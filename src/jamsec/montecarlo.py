@@ -23,6 +23,17 @@ cell's own standard error is unchanged.  Sample arrays are bit-identical
 for any worker count, with or without a cache, and a worker pool can
 fill shards in any order.
 
+Single-link outage is an exact count, not a pass over samples: the
+receiver, with or without a blockage mixture (`receiver_outage`), and
+the eavesdropper with the jammer off (`intercept_outage`).  A trial's
+SNR is fl(v * scale) for its unit-law sum v, and rounding is monotone,
+so the trials below a threshold are a prefix of the sorted unit sums.
+Bisecting on that same predicate finds the prefix in O(log trials), and
+the count equals `np.count_nonzero(samples < th)` to the bit, ties
+included.  `receiver_capacity` estimates from a link directly, and the
+capacity estimators take log2 and the variance in place, on the one
+array they are given or make.
+
 Memory bound: a caller-owned cache holds one `trials`-length float array
 per distinct (link role, unit law, antenna count) in a run, never the
 per-antenna draws, plus one array of blockage uniforms per link role
@@ -31,6 +42,14 @@ and NLOS sharing it, and the receiver's coin), 2 for fig3 and fig4
 (intercept, jammer), and 6 for fig5 (receiver, intercept, and the jammer
 at K = 1, 2, 4, 8).  A sum for K antennas continues the cached sum for
 the most antennas below K, so fig5's jammer draws 8 arrays, not 15.
+Single-link outage cells add the sorted copies they count in, made once
+per run: one array per plain link (role, unit law, antenna count), and
+one per blockage link and p_los, split into its sorted LOS and NLOS
+trials.  Of the built-in scenarios only fig2 has such cells, so its
+cache holds 5 arrays (2 sorted).  The other per-cell arrays are
+transient: a jammer-on SINR (two arrays while it is formed, one kept for
+the point's outage and capacity cells) and one working array per
+capacity estimate.
 """
 
 from __future__ import annotations
@@ -57,6 +76,9 @@ __all__ = [
     "Estimate",
     "simulate_receiver_snr",
     "simulate_eve_sinr",
+    "receiver_outage",
+    "intercept_outage",
+    "receiver_capacity",
     "estimate_outage",
     "estimate_capacity",
 ]
@@ -138,34 +160,58 @@ def _unit_sum(unit: FadingSpec, base: SamplerSeed, role: int, n_antennas: int,
     Antenna a of shard k draws from stream (role, a, k) whatever the law,
     so a sum continues the cached sum of the most antennas below
     `n_antennas`, adding the remaining draws in the same order: the bits
-    are those of a sum from zero."""
+    are those of a sum from zero, whose first draw is the sum itself."""
     key = (role, unit, n_antennas, trials, base)
     total = cache.get(key)
     if total is None:
         start = next((n for n in range(n_antennas - 1, 0, -1)
                       if (role, unit, n, trials, base) in cache), 0)
-        total = (cache[(role, unit, start, trials, base)].copy() if start
-                 else np.zeros(trials))
+        if start:
+            total = cache[(role, unit, start, trials, base)].copy()
+        else:  # one shard's first draw becomes the sum; more fill an array
+            total = np.empty(trials) if trials > SHARD_SIZE else None
         for k, lo, hi in _shards(trials):
             for a in range(start, n_antennas):
-                total[lo:hi] += _draw(unit, base.child(role, a, k), hi - lo)
+                draw = _draw(unit, base.child(role, a, k), hi - lo)
+                if total is None:  # one shard: its first draw is the sum
+                    total = draw
+                elif a == 0:
+                    total[lo:hi] = draw
+                else:
+                    total[lo:hi] += draw
         cache[key] = total
     return total
 
 
-def _link_samples(link: LinkSpec, role: int, trials: int, seed: SamplerSeed,
-                  cache: Optional[dict]) -> np.ndarray:
-    """Per-trial link SNR: the unit-law antenna sum times the law's scale.
-    Blockage state is common to all antennas of a link (it blocks the
-    path, not individual elements), so a mixture picks its scale per
-    trial; LOS and NLOS branches with one unit law share one sum, which
-    is exact because the coin is independent of the draws."""
+def _check_run(link: LinkSpec, trials: int, seed: SamplerSeed) -> None:
     if not isinstance(link, LinkSpec):
         raise ParameterError("link must be a LinkSpec")
     if not (isinstance(trials, (int, np.integer)) and trials >= 1):
         raise ParameterError("trials must be a positive integer")
     if not isinstance(seed, SamplerSeed):
         raise ParameterError("seed must be a SamplerSeed")
+
+
+def _coin(role: int, trials: int, seed: SamplerSeed, cache: dict) -> np.ndarray:
+    """The blockage uniforms of a link role, drawn once per run; each cell
+    compares them with its own p_los."""
+    key = ("coin", role, trials, seed)
+    if key not in cache:
+        cache[key] = np.empty(trials)
+        for k, lo, hi in _shards(trials):
+            # the coin's key (role, k) is one index shorter than any antenna's
+            cache[key][lo:hi] = seed.child(role, k).generator().random(hi - lo)
+    return cache[key]
+
+
+def _link_samples(link: LinkSpec, role: int, trials: int, seed: SamplerSeed,
+                  cache: Optional[dict]) -> np.ndarray:
+    """Per-trial link SNR, a new array: the unit-law antenna sum times the
+    law's scale.  Blockage state is common to all antennas of a link (it
+    blocks the path, not individual elements), so a mixture picks its
+    scale per trial; LOS and NLOS branches with one unit law share one
+    sum, which is exact because the coin is independent of the draws."""
+    _check_run(link, trials, seed)
     cache = {} if cache is None else cache
     unit, scale = _unit_law(link.fading)
     total = _unit_sum(unit, seed, role, link.antennas, trials, cache)
@@ -173,16 +219,63 @@ def _link_samples(link: LinkSpec, role: int, trials: int, seed: SamplerSeed,
         return total * scale
     unit_nlos, scale_nlos = _unit_law(link.fading_nlos)
     total_nlos = _unit_sum(unit_nlos, seed, role, link.antennas, trials, cache)
-    key = ("coin", role, trials, seed)  # drawn once; each cell applies its p_los
+    los = _coin(role, trials, seed, cache) < link.p_los
+    out = np.where(los, scale, scale_nlos)
+    # fl(scale * v) is fl(v * scale): the product is the same either way
+    out *= total if total_nlos is total else np.where(los, total, total_nlos)
+    return out
+
+
+def _sorted_unit_sums(link: LinkSpec, role: int, trials: int, seed: SamplerSeed,
+                      cache: dict) -> list:
+    """[(sorted unit-law sums, scale), ...] of a link, once per run: each
+    trial's SNR is fl(v * scale) for its v in exactly one of them.  A
+    plain link has one; a mixture has its LOS trials of the LOS sum and
+    its NLOS trials of the NLOS sum, so it is keyed by p_los."""
+    unit, scale = _unit_law(link.fading)
+    if link.p_los is None:
+        key = ("sorted", role, unit, link.antennas, trials, seed)
+        if key not in cache:
+            cache[key] = (np.sort(_unit_sum(unit, seed, role, link.antennas,
+                                            trials, cache)),)
+        return list(zip(cache[key], (scale,)))
+    unit_nlos, scale_nlos = _unit_law(link.fading_nlos)
+    key = ("sorted", role, unit, unit_nlos, link.antennas, link.p_los, trials, seed)
     if key not in cache:
-        cache[key] = np.empty(trials)
-        for k, lo, hi in _shards(trials):
-            # the coin's key (role, k) is one index shorter than any antenna's
-            cache[key][lo:hi] = seed.child(role, k).generator().random(hi - lo)
-    los = cache[key] < link.p_los
-    if total_nlos is not total:  # the branches have different unit laws
-        total = np.where(los, total, total_nlos)
-    return total * np.where(los, scale, scale_nlos)
+        total = _unit_sum(unit, seed, role, link.antennas, trials, cache)
+        total_nlos = _unit_sum(unit_nlos, seed, role, link.antennas, trials, cache)
+        state = _coin(role, trials, seed, cache) < link.p_los
+        parts = [total[state]]
+        np.logical_not(state, out=state)
+        parts.append(total_nlos[state])
+        for part in parts:
+            part.sort()
+        cache[key] = tuple(parts)
+    return list(zip(cache[key], (scale, scale_nlos)))
+
+
+def _count_below(sorted_sums: np.ndarray, scale: float, gamma_th: float) -> int:
+    """Number of v in `sorted_sums` with fl(v * scale) < gamma_th.  Those
+    v form a prefix, as rounding is monotone; the bisection tests the same
+    product that a sample array holds, so the count is exact on ties."""
+    lo, hi = 0, sorted_sums.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sorted_sums[mid] * scale < gamma_th:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _link_outage(link: LinkSpec, role: int, gamma_th: float, trials: int,
+                 seed: SamplerSeed, cache: Optional[dict]) -> Estimate:
+    _check_run(link, trials, seed)
+    _check_threshold(gamma_th)
+    cache = {} if cache is None else cache
+    count = sum(_count_below(v, scale, gamma_th)
+                for v, scale in _sorted_unit_sums(link, role, trials, seed, cache))
+    return _outage(count, trials)
 
 
 def simulate_receiver_snr(link: LinkSpec, trials: int, seed: SamplerSeed,
@@ -203,10 +296,52 @@ def simulate_eve_sinr(intercept: LinkSpec, jammer: Optional[LinkSpec],
     and the SINR is the intercept SNR itself.  `cache` is as for
     `simulate_receiver_snr`.
     """
-    gamma_i = _link_samples(intercept, _LINK_INTERCEPT, trials, seed, cache)
-    if jammer is None:
-        return gamma_i
-    return gamma_i / (1.0 + _link_samples(jammer, _LINK_JAMMER, trials, seed, cache))
+    sinr = _link_samples(intercept, _LINK_INTERCEPT, trials, seed, cache)
+    if jammer is not None:
+        jam = _link_samples(jammer, _LINK_JAMMER, trials, seed, cache)
+        jam += 1.0
+        sinr /= jam
+    return sinr
+
+
+def receiver_outage(link: LinkSpec, gamma_th: float, trials: int,
+                    seed: SamplerSeed, cache: Optional[dict] = None) -> Estimate:
+    """`estimate_outage(simulate_receiver_snr(link, trials, seed), gamma_th)`
+    to the bit, counted over the run's sorted unit-law sums.
+
+    `cache` is as for `simulate_receiver_snr`; it also keeps the sorted
+    sums, so the cells of a run sort each link once."""
+    return _link_outage(link, _LINK_RECEIVER, gamma_th, trials, seed, cache)
+
+
+def intercept_outage(intercept: LinkSpec, gamma_th: float, trials: int,
+                     seed: SamplerSeed, cache: Optional[dict] = None) -> Estimate:
+    """Eavesdropper outage with the jammer off, as `receiver_outage`:
+    `estimate_outage(simulate_eve_sinr(intercept, None, ...), gamma_th)`
+    to the bit."""
+    return _link_outage(intercept, _LINK_INTERCEPT, gamma_th, trials, seed, cache)
+
+
+def receiver_capacity(link: LinkSpec, trials: int, seed: SamplerSeed,
+                      cache: Optional[dict] = None) -> Estimate:
+    """`estimate_capacity(simulate_receiver_snr(link, trials, seed, cache))`
+    to the bit, in the one array of samples it draws."""
+    vals = _link_samples(link, _LINK_RECEIVER, trials, seed, cache)
+    vals += 1.0
+    return _log2_mean(vals)
+
+
+def _check_threshold(gamma_th: float) -> None:
+    if not (gamma_th > 0):
+        raise ParameterError("gamma_th must be positive")
+
+
+def _outage(count: int, n: int) -> Estimate:
+    # k/n is the mean of the 0/1 indicator to the bit; its sample
+    # variance is n p (1-p) / (n-1)
+    p = count / n
+    se = math.sqrt(p * (1.0 - p) / (n - 1)) if n > 1 else 0.0
+    return Estimate(value=p, std_error=se, trials=n)
 
 
 def estimate_outage(samples: np.ndarray, gamma_th: float) -> Estimate:
@@ -214,14 +349,24 @@ def estimate_outage(samples: np.ndarray, gamma_th: float) -> Estimate:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ParameterError("empty sample stream")
-    if not (gamma_th > 0):
-        raise ParameterError("gamma_th must be positive")
-    n = samples.size
-    # k/n is the mean of the 0/1 indicator to the bit; its sample
-    # variance is n p (1-p) / (n-1)
-    p = np.count_nonzero(samples < gamma_th) / n
-    se = math.sqrt(p * (1.0 - p) / (n - 1)) if n > 1 else 0.0
-    return Estimate(value=p, std_error=se, trials=n)
+    _check_threshold(gamma_th)
+    return _outage(np.count_nonzero(samples < gamma_th), samples.size)
+
+
+def _log2_mean(vals: np.ndarray) -> Estimate:
+    """Sample mean of log2(vals) with its standard error, overwriting
+    `vals`.  The values are those of np.mean and np.var(ddof=1) to the
+    bit: the same pairwise sums, in np.var's order of operations, with
+    its mean reused."""
+    n = vals.size
+    np.log2(vals, out=vals)
+    mean = float(np.add.reduce(vals)) / n
+    if n == 1:
+        return Estimate(value=mean, std_error=0.0, trials=n)
+    np.subtract(vals, mean, out=vals)
+    np.square(vals, out=vals)
+    var = float(np.add.reduce(vals)) / (n - 1)
+    return Estimate(value=mean, std_error=math.sqrt(var / n), trials=n)
 
 
 def estimate_capacity(samples: np.ndarray) -> Estimate:
@@ -231,8 +376,4 @@ def estimate_capacity(samples: np.ndarray) -> Estimate:
         raise ParameterError("empty sample stream")
     if np.any(samples < 0):
         raise ParameterError("samples must be non-negative")
-    vals = np.log2(1.0 + samples)
-    n = vals.size
-    mean = float(np.mean(vals))  # numpy pairwise summation: order-stable
-    se = math.sqrt(float(np.var(vals, ddof=1)) / n) if n > 1 else 0.0
-    return Estimate(value=mean, std_error=se, trials=n)
+    return _log2_mean(samples + 1.0)

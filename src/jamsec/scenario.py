@@ -207,6 +207,16 @@ def _check_section(d, table, diags, prefix, extra=(), what="unknown key"):
             diags.append(f"{prefix}{key}: {problem}")
 
 
+def _axis_value(axis, v):
+    """An override grid value `v` as a value of sweep axis `axis`: an
+    integral float on an integer axis is that integer (the CLI's `--at`
+    parses as a float); anything else is `v`, for validation to judge."""
+    spec = _AXES.get(axis) if isinstance(axis, str) else None
+    if spec is not None and spec.kind == "int" and isinstance(v, float) and v.is_integer():
+        return int(v)
+    return v
+
+
 def _first_problem(values, spec):
     """The problem of the first entry of `values` that `spec` rejects."""
     return next(filter(None, map(spec.problem, values)), None)
@@ -377,7 +387,9 @@ class Scenario:
             cfg["methods"] = list(methods)
         if grid is not None:
             cfg.setdefault("sweep", {})
-            cfg["sweep"] = {**cfg["sweep"], "grid": list(grid)}
+            axis = cfg["sweep"].get("axis")
+            cfg["sweep"] = {**cfg["sweep"],
+                            "grid": [_axis_value(axis, v) for v in grid]}
         diags = validate_config(cfg)
         if diags:
             raise ScenarioError(diags)
@@ -456,10 +468,12 @@ def _rician_outage(rx: montecarlo.LinkSpec, th: float, cdf) -> float:
 
 class _Point:
     """The fully resolved inputs of one (variant, axis value) evaluation.
-    Monte Carlo samples are drawn on first use, so at most once per point,
-    from the run-level link streams of the scenario's seed; `memo` holds
-    what this run already computed: receiver capacities and the Monte
-    Carlo unit-law link sums, which every cell scales to its own means."""
+    Monte Carlo estimates come from the run-level link streams of the
+    scenario's seed; `memo` holds what this run already computed:
+    receiver capacities and the Monte Carlo unit-law link sums (and their
+    sorted copies), which every cell scales to its own means.  The
+    jammer-on eavesdropper SINR is drawn on first use, so at most once
+    per point."""
 
     def __init__(self, sc: Scenario, overrides: dict, axis_value: float,
                  memo: dict):
@@ -532,19 +546,21 @@ class _Point:
         self.memo = memo
 
     @functools.cached_property
-    def receiver_samples(self):
-        return montecarlo.simulate_receiver_snr(
-            self.receiver, self.trials, self.seed, self.memo)
-
-    @functools.cached_property
     def eve_samples(self):
         return montecarlo.simulate_eve_sinr(
             self.intercept, self.jammer, self.trials, self.seed, self.memo)
 
     def receiver_capacity(self, route: str):
-        """secrecy.<route> of the double-model receiver, once per distinct
-        link in a run (variants and grid points often share it: fig5's
-        jammer sizes all do)."""
+        """The receiver capacity by secrecy.<route> (double model only) or,
+        for route "monte-carlo", by simulation; once per distinct link in a
+        run (variants and grid points often share it: fig5's jammer sizes
+        all do)."""
+        if route == "monte-carlo":
+            key = (self.receiver, route)
+            if key not in self.memo:
+                self.memo[key] = montecarlo.receiver_capacity(
+                    self.receiver, self.trials, self.seed, self.memo).value
+            return self.memo[key]
         rx = self.dksm
         if rx is None:
             return None  # analytic receiver capacity is defined for the double model
@@ -563,8 +579,8 @@ _ROUTES = {
     ("outage_r", "quadrature"): lambda pt, th: (
         dksm_cdf(pt.dksm, th) if pt.dksm is not None
         else _rician_outage(pt.receiver, th, rician_shadowed_cdf_integral)),
-    ("outage_r", "monte-carlo"): lambda pt, th:
-        montecarlo.estimate_outage(pt.receiver_samples, th).value,
+    ("outage_r", "monte-carlo"): lambda pt, th: montecarlo.receiver_outage(
+        pt.receiver, th, pt.trials, pt.seed, pt.memo).value,
     # jammer off: the SINR is the plain Gamma SNR, by its own routes
     ("outage_e", "closed-form"): lambda pt, th: (
         gamma_cdf(pt.eve_gamma_i, th) if pt.eve is None
@@ -572,14 +588,15 @@ _ROUTES = {
     ("outage_e", "quadrature"): lambda pt, th: (
         gamma_cdf_integral(pt.eve_gamma_i, th) if pt.eve is None
         else secrecy.eve_sinr_cdf_integral(pt.eve, th)),
-    ("outage_e", "monte-carlo"): lambda pt, th:
-        montecarlo.estimate_outage(pt.eve_samples, th).value,
+    ("outage_e", "monte-carlo"): lambda pt, th: (
+        montecarlo.intercept_outage(pt.intercept, th, pt.trials, pt.seed, pt.memo)
+        if pt.jammer is None
+        else montecarlo.estimate_outage(pt.eve_samples, th)).value,
     ("c_r", "closed-form"): lambda pt, _:
         pt.receiver_capacity("capacity_receiver_series"),
     ("c_r", "quadrature"): lambda pt, _:
         pt.receiver_capacity("capacity_receiver_quadrature"),
-    ("c_r", "monte-carlo"): lambda pt, _:
-        montecarlo.estimate_capacity(pt.receiver_samples).value,
+    ("c_r", "monte-carlo"): lambda pt, _: pt.receiver_capacity("monte-carlo"),
     ("c_e", "closed-form"): lambda pt, _: (
         None if pt.eve is None  # contour form needs a jamming shape >= 1
         else secrecy.capacity_eve_foxh(pt.eve)),

@@ -260,3 +260,112 @@ class TestEstimators:
     def test_negative_samples_rejected(self):
         with pytest.raises(ParameterError):
             estimate_capacity(np.array([-0.5, 1.0]))
+
+
+class TestExactCounts:
+    """Single-link outage counts the trials below a threshold in the run's
+    sorted unit-law sums; the count is that of the sample array, to the
+    bit, whatever the ties or the scale."""
+
+    @pytest.mark.parametrize("scale", np.logspace(-300, 300, 13))
+    def test_bisection_count_is_the_array_count(self, scale):
+        rng = np.random.default_rng(7)
+        # few distinct values, so long runs of ties
+        v = np.sort(np.round(rng.exponential(size=4000), 1))
+        prods = v * scale
+        picks = prods[rng.integers(0, v.size, 40)]
+        for th in np.concatenate([picks, np.nextafter(picks, 0.0),
+                                  np.nextafter(picks, np.inf), [prods[0], prods[-1]]]):
+            want = np.count_nonzero(prods < th)
+            assert montecarlo._count_below(v, scale, th) == want, th
+
+    def test_bisection_count_at_the_ends(self):
+        v = np.array([1.0, 1.0, 2.0])
+        assert montecarlo._count_below(v, 1.0, 1.0) == 0
+        assert montecarlo._count_below(v, 1.0, np.nextafter(1.0, 2.0)) == 2
+        assert montecarlo._count_below(v, 1.0, np.inf) == 3
+        assert montecarlo._count_below(v[:0], 1.0, 1.0) == 0
+
+    TRIALS = 30_000
+    LOS = RicianShadowedParams(m=2.0, xi=1.0, sigma2=0.2, mean_snr=3.0)
+    NLOS_LAWS = (replace(LOS, mean_snr=0.1),  # one unit law, two scales
+                 RicianShadowedParams(m=0.7, xi=0.01, sigma2=0.06, mean_snr=0.1))
+
+    @staticmethod
+    def _thresholds(samples):
+        # thresholds at sample values hit the ties of `samples < th`
+        picks = np.quantile(samples, [0.01, 0.3, 0.9])
+        exact = samples[:3]
+        return [*picks, *exact, *np.nextafter(exact, 0.0), *np.nextafter(exact, np.inf)]
+
+    @pytest.mark.parametrize("p_los", (0.0, 0.4, 1.0))
+    @pytest.mark.parametrize("nlos", range(2))
+    def test_receiver_outage_is_the_sample_estimate(self, p_los, nlos):
+        link = LinkSpec(fading=self.LOS, antennas=2, p_los=p_los,
+                        fading_nlos=self.NLOS_LAWS[nlos])
+        cache = {}
+        samples = _rx(link, self.TRIALS)
+        for th in self._thresholds(samples):
+            want = estimate_outage(samples, th)
+            got = montecarlo.receiver_outage(link, th, self.TRIALS,
+                                             SamplerSeed(101), cache)
+            assert got == want, th
+            assert montecarlo.receiver_outage(link, th, self.TRIALS,
+                                              SamplerSeed(101)) == want
+
+    def test_plain_link_and_intercept_outage(self):
+        cache = {}
+        for link in (LinkSpec(fading=DKSM), LinkSpec(fading=DKSM, antennas=3)):
+            samples = _rx(link, self.TRIALS)
+            for th in self._thresholds(samples):
+                assert montecarlo.receiver_outage(
+                    link, th, self.TRIALS, SamplerSeed(101), cache) == estimate_outage(samples, th)
+        intercept = LinkSpec(fading=GammaSnrParams(nu=2, beta=0.25), antennas=4)
+        samples = _eve(intercept, None, self.TRIALS)
+        for th in self._thresholds(samples):
+            assert montecarlo.intercept_outage(
+                intercept, th, self.TRIALS, SamplerSeed(101), cache) == estimate_outage(samples, th)
+
+    def test_sorted_copies_once_per_link_and_p_los(self):
+        cache = {}
+        link = LinkSpec(fading=self.LOS, p_los=0.4, fading_nlos=self.NLOS_LAWS[0])
+        for p_los in (0.4, 0.4, 0.9):
+            montecarlo.receiver_outage(replace(link, p_los=p_los), 1.0,
+                                       self.TRIALS, SamplerSeed(101), cache)
+        sorted_keys = [k for k in cache if k[0] == "sorted"]
+        assert len(sorted_keys) == 2
+        # the LOS and NLOS parts of one p_los hold each trial once
+        assert sum(part.size for part in cache[sorted_keys[0]]) == self.TRIALS
+
+    def test_outage_routes_validate(self):
+        link = LinkSpec(fading=DKSM)
+        with pytest.raises(ParameterError):
+            montecarlo.receiver_outage(link, 0.0, 10, SamplerSeed(1))
+        with pytest.raises(ParameterError):
+            montecarlo.receiver_outage(link, 1.0, 0, SamplerSeed(1))
+        with pytest.raises(ParameterError):
+            montecarlo.intercept_outage(None, 1.0, 10, SamplerSeed(1))
+
+
+class TestCapacityEstimator:
+    """estimate_capacity works in place on one array, with np.mean and
+    np.var(ddof=1) values to the bit."""
+
+    @pytest.mark.parametrize("n", (1, 2, 100_000))
+    def test_same_bits_as_mean_and_var(self, n):
+        samples = np.random.default_rng(n).exponential(3.0, size=n)
+        kept = samples.copy()
+        vals = np.log2(1.0 + samples)
+        want_se = math.sqrt(float(np.var(vals, ddof=1)) / n) if n > 1 else 0.0
+        e = estimate_capacity(samples)
+        assert (e.value, e.std_error, e.trials) == (float(np.mean(vals)), want_se, n)
+        np.testing.assert_array_equal(samples, kept)  # the input is not touched
+
+    def test_receiver_capacity_is_the_sample_estimate(self):
+        cache = {}
+        link = LinkSpec(fading=TestLinkCache.LOS, p_los=0.3,
+                        fading_nlos=TestExactCounts.NLOS_LAWS[1])
+        for link in (LinkSpec(fading=DKSM, antennas=2), link):
+            want = estimate_capacity(_rx(link, 20_000))
+            assert montecarlo.receiver_capacity(link, 20_000, SamplerSeed(101),
+                                                cache) == want

@@ -534,6 +534,21 @@ class TestCommonRandomNumbers:
         assert peak < 10 * 2**20
 
 
+    def test_fig2_memory_is_a_few_sample_arrays(self):
+        # the cache's unit sums, coin and sorted copies plus the sampler's
+        # arrays while the second variant's law is drawn; no cell makes a
+        # sample array of its own
+        run_scenario("fig2", methods=self.MC, grid=[0.0], trials=10)
+        trials = load_config("fig2")["trials"]
+        tracemalloc.start()
+        try:
+            run_scenario("fig2", methods=self.MC)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 8 * trials
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run(
@@ -696,6 +711,19 @@ class TestCli:
         doc = json.loads(r.stdout)
         assert len(doc["rows"]) == 1
         assert doc["rows"][0][0] == 10.0
+
+    def test_eval_on_a_jammer_size_sweep(self, tmp_path):
+        # --at parses as a float; on the integer k axis 1.0 is K = 1
+        cfg = load_config("fig3")
+        cfg["sweep"] = {"axis": "k", "grid": [0, 1, 2]}
+        cfg["trials"] = 2000
+        f = tmp_path / "k.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        r = self._run("eval", str(f), "--at", "1")
+        assert r.returncode == 0, r.stderr
+        buf = io.StringIO()
+        emit(run_scenario(str(f)), format="csv", destination=buf)
+        assert r.stdout.splitlines()[-1] == buf.getvalue().splitlines()[-2]
 
     def test_sweep_csv_to_file(self, tmp_path):
         out = tmp_path / "r.csv"
