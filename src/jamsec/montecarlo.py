@@ -23,16 +23,14 @@ cell's own standard error is unchanged.  Sample arrays are bit-identical
 for any worker count, with or without a cache, and a worker pool can
 fill shards in any order.
 
-Single-link outage is an exact count, not a pass over samples: the
-receiver, with or without a blockage mixture (`receiver_outage`), and
-the eavesdropper with the jammer off (`intercept_outage`).  A trial's
-SNR is fl(v * scale) for its unit-law sum v, and rounding is monotone,
-so the trials below a threshold are a prefix of the sorted unit sums.
+Receiver outage is an exact count, not a pass over samples
+(`receiver_outage`, with or without a blockage mixture).  A trial's SNR
+is fl(v * scale) for its unit-law sum v, and rounding is monotone, so
+the trials below a threshold are a prefix of the sorted unit sums.
 Bisecting on that same predicate finds the prefix in O(log trials), and
 the count equals `np.count_nonzero(samples < th)` to the bit, ties
-included.  `receiver_capacity` estimates from a link directly, and the
-capacity estimators take log2 and the variance in place, on the one
-array they are given or make.
+included.  `estimate_capacity` takes log2 and the variance in place, on
+the one working array it makes.
 
 Memory bound: a caller-owned cache holds one `trials`-length float array
 per distinct (link role, unit law, antenna count) in a run, never the
@@ -42,14 +40,14 @@ and NLOS sharing it, and the receiver's coin), 2 for fig3 and fig4
 (intercept, jammer), and 6 for fig5 (receiver, intercept, and the jammer
 at K = 1, 2, 4, 8).  A sum for K antennas continues the cached sum for
 the most antennas below K, so fig5's jammer draws 8 arrays, not 15.
-Single-link outage cells add the sorted copies they count in, made once
-per run: one array per plain link (role, unit law, antenna count), and
-one per blockage link and p_los, split into its sorted LOS and NLOS
+Receiver outage cells add the sorted copies they count in, made once
+per run: one array per plain receiver link (unit law, antenna count),
+and one per blockage link and p_los, split into its sorted LOS and NLOS
 trials.  Of the built-in scenarios only fig2 has such cells, so its
 cache holds 5 arrays (2 sorted).  The other per-cell arrays are
-transient: a jammer-on SINR (two arrays while it is formed, one kept for
-the point's outage and capacity cells) and one working array per
-capacity estimate.
+transient: an eavesdropper SINR (two arrays while a jammer-on one is
+formed, one kept for the point's outage and capacity cells), receiver
+samples for a capacity estimate, and the estimate's working array.
 """
 
 from __future__ import annotations
@@ -77,8 +75,6 @@ __all__ = [
     "simulate_receiver_snr",
     "simulate_eve_sinr",
     "receiver_outage",
-    "intercept_outage",
-    "receiver_capacity",
     "estimate_outage",
     "estimate_capacity",
 ]
@@ -226,21 +222,22 @@ def _link_samples(link: LinkSpec, role: int, trials: int, seed: SamplerSeed,
     return out
 
 
-def _sorted_unit_sums(link: LinkSpec, role: int, trials: int, seed: SamplerSeed,
+def _sorted_unit_sums(link: LinkSpec, trials: int, seed: SamplerSeed,
                       cache: dict) -> list:
-    """[(sorted unit-law sums, scale), ...] of a link, once per run: each
-    trial's SNR is fl(v * scale) for its v in exactly one of them.  A
-    plain link has one; a mixture has its LOS trials of the LOS sum and
-    its NLOS trials of the NLOS sum, so it is keyed by p_los."""
+    """[(sorted unit-law sums, scale), ...] of a receiver link, once per
+    run: each trial's SNR is fl(v * scale) for its v in exactly one of
+    them.  A plain link has one; a mixture has its LOS trials of the LOS
+    sum and its NLOS trials of the NLOS sum, so it is keyed by p_los."""
+    role = _LINK_RECEIVER
     unit, scale = _unit_law(link.fading)
     if link.p_los is None:
-        key = ("sorted", role, unit, link.antennas, trials, seed)
+        key = ("sorted", unit, link.antennas, trials, seed)
         if key not in cache:
             cache[key] = (np.sort(_unit_sum(unit, seed, role, link.antennas,
                                             trials, cache)),)
         return list(zip(cache[key], (scale,)))
     unit_nlos, scale_nlos = _unit_law(link.fading_nlos)
-    key = ("sorted", role, unit, unit_nlos, link.antennas, link.p_los, trials, seed)
+    key = ("sorted", unit, unit_nlos, link.antennas, link.p_los, trials, seed)
     if key not in cache:
         total = _unit_sum(unit, seed, role, link.antennas, trials, cache)
         total_nlos = _unit_sum(unit_nlos, seed, role, link.antennas, trials, cache)
@@ -266,16 +263,6 @@ def _count_below(sorted_sums: np.ndarray, scale: float, gamma_th: float) -> int:
         else:
             hi = mid
     return lo
-
-
-def _link_outage(link: LinkSpec, role: int, gamma_th: float, trials: int,
-                 seed: SamplerSeed, cache: Optional[dict]) -> Estimate:
-    _check_run(link, trials, seed)
-    _check_threshold(gamma_th)
-    cache = {} if cache is None else cache
-    count = sum(_count_below(v, scale, gamma_th)
-                for v, scale in _sorted_unit_sums(link, role, trials, seed, cache))
-    return _outage(count, trials)
 
 
 def simulate_receiver_snr(link: LinkSpec, trials: int, seed: SamplerSeed,
@@ -311,24 +298,12 @@ def receiver_outage(link: LinkSpec, gamma_th: float, trials: int,
 
     `cache` is as for `simulate_receiver_snr`; it also keeps the sorted
     sums, so the cells of a run sort each link once."""
-    return _link_outage(link, _LINK_RECEIVER, gamma_th, trials, seed, cache)
-
-
-def intercept_outage(intercept: LinkSpec, gamma_th: float, trials: int,
-                     seed: SamplerSeed, cache: Optional[dict] = None) -> Estimate:
-    """Eavesdropper outage with the jammer off, as `receiver_outage`:
-    `estimate_outage(simulate_eve_sinr(intercept, None, ...), gamma_th)`
-    to the bit."""
-    return _link_outage(intercept, _LINK_INTERCEPT, gamma_th, trials, seed, cache)
-
-
-def receiver_capacity(link: LinkSpec, trials: int, seed: SamplerSeed,
-                      cache: Optional[dict] = None) -> Estimate:
-    """`estimate_capacity(simulate_receiver_snr(link, trials, seed, cache))`
-    to the bit, in the one array of samples it draws."""
-    vals = _link_samples(link, _LINK_RECEIVER, trials, seed, cache)
-    vals += 1.0
-    return _log2_mean(vals)
+    _check_run(link, trials, seed)
+    _check_threshold(gamma_th)
+    cache = {} if cache is None else cache
+    count = sum(_count_below(v, scale, gamma_th)
+                for v, scale in _sorted_unit_sums(link, trials, seed, cache))
+    return _outage(count, trials)
 
 
 def _check_threshold(gamma_th: float) -> None:
@@ -353,11 +328,17 @@ def estimate_outage(samples: np.ndarray, gamma_th: float) -> Estimate:
     return _outage(np.count_nonzero(samples < gamma_th), samples.size)
 
 
-def _log2_mean(vals: np.ndarray) -> Estimate:
-    """Sample mean of log2(vals) with its standard error, overwriting
-    `vals`.  The values are those of np.mean and np.var(ddof=1) to the
-    bit: the same pairwise sums, in np.var's order of operations, with
-    its mean reused."""
+def estimate_capacity(samples: np.ndarray) -> Estimate:
+    """Sample mean of log2(1 + sample) with its standard error."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
+        raise ParameterError("empty sample stream")
+    if np.any(samples < 0):
+        raise ParameterError("samples must be non-negative")
+    # one new 1-d working array, overwritten in place; the values are those
+    # of np.mean and np.var(ddof=1) to the bit: the same pairwise sums, in
+    # np.var's order of operations, with its mean reused
+    vals = samples.reshape(-1) + 1.0
     n = vals.size
     np.log2(vals, out=vals)
     mean = float(np.add.reduce(vals)) / n
@@ -367,13 +348,3 @@ def _log2_mean(vals: np.ndarray) -> Estimate:
     np.square(vals, out=vals)
     var = float(np.add.reduce(vals)) / (n - 1)
     return Estimate(value=mean, std_error=math.sqrt(var / n), trials=n)
-
-
-def estimate_capacity(samples: np.ndarray) -> Estimate:
-    """Sample mean of log2(1 + sample) with its standard error."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ParameterError("empty sample stream")
-    if np.any(samples < 0):
-        raise ParameterError("samples must be non-negative")
-    return _log2_mean(samples + 1.0)

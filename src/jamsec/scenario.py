@@ -472,8 +472,7 @@ class _Point:
     scenario's seed; `memo` holds what this run already computed:
     receiver capacities and the Monte Carlo unit-law link sums (and their
     sorted copies), which every cell scales to its own means.  The
-    jammer-on eavesdropper SINR is drawn on first use, so at most once
-    per point."""
+    eavesdropper SINR is drawn on first use, so at most once per point."""
 
     def __init__(self, sc: Scenario, overrides: dict, axis_value: float,
                  memo: dict):
@@ -558,8 +557,9 @@ class _Point:
         if route == "monte-carlo":
             key = (self.receiver, route)
             if key not in self.memo:
-                self.memo[key] = montecarlo.receiver_capacity(
-                    self.receiver, self.trials, self.seed, self.memo).value
+                self.memo[key] = montecarlo.estimate_capacity(
+                    montecarlo.simulate_receiver_snr(
+                        self.receiver, self.trials, self.seed, self.memo)).value
             return self.memo[key]
         rx = self.dksm
         if rx is None:
@@ -588,10 +588,8 @@ _ROUTES = {
     ("outage_e", "quadrature"): lambda pt, th: (
         gamma_cdf_integral(pt.eve_gamma_i, th) if pt.eve is None
         else secrecy.eve_sinr_cdf_integral(pt.eve, th)),
-    ("outage_e", "monte-carlo"): lambda pt, th: (
-        montecarlo.intercept_outage(pt.intercept, th, pt.trials, pt.seed, pt.memo)
-        if pt.jammer is None
-        else montecarlo.estimate_outage(pt.eve_samples, th)).value,
+    ("outage_e", "monte-carlo"): lambda pt, th:
+        montecarlo.estimate_outage(pt.eve_samples, th).value,
     ("c_r", "closed-form"): lambda pt, _:
         pt.receiver_capacity("capacity_receiver_series"),
     ("c_r", "quadrature"): lambda pt, _:

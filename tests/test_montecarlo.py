@@ -263,7 +263,7 @@ class TestEstimators:
 
 
 class TestExactCounts:
-    """Single-link outage counts the trials below a threshold in the run's
+    """Receiver outage counts the trials below a threshold in the run's
     sorted unit-law sums; the count is that of the sample array, to the
     bit, whatever the ties or the scale."""
 
@@ -313,18 +313,14 @@ class TestExactCounts:
             assert montecarlo.receiver_outage(link, th, self.TRIALS,
                                               SamplerSeed(101)) == want
 
-    def test_plain_link_and_intercept_outage(self):
+    def test_plain_link_outage(self):
         cache = {}
-        for link in (LinkSpec(fading=DKSM), LinkSpec(fading=DKSM, antennas=3)):
+        for link in (LinkSpec(fading=DKSM), LinkSpec(fading=DKSM, antennas=3),
+                     LinkSpec(fading=GammaSnrParams(nu=2, beta=0.25), antennas=4)):
             samples = _rx(link, self.TRIALS)
             for th in self._thresholds(samples):
                 assert montecarlo.receiver_outage(
                     link, th, self.TRIALS, SamplerSeed(101), cache) == estimate_outage(samples, th)
-        intercept = LinkSpec(fading=GammaSnrParams(nu=2, beta=0.25), antennas=4)
-        samples = _eve(intercept, None, self.TRIALS)
-        for th in self._thresholds(samples):
-            assert montecarlo.intercept_outage(
-                intercept, th, self.TRIALS, SamplerSeed(101), cache) == estimate_outage(samples, th)
 
     def test_sorted_copies_once_per_link_and_p_los(self):
         cache = {}
@@ -344,7 +340,7 @@ class TestExactCounts:
         with pytest.raises(ParameterError):
             montecarlo.receiver_outage(link, 1.0, 0, SamplerSeed(1))
         with pytest.raises(ParameterError):
-            montecarlo.intercept_outage(None, 1.0, 10, SamplerSeed(1))
+            montecarlo.receiver_outage(None, 1.0, 10, SamplerSeed(1))
 
 
 class TestCapacityEstimator:
@@ -361,11 +357,9 @@ class TestCapacityEstimator:
         assert (e.value, e.std_error, e.trials) == (float(np.mean(vals)), want_se, n)
         np.testing.assert_array_equal(samples, kept)  # the input is not touched
 
-    def test_receiver_capacity_is_the_sample_estimate(self):
-        cache = {}
-        link = LinkSpec(fading=TestLinkCache.LOS, p_los=0.3,
-                        fading_nlos=TestExactCounts.NLOS_LAWS[1])
-        for link in (LinkSpec(fading=DKSM, antennas=2), link):
-            want = estimate_capacity(_rx(link, 20_000))
-            assert montecarlo.receiver_capacity(link, 20_000, SamplerSeed(101),
-                                                cache) == want
+    def test_any_shape(self):
+        samples = np.random.default_rng(5).exponential(3.0, size=(40, 25))
+        assert estimate_capacity(samples) == estimate_capacity(samples.ravel())
+        assert estimate_capacity(samples.T) == estimate_capacity(samples.T.ravel())
+        assert estimate_capacity(np.float64(3.0)) == estimate_capacity([3.0])
+        assert estimate_capacity(np.float64(3.0)).value == 2.0
