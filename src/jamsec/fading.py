@@ -81,32 +81,39 @@ def _ln_window_sum(ln_terms, ratio_sup, peak, spread) -> np.ndarray:
     lo unless the window's maximum is at lo.  A window starts 20 spreads
     wide and doubles until the tail above it, at most t_hi r/(1-r), and
     the head below, at most lo max(t_0, t_lo), are _LN_WINDOW_TOL below
-    its sum: no term budget.  A window wider than _LN_CHUNK is summed
-    _LN_CHUNK columns at a time against a running maximum, so memory stays
-    rows x _LN_CHUNK.  A row's windows depend on its own inputs."""
+    its sum: no term budget.  A doubled window adds only its new columns,
+    on either side of the old, to the running maximum and sum, _LN_CHUNK
+    columns at a time, so memory stays rows x _LN_CHUNK.  A row's windows
+    depend on its own inputs."""
     peak = np.floor(peak)
     out = np.empty(peak.shape)
     width = 2.0 ** np.ceil(np.log2(np.maximum(32.0, 20.0 * spread)))  # inf once done
+    summed = np.zeros(peak.shape)  # width of the window already summed
+    top = np.full(peak.shape, -np.inf)  # ln of the largest term so far
+    acc = np.zeros(peak.shape)  # the sum so far over exp(shift)
     with np.errstate(divide="ignore", invalid="ignore"):
         while (w := width.min(initial=np.inf)) < np.inf:
-            rows = np.nonzero(width == w)[0]
+            at_w = width == w
+            done = summed[at_w].max()  # rows that doubled into w, then fresh ones
+            rows = np.nonzero(at_w & (summed == done))[0]
             lo = np.maximum(peak[rows] - w // 2, 0.0)
-            top = np.full(rows.size, -np.inf)  # ln of the largest term so far
-            acc = np.zeros(rows.size)  # the sum so far over exp(shift)
-            for j in np.arange(0.0, w, _LN_CHUNK):
-                lt = ln_terms(rows, lo[:, None] + np.arange(j, min(j + _LN_CHUNK, w)))
-                if j == 0.0:
-                    first = lt[:, 0]
-                prev, top = top, np.maximum(top, lt.max(axis=1))
+            # new columns below the summed window, then above it
+            below = (np.maximum(peak[rows] - done // 2, 0.0) - lo)[:, None] if done else np.inf
+            t, a = top[rows], acc[rows]
+            for j in np.arange(0.0, w - done, _LN_CHUNK):
+                cols = np.arange(j, min(j + _LN_CHUNK, w - done))
+                lt = ln_terms(rows, lo[:, None] + np.where(cols < below, cols, cols + done))
+                prev, t = t, np.maximum(t, lt.max(axis=1))
                 # every term underflowed: the sum is 0
-                shift = np.where(np.isfinite(top), top, 0.0)
-                acc = acc * np.exp(prev - shift) + np.exp(lt - shift[:, None]).sum(axis=1)
-            out[rows] = shift + np.log(acc)
+                shift = np.where(np.isfinite(t), t, 0.0)
+                a = a * np.exp(prev - shift) + np.exp(lt - shift[:, None]).sum(axis=1)
+            top[rows], acc[rows], summed[rows] = t, a, w
+            out[rows] = shift + np.log(a)
             r = ratio_sup(rows, lo + (w - 1.0))
             left_out = np.where(r < 1.0, lt[:, -1] + np.log(r / (1.0 - r)), np.inf)
             if lo.any():
-                head = np.maximum(first, ln_terms(rows, np.zeros((rows.size, 1)))[:, 0])
-                left_out = np.maximum(left_out, np.log(lo) + head)
+                ends = ln_terms(rows, np.stack((np.zeros(rows.size), lo), axis=1))
+                left_out = np.maximum(left_out, np.log(lo) + ends.max(axis=1))
             # a NaN sum ends too
             width[rows] = np.where(left_out > out[rows] + _LN_WINDOW_TOL, 2.0 * w, np.inf)
     return out
@@ -336,13 +343,21 @@ def _ln_hyp2f1_series(a, b, c, z) -> np.ndarray:
     peak = np.where(disc > 0, np.maximum((np.sqrt(np.abs(disc)) - qb) / (2.0 * qa), 0.0), 0.0)
     lnz = np.log(z)
 
+    def ln_t(k, lz):
+        return _ln_poch(a, k) + _ln_poch(b, k) - _ln_poch(c, k) - sc.gammaln(k + 1.0) + k * lz
+
     def ln_terms(rows, k):
-        # log-gammas at the window's first k, then the cumulative log term
-        # ratios: all positive, so nothing cancels
-        k0, kk, lz = k[:, :1], k[:, :-1], lnz[rows, None]
-        first = _ln_poch(a, k0) + _ln_poch(b, k0) - _ln_poch(c, k0) - sc.gammaln(k0 + 1.0) + k0 * lz
+        # log-gammas at the first k, then the cumulative log term ratios:
+        # all positive, so nothing cancels.  Where k jumps over a doubled
+        # window's old columns, the step is a difference of log-gamma terms
+        kk, lz = k[:, :-1], lnz[rows, None]
         steps = np.log((a + kk) * (b + kk) / ((c + kk) * (1.0 + kk))) + lz
-        return first + np.concatenate((np.zeros_like(k0), np.cumsum(steps, axis=1)), axis=1)
+        if np.any(k[:, -1] - k[:, 0] > k.shape[1] - 1):
+            jump = k[:, 1:] > kk + 1.0
+            lzj = np.broadcast_to(lz, jump.shape)[jump]
+            steps[jump] = ln_t(k[:, 1:][jump], lzj) - ln_t(kk[jump], lzj)
+        return ln_t(k[:, :1], lz) + np.concatenate(
+            (np.zeros((k.shape[0], 1)), np.cumsum(steps, axis=1)), axis=1)
 
     def ratio_sup(rows, k):  # past k, (a+k)/(c+k) and (b+k)/(1+k) stay on one side of 1
         return z[rows] * np.maximum((a + k) / (c + k), 1.0) * np.maximum((b + k) / (1.0 + k), 1.0)

@@ -188,31 +188,26 @@ def eve_sinr_cdf_integral(p: EveLinkParams, gamma) -> float:
 # receiver ergodic capacity
 
 
-def _log_capacity(pdf, u_lo: float, u_hi: float, points, what: str) -> float:
-    """E[log2(1 + gamma)] of the scalar density `pdf` by adaptive
-    quadrature in u = ln(gamma) over [u_lo, u_hi], split at `points`."""
+def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams) -> float:
+    """E[log2(1 + gamma)] of the receiver density (`fading._dksm_pdf_scalar`)
+    by adaptive quadrature in u = ln(gamma), split at the knee.  Above the
+    knee the integrand falls like u e^(-s u), so capping the upper limit at
+    _U_MAX loses nothing and keeps exp(u) finite as s -> 1.  Below the
+    lower limit, floored at -_U_MAX, the integrand is ~ gamma^(1+mu): the
+    mass there is beyond double precision."""
+    knee = math.log((p.s - 1.0) * p.mean_snr / p.big_t)
+    u_lo = max(knee - 60.0 / p.mu - 5.0, -_U_MAX)
+    u_hi = min(knee + 85.0 / (p.s - 1.0) + 15.0, _U_MAX)
+    pdf = _dksm_pdf_scalar(p)
 
     def integrand(u):
         t = math.exp(u)
         return math.log1p(t) / _LN2 * pdf(t) * t
 
     val = _quad([(integrand, u_lo, u_hi)], (1e-8, 1e-6),
-                f"{what} capacity quadrature did not reach tolerance",
-                points=points, limit=400, epsabs=1e-12, epsrel=1e-10)
+                "receiver capacity quadrature did not reach tolerance",
+                points=[knee], limit=400, epsabs=1e-12, epsrel=1e-10)
     return max(val, 0.0)
-
-
-def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams) -> float:
-    """E[log2(1 + gamma)] by `_log_capacity` of the receiver density
-    (`fading._dksm_pdf_scalar`).  Above the knee the integrand falls like
-    u e^(-s u), so capping the upper limit at _U_MAX loses nothing and
-    keeps exp(u) finite as s -> 1.  Below the lower limit, floored at
-    -_U_MAX, the integrand is ~ gamma^(1+mu): the mass there is beyond
-    double precision."""
-    knee = math.log((p.s - 1.0) * p.mean_snr / p.big_t)
-    u_lo = max(knee - 60.0 / p.mu - 5.0, -_U_MAX)
-    u_hi = min(knee + 85.0 / (p.s - 1.0) + 15.0, _U_MAX)
-    return _log_capacity(_dksm_pdf_scalar(p), u_lo, u_hi, [knee], "receiver")
 
 
 def capacity_receiver_series(p: DoubleKappaMuShadowedParams) -> float:
@@ -236,50 +231,45 @@ def capacity_receiver_series(p: DoubleKappaMuShadowedParams) -> float:
 # eavesdropper ergodic capacity
 
 
+def _mgf_capacity(nu_i, beta_i, nu_j, beta_j) -> float:
+    """E[log2(1 + gamma_I / (1 + gamma_J))] for Gamma gamma_I, gamma_J with
+    shapes nu_i, nu_j and rates beta_i, beta_j, by Hamdi's MGF lemma (IEEE
+    Trans. Commun. 58(2), 2010):
+
+        ln2 C = int_0^inf e^(-z) (1 + z/beta_J)^(-nu_J)
+                          (1 - (1 + z/beta_I)^(-nu_I)) / z dz,
+
+    one adaptive quadrature in u = ln z, split at ln beta_J, ln beta_I and
+    0, where the factors turn over; nu_j = 0 is the jammer-off case.  Below
+    every break the integrand is nu_I z / beta_I to first order, so the
+    mass under u_lo is e^(-40) ~ 4e-18 of its value at the lowest break.
+    Above u_hi, z > 60 and the integrand falls like e^(-z).  Against the
+    whole integral the two tails stay below 4e-16 and 2e-27 (mpmath, nu_I
+    up to 16, nu_J up to 64, rates 0.01 to 1e4).  Both limits keep exp(u)
+    finite."""
+    breaks = sorted({math.log(beta_j), math.log(beta_i), 0.0})
+    u_lo, u_hi = breaks[0] - 40.0, math.log(60.0 + 2.0 * nu_i)
+
+    def integrand(u):
+        z = math.exp(u)
+        return (math.exp(-z - nu_j * math.log1p(z / beta_j))
+                * -math.expm1(-nu_i * math.log1p(z / beta_i)) / _LN2)
+
+    val = _quad([(integrand, u_lo, u_hi)], (1e-9, 1e-6),
+                "eavesdropper capacity quadrature did not reach tolerance",
+                points=[b for b in breaks if u_lo < b < u_hi] or None,
+                epsabs=1e-13, epsrel=1e-11, limit=400)
+    return max(val, 0.0)
+
+
 def capacity_eve_quadrature(p: EveLinkParams) -> float:
-    """E[log2(1 + SINR)] at the eavesdropper via the survival-function
-    identity, one 1-D adaptive quadrature per (n, q) term.
-
-    Each term is integrated in u = ln t, split where its factors turn
-    over: at t = beta_J/beta_I (where the jamming term stops dominating),
-    t = 1 (log1p) and t = 1/beta_I (the exponential cut-off).  A strong
-    jammer makes the peak near t = beta_J/beta_I narrow on a linear scale,
-    and an integrator over [0, inf) can step over it.
-    """
-    base = p.nu_j * math.log(p.beta_j) - sc.gammaln(p.nu_j) - math.log(_LN2)
-    points = sorted({math.log(p.beta_j / p.beta_i), 0.0, -math.log(p.beta_i)})
-    pieces = []
-    for n in range(p.nu_i):
-        # below every break the integrand grows like e^{(n+1)u}; above
-        # them it falls like v^n e^{-v} in v = beta_I t, and u_hi puts v
-        # at 60 + 2n or more
-        u_lo = points[0] - 60.0 / (n + 1)
-        u_hi = points[-1] + math.log(60.0 + 2.0 * n)
-        for q in range(n + 1):
-            omega = q + p.nu_j
-            ln_coef = (
-                base
-                + _ln_binom(n, q)
-                + sc.gammaln(omega)
-                + n * math.log(p.beta_i)
-                - sc.gammaln(n + 1)
-            )
-
-            def integrand(u, n=n, omega=omega, ln_coef=ln_coef):
-                t = math.exp(u)
-                return math.exp(
-                    ln_coef
-                    + (n + 1) * u
-                    - p.beta_i * t
-                    - omega * math.log(p.beta_i * t + p.beta_j)
-                    - math.log1p(t)
-                )
-
-            pieces.append((integrand, u_lo, u_hi))
-    total = _quad(pieces, (1e-9, 1e-6),
-                  "eavesdropper capacity quadrature did not reach tolerance",
-                  points=points, epsabs=1e-13, epsrel=1e-11, limit=400)
-    return max(total, 0.0)
+    """E[log2(1 + SINR)] at the eavesdropper by one quadrature of Hamdi's
+    MGF integral (`_mgf_capacity`).  A strong jammer makes the integrand
+    turn over near z = beta_J, narrow on a linear scale, so the route
+    integrates in u = ln z, split there.  It shares no formula with the
+    Fox-H closed form; the tests check it against the survival-function
+    identity, one quadrature per (n, q) term of the closed-form CDF."""
+    return _mgf_capacity(p.nu_i, p.beta_i, p.nu_j, p.beta_j)
 
 
 def capacity_eve_foxh(p: EveLinkParams) -> float:
@@ -302,17 +292,10 @@ def capacity_eve_foxh(p: EveLinkParams) -> float:
 
 
 def capacity_gamma_quadrature(p: GammaSnrParams) -> float:
-    """E[log2(1 + gamma)] for a plain Gamma SNR (jammer-free paths) by
-    `_log_capacity` of `_gamma_pdf_scalar`, split at u = 0 (log1p) and
-    the mode ln(nu/beta): in gamma itself the density spans nu/beta, 1e6
-    at 60 dB, and quad over [0, inf) misses its mass.  Below both breaks
-    the integrand rises like e^((nu+1) u); above the mode it falls like
-    v^nu e^(-v) in v = beta gamma, and u_hi puts v at 60 + 2 nu."""
-    mode = math.log(p.nu / p.beta)
-    u_lo = max(min(0.0, mode) - 60.0 / p.nu, -_U_MAX)
-    u_hi = min(math.log((60.0 + 2.0 * p.nu) / p.beta), _U_MAX)
-    pts = [v for v in sorted({0.0, mode}) if u_lo < v < u_hi]
-    return _log_capacity(_gamma_pdf_scalar(p), u_lo, u_hi, pts or None, "Gamma")
+    """E[log2(1 + gamma)] for a plain Gamma SNR (jammer-free paths): the
+    jammer-off case nu_J = 0 of `_mgf_capacity`, one quadrature in
+    u = ln z, so a mean SNR anywhere from 1e-2 to 1e8 stays in reach."""
+    return _mgf_capacity(p.nu, p.beta, 0, 1.0)  # a unit rate adds no break
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import scipy.integrate
 import scipy.special as sc
 import scipy.stats
 
+from jamsec import fading
 from jamsec.errors import ParameterError
 from jamsec.fading import (
     DoubleKappaMuShadowedParams,
@@ -194,6 +195,44 @@ class TestLogSpace2F1:
             [_ln_hyp2f1_series(2.5, 1e5 + 1.0, 1.0, [v])[0] for v in z])
 
 
+class TestWindowSum:
+    """`_ln_window_sum` carries a doubled window's sum and evaluates only
+    the columns it adds, on either side of the old window."""
+
+    @staticmethod
+    def narrowed(monkeypatch):
+        # every other row starts 64 times too narrow, so it doubles back
+        # past its usual width while its neighbours do not
+        real = fading._ln_window_sum
+
+        def narrow(ln_terms, ratio_sup, peak, spread):
+            return real(ln_terms, ratio_sup, peak,
+                        spread / np.where(np.arange(peak.size) % 2, 64.0, 1.0))
+
+        monkeypatch.setattr(fading, "_ln_window_sum", narrow)
+
+    def test_log_space_2f1(self, monkeypatch):
+        # the 2F1 terms come from cumulative ratios, which must step over
+        # the old window where the new columns jump it.  A narrow window
+        # starts its ratios at a log-gamma term of k in the hundreds, not
+        # at k = 0, so its sum carries ~1e-13 more rounding
+        z = 1.0 - np.geomspace(1e-3, 0.5, 8)
+        for a, b, c in ((0.05, 200.0, 193.3), (5.0, 200.0, 52.0), (60.0, 70.0, 0.6)):
+            want = _ln_hyp2f1_series(a, b, c, z)
+            self.narrowed(monkeypatch)
+            np.testing.assert_allclose(_ln_hyp2f1_series(a, b, c, z), want, rtol=1e-12, atol=0.0)
+            monkeypatch.undo()
+
+    def test_rician_cdf(self, monkeypatch):
+        g = np.geomspace(1e-3, 2e3, 9)
+        for m, xi, sigma2 in ((0.5, 1000.0, 0.001), (19.4, 1.29, 0.158), (2.0, 50.0, 0.01)):
+            p = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2, mean_snr=1.0)
+            want = rician_shadowed_cdf(p, g)
+            self.narrowed(monkeypatch)
+            np.testing.assert_allclose(rician_shadowed_cdf(p, g), want, rtol=1e-14, atol=0.0)
+            monkeypatch.undo()
+
+
 class TestDoubleShadowedCdf:
     def test_limits_and_monotone(self):
         p = DoubleKappaMuShadowedParams(c=1.5, s=2.5, mu=2.0, kappa=1.0, mean_snr=1.0)
@@ -359,8 +398,9 @@ class TestRicianShadowed:
 
     def test_cdf_wide_window_memory(self, monkeypatch):
         # x = 1e6 against 1/(1 - rho) = 1e6: the window doubles to 2^20
-        # terms, summed in 2^16-term blocks; one 2^20-wide block of
-        # log-terms and its temporaries peaks at ~36 MB
+        # terms, summed in 2^16-term blocks (3 MB); the last doubling adds
+        # 2^19 columns, and as one block their log-terms and temporaries
+        # peak at ~22 MB
         p = RicianShadowedParams(m=0.5, xi=1000.0, sigma2=0.001, mean_snr=1.0)
         tracemalloc.start()
         try:
@@ -368,9 +408,28 @@ class TestRicianShadowed:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 12 * 2**20
         monkeypatch.setattr("jamsec.fading._LN_CHUNK", 2.0**21)
         assert val == pytest.approx(rician_shadowed_cdf(p, 2000.0), rel=0.0, abs=1e-12)
+
+    def test_doubled_window_evaluates_each_column_once(self, monkeypatch):
+        # x = 1e7 against 1/(1 - rho) = 1e6: the window starts 32 terms wide
+        # at peak 0 and doubles to 2^24.  A doubled window evaluates only
+        # the columns it adds, so the terms seen are the final width plus
+        # at most one block; evaluating each window whole sees ~2^25
+        p = RicianShadowedParams(m=0.5, xi=1000.0, sigma2=0.001, mean_snr=1.0)
+        real, seen = fading._ln_window_sum, []
+
+        def counted(ln_terms, ratio_sup, peak, spread):
+            def terms(rows, k):
+                seen.append(k.size)
+                return ln_terms(rows, k)
+            return real(terms, ratio_sup, peak, spread)
+
+        monkeypatch.setattr(fading, "_ln_window_sum", counted)
+        val = rician_shadowed_cdf(p, 2e4)
+        assert 2**23 < sum(seen) <= 2**24 + 2**16
+        assert val == pytest.approx(rician_shadowed_cdf_integral(p, 2e4), rel=1e-11, abs=0.0)
 
     def test_sampler(self):
         p = RicianShadowedParams(m=2.0, xi=1.5, sigma2=0.25, mean_snr=2.0)

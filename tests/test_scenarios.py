@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 import yaml
 
 from jamsec import scenario, secrecy
@@ -452,6 +453,28 @@ class TestReceiverMemo:
         t1 = run_scenario("fig5", workers=1, **kw)
         t2 = run_scenario("fig5", workers=2, **kw)
         assert t1.rows == t2.rows
+
+
+class TestEveCapacityQuadrature:
+    @pytest.mark.parametrize("variant", ["k4", "k0"])
+    def test_one_quad_call_per_cell(self, tmp_path, monkeypatch, variant):
+        # a fig5 c_e#quadrature cell is one MGF integral: at nu_I = 4 with
+        # the jammer on (k4) and with it off (k0), not one per (n, q) term
+        cfg = load_config("fig5")
+        cfg["metrics"] = ["c_e"]
+        cfg["variants"] = [v for v in cfg["variants"] if v["name"] == variant]
+        f = tmp_path / "fig5.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        calls, real = [], scipy.integrate.quad
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counted)
+        table = run_scenario(str(f), methods=["quadrature"], grid=[20.0])
+        assert len(calls) == 1
+        assert _col(table, "c_e#quadrature")[0] > 0.0  # one variant: no prefix
 
 
 class TestCommonRandomNumbers:

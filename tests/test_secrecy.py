@@ -228,6 +228,47 @@ def _eve_grid():
                                id=f"{nu_i}-{beta_i:g}-{nu_j}-{beta_j:g}")
 
 
+def _survival_capacity(p):
+    """Test-only oracle for the eavesdropper capacity: the survival-function
+    identity ln2 C = int_0^inf (1 - F(t)) / (1 + t) dt, with 1 - F the
+    closed-form CDF's (n, q) double sum and one quadrature per term.  It
+    shares no formula with the MGF route.  Each term is integrated in
+    u = ln t, split where its factors turn over: t = beta_J/beta_I, t = 1
+    (log1p) and t = 1/beta_I (the exponential cut-off)."""
+    base = p.nu_j * math.log(p.beta_j) - sc.gammaln(p.nu_j) - math.log(math.log(2.0))
+    points = sorted({math.log(p.beta_j / p.beta_i), 0.0, -math.log(p.beta_i)})
+    total = err = 0.0
+    for n in range(p.nu_i):
+        # below every break the integrand grows like e^{(n+1)u}; above
+        # them it falls like v^n e^{-v} in v = beta_I t, and u_hi puts v
+        # at 60 + 2n or more
+        u_lo = points[0] - 60.0 / (n + 1)
+        u_hi = points[-1] + math.log(60.0 + 2.0 * n)
+        for q in range(n + 1):
+            omega = q + p.nu_j
+            ln_coef = (base + sc.gammaln(omega) + n * math.log(p.beta_i)
+                       - sc.gammaln(q + 1) - sc.gammaln(n - q + 1))  # binom(n, q) / n!
+
+            def integrand(u, n=n, omega=omega, ln_coef=ln_coef):
+                t = math.exp(u)
+                return math.exp(ln_coef + (n + 1) * u - p.beta_i * t
+                                - omega * math.log(p.beta_i * t + p.beta_j) - math.log1p(t))
+
+            v, e = scipy.integrate.quad(integrand, u_lo, u_hi, points=points,
+                                        epsabs=1e-13, epsrel=1e-11, limit=400)
+            total += v
+            err += e
+    assert err <= max(1e-9, 1e-6 * total)
+    return total
+
+
+def _oracle_grid():
+    for nu_i, nu_j, beta_i, beta_j in itertools.product(
+            (1, 2, 4, 8, 16), (1, 2, 4, 8, 16), (0.01, 1.0, 100.0), (0.01, 0.1, 1.0, 10.0)):
+        yield pytest.param(nu_i, beta_i, nu_j, beta_j,
+                           id=f"{nu_i}-{beta_i:g}-{nu_j}-{beta_j:g}")
+
+
 class TestEveCapacity:
     def test_unit_case_closed_value(self):
         # nu_i = nu_j = 1, beta_i = beta_j = 1:
@@ -252,6 +293,24 @@ class TestEveCapacity:
         p = EveLinkParams(nu_i=nu_i, beta_i=beta_i, nu_j=nu_j, beta_j=beta_j)
         assert capacity_eve_foxh(p) == pytest.approx(
             capacity_eve_quadrature(p), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("nu_i,beta_i,nu_j,beta_j", _oracle_grid())
+    def test_quadrature_matches_survival_oracle_grid(self, nu_i, beta_i, nu_j, beta_j):
+        # one MGF integral against nu_I (nu_I + 1) / 2 survival-term
+        # integrals: shapes up to 16 and rates 0.01 to 100, which take in
+        # the strong-jamming corners where the Fox-H contour loses digits
+        p = EveLinkParams(nu_i=nu_i, beta_i=beta_i, nu_j=nu_j, beta_j=beta_j)
+        assert capacity_eve_quadrature(p) == pytest.approx(
+            _survival_capacity(p), rel=1e-9, abs=0.0)
+
+    def test_quadrature_against_mpmath_at_the_foxh_floor(self):
+        # the strict-xfail point of the Fox-H grid, where the contour sum
+        # is ~6e-9 off.  mpmath at 40 digits gives the same 32 digits by
+        # the MGF integral, its telescoped sum over j <= nu_I and the
+        # survival-function identity
+        p = EveLinkParams(nu_i=4, beta_i=1000.0, nu_j=16, beta_j=0.1)
+        want = 3.8198488545391894473204690138331e-05
+        assert capacity_eve_quadrature(p) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_foxh_precision_floor_raises_with_best_value(self):
         # at nu_I = 8 with a strong jammer the contour integrand is ~1e10
