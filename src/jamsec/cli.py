@@ -41,7 +41,7 @@ def _add_run_flags(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default="-", help="output path ('-' = stdout)")
     sub.add_argument("--workers", type=int, default=1,
-                     help="process pool size for grid points")
+                     help="largest process pool for grid points (>= 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -50,23 +50,19 @@ _LN_CHUNK = 2.0**16  # widest block of terms _ln_window_sum builds at once
 _U_MAX = 700.0  # |u| bound of the quadratures in u = ln(gamma): exp(u) stays normal
 
 
-def _quad(pieces, tol, message, **options) -> float:
-    """Sum of ``scipy.integrate.quad(f, a, b, **options)`` over the pieces
-    (f, a, b): the one acceptance rule of the quadrature routes.  The sum
-    is accepted only if it and its summed error estimate are finite and
-    the error is within max(tol[0], tol[1] * |sum|); otherwise
-    AccuracyError carries both.  scipy.integrate is imported here, its one
-    user, so it loads on the first quadrature: it drags in scipy.optimize,
-    .sparse and .linalg, which closed-form and Monte Carlo runs never need.
-    scipy.special, bound as `sc`, loads on the first analytic route of
-    either kind; a Monte Carlo run never executes it."""
+def _quad(f, a, b, tol, message, **options) -> float:
+    """``scipy.integrate.quad(f, a, b, **options)`` under the one
+    acceptance rule of the quadrature routes: the value is accepted only
+    if it and its error estimate are finite and the error is within
+    max(tol[0], tol[1] * |value|); otherwise AccuracyError carries both.
+    scipy.integrate is imported here, its one user, so it loads on the
+    first quadrature: it drags in scipy.optimize, .sparse and .linalg,
+    which closed-form and Monte Carlo runs never need.  scipy.special,
+    bound as `sc`, loads on the first analytic route of either kind; a
+    Monte Carlo run never executes it."""
     import scipy.integrate
 
-    val = err = 0.0
-    for f, a, b in pieces:
-        v, e = scipy.integrate.quad(f, a, b, **options)
-        val += v
-        err += e
+    val, err = scipy.integrate.quad(f, a, b, **options)
     if not (math.isfinite(val) and err <= max(tol[0], tol[1] * abs(val))):
         raise AccuracyError(message, best=val, error_estimate=err)
     return val
@@ -398,7 +394,7 @@ def _log_cdf(pdf, gamma, knee: float, rate: float, ln_amp: float, what: str) -> 
         return pdf(t) * t
 
     pts = [knee] if u_lo < knee < u_hi else None
-    val = head + _quad([(integrand, u_lo, u_hi)], (1e-11, 1e-9),
+    val = head + _quad(integrand, u_lo, u_hi, (1e-11, 1e-9),
                        f"{what} CDF quadrature did not reach tolerance",
                        points=pts, limit=300, epsabs=1e-13, epsrel=1e-11)
     return min(max(val, 0.0), 1.0)
@@ -529,7 +525,7 @@ def rician_shadowed_cdf_integral(p: RicianShadowedParams, gamma: float) -> float
     """Defining-integral oracle of `rician_shadowed_cdf`: adaptive
     quadrature of the density (`_rician_shadowed_pdf_scalar`) over
     [0, gamma]."""
-    val = _quad([(_rician_shadowed_pdf_scalar(p), 0.0, gamma)], (1e-11, 1e-9),
+    val = _quad(_rician_shadowed_pdf_scalar(p), 0.0, gamma, (1e-11, 1e-9),
                 "receiver outage quadrature did not reach tolerance",
                 limit=200, epsabs=1e-12, epsrel=1e-10)
     return min(max(val, 0.0), 1.0)

@@ -20,8 +20,8 @@ scale.  Cells of one run that share a link role, unit law and antenna
 count therefore see the same noise (common random numbers): differences
 between those cells carry no sampling noise of that link, and each
 cell's own standard error is unchanged.  Sample arrays are bit-identical
-for any worker count, with or without a cache, and a worker pool can
-fill shards in any order.
+for any worker count, with or without a cache.  Shards bound the
+temporaries of one draw.
 
 Receiver outage is an exact count, not a pass over samples
 (`receiver_outage`, with or without a blockage mixture).  A trial's SNR

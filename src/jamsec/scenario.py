@@ -17,8 +17,8 @@ from __future__ import annotations
 import difflib
 import functools
 import hashlib
-import importlib
 import importlib.resources
+import itertools
 import json
 import os
 import sys
@@ -54,13 +54,17 @@ __all__ = [
 ]
 
 _METHODS = ("closed-form", "quadrature", "monte-carlo")
-_METRICS = ("outage_r", "outage_e", "c_r", "c_e", "c_s")
-# the libraries each method's routes load on first use
-_METHOD_LIBRARIES = {
-    "closed-form": ("scipy.special",),
-    "quadrature": ("scipy.special", "scipy.integrate"),
-    "monte-carlo": (),
+# each metric with the _Point links it reads: those and the cell key the
+# cell's entry in the run memo
+_METRIC_LINKS = {
+    "outage_r": ("receiver",),
+    "outage_e": ("intercept", "jammer"),
+    "c_r": ("receiver",),
+    "c_e": ("intercept", "jammer"),
+    "c_s": ("receiver", "intercept", "jammer"),
 }
+_METRICS = tuple(_METRIC_LINKS)
+_OUTAGES = ("outage_r", "outage_e")  # the metrics with one column per threshold
 
 _REQUIRED = object()
 _DB_LIMIT = 3000.0  # 10**(x/10) is a normal double for |x| up to this
@@ -317,9 +321,7 @@ def validate_config(cfg: dict) -> list:
         # the column labels, not the values, must differ
         diags.append("zeta_db: thresholds must differ in their column labels"
                      f" {[_fmt_zeta(z) for z in zetas]}")
-    elif isinstance(metrics, list) and not zetas and (
-        "outage_r" in metrics or "outage_e" in metrics
-    ):
+    elif isinstance(metrics, list) and not zetas and any(m in metrics for m in _OUTAGES):
         diags.append("zeta_db: outage metrics need at least one threshold")
 
     variants = cfg.get("variants", [])
@@ -469,10 +471,11 @@ def _rician_outage(rx: montecarlo.LinkSpec, th: float, cdf) -> float:
 class _Point:
     """The fully resolved inputs of one (variant, axis value) evaluation.
     Monte Carlo estimates come from the run-level link streams of the
-    scenario's seed; `memo` holds what this run already computed:
-    receiver capacities and the Monte Carlo unit-law link sums (and their
-    sorted copies), which every cell scales to its own means.  The
-    eavesdropper SINR is drawn on first use, so at most once per point."""
+    scenario's seed; `memo` holds what this run already computed: cell
+    values, keyed by the cell and the links its metric reads, and the
+    Monte Carlo unit-law link sums (and their sorted copies), which every
+    cell scales to its own means.  The eavesdropper SINR is drawn on
+    first use, so at most once per point."""
 
     def __init__(self, sc: Scenario, overrides: dict, axis_value: float,
                  memo: dict):
@@ -549,24 +552,21 @@ class _Point:
         return montecarlo.simulate_eve_sinr(
             self.intercept, self.jammer, self.trials, self.seed, self.memo)
 
-    def receiver_capacity(self, route: str):
-        """The receiver capacity by secrecy.<route> (double model only) or,
-        for route "monte-carlo", by simulation; once per distinct link in a
-        run (variants and grid points often share it: fig5's jammer sizes
-        all do)."""
-        if route == "monte-carlo":
-            key = (self.receiver, route)
-            if key not in self.memo:
-                self.memo[key] = montecarlo.estimate_capacity(
-                    montecarlo.simulate_receiver_snr(
-                        self.receiver, self.trials, self.seed, self.memo)).value
-            return self.memo[key]
-        rx = self.dksm
-        if rx is None:
-            return None  # analytic receiver capacity is defined for the double model
-        if (rx, route) not in self.memo:
-            self.memo[(rx, route)] = getattr(secrecy, route)(rx)
-        return self.memo[(rx, route)]
+    def value(self, metric: str, zeta, method: str):
+        """The cell's value, None for NA; once per run for each cell and
+        the links its metric reads (variants and grid points often share
+        them: fig5's receiver is the same at every jammer size)."""
+        key = (metric, zeta, method, *(getattr(self, a) for a in _METRIC_LINKS[metric]))
+        if key not in self.memo:
+            th = None if zeta is None else secrecy.db_to_linear(zeta)
+            self.memo[key] = _ROUTES[(metric, method)](self, th)
+        return self.memo[key]
+
+
+def _secrecy_capacity(pt: _Point, _, method: str):
+    """c_s = (c_r - c_e)^+ of the point's c_r and c_e cells by `method`."""
+    c_r, c_e = (pt.value(m, None, method) for m in ("c_r", "c_e"))
+    return None if c_r is None or c_e is None else secrecy.secrecy_capacity(c_r, c_e)
 
 
 # (metric, method) -> fn(point, threshold), a value or None for NA.  The
@@ -590,11 +590,13 @@ _ROUTES = {
         else secrecy.eve_sinr_cdf_integral(pt.eve, th)),
     ("outage_e", "monte-carlo"): lambda pt, th:
         montecarlo.estimate_outage(pt.eve_samples, th).value,
-    ("c_r", "closed-form"): lambda pt, _:
-        pt.receiver_capacity("capacity_receiver_series"),
-    ("c_r", "quadrature"): lambda pt, _:
-        pt.receiver_capacity("capacity_receiver_quadrature"),
-    ("c_r", "monte-carlo"): lambda pt, _: pt.receiver_capacity("monte-carlo"),
+    # the analytic receiver capacity is defined for the double model
+    ("c_r", "closed-form"): lambda pt, _: (
+        None if pt.dksm is None else secrecy.capacity_receiver_series(pt.dksm)),
+    ("c_r", "quadrature"): lambda pt, _: (
+        None if pt.dksm is None else secrecy.capacity_receiver_quadrature(pt.dksm)),
+    ("c_r", "monte-carlo"): lambda pt, _: montecarlo.estimate_capacity(
+        montecarlo.simulate_receiver_snr(pt.receiver, pt.trials, pt.seed, pt.memo)).value,
     ("c_e", "closed-form"): lambda pt, _: (
         None if pt.eve is None  # contour form needs a jamming shape >= 1
         else secrecy.capacity_eve_foxh(pt.eve)),
@@ -603,40 +605,36 @@ _ROUTES = {
         else secrecy.capacity_eve_quadrature(pt.eve)),
     ("c_e", "monte-carlo"): lambda pt, _:
         montecarlo.estimate_capacity(pt.eve_samples).value,
+    **{("c_s", method): functools.partial(_secrecy_capacity, method=method)
+       for method in _METHODS},
 }
 
 
+def _cells(sc: Scenario) -> list:
+    """(metric, zeta or None, method) of each of a variant's columns, in
+    column order."""
+    return [(metric, zeta, method) for metric in sc.metrics
+            for zeta in (sc.zeta_db if metric in _OUTAGES else (None,))
+            for method in sc.methods]
+
+
 def _eval_point(sc: Scenario, overrides: dict, axis_value: float,
-                memo: dict) -> dict:
-    """All requested metric values at one grid point.  Keys are
-    (metric, zeta-or-None, method)."""
+                memo: dict) -> list:
+    """The values of the variant's cells at one grid point, in `_cells`
+    order."""
     pt = _Point(sc, overrides, axis_value, memo)
-    out = {}
-    for method in sc.methods:
-        for metric in sc.metrics:
-            if metric in ("outage_r", "outage_e"):
-                for z_db in sc.zeta_db:
-                    out[(metric, z_db, method)] = _ROUTES[(metric, method)](
-                        pt, secrecy.db_to_linear(z_db))
-            elif metric != "c_s":
-                out[(metric, None, method)] = _ROUTES[(metric, method)](pt, None)
-        if "c_s" in sc.metrics:
-            c_r, c_e = (out[(m, None, method)] if m in sc.metrics
-                        else _ROUTES[(m, method)](pt, None) for m in ("c_r", "c_e"))
-            out[("c_s", None, method)] = (
-                secrecy.secrecy_capacity(c_r, c_e)
-                if c_r is not None and c_e is not None else None)
-    return out
+    return [pt.value(*cell) for cell in _cells(sc)]
 
 
-# A pool worker's memo: set by the pool initializer, so it lives exactly
-# as long as the pool of one run_scenario call.
+# A pool worker's memo: set by the pool initializer to its fork of the
+# parent's run memo, so it lives exactly as long as the pool of one
+# run_scenario call.
 _worker_memo = None
 
 
-def _init_worker():
+def _init_worker(memo):
     global _worker_memo
-    _worker_memo = {}
+    _worker_memo = memo
 
 
 def _eval_task(args):
@@ -664,51 +662,39 @@ def run_scenario(path: str, *, seed=None, trials=None, methods=None,
 
     Keyword overrides replace the config's seed/trials/methods/grid before
     hashing, so the metadata reflects what actually ran.  `workers` > 1
-    dispatches grid points to a process pool; output is identical for any
-    worker count.
+    dispatches the grid points after the first to a process pool of at
+    most that many workers; output is identical for any worker count.
     """
+    if not (isinstance(workers, int) and workers >= 1):
+        raise ParameterError(f"workers must be a positive integer (got {workers!r})")
     cfg = load_config(path)
     sc = Scenario.from_config(cfg, seed=seed, trials=trials, methods=methods,
                               grid=grid)
 
-    # Monte Carlo streams are keyed by link, not by cell: every cell of a
-    # run scales the same unit-law draws (see jamsec.montecarlo)
-    cells = [(vi, pi) for vi in range(len(sc.variants))
-             for pi in range(len(sc.grid))]
-    tasks = [(sc, sc.variants[vi][1], sc.grid[pi]) for vi, pi in cells]
-
-    if workers > 1:
-        # forked workers inherit what is loaded here instead of each
-        # importing it; reading an attribute executes a lazily bound module
-        for name in sorted({n for m in sc.methods for n in _METHOD_LIBRARIES[m]}):
-            getattr(importlib.import_module(name), "__name__")
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_worker) as pool:
-            results = list(pool.map(_eval_task, tasks))
+    # one task per (variant, grid point), variant-major.  Monte Carlo
+    # streams are keyed by link, not by cell: every cell of a run scales
+    # the same unit-law draws (see jamsec.montecarlo)
+    tasks = [(sc, overrides, x) for _, overrides in sc.variants for x in sc.grid]
+    memo = {}
+    results = [_eval_point(*tasks[0], memo=memo)]
+    rest = tasks[1:]
+    if workers > 1 and rest:
+        # forked after the first point, the workers inherit the libraries
+        # it loaded and the memo it filled instead of each starting cold
+        with ProcessPoolExecutor(max_workers=min(workers, len(rest)),
+                                 initializer=_init_worker,
+                                 initargs=(memo,)) as pool:
+            results += pool.map(_eval_task, rest)
     else:
-        memo = {}
-        results = [_eval_point(*t, memo=memo) for t in tasks]
-
-    by_cell = dict(zip(cells, results))
+        results += [_eval_point(*t, memo=memo) for t in rest]
 
     multi = len(sc.variants) > 1
-    columns = [sc.axis]
-    keys = []
-    for vi, (vname, _) in enumerate(sc.variants):
-        label = vname if multi else ""
-        for metric in sc.metrics:
-            zet = sc.zeta_db if metric in ("outage_r", "outage_e") else (None,)
-            for z in zet:
-                for method in sc.methods:
-                    columns.append(_column_name(label, metric, z, method))
-                    keys.append((vi, (metric, z, method)))
-
-    rows = []
-    for pi, axis_value in enumerate(sc.grid):
-        row = [axis_value]
-        for vi, key in keys:
-            row.append(by_cell[(vi, pi)][key])
-        rows.append(tuple(row))
+    columns = [sc.axis] + [_column_name(vname if multi else "", *cell)
+                           for vname, _ in sc.variants for cell in _cells(sc)]
+    # results[pi::n] are point pi's cells of each variant, in variant order
+    n = len(sc.grid)
+    rows = [(x, *itertools.chain.from_iterable(results[pi::n]))
+            for pi, x in enumerate(sc.grid)]
 
     from . import __version__
 

@@ -21,6 +21,7 @@ quadrature route, never on import.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,25 +138,33 @@ def eve_sinr_cdf(p: EveLinkParams, gamma):
         base = p.nu_j * math.log(p.beta_j) - sc.gammaln(p.nu_j)
         shifted = np.log(x + p.beta_j)
         survival = np.zeros_like(x)
-        for n in range(p.nu_i):
-            for q in range(n + 1):
-                omega = q + p.nu_j
-                ln_term = (
-                    base
-                    - x
-                    + n * lnx
-                    - sc.gammaln(n + 1)
-                    + _ln_binom(n, q)
-                    + sc.gammaln(omega)
-                    - omega * shifted
-                )
-                survival += np.exp(ln_term)
+        for n, q, ln_binom, ln_fact in zip(*_nq_terms(p.nu_i)):
+            omega = q + p.nu_j
+            ln_term = (
+                base
+                - x
+                + n * lnx
+                - ln_fact
+                + ln_binom
+                + sc.gammaln(omega)
+                - omega * shifted
+            )
+            survival += np.exp(ln_term)
         out[pos] = np.clip(1.0 - survival, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 
-def _ln_binom(n: int, q: int) -> float:
-    return sc.gammaln(n + 1) - sc.gammaln(q + 1) - sc.gammaln(n - q + 1)
+@functools.lru_cache(maxsize=64)
+def _nq_terms(nu_i: int) -> tuple:
+    """The (n, q) terms 0 <= q <= n < nu_i of the eavesdropper's double
+    sums, n-major: read-only arrays n, q, ln binom(n, q) and ln n!.  Kept
+    per nu_i: building them costs more than a small CDF evaluation."""
+    n, q = np.tril_indices(nu_i)
+    ln_fact = sc.gammaln(n + 1)
+    table = (n, q, ln_fact - sc.gammaln(q + 1) - sc.gammaln(n - q + 1), ln_fact)
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def eve_sinr_cdf_integral(p: EveLinkParams, gamma) -> float:
@@ -178,7 +187,7 @@ def eve_sinr_cdf_integral(p: EveLinkParams, gamma) -> float:
     def integrand(v):
         return float(sc.gammainc(nu_i, beta_i * (gamma * (1.0 + v / beta_j)))) * pdf_v(v)
 
-    val = _quad([(integrand, 0.0, np.inf)], (1e-11, 1e-9),
+    val = _quad(integrand, 0.0, np.inf, (1e-11, 1e-9),
                 "SINR CDF integral did not reach tolerance",
                 epsabs=1e-14, epsrel=1e-12, limit=400)
     return min(max(val, 0.0), 1.0)
@@ -204,7 +213,7 @@ def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams) -> float:
         t = math.exp(u)
         return math.log1p(t) / _LN2 * pdf(t) * t
 
-    val = _quad([(integrand, u_lo, u_hi)], (1e-8, 1e-6),
+    val = _quad(integrand, u_lo, u_hi, (1e-8, 1e-6),
                 "receiver capacity quadrature did not reach tolerance",
                 points=[knee], limit=400, epsabs=1e-12, epsrel=1e-10)
     return max(val, 0.0)
@@ -255,7 +264,7 @@ def _mgf_capacity(nu_i, beta_i, nu_j, beta_j) -> float:
         return (math.exp(-z - nu_j * math.log1p(z / beta_j))
                 * -math.expm1(-nu_i * math.log1p(z / beta_i)) / _LN2)
 
-    val = _quad([(integrand, u_lo, u_hi)], (1e-9, 1e-6),
+    val = _quad(integrand, u_lo, u_hi, (1e-9, 1e-6),
                 "eavesdropper capacity quadrature did not reach tolerance",
                 points=[b for b in breaks if u_lo < b < u_hi] or None,
                 epsabs=1e-13, epsrel=1e-11, limit=400)
@@ -281,11 +290,9 @@ def capacity_eve_foxh(p: EveLinkParams) -> float:
     grid with one refinement loop.
     """
     base = -math.log(_LN2) - sc.gammaln(p.nu_j) - math.log(p.beta_i)
+    n, q, ln_binom, ln_fact = _nq_terms(p.nu_i)
     log_weights = np.full((p.nu_i, p.nu_i), -math.inf)
-    for n in range(p.nu_i):
-        for q in range(n + 1):
-            log_weights[n, q] = (base + _ln_binom(n, q) - sc.gammaln(n + 1)
-                                 - q * math.log(p.beta_j))
+    log_weights[n, q] = base + ln_binom - ln_fact - q * math.log(p.beta_j)
     total, _ = fox_h_bivariate(float(p.nu_j), log_weights, 1.0 / p.beta_i,
                                1.0 / p.beta_j)
     return max(total, 0.0)

@@ -12,7 +12,8 @@ import pytest
 import scipy.integrate
 import yaml
 
-from jamsec import scenario, secrecy
+from jamsec import cli, scenario, secrecy
+from jamsec.errors import ParameterError
 from jamsec.fading import GammaSnrParams, SamplerSeed, gamma_cdf
 from jamsec.montecarlo import LinkSpec, estimate_capacity, simulate_eve_sinr
 from jamsec.scenario import (
@@ -418,6 +419,43 @@ class TestRunScenario:
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == str(loaded)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_is_a_validation_failure(self, capsys, workers):
+        with pytest.raises(ParameterError):
+            run_scenario("fig3", methods=["closed-form"], workers=workers)
+        argv = ["eval", "fig3", "--at", "1", "--workers", str(workers)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, sizes", [
+        ([10.0], []),  # one point: the parent evaluates it, no pool
+        ([5.0, 10.0, 15.0], [2]),  # no more workers than points left
+    ], ids=["one-point", "three-points"])
+    def test_pool_never_outgrows_the_points_left(self, monkeypatch, grid, sizes):
+        # an in-process stand-in records the pool size; no process starts
+        built = []
+
+        class Recorder:
+            def __init__(self, max_workers, initializer, initargs):
+                built.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(scenario, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(scenario, "_worker_memo", None)
+        kw = dict(methods=["closed-form"], grid=grid)
+        table = run_scenario("fig3", workers=64, **kw)
+        assert built == sizes
+        assert table.rows == run_scenario("fig3", **kw).rows
+
     def test_grid_beyond_a_thousand_points(self):
         # cells are keyed by (variant, point), not by an encoded integer
         # that a 1000-point grid would overflow into the next variant
@@ -447,9 +485,51 @@ class TestReceiverMemo:
         run_scenario("fig5", **self.KW)
         assert seen[2:] == seen[:2]
 
-    def test_pool_workers_keep_the_output(self):
-        # each worker fills its own memo, Monte Carlo link sums included
-        kw = dict(self.KW, methods=["quadrature", "monte-carlo"])
+    def test_cells_sharing_a_link_are_computed_once(self, tmp_path, monkeypatch):
+        # variants that differ only in the jamming shape share the receiver
+        # link, so its outage is one CDF call per (threshold, law)
+        cfg = load_config("fig2")
+        cfg["zeta_db"] = [5.0, 10.0]
+        cfg["variants"] = [{"name": "a", "eve": {"m_j": 1}},
+                           {"name": "b", "eve": {"m_j": 2}}]
+        f = tmp_path / "fig2.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        seen, real = [], secrecy.rician_shadowed_cdf
+
+        def counted(p, th):
+            seen.append((p, th))
+            return real(p, th)
+
+        monkeypatch.setattr(secrecy, "rician_shadowed_cdf", counted)
+        table = run_scenario(str(f), methods=["closed-form"])
+        # the LOS and the NLOS law of the blockage mixture at each point
+        assert len(seen) == len(set(seen)) == 2 * 2 * len(cfg["sweep"]["grid"])
+        for z in ("5dB", "10dB"):
+            assert (_col(table, f"a/outage_r@{z}#closed-form")
+                    == _col(table, f"b/outage_r@{z}#closed-form"))
+
+    def test_secrecy_capacity_reads_the_eve_capacity_cell(self, monkeypatch):
+        seen, real = [], secrecy.capacity_eve_foxh
+
+        def counted(p):
+            seen.append(p)
+            return real(p)
+
+        monkeypatch.setattr(secrecy, "capacity_eve_foxh", counted)
+        table = run_scenario("fig5", methods=["closed-form"], grid=[0.0, 20.0])
+        # one call per jammer-on link (K = 1, 2, 4, 8) at each point: the
+        # c_s cells read the c_e cells instead of computing them again
+        assert len(seen) == len(set(seen)) == 4 * 2
+        for k in ("k1", "k2", "k4", "k8"):
+            c_r, c_e, c_s = (_col(table, f"{k}/{m}#closed-form")
+                             for m in ("c_r", "c_e", "c_s"))
+            assert c_s == [max(r - e, 0.0) for r, e in zip(c_r, c_e)]
+
+    @pytest.mark.parametrize("analytic", ["quadrature", "closed-form"])
+    def test_pool_workers_keep_the_output(self, analytic):
+        # the workers start from the parent's memo after the first point
+        # and fill their own copies, Monte Carlo link sums included
+        kw = dict(self.KW, methods=[analytic, "monte-carlo"])
         t1 = run_scenario("fig5", workers=1, **kw)
         t2 = run_scenario("fig5", workers=2, **kw)
         assert t1.rows == t2.rows
