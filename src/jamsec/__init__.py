@@ -27,8 +27,8 @@ from .montecarlo import (
 from .scenario import ResultTable, Scenario, ScenarioError, emit, run_scenario
 from .secrecy import (
     EveLinkParams,
-    capacity_eve_foxh,
     capacity_eve_quadrature,
+    capacity_eve_series,
     capacity_receiver_quadrature,
     capacity_receiver_series,
     db_to_linear,
@@ -37,7 +37,6 @@ from .secrecy import (
     mean_snr,
     secrecy_capacity,
 )
-from .specfun import fox_h_bivariate
 
 __all__ = [
     "__version__",
@@ -50,9 +49,8 @@ __all__ = [
     "simulate_eve_sinr", "simulate_receiver_snr",
     "ResultTable", "Scenario", "ScenarioError", "emit", "run_scenario",
     "EveLinkParams",
-    "capacity_eve_foxh", "capacity_eve_quadrature",
+    "capacity_eve_quadrature", "capacity_eve_series",
     "capacity_receiver_quadrature", "capacity_receiver_series",
     "db_to_linear",
     "eve_sinr_cdf", "eve_sinr_cdf_integral", "mean_snr", "secrecy_capacity",
-    "fox_h_bivariate",
 ]

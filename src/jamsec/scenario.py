@@ -67,6 +67,7 @@ _METRICS = tuple(_METRIC_LINKS)
 _OUTAGES = ("outage_r", "outage_e")  # the metrics with one column per threshold
 
 _REQUIRED = object()
+_MISSING = object()  # a cell not in the run memo yet (None is NA)
 _DB_LIMIT = 3000.0  # 10**(x/10) is a normal double for |x| up to this
 
 
@@ -556,11 +557,13 @@ class _Point:
         """The cell's value, None for NA; once per run for each cell and
         the links its metric reads (variants and grid points often share
         them: fig5's receiver is the same at every jammer size)."""
+        # a hit hashes the key (its frozen links, field by field) once
         key = (metric, zeta, method, *(getattr(self, a) for a in _METRIC_LINKS[metric]))
-        if key not in self.memo:
+        value = self.memo.get(key, _MISSING)
+        if value is _MISSING:
             th = None if zeta is None else secrecy.db_to_linear(zeta)
-            self.memo[key] = _ROUTES[(metric, method)](self, th)
-        return self.memo[key]
+            value = self.memo[key] = _ROUTES[(metric, method)](self, th)
+        return value
 
 
 def _secrecy_capacity(pt: _Point, _, method: str):
@@ -598,8 +601,8 @@ _ROUTES = {
     ("c_r", "monte-carlo"): lambda pt, _: montecarlo.estimate_capacity(
         montecarlo.simulate_receiver_snr(pt.receiver, pt.trials, pt.seed, pt.memo)).value,
     ("c_e", "closed-form"): lambda pt, _: (
-        None if pt.eve is None  # contour form needs a jamming shape >= 1
-        else secrecy.capacity_eve_foxh(pt.eve)),
+        secrecy.capacity_gamma_series(pt.eve_gamma_i) if pt.eve is None
+        else secrecy.capacity_eve_series(pt.eve)),
     ("c_e", "quadrature"): lambda pt, _: (
         secrecy.capacity_gamma_quadrature(pt.eve_gamma_i) if pt.eve is None
         else secrecy.capacity_eve_quadrature(pt.eve)),

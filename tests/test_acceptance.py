@@ -31,8 +31,8 @@ from jamsec.montecarlo import (
 from jamsec.scenario import emit, run_scenario
 from jamsec.secrecy import (
     EveLinkParams,
-    capacity_eve_foxh,
     capacity_eve_quadrature,
+    capacity_eve_series,
     capacity_receiver_quadrature,
     capacity_receiver_series,
     eve_sinr_cdf,
@@ -114,7 +114,7 @@ class TestReceiverCapacityOraclePair:
 
 
 class TestEavesdropperCapacityOraclePair:
-    """Double contour integral vs quadrature vs simulation."""
+    """E_n closed form vs quadrature vs simulation."""
 
     SETS = (
         EveLinkParams(nu_i=2, beta_i=0.6, nu_j=3, beta_j=1.4),
@@ -125,7 +125,7 @@ class TestEavesdropperCapacityOraclePair:
     def test_three_parameter_sets(self):
         t0 = time.monotonic()
         for i, link in enumerate(self.SETS):
-            closed = capacity_eve_foxh(link)
+            closed = capacity_eve_series(link)
             quad = capacity_eve_quadrature(link)
             assert abs(closed - quad) / quad <= 1e-3
 
@@ -273,8 +273,6 @@ class TestSystemTrends:
                 assert m <= w + 1e-9
 
     def test_secrecy_gain_with_jammer_antennas(self):
-        # quadrature columns: the closed-form leakage capacity is NA at
-        # K = 0 (no jamming term to invert), quadrature covers all K
         table = run_scenario("fig5", methods=["quadrature"])
         cols = {k: _col(table, f"k{k}/c_s#quadrature") for k in (0, 1, 2, 4, 8)}
         n_rows = len(table.rows)
@@ -285,11 +283,16 @@ class TestSystemTrends:
         # power, not merely not-hurt
         assert cols[4][-1] > cols[0][-1] + 0.1
 
-    def test_k0_closed_form_capacity_is_na(self):
-        table = run_scenario("fig5", methods=["closed-form"],
-                             grid=[35.0])
-        assert _col(table, "k0/c_e#closed-form") == [None]
-        assert _col(table, "k4/c_e#closed-form")[0] is not None
+    def test_k0_closed_form_matches_quadrature(self):
+        # with the jammer off the closed form is the E_n sum of the plain
+        # Gamma SNR; c_s follows from it and the receiver closed form
+        kw = dict(grid=[-10.0, 10.0, 35.0])
+        closed = run_scenario("fig5", methods=["closed-form"], **kw)
+        quad = run_scenario("fig5", methods=["quadrature"], **kw)
+        for metric in ("c_e", "c_s"):
+            got = _col(closed, f"k0/{metric}#closed-form")
+            want = _col(quad, f"k0/{metric}#quadrature")
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 class TestDeterminism:

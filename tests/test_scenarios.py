@@ -509,13 +509,13 @@ class TestReceiverMemo:
                     == _col(table, f"b/outage_r@{z}#closed-form"))
 
     def test_secrecy_capacity_reads_the_eve_capacity_cell(self, monkeypatch):
-        seen, real = [], secrecy.capacity_eve_foxh
+        seen, real = [], secrecy.capacity_eve_series
 
         def counted(p):
             seen.append(p)
             return real(p)
 
-        monkeypatch.setattr(secrecy, "capacity_eve_foxh", counted)
+        monkeypatch.setattr(secrecy, "capacity_eve_series", counted)
         table = run_scenario("fig5", methods=["closed-form"], grid=[0.0, 20.0])
         # one call per jammer-on link (K = 1, 2, 4, 8) at each point: the
         # c_s cells read the c_e cells instead of computing them again

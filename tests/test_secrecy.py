@@ -1,13 +1,14 @@
 import itertools
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special as sc
 
+from foxh_contour import capacity_eve_foxh
+from jamsec import secrecy
 from jamsec.errors import AccuracyError, ParameterError
 from jamsec.fading import (
     DoubleKappaMuShadowedParams,
@@ -19,9 +20,11 @@ from jamsec.fading import (
 )
 from jamsec.secrecy import (
     EveLinkParams,
-    capacity_eve_foxh,
+    _ln_scaled_en,
     capacity_eve_quadrature,
+    capacity_eve_series,
     capacity_gamma_quadrature,
+    capacity_gamma_series,
     capacity_receiver_quadrature,
     capacity_receiver_series,
     db_to_linear,
@@ -213,18 +216,14 @@ EVE_BETA_CORNERS = ((1.26e-3, 0.4), (40.0, 0.4), (0.316, 15500.0), (1000.0, 0.1)
 
 
 def _eve_grid():
+    # the corners where the Fox-H contour holds 1e-9: past them (nu_I = 8
+    # with a strong jammer, and nu_I = 4, beta_I = 1000, nu_J = 16) it
+    # cancels down from an integrand ~1e10 times its sum
     for nu_i, nu_j in itertools.product((1, 2, 4, 8), (1, 2, 4, 8, 16)):
         for beta_i, beta_j in EVE_BETA_CORNERS:
-            if nu_i == 8 and beta_j < 1.0:
-                continue  # past the contour's precision floor, tested below
-            marks = ()
-            if (nu_i, beta_i, nu_j, beta_j) == (4, 1000.0, 16, 0.1):
-                marks = pytest.mark.xfail(
-                    strict=True,
-                    reason="contour precision floor: the Fox-H sum is ~6e-9 "
-                           "off here while passing its own refinement check",
-                )
-            yield pytest.param(nu_i, beta_i, nu_j, beta_j, marks=marks,
+            if (nu_i == 8 and beta_j < 1.0) or (nu_i, beta_i, nu_j) == (4, 1000.0, 16):
+                continue
+            yield pytest.param(nu_i, beta_i, nu_j, beta_j,
                                id=f"{nu_i}-{beta_i:g}-{nu_j}-{beta_j:g}")
 
 
@@ -275,6 +274,7 @@ class TestEveCapacity:
         # C = e (1/e - E1(1)) / ln 2
         p = EveLinkParams(nu_i=1, beta_i=1.0, nu_j=1, beta_j=1.0)
         want = math.e * (math.exp(-1.0) - float(sc.exp1(1.0))) / math.log(2.0)
+        assert capacity_eve_series(p) == pytest.approx(want, rel=1e-14)
         assert capacity_eve_foxh(p) == pytest.approx(want, rel=1e-9)
         assert capacity_eve_quadrature(p) == pytest.approx(want, rel=1e-9)
 
@@ -288,64 +288,111 @@ class TestEveCapacity:
 
     @pytest.mark.parametrize("nu_i,beta_i,nu_j,beta_j", _eve_grid())
     def test_foxh_matches_quadrature_grid(self, nu_i, beta_i, nu_j, beta_j):
-        # purely relative: the capacities at beta_I = 1000 are ~1e-5, where
-        # approx's default 1e-12 absolute floor would hide a 1e-8 miss
+        # the paper's Fox-H form against both routes.  Purely relative:
+        # the capacities at beta_I = 1000 are ~1e-5, where approx's default
+        # 1e-12 absolute floor would hide a 1e-8 miss
         p = EveLinkParams(nu_i=nu_i, beta_i=beta_i, nu_j=nu_j, beta_j=beta_j)
-        assert capacity_eve_foxh(p) == pytest.approx(
-            capacity_eve_quadrature(p), rel=1e-9, abs=0.0)
+        foxh = capacity_eve_foxh(p)
+        assert foxh == pytest.approx(capacity_eve_quadrature(p), rel=1e-9, abs=0.0)
+        assert foxh == pytest.approx(capacity_eve_series(p), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("nu_i,beta_i,nu_j,beta_j", _oracle_grid())
     def test_quadrature_matches_survival_oracle_grid(self, nu_i, beta_i, nu_j, beta_j):
-        # one MGF integral against nu_I (nu_I + 1) / 2 survival-term
-        # integrals: shapes up to 16 and rates 0.01 to 100, which take in
-        # the strong-jamming corners where the Fox-H contour loses digits
+        # the MGF integral and its closed-form sum against nu_I (nu_I + 1) / 2
+        # survival-term integrals, the one oracle shared by both routes:
+        # shapes up to 16 and rates 0.01 to 100, the strong-jamming corners
+        # where the Fox-H contour loses digits included
         p = EveLinkParams(nu_i=nu_i, beta_i=beta_i, nu_j=nu_j, beta_j=beta_j)
-        assert capacity_eve_quadrature(p) == pytest.approx(
-            _survival_capacity(p), rel=1e-9, abs=0.0)
+        want = _survival_capacity(p)
+        assert capacity_eve_quadrature(p) == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert capacity_eve_series(p) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    # where the Fox-H contour sum is ~6e-9 off.  mpmath at 40 digits gives
+    # the same 32 digits by the MGF integral, its telescoped sum over
+    # j <= nu_I and the survival-function identity
+    FOXH_FLOOR = (EveLinkParams(nu_i=4, beta_i=1000.0, nu_j=16, beta_j=0.1),
+                  3.8198488545391894473204690138331e-05)
 
     def test_quadrature_against_mpmath_at_the_foxh_floor(self):
-        # the strict-xfail point of the Fox-H grid, where the contour sum
-        # is ~6e-9 off.  mpmath at 40 digits gives the same 32 digits by
-        # the MGF integral, its telescoped sum over j <= nu_I and the
-        # survival-function identity
-        p = EveLinkParams(nu_i=4, beta_i=1000.0, nu_j=16, beta_j=0.1)
-        want = 3.8198488545391894473204690138331e-05
+        p, want = self.FOXH_FLOOR
         assert capacity_eve_quadrature(p) == pytest.approx(want, rel=1e-13, abs=0.0)
 
-    def test_foxh_precision_floor_raises_with_best_value(self):
-        # at nu_I = 8 with a strong jammer the contour integrand is ~1e10
-        # times larger than the sum it cancels to, so double precision
-        # cannot meet 1e-9: the kernel must say so, with its best value
-        p = EveLinkParams(nu_i=8, beta_i=40.0, nu_j=4, beta_j=0.4)
-        with pytest.raises(AccuracyError) as exc:
-            capacity_eve_foxh(p)
-        want = capacity_eve_quadrature(p)
-        assert exc.value.best == pytest.approx(want, rel=1e-6)
-        assert exc.value.error_estimate > 1e-9 * want
+    def test_series_against_mpmath_at_the_foxh_floor(self):
+        p, want = self.FOXH_FLOOR
+        assert capacity_eve_series(p) == pytest.approx(want, rel=1e-13, abs=0.0)
 
-    def test_foxh_memory_stays_bounded(self):
-        # fig5 k8 at P_S = -10 dB: a pass holds only 1-D arrays along the
-        # two axes and the s+t lattice, never the 2-D contour grid
-        p = EveLinkParams(nu_i=4, beta_i=40.0, nu_j=8, beta_j=0.4)
-        tracemalloc.start()
-        try:
-            capacity_eve_foxh(p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+    # (nu_I, beta_I, nu_J, beta_J) -> capacity, from mpmath at 35 digits:
+    # Hamdi's MGF integral in u = ln z, split every 20 in u and at the
+    # breaks, scaled so that its absolute tolerance is relative.  nu_J = 0
+    # is the jammer off; the last value underflows a double (8.2e-601)
+    EXTREME_RATES = {
+        (1, 1e-300, 0, 1.0): 995.7456822889318371743,
+        (16, 1e-300, 0, 1.0): 1000.532874801997283442,
+        (4, 1e300, 0, 1.0): 5.770780163555853326446e-300,
+        (16, 1e300, 0, 1.0): 2.308312065422341330579e-299,
+        (4, 1e-300, 8, 1e-300): 0.6160599278139487681428,
+        (4, 1e300, 8, 1e300): 5.770780163555853326446e-300,
+        (4, 1e300, 8, 2e300): 5.770780163555853326446e-300,
+        (16, 1e-300, 16, 2.5e-300): 1.826202018965225586063,
+        (4, 1e-300, 8, 1e300): 998.3906231972282700878,
+        (4, 1e-150, 4, 1e150): 500.1014089641239179343,
+        (4, 1e150, 16, 1e-150): 3.847186775703902517575e-301,
+        (16, 1e300, 16, 5e299): 2.308312065422341330579e-299,
+        (8, 1e-300, 2, 1e-299): 5.660175025187593134105,
+        (2, 1e300, 16, 1.0): 1.795955143195263882916e-301,
+        (16, 1.0, 2, 1e-300): 2.30831206542234150962e-299,
+        (4, 1e300, 8, 1e-300): 0.0,
+    }
+
+    @pytest.mark.parametrize("args", EXTREME_RATES, ids=str)
+    def test_series_at_extreme_rates(self, args):
+        # rates 1e-300 to 1e300, both branches and the jammer off: every
+        # power of a rate enters as a ratio of rates, so no log of a rate
+        # of size ~700 cancels; the rest costs at most ~700 ulps
+        nu_i, beta_i, nu_j, beta_j = args
+        got = (capacity_gamma_series(GammaSnrParams(nu_i, beta_i)) if nu_j == 0
+               else capacity_eve_series(EveLinkParams(nu_i, beta_i, nu_j, beta_j)))
+        assert got == pytest.approx(self.EXTREME_RATES[args], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("a", (1e-300, 0.5, 9.99, 10.0, 30.0, 100.0, 499.0, 1e5, 1e300))
+    def test_scaled_en_recurrence(self, a):
+        # n E_(n+1)(a) = e^(-a) - a E_n(a), i.e. n S~_(n+1) + a S~_n = 1 with
+        # S~_n = e^a E_n(a): two positive terms, so the check is well
+        # conditioned.  expn's large-order expansion misses it by 6e-7 at
+        # a = 30, n = 60, so the continued fraction serves every a >= 10.
+        # Exponentiating ln S~ ~ -ln a costs |ln a| ulps
+        n = np.arange(1.0, 3001.0)
+        s = np.exp(_ln_scaled_en(np.arange(1.0, 3002.0), a))
+        np.testing.assert_allclose(n * s[1:] + a * s[:-1], 1.0, atol=0.0,
+                                   rtol=max(1e-14, 2.3e-16 * abs(math.log(a))))
+
+    @pytest.mark.parametrize("nu_i, nu_j", [(1, 1), (4, 8), (16, 16), (8, 2)])
+    @pytest.mark.parametrize("ratio", (0.1, 0.29))
+    def test_partial_fractions_only_within_their_condition(self, nu_i, nu_j, ratio):
+        # partial fractions lose about their condition (sum of moduli over
+        # the sum) in ulps against the all-positive expansion: 1e-13 at
+        # ~800, but 3e-9 at shapes of 16 and m/M = 0.29, where it is 2e6.
+        # The route takes them only within _PARTIAL_FRACTION_COND
+        for beta_i, beta_j in ((1.0, ratio), (ratio, 1.0)):
+            ln_si = _ln_scaled_en(np.arange(1, nu_i + 1), beta_i)
+            pf, cond = secrecy._partial_fraction_sum(ln_si, beta_i, nu_j, beta_j)
+            expansion = secrecy._expansion_sum(nu_i, beta_i, nu_j, beta_j)
+            assert pf == pytest.approx(expansion, rel=4e-15 * cond, abs=0.0)
+            want = pf if cond <= secrecy._PARTIAL_FRACTION_COND else expansion
+            got = capacity_eve_series(EveLinkParams(nu_i, beta_i, nu_j, beta_j))
+            assert got == want / math.log(2.0)
 
     def test_monotone_in_intercept_snr(self):
         # beta_i down = stronger intercept link = higher leakage capacity
         vals = [
-            capacity_eve_foxh(EveLinkParams(nu_i=2, beta_i=b, nu_j=2, beta_j=1.0))
+            capacity_eve_series(EveLinkParams(nu_i=2, beta_i=b, nu_j=2, beta_j=1.0))
             for b in (4.0, 1.0, 0.25)
         ]
         assert vals[0] < vals[1] < vals[2]
 
     def test_monotone_in_jamming(self):
         vals = [
-            capacity_eve_foxh(EveLinkParams(nu_i=2, beta_i=1.0, nu_j=2, beta_j=b))
+            capacity_eve_series(EveLinkParams(nu_i=2, beta_i=1.0, nu_j=2, beta_j=b))
             for b in (0.1, 1.0, 10.0)
         ]
         assert vals[0] < vals[1] < vals[2]
@@ -369,6 +416,8 @@ class TestEveCapacity:
                 math.exp(beta) * sum(sc.expn(k, beta) for k in range(1, nu + 1)))
             got = capacity_gamma_quadrature(GammaSnrParams(nu=nu, beta=beta))
             assert got == pytest.approx(want / math.log(2.0), rel=1e-9, abs=0.0)
+            got = capacity_gamma_series(GammaSnrParams(nu=nu, beta=beta))
+            assert got == pytest.approx(want / math.log(2.0), rel=1e-13, abs=0.0)
 
 
 class TestSecrecyCapacity:

@@ -5,13 +5,9 @@ import pytest
 import scipy.integrate
 import scipy.special as sc
 
+from foxh_contour import _foxh_pass, fox_h_bivariate
 from jamsec.errors import ParameterError
-from jamsec.specfun import (
-    _foxh_pass,
-    fox_h_bivariate,
-    hyp2f1_complex,
-    meijer_series_fold,
-)
+from jamsec.specfun import hyp2f1_complex, meijer_series_fold
 
 
 ETA_IDENTITY_Z = (0.1, 0.5, 1.0, 2.0, 10.0)
@@ -152,6 +148,9 @@ class TestHyp2F1Complex:
 
 
 class TestBivariateFoxH:
+    """The paper's Fox-H kernel, kept in the tests as the eavesdropper
+    capacity's reference form (`foxh_contour`)."""
+
     def test_table_validation(self):
         for table in ([[-math.inf]], [[math.nan]], [[math.inf]],  # no weight, NaN, +inf
                       [0.0], [[0.0, -math.inf]]):  # not a square 2-D array
