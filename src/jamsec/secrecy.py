@@ -299,8 +299,8 @@ def capacity_gamma_series(p: GammaSnrParams) -> float:
 def _ln_scaled_en(n, a: float):
     """ln S~_n(a), S~_n(a) = e^a E_n(a), for an array of integers n >= 1.
     Below a = _EN_CF_FROM one vectorised `expn`, where e^a costs ~a ulps;
-    expn is 6e-7 off at a = 30, n = 60 (n = 2a past its small-order range),
-    which no n reaches there.  Above, the continued fraction of DLMF
+    there n = 2a stays below 50, where expn goes wrong once n is above it
+    (6e-7 off at a = 30, n = 60).  Above, the continued fraction of DLMF
     8.19.17 (even contraction, modified Lentz): about 20 steps for any n,
     and it never forms e^a."""
     n = np.asarray(n, dtype=float)
