@@ -215,8 +215,8 @@ class GammaSnrParams:
     def __post_init__(self):
         if not (isinstance(self.nu, (int, np.integer)) and self.nu >= 1):
             raise ParameterError("nu must be a positive integer")
-        if not (self.beta > 0):
-            raise ParameterError("beta must be positive")
+        if not (0.0 < self.beta < math.inf):  # a subnormal mean SNR overflows m / SNR
+            raise ParameterError(f"beta must be positive and finite (got {self.beta:g})")
 
 
 # ---------------------------------------------------------------------------

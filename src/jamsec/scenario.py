@@ -36,8 +36,6 @@ from .fading import (
     RicianShadowedParams,
     SamplerSeed,
     dksm_cdf,
-    gamma_cdf,
-    gamma_cdf_integral,
     mixture_cdf,
     rician_shadowed_cdf_integral,
 )
@@ -523,16 +521,17 @@ class _Point:
             )
 
         # per-antenna Gamma laws: the intercept over N antennas, the jammer
-        # over K; with the jammer off (K = 0) `jammer` and `eve` are None
+        # over K, and `eve`, their sums at the eavesdropper.  With the
+        # jammer off (K = 0) `jammer` is None and `eve` has nu_J = 0
         m_i = int(eve.get("m_i", _EVE["m_i"].default))
         m_j = int(eve.get("m_j", _EVE["m_j"].default))
         snr_i = secrecy.mean_snr(p_s, float(geo["r_se_m"]), delta, noise_var_e)
         self.intercept = montecarlo.LinkSpec(
             fading=GammaSnrParams(nu=m_i, beta=m_i / snr_i),
             antennas=int(geo["n_bs_antennas"]))
-        self.eve_gamma_i = secrecy.gamma_antenna_sum(self.intercept.fading,
-                                                     self.intercept.antennas)
-        self.jammer = self.eve = None
+        gamma_i = secrecy.gamma_antenna_sum(self.intercept.fading, self.intercept.antennas)
+        self.jammer = None
+        nu_j, beta_j = 0, 1.0  # the jammer off; the rate is unused
         k = int(geo["n_jammer_antennas"])
         if k >= 1:
             snr_j = secrecy.mean_snr(secrecy.db_to_linear(geo["p_j_db"]),
@@ -540,9 +539,9 @@ class _Point:
             self.jammer = montecarlo.LinkSpec(
                 fading=GammaSnrParams(nu=m_j, beta=m_j / snr_j), antennas=k)
             gamma_j = secrecy.gamma_antenna_sum(self.jammer.fading, k)
-            self.eve = secrecy.EveLinkParams(
-                nu_i=self.eve_gamma_i.nu, beta_i=self.eve_gamma_i.beta,
-                nu_j=gamma_j.nu, beta_j=gamma_j.beta)
+            nu_j, beta_j = gamma_j.nu, gamma_j.beta
+        self.eve = secrecy.EveLinkParams(nu_i=gamma_i.nu, beta_i=gamma_i.beta,
+                                         nu_j=nu_j, beta_j=beta_j)
 
         self.trials = sc.trials
         self.seed = SamplerSeed(sc.seed)
@@ -584,13 +583,8 @@ _ROUTES = {
         else _rician_outage(pt.receiver, th, rician_shadowed_cdf_integral)),
     ("outage_r", "monte-carlo"): lambda pt, th: montecarlo.receiver_outage(
         pt.receiver, th, pt.trials, pt.seed, pt.memo).value,
-    # jammer off: the SINR is the plain Gamma SNR, by its own routes
-    ("outage_e", "closed-form"): lambda pt, th: (
-        gamma_cdf(pt.eve_gamma_i, th) if pt.eve is None
-        else secrecy.eve_sinr_cdf(pt.eve, th)),
-    ("outage_e", "quadrature"): lambda pt, th: (
-        gamma_cdf_integral(pt.eve_gamma_i, th) if pt.eve is None
-        else secrecy.eve_sinr_cdf_integral(pt.eve, th)),
+    ("outage_e", "closed-form"): lambda pt, th: secrecy.eve_sinr_cdf(pt.eve, th),
+    ("outage_e", "quadrature"): lambda pt, th: secrecy.eve_sinr_cdf_integral(pt.eve, th),
     ("outage_e", "monte-carlo"): lambda pt, th:
         montecarlo.estimate_outage(pt.eve_samples, th).value,
     # the analytic receiver capacity is defined for the double model
@@ -600,12 +594,8 @@ _ROUTES = {
         None if pt.dksm is None else secrecy.capacity_receiver_quadrature(pt.dksm)),
     ("c_r", "monte-carlo"): lambda pt, _: montecarlo.estimate_capacity(
         montecarlo.simulate_receiver_snr(pt.receiver, pt.trials, pt.seed, pt.memo)).value,
-    ("c_e", "closed-form"): lambda pt, _: (
-        secrecy.capacity_gamma_series(pt.eve_gamma_i) if pt.eve is None
-        else secrecy.capacity_eve_series(pt.eve)),
-    ("c_e", "quadrature"): lambda pt, _: (
-        secrecy.capacity_gamma_quadrature(pt.eve_gamma_i) if pt.eve is None
-        else secrecy.capacity_eve_quadrature(pt.eve)),
+    ("c_e", "closed-form"): lambda pt, _: secrecy.capacity_eve_series(pt.eve),
+    ("c_e", "quadrature"): lambda pt, _: secrecy.capacity_eve_quadrature(pt.eve),
     ("c_e", "monte-carlo"): lambda pt, _:
         montecarlo.estimate_capacity(pt.eve_samples).value,
     **{("c_s", method): functools.partial(_secrecy_capacity, method=method)

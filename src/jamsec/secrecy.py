@@ -6,12 +6,15 @@ noise that the legitimate receiver can cancel.  Per-antenna SNRs on the
 S->E and J->E links are Gamma (Nakagami-m powers) with a shared rate per
 link, so the combined source and jamming SNRs at E are Gamma with shapes
 nu_I = N*m_I and nu_J = K*m_J.  The eavesdropper SINR is
-gamma_I / (1 + gamma_J).
+gamma_I / (1 + gamma_J); the jammer off (K = 0) is nu_J = 0 of the same
+link, `EveLinkParams`, on every route.
 
 The receiver link carries the composite fading models of
 :mod:`jamsec.fading`; its ergodic capacity, a series of Meijer-G terms,
 is one contour integral (:mod:`jamsec.specfun`), the eavesdropper's a
-finite sum of exponential integrals.
+finite sum of exponential integrals.  The eavesdropper's SINR CDF is a
+negative-binomial mixture of incomplete gamma functions plus the
+negative binomial's tail, a finite binomial sum.
 
 All quantities here are linear; ``db_to_linear`` serves the
 configuration boundary.  ``sc`` is ``scipy.special`` bound lazily
@@ -21,7 +24,6 @@ quadrature route, never on import.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +39,8 @@ from .fading import (
     _gamma_pdf_scalar,
     _ln_window_sum,
     _quad,
+    gamma_cdf,
+    gamma_cdf_integral,
     rician_shadowed_cdf,  # the scenario's closed-form receiver outage
 )
 from .specfun import meijer_series_fold
@@ -53,8 +57,6 @@ __all__ = [
     "capacity_receiver_series",
     "capacity_eve_quadrature",
     "capacity_eve_series",
-    "capacity_gamma_quadrature",
-    "capacity_gamma_series",
     "secrecy_capacity",
     "gamma_antenna_sum",
 ]
@@ -71,7 +73,9 @@ def db_to_linear(x_db: float) -> float:
 
 @dataclass(frozen=True)
 class EveLinkParams:
-    """Gamma shapes/rates of the aggregated S->E and J->E SNRs at E."""
+    """Gamma shapes/rates of the aggregated S->E and J->E SNRs at E.
+    nu_j = 0 is the jammer off: the SINR is then the intercept SNR and
+    beta_j is unused."""
 
     nu_i: int
     beta_i: float
@@ -79,13 +83,13 @@ class EveLinkParams:
     beta_j: float
 
     def __post_init__(self):
-        for name in ("nu_i", "nu_j"):
+        for name, least in (("nu_i", 1), ("nu_j", 0)):
             v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 1):
-                raise ParameterError(f"{name} must be an integer >= 1")
+            if not (isinstance(v, (int, np.integer)) and v >= least):
+                raise ParameterError(f"{name} must be an integer >= {least}")
         for name in ("beta_i", "beta_j"):
-            if not (getattr(self, name) > 0):
-                raise ParameterError(f"{name} must be positive")
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ParameterError(f"{name} must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -125,51 +129,44 @@ def gamma_antenna_sum(per_antenna: GammaSnrParams, antennas: int) -> GammaSnrPar
 def eve_sinr_cdf(p: EveLinkParams, gamma):
     """Closed-form SINR CDF at the eavesdropper.
 
-    Survival form: each (n, q) term is assembled in log space, so large
-    shape/rate combinations neither overflow nor lose the e^{-x} x^n
-    balance.  Vectorized over gamma.
+    Given gamma_J, 1 - F_I(gamma (1 + gamma_J)) is the chance that a
+    Poisson count of mean x (1 + gamma_J), x = beta_I gamma, stays below
+    nu_I.  Over gamma_J the count's x gamma_J part is negative binomial,
+    NB(q) = C(q + nu_J - 1, q) pi^q (1 - pi)^nu_J with
+    pi = x / (x + beta_J), so
+
+        F = sum_{q < nu_I} NB(q) P(nu_I - q, x) + I_pi(nu_I, nu_J),
+
+    where the NB tail I_pi(nu_I, nu_J) is, for integer shapes, the
+    binomial tail sum_{nu_I <= k <= n} C(n, k) pi^k (1 - pi)^(n - k),
+    n = nu_I + nu_J - 1.  Every term is non-negative, which keeps small
+    CDFs to their relative precision.  Above F = 1/2 it is taken as
+    1 - sum_{q < nu_I} NB(q) Q(nu_I - q, x), which keeps F to the ulp
+    near 1.  nu_J = 0 is the jammer off: `gamma_cdf`.  Vectorized over
+    gamma.
     """
+    if p.nu_j == 0:
+        return gamma_cdf(GammaSnrParams(p.nu_i, p.beta_i), gamma)
     g = np.asarray(gamma, dtype=float)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)
     if np.any(g < 0):
         raise ParameterError("gamma must be non-negative")
-
-    out = np.zeros_like(g)
-    pos = g > 0
-    if np.any(pos):
-        x = p.beta_i * g[pos]
-        lnx = np.log(x)
-        base = p.nu_j * math.log(p.beta_j) - sc.gammaln(p.nu_j)
-        shifted = np.log(x + p.beta_j)
-        survival = np.zeros_like(x)
-        for n, q, ln_binom, ln_fact in zip(*_nq_terms(p.nu_i)):
-            omega = q + p.nu_j
-            ln_term = (
-                base
-                - x
-                + n * lnx
-                - ln_fact
-                + ln_binom
-                + sc.gammaln(omega)
-                - omega * shifted
-            )
-            survival += np.exp(ln_term)
-        out[pos] = np.clip(1.0 - survival, 0.0, 1.0)
-    return float(out[0]) if scalar else out
-
-
-@functools.lru_cache(maxsize=64)
-def _nq_terms(nu_i: int) -> tuple:
-    """The (n, q) terms 0 <= q <= n < nu_i of the eavesdropper's double
-    sums, n-major: read-only arrays n, q, ln binom(n, q) and ln n!.  Kept
-    per nu_i: building them costs more than a small CDF evaluation."""
-    n, q = np.tril_indices(nu_i)
-    ln_fact = sc.gammaln(n + 1)
-    table = (n, q, ln_fact - sc.gammaln(q + 1) - sc.gammaln(n - q + 1), ln_fact)
-    for a in table:
-        a.flags.writeable = False
-    return table
+    x = p.beta_i * g.reshape(-1, 1)
+    shifted = x + p.beta_j
+    pi, rest = x / shifted, p.beta_j / shifted  # pi and 1 - pi
+    q = np.arange(float(p.nu_i))
+    n = p.nu_i + p.nu_j - 1.0
+    k = np.arange(float(p.nu_i), n + 1.0)
+    # ln C(n, k) = -ln(n + 1) - ln B(k + 1, n - k + 1); at gamma = 0 only
+    # NB(0) = 1 is left, and F(0) = 0
+    nb = np.exp(-np.log(q + p.nu_j) - sc.betaln(q + 1.0, p.nu_j)
+                + sc.xlogy(q, pi) + sc.xlogy(p.nu_j, rest))
+    tail = np.exp(-math.log(n + 1.0) - sc.betaln(k + 1.0, n - k + 1.0)
+                  + sc.xlogy(k, pi) + sc.xlogy(n - k, rest))
+    f = np.sum(nb * sc.gammainc(p.nu_i - q, x), axis=1) + np.sum(tail, axis=1)
+    high = f > 0.5
+    if np.any(high):
+        f[high] = 1.0 - np.sum(nb[high] * sc.gammaincc(p.nu_i - q, x[high]), axis=1)
+    return float(f[0]) if g.ndim == 0 else f.reshape(g.shape)
 
 
 def eve_sinr_cdf_integral(p: EveLinkParams, gamma) -> float:
@@ -179,8 +176,11 @@ def eve_sinr_cdf_integral(p: EveLinkParams, gamma) -> float:
     density: in gamma_J itself the density spans 1/beta_J, which reaches
     1e8 at strong jamming, and quad over [0, inf) misses its mass.  The
     integrand is scalar: F_I is the regularized incomplete gamma
-    P(nu_I, .) and the density is `_gamma_pdf_scalar`.
+    P(nu_I, .) and the density is `_gamma_pdf_scalar`.  nu_J = 0 is the
+    jammer off: `gamma_cdf_integral`, the Gamma density's own integral.
     """
+    if p.nu_j == 0:
+        return gamma_cdf_integral(GammaSnrParams(p.nu_i, p.beta_i), gamma)
     gamma = float(gamma)
     if gamma < 0:
         raise ParameterError("gamma must be non-negative")
@@ -254,14 +254,14 @@ def _mgf_capacity(nu_i, beta_i, nu_j, beta_j) -> float:
                           (1 - (1 + z/beta_I)^(-nu_I)) / z dz,
 
     one adaptive quadrature in u = ln z, split at ln beta_J, ln beta_I and
-    0, where the factors turn over; nu_j = 0 is the jammer-off case.  Below
-    every break the integrand is nu_I z / beta_I to first order, so the
-    mass under u_lo is e^(-40) ~ 4e-18 of its value at the lowest break.
-    Above u_hi, z > 60 and the integrand falls like e^(-z).  Against the
-    whole integral the two tails stay below 4e-16 and 2e-27 (mpmath, nu_I
-    up to 16, nu_J up to 64, rates 0.01 to 1e4).  Both limits keep exp(u)
-    finite."""
-    breaks = sorted({math.log(beta_j), math.log(beta_i), 0.0})
+    0, where the factors turn over; nu_j = 0 is the jammer off, where
+    beta_j is unused.  Below every break the integrand is nu_I z / beta_I
+    to first order, so the mass under u_lo is e^(-40) ~ 4e-18 of its
+    value at the lowest break.  Above u_hi, z > 60 and the integrand falls
+    like e^(-z).  Against the whole integral the two tails stay below
+    4e-16 and 2e-27 (mpmath, nu_I up to 16, nu_J up to 64, rates 0.01 to
+    1e4).  Both limits keep exp(u) finite."""
+    breaks = sorted({math.log(beta_i), 0.0, *([math.log(beta_j)] if nu_j else [])})
     u_lo, u_hi = breaks[0] - 40.0, math.log(60.0 + 2.0 * nu_i)
 
     def integrand(u):
@@ -288,12 +288,6 @@ def capacity_eve_series(p: EveLinkParams) -> float:
     """E[log2(1 + SINR)] at the eavesdropper in closed form: Hamdi's MGF
     integral as a finite sum of exponential integrals (`_en_capacity`)."""
     return _en_capacity(p.nu_i, p.beta_i, p.nu_j, p.beta_j)
-
-
-def capacity_gamma_series(p: GammaSnrParams) -> float:
-    """E[log2(1 + gamma)] for a plain Gamma SNR in closed form (the jammer
-    off): e^beta sum_{k<=nu} E_k(beta) / ln 2."""
-    return _en_capacity(p.nu, p.beta, 0, 1.0)
 
 
 def _ln_scaled_en(n, a: float):
@@ -410,13 +404,6 @@ def _signed_sum(ln_terms, signs):
     if not total > 0.0:
         return 0.0, math.inf
     return math.exp(top + math.log(total)), float(np.sum(scaled)) / total
-
-
-def capacity_gamma_quadrature(p: GammaSnrParams) -> float:
-    """E[log2(1 + gamma)] for a plain Gamma SNR (jammer-free paths): the
-    jammer-off case nu_J = 0 of `_mgf_capacity`, one quadrature in
-    u = ln z, so a mean SNR anywhere from 1e-2 to 1e8 stays in reach."""
-    return _mgf_capacity(p.nu, p.beta, 0, 1.0)  # a unit rate adds no break
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import numpy as np
 import scipy.special as sc
 
 from jamsec.errors import ParameterError
-from jamsec.secrecy import _nq_terms
 from jamsec.specfun import _node_spacing, _refine, _tail_length
 
 _LN2 = math.log(2.0)
@@ -33,7 +32,9 @@ def capacity_eve_foxh(p):
     grid with one refinement loop.
     """
     base = -math.log(_LN2) - sc.gammaln(p.nu_j) - math.log(p.beta_i)
-    n, q, ln_binom, ln_fact = _nq_terms(p.nu_i)
+    n, q = np.tril_indices(p.nu_i)  # the (n, q) terms 0 <= q <= n < nu_I
+    ln_fact = sc.gammaln(n + 1)
+    ln_binom = ln_fact - sc.gammaln(q + 1) - sc.gammaln(n - q + 1)
     log_weights = np.full((p.nu_i, p.nu_i), -math.inf)
     log_weights[n, q] = base + ln_binom - ln_fact - q * math.log(p.beta_j)
     total, _ = fox_h_bivariate(float(p.nu_j), log_weights, 1.0 / p.beta_i,

@@ -449,6 +449,9 @@ class TestGammaSnr:
             GammaSnrParams(nu=0, beta=1.0)
         with pytest.raises(ParameterError):
             GammaSnrParams(nu=2, beta=0.0)
+        # m / SNR at a subnormal mean SNR
+        with pytest.raises(ParameterError, match="finite"):
+            GammaSnrParams(nu=4, beta=4.0 / 1e-308)
 
     def test_exponential_special_case(self):
         p = GammaSnrParams(nu=1, beta=0.5)

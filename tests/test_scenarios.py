@@ -517,10 +517,10 @@ class TestReceiverMemo:
 
         monkeypatch.setattr(secrecy, "capacity_eve_series", counted)
         table = run_scenario("fig5", methods=["closed-form"], grid=[0.0, 20.0])
-        # one call per jammer-on link (K = 1, 2, 4, 8) at each point: the
-        # c_s cells read the c_e cells instead of computing them again
-        assert len(seen) == len(set(seen)) == 4 * 2
-        for k in ("k1", "k2", "k4", "k8"):
+        # one call per link (K = 0, 1, 2, 4, 8) at each point: the c_s
+        # cells read the c_e cells instead of computing them again
+        assert len(seen) == len(set(seen)) == 5 * 2
+        for k in ("k0", "k1", "k2", "k4", "k8"):
             c_r, c_e, c_s = (_col(table, f"{k}/{m}#closed-form")
                              for m in ("c_r", "c_e", "c_s"))
             assert c_s == [max(r - e, 0.0) for r, e in zip(c_r, c_e)]
@@ -594,7 +594,8 @@ class TestCommonRandomNumbers:
 
     def test_jammer_off_outage_quadrature_is_its_own_route(self, tmp_path, monkeypatch):
         # with the jammer off the quadrature outage integrates the Gamma
-        # density; it must not share gamma_cdf with the closed form
+        # density; it must not share eve_sinr_cdf or gamma_cdf with the
+        # closed form
         cfg = load_config("fig3")
         cfg["geometry"].update(n_jammer_antennas=0, p_s_db=60.0)
         cfg["zeta_db"] = [-8.0, 55.0, 70.0]
@@ -603,9 +604,10 @@ class TestCommonRandomNumbers:
         closed = run_scenario(str(f), methods=["closed-form"])
 
         def closed_form_only(*_):
-            raise AssertionError("quadrature route called gamma_cdf")
+            raise AssertionError("quadrature route called the closed form")
 
-        monkeypatch.setattr(scenario, "gamma_cdf", closed_form_only)
+        monkeypatch.setattr(secrecy, "eve_sinr_cdf", closed_form_only)
+        monkeypatch.setattr(secrecy, "gamma_cdf", closed_form_only)
         quad = run_scenario(str(f), methods=["quadrature"])
         for z in ("-8", "55", "70"):
             np.testing.assert_allclose(_col(quad, f"outage_e@{z}dB#quadrature"),
@@ -790,6 +792,20 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.startswith("invalid parameter: mean SNR"), r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("method", ["closed-form", "quadrature", "monte-carlo"])
+    def test_subnormal_link_budget_is_a_validation_failure(self, tmp_path, capsys, method):
+        # fig4 at P_S = -3000 dB with r_se = 1e10 m and delta = 2: the
+        # intercept's mean SNR is the subnormal 1e-320, so its rate m / SNR
+        # is infinite.  Every method stops at the link, before any route
+        cfg = load_config("fig4")
+        cfg["geometry"]["r_se_m"] = 1e10
+        f = tmp_path / "faint.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        argv = ["eval", str(f), "--at", "-3000", "--methods", method]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "invalid parameter: beta must be positive and finite (got inf)\n")
 
     def test_missing_scenario_file_io_error(self):
         r = self._run("sweep", "/no/such/file.yaml")

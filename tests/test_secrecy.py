@@ -15,6 +15,7 @@ from jamsec.fading import (
     GammaSnrParams,
     RicianShadowedParams,
     dksm_cdf,
+    gamma_cdf,
     gamma_cdf_integral,
     rician_shadowed_cdf_integral,
 )
@@ -23,8 +24,6 @@ from jamsec.secrecy import (
     _ln_scaled_en,
     capacity_eve_quadrature,
     capacity_eve_series,
-    capacity_gamma_quadrature,
-    capacity_gamma_series,
     capacity_receiver_quadrature,
     capacity_receiver_series,
     db_to_linear,
@@ -50,6 +49,15 @@ class TestUnitsAndTypes:
             EveLinkParams(nu_i=1.5, beta_i=1.0, nu_j=1, beta_j=1.0)
         with pytest.raises(ParameterError):
             EveLinkParams(nu_i=1, beta_i=0.0, nu_j=1, beta_j=1.0)
+        # nu_j = 0 is the jammer off; below it, or off the integers, no link
+        EveLinkParams(nu_i=1, beta_i=1.0, nu_j=0, beta_j=1.0)
+        for nu_j in (-1, 0.5, 1.5):
+            with pytest.raises(ParameterError):
+                EveLinkParams(nu_i=1, beta_i=1.0, nu_j=nu_j, beta_j=1.0)
+        # a subnormal mean SNR makes the rate m / SNR infinite
+        for beta_i, beta_j in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ParameterError, match="finite"):
+                EveLinkParams(nu_i=1, beta_i=beta_i, nu_j=0, beta_j=beta_j)
 
 
 class TestLinkBudget:
@@ -133,6 +141,58 @@ class TestEveSinrCdf:
                 th = db_to_linear(zeta_db)
                 assert eve_sinr_cdf_integral(p, th) == pytest.approx(
                     eve_sinr_cdf(p, th), rel=1e-9)
+
+    # (nu_I, beta_I, nu_J, beta_J, gamma) -> F, from mpmath at 50 digits as
+    # sum_{q < nu_I} NB(q; nu_J, pi) P(nu_I - q, x) + I_pi(nu_I, nu_J),
+    # x = beta_I gamma, pi = x / (x + beta_J); E_J[P(nu_I, x (1 + gamma_J))]
+    # by mpmath quadrature gives the same digits down to 1e-46.  The first
+    # point once read 1.6e-15: one minus a survival sum within an ulp of one
+    MPMATH = {
+        (16, 0.01, 4, 100.0, 1.0): 9.304239714714300498860695e-46,
+        (16, 0.001, 4, 1000.0, 1e-4): 5.097162775956735939933369e-126,
+        (16, 1.0, 4, 1.0, 0.5): 1.562543490563374344708956e-05,
+        (16, 1000.0, 4, 0.001, 1e-4): 0.9999676015306555120737728,
+        (16, 0.001, 4, 10.0, 1000.0): 3.463107560056808454744694e-11,
+        (16, 0.5, 4, 0.02, 30.0): 0.9999999998727138425263425,
+        (1, 0.001, 1, 1000.0, 1e-4): 1.000999949899901740483784e-07,
+        (1, 1.0, 1, 1.0, 0.5): 0.5956462268582443842641336,
+        (1, 1000.0, 1, 0.001, 1e-4): 0.9910412136828122817371755,
+        (1, 0.001, 1, 10.0, 1000.0): 0.6655641443895978970533545,
+        (3, 0.001, 2, 1000.0, 1e-4): 1.67669658066216004772813e-22,
+        (3, 0.01, 2, 100.0, 1.0): 1.756215607438169793775425e-07,
+        (3, 1.0, 2, 1.0, 0.5): 0.2025245029704264245209302,
+        (3, 0.5, 2, 0.02, 30.0): 0.9999999999113484681478149,
+        (4, 0.001, 16, 1000.0, 1e-4): 4.440214960010207507628026e-30,
+        (4, 0.01, 16, 100.0, 1.0): 7.528292864841844110221312e-10,
+        (4, 1.0, 16, 1.0, 0.5): 0.9416394687699467641616093,
+        (4, 0.001, 16, 10.0, 1000.0): 0.2663154181089044137102664,
+        (64, 0.01, 64, 100.0, 1.0): 8.318474512714730969001319e-202,
+        (64, 1.0, 64, 1.0, 0.5): 6.932251498079949080054987e-05,
+        (64, 0.001, 64, 10.0, 1000.0): 6.177057398124366456497268e-31,
+    }
+
+    @pytest.mark.parametrize("args", MPMATH, ids=str)
+    def test_against_mpmath(self, args):
+        # every term is non-negative, so a small CDF keeps its relative
+        # precision; above 1/2 the complement keeps it to the ulp near 1
+        nu_i, beta_i, nu_j, beta_j, g = args
+        want = self.MPMATH[args]
+        got = eve_sinr_cdf(EveLinkParams(nu_i, beta_i, nu_j, beta_j), g)
+        if want <= 0.5:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        else:
+            assert got == pytest.approx(want, rel=0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("nu, beta", [(1, 1.0), (4, 0.02), (16, 300.0)])
+    def test_jammer_off_is_the_gamma_cdf(self, nu, beta):
+        # nu_J = 0: the SINR is the intercept SNR, to the bit on both routes
+        p = EveLinkParams(nu_i=nu, beta_i=beta, nu_j=0, beta_j=1.0)
+        gamma = GammaSnrParams(nu=nu, beta=beta)
+        grid = np.geomspace(1e-4, 1e3, 15)
+        np.testing.assert_array_equal(eve_sinr_cdf(p, grid), gamma_cdf(gamma, grid))
+        for g in (0.0, 1e-3, 0.7, 40.0):
+            assert eve_sinr_cdf(p, g) == gamma_cdf(gamma, g)
+            assert eve_sinr_cdf_integral(p, g) == gamma_cdf_integral(gamma, g)
 
     def test_more_jamming_raises_cdf(self):
         # raising mean jamming power nu_j / beta_j degrades the SINR,
@@ -350,8 +410,7 @@ class TestEveCapacity:
         # power of a rate enters as a ratio of rates, so no log of a rate
         # of size ~700 cancels; the rest costs at most ~700 ulps
         nu_i, beta_i, nu_j, beta_j = args
-        got = (capacity_gamma_series(GammaSnrParams(nu_i, beta_i)) if nu_j == 0
-               else capacity_eve_series(EveLinkParams(nu_i, beta_i, nu_j, beta_j)))
+        got = capacity_eve_series(EveLinkParams(nu_i, beta_i, nu_j, beta_j))
         assert got == pytest.approx(self.EXTREME_RATES[args], rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("a", (1e-300, 0.5, 9.99, 10.0, 30.0, 100.0, 499.0, 1e5, 1e300))
@@ -399,9 +458,16 @@ class TestEveCapacity:
 
     def test_gamma_quadrature_unit_case(self):
         # jammer-free exponential SNR at unit mean
-        p = GammaSnrParams(nu=1, beta=1.0)
+        p = EveLinkParams(nu_i=1, beta_i=1.0, nu_j=0, beta_j=1.0)
         want = math.e * float(sc.exp1(1.0)) / math.log(2.0)
-        assert capacity_gamma_quadrature(p) == pytest.approx(want, rel=1e-9)
+        assert capacity_eve_quadrature(p) == pytest.approx(want, rel=1e-9)
+
+    def test_jammer_off_ignores_beta_j(self):
+        # at nu_J = 0 the jammer's rate is unused: no factor, no break
+        for route in (capacity_eve_quadrature, capacity_eve_series):
+            want = route(EveLinkParams(nu_i=4, beta_i=0.3, nu_j=0, beta_j=1.0))
+            for beta_j in (1e-6, 0.3, 5e4):
+                assert route(EveLinkParams(nu_i=4, beta_i=0.3, nu_j=0, beta_j=beta_j)) == want
 
     @pytest.mark.parametrize("nu", (1, 4, 16, 32))
     def test_gamma_quadrature_against_expn(self, nu):
@@ -414,9 +480,10 @@ class TestEveCapacity:
             beta = nu / mean
             want = beyond[beta] if beta > 700.0 else (
                 math.exp(beta) * sum(sc.expn(k, beta) for k in range(1, nu + 1)))
-            got = capacity_gamma_quadrature(GammaSnrParams(nu=nu, beta=beta))
+            p = EveLinkParams(nu_i=nu, beta_i=beta, nu_j=0, beta_j=1.0)
+            got = capacity_eve_quadrature(p)
             assert got == pytest.approx(want / math.log(2.0), rel=1e-9, abs=0.0)
-            got = capacity_gamma_series(GammaSnrParams(nu=nu, beta=beta))
+            got = capacity_eve_series(p)
             assert got == pytest.approx(want / math.log(2.0), rel=1e-13, abs=0.0)
 
 
@@ -462,7 +529,8 @@ def _quadrature_routes():
         for th in (1e-6, 1.0, 1e6):
             yield lambda p=p, th=th: dksm_cdf(p, th)
     for p in _gamma_laws():
-        yield lambda p=p: capacity_gamma_quadrature(p)
+        eve = EveLinkParams(nu_i=p.nu, beta_i=p.beta, nu_j=0, beta_j=1.0)
+        yield lambda eve=eve: capacity_eve_quadrature(eve)
         for th in (1e-6, 1.0, 1e6):
             yield lambda p=p, th=th: gamma_cdf_integral(p, th)
     for q in _gamma_laws():
@@ -501,7 +569,8 @@ _ROUTES = {
     "capacity_receiver_quadrature": lambda: capacity_receiver_quadrature(_DKSM),
     "eve_sinr_cdf_integral": lambda: eve_sinr_cdf_integral(_EVE, 1.0),
     "capacity_eve_quadrature": lambda: capacity_eve_quadrature(_EVE),
-    "capacity_gamma_quadrature": lambda: capacity_gamma_quadrature(GammaSnrParams(2, 1.0)),
+    # the jammer off: nu_J = 0, the capacity of a plain Gamma SNR
+    "capacity_gamma_quadrature": lambda: capacity_eve_quadrature(EveLinkParams(2, 1.0, 0, 1.0)),
     "gamma_cdf_integral": lambda: gamma_cdf_integral(GammaSnrParams(2, 1.0), 1.0),
     "rician_shadowed_cdf_integral": lambda: rician_shadowed_cdf_integral(
         RicianShadowedParams(m=2.0, xi=1.0, sigma2=0.2, mean_snr=3.0), 1.0),
