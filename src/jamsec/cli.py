@@ -13,6 +13,7 @@ failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import AccuracyError, ParameterError
@@ -44,7 +45,11 @@ def _add_run_flags(sub):
                      help="largest process pool for grid points (>= 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: `main` may run many times
+    in one (perfbench calls it in-process), and each
+    `parse_args` starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="jamsec",
         description="Secrecy metrics for jammer-assisted vehicular links",

@@ -458,13 +458,25 @@ class ResultTable:
 # per-point evaluation
 
 
-def _rician_outage(rx: montecarlo.LinkSpec, th: float, cdf) -> float:
+def _rician_outage_closed_form(rx: montecarlo.LinkSpec, th: float) -> float:
     """Receiver outage of the Rician model, blended with the NLOS branch
-    when the link has a blockage mixture."""
-    f_los = float(cdf(rx.fading, th))
+    when the link has a blockage mixture, by one `rician_shadowed_cdf`
+    call: a point's NLOS law is its LOS law at another mean, so
+    F_NLOS(gamma) = F_LOS(gamma mean_LOS / mean_NLOS)."""
+    if rx.p_los is None:
+        return float(secrecy.rician_shadowed_cdf(rx.fading, th))
+    f_los, f_nlos = secrecy.rician_shadowed_cdf(
+        rx.fading, [th, th * rx.fading.mean_snr / rx.fading_nlos.mean_snr])
+    return float(mixture_cdf(rx.p_los, f_los, f_nlos))
+
+
+def _rician_outage_quadrature(rx: montecarlo.LinkSpec, th: float) -> float:
+    """`_rician_outage_closed_form` from the defining integral, one per
+    branch."""
+    f_los = rician_shadowed_cdf_integral(rx.fading, th)
     if rx.p_los is None:
         return f_los
-    return float(mixture_cdf(rx.p_los, f_los, float(cdf(rx.fading_nlos, th))))
+    return float(mixture_cdf(rx.p_los, f_los, rician_shadowed_cdf_integral(rx.fading_nlos, th)))
 
 
 class _Point:
@@ -577,10 +589,10 @@ def _secrecy_capacity(pt: _Point, _, method: str):
 _ROUTES = {
     ("outage_r", "closed-form"): lambda pt, th: (
         None if pt.dksm is not None  # no closed-form CDF
-        else _rician_outage(pt.receiver, th, secrecy.rician_shadowed_cdf)),
+        else _rician_outage_closed_form(pt.receiver, th)),
     ("outage_r", "quadrature"): lambda pt, th: (
         dksm_cdf(pt.dksm, th) if pt.dksm is not None
-        else _rician_outage(pt.receiver, th, rician_shadowed_cdf_integral)),
+        else _rician_outage_quadrature(pt.receiver, th)),
     ("outage_r", "monte-carlo"): lambda pt, th: montecarlo.receiver_outage(
         pt.receiver, th, pt.trials, pt.seed, pt.memo).value,
     ("outage_e", "closed-form"): lambda pt, th: secrecy.eve_sinr_cdf(pt.eve, th),
@@ -589,7 +601,7 @@ _ROUTES = {
         montecarlo.estimate_outage(pt.eve_samples, th).value,
     # the analytic receiver capacity is defined for the double model
     ("c_r", "closed-form"): lambda pt, _: (
-        None if pt.dksm is None else secrecy.capacity_receiver_series(pt.dksm)),
+        None if pt.dksm is None else secrecy.capacity_receiver_series(pt.dksm, pt.memo)),
     ("c_r", "quadrature"): lambda pt, _: (
         None if pt.dksm is None else secrecy.capacity_receiver_quadrature(pt.dksm)),
     ("c_r", "monte-carlo"): lambda pt, _: montecarlo.estimate_capacity(

@@ -24,6 +24,7 @@ quadrature route, never on import.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -224,7 +225,7 @@ def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams) -> float:
     return max(val, 0.0)
 
 
-def capacity_receiver_series(p: DoubleKappaMuShadowedParams) -> float:
+def capacity_receiver_series(p: DoubleKappaMuShadowedParams, cache=None) -> float:
     """Receiver ergodic capacity from its series of Meijer-G terms.
 
     Up to a common factor, term i is (c)_i x^i / ((mu)_i i! z^i) times a
@@ -232,12 +233,15 @@ def capacity_receiver_series(p: DoubleKappaMuShadowedParams) -> float:
     and x = mu kappa / (c + mu kappa).  Shifted onto one contour the terms
     share a gamma kernel, so the whole series is one integral of that
     kernel times 2F1(c, -t; mu; x) (``specfun.meijer_series_fold``).
+    `cache`, a caller-owned dict such as a run's memo, keeps the contour's
+    z-independent weights for the other mean SNRs of the same law.
     """
     c, s, mu, kappa = p.c, p.s, p.mu, p.kappa
     z = p.big_t / ((s - 1.0) * p.mean_snr)
     ln_prefactor = (mu * math.log(z) - c * math.log1p(mu * kappa / c) - sc.betaln(s, mu)
                     - sc.gammaln(s + mu) - math.log(_LN2))
-    total, _ = meijer_series_fold(s, mu, c, mu * kappa / (c + mu * kappa), z, ln_prefactor)
+    total, _ = meijer_series_fold(s, mu, c, mu * kappa / (c + mu * kappa), z, ln_prefactor,
+                                  cache)
     return max(total, 0.0)
 
 
@@ -290,28 +294,41 @@ def capacity_eve_series(p: EveLinkParams) -> float:
     return _en_capacity(p.nu_i, p.beta_i, p.nu_j, p.beta_j)
 
 
-def _ln_scaled_en(n, a: float):
-    """ln S~_n(a), S~_n(a) = e^a E_n(a), for an array of integers n >= 1.
-    Below a = _EN_CF_FROM one vectorised `expn`, where e^a costs ~a ulps;
-    there n = 2a stays below 50, where expn goes wrong once n is above it
-    (6e-7 off at a = 30, n = 60).  Above, the continued fraction of DLMF
-    8.19.17 (even contraction, modified Lentz): about 20 steps for any n,
-    and it never forms e^a."""
-    n = np.asarray(n, dtype=float)
-    if a < _EN_CF_FROM:
-        return a + np.log(sc.expn(n, a))
+def _scaled_en_cf(n: int, a: float) -> float:
+    """S~_n(a) = e^a E_n(a) for a >= _EN_CF_FROM by the continued fraction
+    of DLMF 8.19.17 (even contraction, modified Lentz): about 20 steps for
+    any n, and it never forms e^a."""
     b = a + n
     c, d = math.inf, 1.0 / b
     h = d
     for i in range(1, 200):  # about 20 steps are needed
         an = -i * (n - 1.0 + i)
-        b = b + 2.0
+        b += 2.0
         d = 1.0 / (an * d + b)
         c = b + an / c
-        h = h * (c * d)
-        if np.all(np.abs(c * d - 1.0) <= 1e-15):
-            return np.log(h)
+        h *= c * d
+        if abs(c * d - 1.0) <= 1e-15:
+            return h
     raise AccuracyError("E_n continued fraction did not converge", best=math.nan)
+
+
+def _scaled_en(a: float, n_max: int) -> list:
+    """[S~_1(a), ..., S~_(n_max)(a)], S~_n(a) = e^a E_n(a), as floats.
+
+    One seed at n0 ~ a, n0 <= n_max: below a = _EN_CF_FROM one `expn`,
+    where n0 <= 10 (expn goes wrong above n = 50: 6e-7 off at a = 30,
+    n = 60) and e^a costs ~a ulps; above, `_scaled_en_cf`.  The rest from
+    n S~_(n+1) + a S~_n = 1, run up from n0 and down from it: a step up
+    scales the error by ~a/n and a step down by ~n/a, so both directions
+    shrink it, and the subtraction cancels at most about one bit."""
+    n0 = min(max(round(a), 1), n_max)
+    s = [0.0] * n_max  # s[n - 1] = S~_n
+    s[n0 - 1] = math.exp(a) * float(sc.expn(n0, a)) if a < _EN_CF_FROM else _scaled_en_cf(n0, a)
+    for n in range(n0, n_max):
+        s[n] = (1.0 - a * s[n - 1]) / n
+    for n in range(n0 - 1, 0, -1):
+        s[n - 1] = (1.0 - n * s[n]) / a
+    return s
 
 
 def _en_capacity(nu_i, beta_i, nu_j, beta_j) -> float:
@@ -323,41 +340,76 @@ def _en_capacity(nu_i, beta_i, nu_j, beta_j) -> float:
     TVT 48(4), 1999).  With the jammer on: partial fractions, unless their
     alternating terms cancel too much (2e6-fold at shapes of 16 and rate
     ratio 0.29), else the all-positive expansion.  Rates enter as ratios,
-    in log space, so rates from 1e-300 to 1e300 stay in reach."""
-    ln_si = _ln_scaled_en(np.arange(1, nu_i + 1), beta_i)
+    so rates from 1e-300 to 1e300 stay in reach."""
     if nu_j == 0:
-        return _signed_sum(ln_si, 1.0)[0] / _LN2
+        return math.fsum(_scaled_en(beta_i, nu_i)) / _LN2
     m, big_m = sorted((beta_i, beta_j))
     if m / big_m < _PARTIAL_FRACTION_BELOW:
-        value, cond = _partial_fraction_sum(ln_si, beta_i, nu_j, beta_j)
+        value, cond = _partial_fraction_sum(nu_i, beta_i, nu_j, beta_j)
         if cond <= _PARTIAL_FRACTION_COND:
             return value / _LN2
     return _expansion_sum(nu_i, beta_i, nu_j, beta_j) / _LN2
 
 
-def _partial_fraction_sum(ln_si, beta_i, nu_j, beta_j):
-    """(ln2 C, sum of the terms' moduli over ln2 C) by partial fractions.
-    With u, v = beta_I, beta_J over |d|, d = beta_J - beta_I, the beta_I
-    poles give sign(d)^(nu_J+r) (-1)^r C(nu_J+r-1, r) u^r v^nu_J S~_k(beta_I),
+def _partial_fraction_sum(nu_i, beta_i, nu_j, beta_j):
+    """(ln2 C, sum of the terms' moduli over ln2 C) by partial fractions,
+    for rates with m/M < _PARTIAL_FRACTION_BELOW.  With u, v = beta_I,
+    beta_J over |d|, d = beta_J - beta_I, the beta_I poles give
+    sign(d)^(nu_J+r) (-1)^r C(nu_J+r-1, r) u^r v^nu_J S~_k(beta_I),
     r = j - k >= 0, and the beta_J poles sign(-d)^(j+s) (-1)^s C(j+s-1, s)
-    u^(j-1) v^(s+1) S~_(nu_J-s)(beta_J), 0 <= s < nu_J."""
+    u^(j-1) v^(s+1) S~_(nu_J-s)(beta_J), 0 <= s < nu_J.
+
+    Terms of one sign are summed first, which keeps the sum of moduli:
+    the beta_I poles over k (prefix sums of S~_k), then, when d > 0, both
+    pole sets at each power of u, and when d < 0 the beta_J poles at each
+    power of v and the beta_I poles in one sum.  The larger rate over |d|
+    is below 1 / (1 - _PARTIAL_FRACTION_BELOW) and the smaller one
+    multiplies in powers, so the terms are Python floats, the binomial
+    weights exact (`_binomial_sums` and C(nu_J+r-1, r) below 2^53).  An
+    overflow at large shapes reads (0, inf): the route then expands."""
     d = beta_j - beta_i
-    ln_u, ln_v = _ln_ratio(beta_i, abs(d)), _ln_ratio(beta_j, abs(d))
-    row, col = np.tril_indices(ln_si.size)  # j - 1 and k - 1, k <= j
-    r, k = row - col, col + 1
-    s, j = (a.ravel() for a in np.meshgrid(np.arange(nu_j), np.arange(1, ln_si.size + 1)))
-    ln_sj = _ln_scaled_en(np.arange(1, nu_j + 1), beta_j)
-    ln_terms = np.concatenate((
-        # ln C(n, k) = -ln(n + 1) - ln B(k + 1, n - k + 1)
-        -np.log(nu_j + r) - sc.betaln(r + 1.0, nu_j) + r * ln_u + nu_j * ln_v + ln_si[k - 1],
-        -np.log(j + s) - sc.betaln(s + 1.0, j) + (j - 1) * ln_u + (s + 1) * ln_v
-        + ln_sj[nu_j - s - 1],
-    ))
-    signs = np.concatenate((
-        (-1.0) ** r if d > 0 else np.full(r.size, (-1.0) ** nu_j),
-        (-1.0) ** (j if d > 0 else s),
-    ))
-    return _signed_sum(ln_terms, signs)
+    u, v = beta_i / abs(d), beta_j / abs(d)
+    si_sums = list(itertools.accumulate(_scaled_en(beta_i, nu_i)))[::-1]  # at r: k <= nu_I - r
+    sj = _scaled_en(beta_j, nu_j)[::-1]  # S~_(nu_J - s)(beta_J) at s
+    scale = 1.0  # a factor that may underflow, multiplied in last
+    try:
+        if d > 0:
+            # at u^r: (-1)^r C(nu_J+r-1, r) v^nu_J sum_k S~_k(beta_I) and
+            # (-1)^(r+1) sum_s C(r+s, s) v^(s+1) S~_(nu_J-s)(beta_J)
+            beta_i_poles, binomial, v_nu = [], 1.0, v**nu_j
+            for r in range(nu_i):
+                beta_i_poles.append(binomial * v_nu * si_sums[r])
+                binomial = binomial * (nu_j + r) / (r + 1)
+            beta_j_poles = _binomial_sums([v ** (s + 1) * sj[s] for s in range(nu_j)], nu_i)
+            pairs = list(enumerate(zip(beta_i_poles, beta_j_poles)))
+            total = math.fsum((-u) ** r * (a - b) for r, (a, b) in pairs)
+            moduli = math.fsum(u**r * (a + b) for r, (a, b) in pairs)
+        else:
+            # v times: at v^s, (-1)^s S~_(nu_J-s)(beta_J) sum_j C(j+s-1, s) u^(j-1),
+            # and (-1)^nu_J v^(nu_J-1) sum_r C(nu_J+r-1, r) u^r sum_k S~_k(beta_I)
+            beta_j_poles = _binomial_sums([u**j for j in range(nu_i)], nu_j)
+            beta_i_poles = _binomial_sums([u**r * si_sums[r] for r in range(nu_i)], nu_j)[-1]
+            terms = [(-v) ** s * sj[s] * b for s, b in enumerate(beta_j_poles)]
+            terms.append(-((-v) ** (nu_j - 1)) * beta_i_poles)
+            total = math.fsum(terms)
+            moduli = math.fsum(map(abs, terms))
+            scale = v
+    except (OverflowError, ValueError):  # ** or fsum past a double, at shapes in the thousands
+        return 0.0, math.inf
+    if not total > 0.0:  # NaN too
+        return 0.0, math.inf
+    return scale * total, moduli / total
+
+
+def _binomial_sums(w, count) -> list:
+    """[sum_k C(i+k, k) w_k for i < count], w non-negative.  By Pascal's
+    rule sum_(t<=k) C(i-1+t, t) = C(i+k, k), so the i-th sum is that of
+    w after i passes of suffix sums: additions only."""
+    r, out = w[::-1], []
+    for _ in range(count):
+        r = list(itertools.accumulate(r))
+        out.append(r[-1])
+    return out
 
 
 def _expansion_sum(nu_i, beta_i, nu_j, beta_j) -> float:
@@ -367,25 +419,33 @@ def _expansion_sum(nu_i, beta_i, nu_j, beta_j) -> float:
     with (e, p) = (nu_J, nu_J) when beta_I is the larger rate and
     (j, j - 1) when beta_J is.  The terms are positive and, as
     S_(n+1)(M) <= S_n(M) / M, their ratio is at most (e+k)/(k+1) rho: the
-    tail bound of `fading._ln_window_sum`."""
+    tail bound of `fading._ln_window_sum`.  ln S~_n(M) comes from one
+    `_scaled_en` table, rebuilt at twice the length when a window outgrows
+    it."""
     m, big_m = sorted((beta_i, beta_j))
     rho = (big_m - m) / big_m
     j = np.arange(1.0, nu_i + 1)
     e, p = (np.full(nu_i, float(nu_j)), nu_j) if beta_i >= beta_j else (j, j - 1.0)
     lead = p * _ln_ratio(m, big_m) - sc.gammaln(e)
+    ln_s = np.empty(0)  # ln S~_n(M) at n - 1
 
     def ln_terms(rows, k):
-        n = j[rows, None] + nu_j + k
-        n_lo = int(n.min())
-        ln_s = _ln_scaled_en(np.arange(n_lo, int(n.max()) + 1), big_m)
+        nonlocal ln_s
+        n = (j[rows, None] + nu_j + k).astype(int)
+        n_max = int(n.max())
+        if n_max > ln_s.size:
+            ln_s = np.log(_scaled_en(big_m, max(n_max, 2 * ln_s.size)))
         return (lead[rows, None] + sc.gammaln(e[rows, None] + k) - sc.gammaln(k + 1.0)
-                + sc.xlogy(k, rho) + ln_s[(n - n_lo).astype(int)])
+                + sc.xlogy(k, rho) + ln_s[n - 1])
 
     # the terms follow the negative binomial NB(e, rho) at large n
     peak = np.maximum((e - 1.0) * rho / (1.0 - rho), 0.0)
     spread = np.sqrt(e * rho) / (1.0 - rho)
-    return _signed_sum(_ln_window_sum(
-        ln_terms, lambda rows, k: (e[rows] + k) / (k + 1.0) * rho, peak, spread), 1.0)[0]
+    ln_rows = _ln_window_sum(ln_terms, lambda rows, k: (e[rows] + k) / (k + 1.0) * rho,
+                             peak, spread)
+    top = float(ln_rows.max())
+    total = float(np.sum(np.exp(ln_rows - top)))
+    return math.exp(top + math.log(total)) if total > 0.0 else 0.0
 
 
 def _ln_ratio(a, b) -> float:
@@ -393,17 +453,6 @@ def _ln_ratio(a, b) -> float:
     difference of two large logs would cost their size in ulps."""
     q = a / b
     return math.log(q) if 1e-300 < q < 1e300 else math.log(a) - math.log(b)
-
-
-def _signed_sum(ln_terms, signs):
-    """(sum of signs * exp(ln_terms), sum of the moduli over it); (0, inf)
-    unless the sum is positive."""
-    top = float(np.max(ln_terms))
-    scaled = np.exp(ln_terms - top)
-    total = float(np.sum(signs * scaled))
-    if not total > 0.0:
-        return 0.0, math.inf
-    return math.exp(top + math.log(total)), float(np.sum(scaled)) / total
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import yaml
 
 from jamsec import cli, scenario, secrecy
 from jamsec.errors import ParameterError
-from jamsec.fading import GammaSnrParams, SamplerSeed, gamma_cdf
+from jamsec.fading import GammaSnrParams, SamplerSeed, gamma_cdf, mixture_cdf
 from jamsec.montecarlo import LinkSpec, estimate_capacity, simulate_eve_sinr
 from jamsec.scenario import (
     _YAML_LOADER,
@@ -487,7 +487,8 @@ class TestReceiverMemo:
 
     def test_cells_sharing_a_link_are_computed_once(self, tmp_path, monkeypatch):
         # variants that differ only in the jamming shape share the receiver
-        # link, so its outage is one CDF call per (threshold, law)
+        # link, so its outage is one CDF call per (threshold, law), and that
+        # call covers both branches of the blockage mixture
         cfg = load_config("fig2")
         cfg["zeta_db"] = [5.0, 10.0]
         cfg["variants"] = [{"name": "a", "eve": {"m_j": 1}},
@@ -497,16 +498,35 @@ class TestReceiverMemo:
         seen, real = [], secrecy.rician_shadowed_cdf
 
         def counted(p, th):
-            seen.append((p, th))
+            seen.append((p, tuple(th)))
             return real(p, th)
 
         monkeypatch.setattr(secrecy, "rician_shadowed_cdf", counted)
         table = run_scenario(str(f), methods=["closed-form"])
-        # the LOS and the NLOS law of the blockage mixture at each point
-        assert len(seen) == len(set(seen)) == 2 * 2 * len(cfg["sweep"]["grid"])
+        # the LOS and the NLOS branch at each point, as thresholds of the
+        # LOS law
+        assert len(seen) == len(set(seen)) == 2 * len(cfg["sweep"]["grid"])
+        assert all(len(th) == 2 for _, th in seen)
         for z in ("5dB", "10dB"):
             assert (_col(table, f"a/outage_r@{z}#closed-form")
                     == _col(table, f"b/outage_r@{z}#closed-form"))
+
+    def test_one_call_blend_matches_two_calls(self):
+        # F_NLOS(gamma) = F_LOS(gamma mean_LOS / mean_NLOS): the one-call
+        # blend rounds the scaled threshold once more than the blend of
+        # two calls, one per law
+        sc = Scenario.from_config(load_config("fig2"))
+        worst = 0.0
+        for _, variant in sc.variants:
+            for snr_db in sc.grid:
+                rx = scenario._Point(sc, variant, snr_db, {}).receiver
+                for zeta in sc.zeta_db:
+                    th = secrecy.db_to_linear(zeta)
+                    want = mixture_cdf(rx.p_los, secrecy.rician_shadowed_cdf(rx.fading, th),
+                                       secrecy.rician_shadowed_cdf(rx.fading_nlos, th))
+                    got = scenario._rician_outage_closed_form(rx, th)
+                    worst = max(worst, abs(got - want) / want)
+        assert worst <= 4e-16
 
     def test_secrecy_capacity_reads_the_eve_capacity_cell(self, monkeypatch):
         seen, real = [], secrecy.capacity_eve_series
@@ -713,6 +733,33 @@ class TestCli:
         loaded = _imported(listing)
         heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
         assert [m for m in loaded if m.startswith(heavy)] == []
+
+    def test_main_runs_many_commands_in_one_process(self, tmp_path, monkeypatch):
+        # the parser is built once per process; each command must still
+        # see only its own options, a sweep after a JSON eval included
+        assert cli.build_parser() is cli.build_parser()
+        runs, emits = [], []
+        monkeypatch.setattr(cli, "run_scenario", lambda path, **kw: runs.append((path, kw)))
+        monkeypatch.setattr(cli, "emit", lambda table, **kw: emits.append(kw))
+        out = str(tmp_path / "fig3.csv")
+        defaults = dict(seed=None, trials=None, methods=None, workers=1)
+        for argv, grid, emitted in [
+            (["eval", "fig3", "--at", "1"], [1.0], dict(format="csv", destination="-")),
+            (["validate", "fig3"], None, None),
+            (["sweep", "fig3", "--out", out], None, dict(format="csv", destination=out)),
+            (["eval", "fig3", "--at", "1", "--format", "json", "--methods", "closed-form"],
+             [1.0], dict(format="json", destination="-")),
+            (["sweep", "fig3"], None, dict(format="csv", destination="-")),
+        ]:
+            runs.clear()
+            emits.clear()
+            assert cli.main(argv) == cli.EXIT_OK
+            if emitted is None:
+                assert runs == emits == []
+                continue
+            methods = ["closed-form"] if "--methods" in argv else None
+            assert runs == [("fig3", dict(defaults, methods=methods, grid=grid))]
+            assert emits == [emitted]
 
     def test_validate_ok(self):
         r = self._run("validate", "fig3")

@@ -8,7 +8,7 @@ import scipy.integrate
 import scipy.special as sc
 
 from foxh_contour import capacity_eve_foxh
-from jamsec import secrecy
+from jamsec import secrecy, specfun
 from jamsec.errors import AccuracyError, ParameterError
 from jamsec.fading import (
     DoubleKappaMuShadowedParams,
@@ -21,7 +21,7 @@ from jamsec.fading import (
 )
 from jamsec.secrecy import (
     EveLinkParams,
-    _ln_scaled_en,
+    _scaled_en,
     capacity_eve_quadrature,
     capacity_eve_series,
     capacity_receiver_quadrature,
@@ -260,6 +260,17 @@ class TestReceiverCapacity:
         assert capacity_receiver_series(p) == pytest.approx(want, rel=1e-3)
         assert abs(capacity_receiver_series(p) - 0.8666) < 1e-2
 
+    def test_shared_cache_keeps_every_bit(self):
+        # fig5's receiver law at 10 mean SNRs: later points reuse the
+        # contour's z-independent weights, and read the same values
+        cache = {}
+        for mean in np.logspace(-1.0, 3.5, 10):
+            p = DoubleKappaMuShadowedParams(c=5.0, s=2.5, mu=2.0, kappa=1.5, mean_snr=mean)
+            assert capacity_receiver_series(p, cache) == capacity_receiver_series(p)
+        # at most one entry per refinement level of the one law
+        assert {key[:-1] for key in cache} == {("meijer_series_fold", 2.5, 2.0, 5.0, 0.375)}
+        assert len(cache) <= specfun._MAX_REFINEMENTS + 1
+
     def test_monotone_in_mean_snr(self):
         vals = [
             capacity_receiver_series(
@@ -326,6 +337,26 @@ def _oracle_grid():
             (1, 2, 4, 8, 16), (1, 2, 4, 8, 16), (0.01, 1.0, 100.0), (0.01, 0.1, 1.0, 10.0)):
         yield pytest.param(nu_i, beta_i, nu_j, beta_j,
                            id=f"{nu_i}-{beta_i:g}-{nu_j}-{beta_j:g}")
+
+
+def _scaled_en_mpmath(mpmath, n, a):
+    """e^a E_n(a) at mpmath's working precision: its `expint` below a = 10,
+    and above it the continued fraction of DLMF 8.19.17, where `expint` and
+    `gammainc` go wrong (at 25 digits `expint` reads 1.4e82 at a = 499,
+    n = 113)."""
+    if a < 10.0:
+        return mpmath.exp(a) * mpmath.expint(n, a)
+    b = mpmath.mpf(a) + n
+    c, d = mpmath.inf, 1 / b
+    h = d
+    for i in itertools.count(1):
+        an = -i * (n - 1 + i)
+        b += 2
+        d = 1 / (an * d + b)
+        c = b + an / c
+        h *= c * d
+        if abs(c * d - 1) <= 4 * mpmath.eps:
+            return h
 
 
 class TestEveCapacity:
@@ -413,17 +444,46 @@ class TestEveCapacity:
         got = capacity_eve_series(EveLinkParams(nu_i, beta_i, nu_j, beta_j))
         assert got == pytest.approx(self.EXTREME_RATES[args], rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("a", (1e-300, 0.5, 9.99, 10.0, 30.0, 100.0, 499.0, 1e5, 1e300))
+    SCALED_EN_RATES = (1e-300, 0.5, 9.99, 10.0, 30.0, 100.0, 499.0, 1e5, 1e300)
+
+    @pytest.mark.parametrize("a", SCALED_EN_RATES)
     def test_scaled_en_recurrence(self, a):
         # n E_(n+1)(a) = e^(-a) - a E_n(a), i.e. n S~_(n+1) + a S~_n = 1 with
         # S~_n = e^a E_n(a): two positive terms, so the check is well
-        # conditioned.  expn's large-order expansion misses it by 6e-7 at
-        # a = 30, n = 60, so the continued fraction serves every a >= 10.
-        # Exponentiating ln S~ ~ -ln a costs |ln a| ulps
+        # conditioned.  The table is built by this recurrence, so this
+        # checks its rounding, an ulp or two; test_scaled_en_against_mpmath
+        # checks its values
         n = np.arange(1.0, 3001.0)
-        s = np.exp(_ln_scaled_en(np.arange(1.0, 3002.0), a))
-        np.testing.assert_allclose(n * s[1:] + a * s[:-1], 1.0, atol=0.0,
-                                   rtol=max(1e-14, 2.3e-16 * abs(math.log(a))))
+        s = np.array(_scaled_en(a, 3001))
+        np.testing.assert_allclose(n * s[1:] + a * s[:-1], 1.0, atol=0.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("a", SCALED_EN_RATES)
+    def test_scaled_en_against_mpmath(self, a):
+        # the table from one seed at n ~ a and the recurrence run away from
+        # it, against S~_n(a) at 30 digits, one n at a time: every n up to
+        # 40, a geometric ladder to 3001 and the seed's neighbours
+        mpmath = pytest.importorskip("mpmath")
+        s = _scaled_en(a, 3001)
+        seed = min(max(round(a), 1), 3001)
+        ns = {*range(1, 41), *np.geomspace(40, 3001, 30).round().astype(int).tolist(),
+              *(n for n in (seed - 1, seed, seed + 1) if 1 <= n <= 3001)}
+        with mpmath.workdps(30):
+            for n in sorted(ns):
+                want = float(_scaled_en_mpmath(mpmath, n, a))
+                assert s[n - 1] == pytest.approx(want, rel=2e-15, abs=0.0), n
+
+    @pytest.mark.parametrize("nu_i", (1, 4, 16))
+    @pytest.mark.parametrize("nu_j", (0, 1, 8, 16))
+    def test_series_matches_mgf_quadrature_grid(self, nu_i, nu_j):
+        # both regimes and the switch between them (m/M = 0.29 and 0.31),
+        # near-equal rates (1 +- 1e-9) and the jammer off, against the MGF
+        # integral the closed form telescopes
+        for beta_i in (0.01, 1.0, 40.0, 1000.0):
+            for beta_j in (0.01, 10.0, *(beta_i * f for f in (1.0, 1.0 + 1e-9, 1.0 - 1e-9,
+                                                                0.29, 0.31, 3.0))):
+                want = secrecy._mgf_capacity(nu_i, beta_i, nu_j, beta_j)
+                got = capacity_eve_series(EveLinkParams(nu_i, beta_i, nu_j, beta_j))
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (beta_i, beta_j)
 
     @pytest.mark.parametrize("nu_i, nu_j", [(1, 1), (4, 8), (16, 16), (8, 2)])
     @pytest.mark.parametrize("ratio", (0.1, 0.29))
@@ -433,8 +493,7 @@ class TestEveCapacity:
         # ~800, but 3e-9 at shapes of 16 and m/M = 0.29, where it is 2e6.
         # The route takes them only within _PARTIAL_FRACTION_COND
         for beta_i, beta_j in ((1.0, ratio), (ratio, 1.0)):
-            ln_si = _ln_scaled_en(np.arange(1, nu_i + 1), beta_i)
-            pf, cond = secrecy._partial_fraction_sum(ln_si, beta_i, nu_j, beta_j)
+            pf, cond = secrecy._partial_fraction_sum(nu_i, beta_i, nu_j, beta_j)
             expansion = secrecy._expansion_sum(nu_i, beta_i, nu_j, beta_j)
             assert pf == pytest.approx(expansion, rel=4e-15 * cond, abs=0.0)
             want = pf if cond <= secrecy._PARTIAL_FRACTION_COND else expansion
