@@ -87,13 +87,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "validate":
-            try:
-                cfg = load_config(args.scenario)
-            except ScenarioError as exc:
-                for d in exc.diagnostics:
-                    print(d, file=sys.stderr)
-                return EXIT_VALIDATION
-            diags = validate_config(cfg)
+            diags = validate_config(load_config(args.scenario))
             for d in diags:
                 print(d, file=sys.stderr)
             return EXIT_OK if not diags else EXIT_VALIDATION

@@ -9,7 +9,8 @@ SNR.
 
 The quadrature routes integrate one scalar density per law
 (`_dksm_pdf_scalar`, `_rician_shadowed_pdf_scalar`, `_gamma_pdf_scalar`)
-and accept a result only through `_quad`.
+and accept a result only through `_quad`; public `dksm_pdf` maps the
+first over an array.
 
 SNR domain throughout; all means are linear (dB handling lives at the
 configuration boundary).
@@ -34,7 +35,6 @@ __all__ = [
     "SamplerSeed",
     "dksm_pdf",
     "dksm_cdf",
-    "dksm_cdf_at_sorted",
     "dksm_sample",
     "rician_shadowed_cdf",
     "rician_shadowed_cdf_integral",
@@ -44,7 +44,6 @@ __all__ = [
     "mixture_cdf",
 ]
 
-_HEAD_SEGMENTS = 96  # dksm_cdf_at_sorted panels below the first grid point
 _LN_WINDOW_TOL = math.log(1e-17)  # what _ln_window_sum may leave out, relative to the sum
 _LN_CHUNK = 2.0**16  # widest block of terms _ln_window_sum builds at once
 _U_MAX = 700.0  # |u| bound of the quadratures in u = ln(gamma): exp(u) stays normal
@@ -242,51 +241,10 @@ def _dksm_pdf_at_zero(mu: float, ln_amp: float) -> float:
     return math.exp(ln_amp) if mu == 1.0 else math.inf
 
 
-def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
-    """SNR density.  Vectorized over gamma >= 0."""
-    g = np.asarray(gamma, dtype=float)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)
-    if np.any(g < 0):
-        raise ParameterError("gamma must be non-negative")
-
-    c, s, mu, kappa, gbar = p.c, p.s, p.mu, p.kappa, p.mean_snr
-    big_t = p.big_t
-    phi = (s - 1.0) * gbar
-    ln_amp = _dksm_ln_amp(p)
-
-    out = np.zeros_like(g)
-    pos = g > 0
-    if np.any(pos):
-        gp = g[pos]
-        denom = big_t * gp + phi
-        z = p.big_k * mu * kappa * gp / denom
-        # phi^(s+mu) (T g + phi)^-(s+mu) as (1 + T g/phi)^-(s+mu), which
-        # keeps its digits at large s
-        ln_pdf = ln_amp + (mu - 1.0) * np.log(gp) - (s + mu) * np.log1p(gp * (big_t / phi))
-        hyp = 1.0
-        if kappa > 0:
-            hyp = sc.hyp2f1(c, s + mu, mu, z)
-            # Both failures of exp(ln_pdf) * hyp come at large s: scipy
-            # gives up (NaN) past 1e4 recursion steps, i.e. once s > 1e4,
-            # and deep in the tail exp(ln_pdf) underflows while the 2F1
-            # overflows (0 * inf) or is merely huge.  Those points take the
-            # 2F1 in log space.  Below the cap an underflowed exp(ln_pdf)
-            # costs any normal-range product at most 1.1e-12 relative.
-            lost = ~(hyp <= _HYP_DIRECT_MAX)
-            if np.any(lost):
-                ln_pdf[lost] += _ln_hyp2f1_series(c, s + mu, mu, z[lost])
-                hyp[lost] = 1.0
-        out[pos] = np.exp(ln_pdf) * hyp
-    if np.any(~pos):
-        out[~pos] = _dksm_pdf_at_zero(mu, ln_amp)
-    return float(out[0]) if scalar else out
-
-
 def _dksm_pdf_scalar(p: DoubleKappaMuShadowedParams):
-    """Scalar form of `dksm_pdf` for quadrature integrands: returns
-    f(gamma) for one float gamma >= 0.  The law's constants are computed
-    once here, so each call is float arithmetic plus one scalar 2F1."""
+    """The SNR density as f(gamma) for one float gamma >= 0, the form the
+    quadrature integrands call.  The law's constants are computed once
+    here, so each call is float arithmetic plus one scalar 2F1."""
     c, s, mu, kappa = p.c, p.s, p.mu, p.kappa
     big_t = p.big_t
     phi = (s - 1.0) * p.mean_snr
@@ -298,10 +256,18 @@ def _dksm_pdf_scalar(p: DoubleKappaMuShadowedParams):
     def pdf(g):
         if not g > 0.0:
             return at_zero
+        # phi^(s+mu) (T g + phi)^-(s+mu) as (1 + T g/phi)^-(s+mu), which
+        # keeps its digits at large s
         ln_pdf = ln_amp + (mu - 1.0) * math.log(g) - (s + mu) * math.log1p(g * t_over_phi)
         if kappa > 0:
             z = z_scale * g / (big_t * g + phi)
             hyp = sc.hyp2f1(c, s + mu, mu, z)
+            # Both failures of exp(ln_pdf) * hyp come at large s: scipy
+            # gives up (NaN) past 1e4 recursion steps, i.e. once s > 1e4,
+            # and deep in the tail exp(ln_pdf) underflows while the 2F1
+            # overflows (0 * inf) or is merely huge.  Those points take the
+            # 2F1 in log space.  Below the cap an underflowed exp(ln_pdf)
+            # costs any normal-range product at most 1.1e-12 relative.
             if not hyp <= _HYP_DIRECT_MAX:
                 return math.exp(ln_pdf + _ln_hyp2f1_series(c, s + mu, mu, [z])[0])
             return math.exp(ln_pdf) * float(hyp)
@@ -310,7 +276,17 @@ def _dksm_pdf_scalar(p: DoubleKappaMuShadowedParams):
     return pdf
 
 
-# largest 2F1 factor that dksm_pdf multiplies by exp(ln_pdf) directly
+def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
+    """SNR density at gamma >= 0, a float or an array: `_dksm_pdf_scalar`
+    at each point."""
+    g = np.asarray(gamma, dtype=float)
+    if np.any(g < 0):
+        raise ParameterError("gamma must be non-negative")
+    out = np.vectorize(_dksm_pdf_scalar(p), otypes=[float])(g)
+    return float(out) if g.ndim == 0 else out
+
+
+# largest 2F1 factor that _dksm_pdf_scalar multiplies by exp(ln_pdf) directly
 _HYP_DIRECT_MAX = 1e4
 
 
@@ -404,39 +380,6 @@ def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
     """CDF by `_log_cdf` of `_dksm_pdf_scalar`, split at the knee."""
     return _log_cdf(_dksm_pdf_scalar(p), gamma, _dksm_log_knee(p), p.mu, _dksm_ln_amp(p),
                     "receiver")
-
-
-def dksm_cdf_at_sorted(p: DoubleKappaMuShadowedParams, g_sorted: np.ndarray) -> np.ndarray:
-    """CDF evaluated at an ascending grid in one cumulative pass.
-
-    Composite Gauss-Legendre in u = ln(gamma) between consecutive grid
-    points, with _HEAD_SEGMENTS panels below the first one down to
-    `_log_floor`; used by the KS fidelity checks where per-point adaptive
-    quadrature would be wasteful.
-    """
-    g_sorted = np.asarray(g_sorted, dtype=float)
-    if g_sorted.ndim != 1 or len(g_sorted) == 0:
-        raise ParameterError("need a one-dimensional, non-empty grid")
-    if np.any(np.diff(g_sorted) < 0) or g_sorted[0] <= 0:
-        raise ParameterError("grid must be ascending and positive")
-
-    u = np.log(g_sorted)
-    u_lo, below = _log_floor(u[0], _dksm_log_knee(p), p.mu, _dksm_ln_amp(p))
-    head = np.linspace(u_lo, u[0], _HEAD_SEGMENTS + 1)
-    knots = np.concatenate([head, u[1:]])
-
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    lo = knots[:-1]
-    width = np.diff(knots)
-    total = np.zeros(len(knots) - 1)
-    for x, w in zip(nodes, weights):
-        uu = lo + 0.5 * width * (x + 1.0)
-        t = np.exp(uu)
-        total += w * dksm_pdf(p, t) * t
-    seg = 0.5 * width * total
-    cum = below + np.cumsum(seg)
-    cdf = cum[_HEAD_SEGMENTS - 1 :]
-    return np.clip(cdf, 0.0, 1.0)
 
 
 def dksm_sample(p: DoubleKappaMuShadowedParams, seed: SamplerSeed, n: int) -> np.ndarray:

@@ -35,19 +35,20 @@ the one working array it makes.
 Memory bound: a caller-owned cache holds one `trials`-length float array
 per distinct (link role, unit law, antenna count) in a run, never the
 per-antenna draws, plus one array of blockage uniforms per link role
-with a blockage mixture: 3 for fig2 (one receiver law per variant, LOS
-and NLOS sharing it, and the receiver's coin), 2 for fig3 and fig4
-(intercept, jammer), and 6 for fig5 (receiver, intercept, and the jammer
-at K = 1, 2, 4, 8).  A sum for K antennas continues the cached sum for
+with a blockage mixture: 3 for fig2 (one receiver law per variant, its
+LOS and NLOS branches scaling one sum, and the receiver's coin), 2 for
+fig3 and fig4 (intercept, jammer), and 6 for fig5 (receiver, intercept,
+and the jammer at K = 1, 2, 4, 8).  A sum for K antennas continues the cached sum for
 the most antennas below K, so fig5's jammer draws 8 arrays, not 15.
 Receiver outage cells add the sorted copies they count in, made once
-per run: one array per plain receiver link (unit law, antenna count),
-and one per blockage link and p_los, split into its sorted LOS and NLOS
-trials.  Of the built-in scenarios only fig2 has such cells, so its
-cache holds 5 arrays (2 sorted).  The other per-cell arrays are
-transient: an eavesdropper SINR (two arrays while a jammer-on one is
-formed, one kept for the point's outage and capacity cells), receiver
-samples for a capacity estimate, and the estimate's working array.
+per run per (unit law, antenna count, p_los): a plain link's sorted
+sum, or a blockage link's sum split into its sorted LOS and NLOS trials.
+Of the built-in scenarios only fig2 has such cells, so its cache holds
+5 arrays (2 sorted, each in its LOS and NLOS parts).  The other per-cell
+arrays are transient: an eavesdropper SINR (two arrays while a jammer-on
+one is formed, one kept for the point's outage and capacity cells),
+receiver samples for a capacity estimate, and the estimate's working
+array.
 """
 
 from __future__ import annotations
@@ -93,12 +94,13 @@ _LINK_JAMMER = 2
 class LinkSpec:
     """One link: the per-antenna fading law, the number of antennas whose
     draws add up per trial, and an optional blockage mixture (p_los
-    chooses `fading`, otherwise `fading_nlos`)."""
+    chooses `fading`, otherwise `fading` at mean `nlos_mean_snr`: the
+    same shadowing with extra path loss)."""
 
     fading: FadingSpec
     antennas: int = 1
     p_los: Optional[float] = None
-    fading_nlos: Optional[FadingSpec] = None
+    nlos_mean_snr: Optional[float] = None
 
     def __post_init__(self):
         if not isinstance(
@@ -108,10 +110,16 @@ class LinkSpec:
             raise ParameterError("unsupported fading spec")
         if not (isinstance(self.antennas, (int, np.integer)) and self.antennas >= 1):
             raise ParameterError("antennas must be a positive integer")
-        if (self.p_los is None) != (self.fading_nlos is None):
-            raise ParameterError("p_los and fading_nlos must be given together")
-        if self.p_los is not None and not (0.0 <= self.p_los <= 1.0):
+        if (self.p_los is None) != (self.nlos_mean_snr is None):
+            raise ParameterError("p_los and nlos_mean_snr must be given together")
+        if self.p_los is None:
+            return
+        if not (0.0 <= self.p_los <= 1.0):
             raise ParameterError("p_los must lie in [0, 1]")
+        if not (self.nlos_mean_snr > 0):
+            raise ParameterError("nlos_mean_snr must be positive")
+        if isinstance(self.fading, GammaSnrParams):
+            raise ParameterError("a blockage mixture needs a law with a mean_snr")
 
 
 @dataclass(frozen=True)
@@ -205,20 +213,17 @@ def _link_samples(link: LinkSpec, role: int, trials: int, seed: SamplerSeed,
     """Per-trial link SNR, a new array: the unit-law antenna sum times the
     law's scale.  Blockage state is common to all antennas of a link (it
     blocks the path, not individual elements), so a mixture picks its
-    scale per trial; LOS and NLOS branches with one unit law share one
-    sum, which is exact because the coin is independent of the draws."""
+    scale per trial, the law's mean or `nlos_mean_snr`, for one shared
+    sum: exact, because the coin is independent of the draws."""
     _check_run(link, trials, seed)
     cache = {} if cache is None else cache
     unit, scale = _unit_law(link.fading)
     total = _unit_sum(unit, seed, role, link.antennas, trials, cache)
     if link.p_los is None:
         return total * scale
-    unit_nlos, scale_nlos = _unit_law(link.fading_nlos)
-    total_nlos = _unit_sum(unit_nlos, seed, role, link.antennas, trials, cache)
-    los = _coin(role, trials, seed, cache) < link.p_los
-    out = np.where(los, scale, scale_nlos)
+    out = np.where(_coin(role, trials, seed, cache) < link.p_los, scale, link.nlos_mean_snr)
     # fl(scale * v) is fl(v * scale): the product is the same either way
-    out *= total if total_nlos is total else np.where(los, total, total_nlos)
+    out *= total
     return out
 
 
@@ -226,29 +231,24 @@ def _sorted_unit_sums(link: LinkSpec, trials: int, seed: SamplerSeed,
                       cache: dict) -> list:
     """[(sorted unit-law sums, scale), ...] of a receiver link, once per
     run: each trial's SNR is fl(v * scale) for its v in exactly one of
-    them.  A plain link has one; a mixture has its LOS trials of the LOS
-    sum and its NLOS trials of the NLOS sum, so it is keyed by p_los."""
+    them.  A plain link has its sum; a mixture has its LOS trials at the
+    law's scale and its NLOS trials at `nlos_mean_snr`, keyed by p_los."""
     role = _LINK_RECEIVER
     unit, scale = _unit_law(link.fading)
-    if link.p_los is None:
-        key = ("sorted", unit, link.antennas, trials, seed)
-        if key not in cache:
-            cache[key] = (np.sort(_unit_sum(unit, seed, role, link.antennas,
-                                            trials, cache)),)
-        return list(zip(cache[key], (scale,)))
-    unit_nlos, scale_nlos = _unit_law(link.fading_nlos)
-    key = ("sorted", unit, unit_nlos, link.antennas, link.p_los, trials, seed)
+    key = ("sorted", unit, link.antennas, link.p_los, trials, seed)
     if key not in cache:
         total = _unit_sum(unit, seed, role, link.antennas, trials, cache)
-        total_nlos = _unit_sum(unit_nlos, seed, role, link.antennas, trials, cache)
-        state = _coin(role, trials, seed, cache) < link.p_los
-        parts = [total[state]]
-        np.logical_not(state, out=state)
-        parts.append(total_nlos[state])
+        if link.p_los is None:
+            parts = [total.copy()]
+        else:
+            state = _coin(role, trials, seed, cache) < link.p_los
+            parts = [total[state]]
+            np.logical_not(state, out=state)
+            parts.append(total[state])
         for part in parts:
             part.sort()
         cache[key] = tuple(parts)
-    return list(zip(cache[key], (scale, scale_nlos)))
+    return list(zip(cache[key], (scale, link.nlos_mean_snr)))
 
 
 def _count_below(sorted_sums: np.ndarray, scale: float, gamma_th: float) -> int:

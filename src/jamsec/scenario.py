@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import yaml
@@ -466,7 +466,7 @@ def _rician_outage_closed_form(rx: montecarlo.LinkSpec, th: float) -> float:
     if rx.p_los is None:
         return float(secrecy.rician_shadowed_cdf(rx.fading, th))
     f_los, f_nlos = secrecy.rician_shadowed_cdf(
-        rx.fading, [th, th * rx.fading.mean_snr / rx.fading_nlos.mean_snr])
+        rx.fading, [th, th * rx.fading.mean_snr / rx.nlos_mean_snr])
     return float(mixture_cdf(rx.p_los, f_los, f_nlos))
 
 
@@ -476,7 +476,8 @@ def _rician_outage_quadrature(rx: montecarlo.LinkSpec, th: float) -> float:
     f_los = rician_shadowed_cdf_integral(rx.fading, th)
     if rx.p_los is None:
         return f_los
-    return float(mixture_cdf(rx.p_los, f_los, rician_shadowed_cdf_integral(rx.fading_nlos, th)))
+    f_nlos = rician_shadowed_cdf_integral(replace(rx.fading, mean_snr=rx.nlos_mean_snr), th)
+    return float(mixture_cdf(rx.p_los, f_los, f_nlos))
 
 
 class _Point:
@@ -524,36 +525,33 @@ class _Point:
             if "p_los" in rec:
                 p_los = float(rec["p_los"])
                 loss = secrecy.db_to_linear(-float(rec["nlos_extra_loss_db"]))
-                nlos = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2,
-                                            mean_snr=snr_r * loss / norm)
+                nlos = snr_r * loss / norm
             self.receiver = montecarlo.LinkSpec(
                 fading=RicianShadowedParams(m=m, xi=xi, sigma2=sigma2,
                                             mean_snr=snr_r / norm),
-                p_los=p_los, fading_nlos=nlos,
+                p_los=p_los, nlos_mean_snr=nlos,
             )
 
         # per-antenna Gamma laws: the intercept over N antennas, the jammer
-        # over K, and `eve`, their sums at the eavesdropper.  With the
-        # jammer off (K = 0) `jammer` is None and `eve` has nu_J = 0
+        # over K, and `eve`, their sums at the eavesdropper: the shapes add
+        # over antennas and each link keeps its rate.  With the jammer off
+        # (K = 0) `jammer` is None and `eve` has nu_J = 0
         m_i = int(eve.get("m_i", _EVE["m_i"].default))
         m_j = int(eve.get("m_j", _EVE["m_j"].default))
-        snr_i = secrecy.mean_snr(p_s, float(geo["r_se_m"]), delta, noise_var_e)
+        n = int(geo["n_bs_antennas"])
+        beta_i = m_i / secrecy.mean_snr(p_s, float(geo["r_se_m"]), delta, noise_var_e)
         self.intercept = montecarlo.LinkSpec(
-            fading=GammaSnrParams(nu=m_i, beta=m_i / snr_i),
-            antennas=int(geo["n_bs_antennas"]))
-        gamma_i = secrecy.gamma_antenna_sum(self.intercept.fading, self.intercept.antennas)
+            fading=GammaSnrParams(nu=m_i, beta=beta_i), antennas=n)
         self.jammer = None
         nu_j, beta_j = 0, 1.0  # the jammer off; the rate is unused
         k = int(geo["n_jammer_antennas"])
         if k >= 1:
-            snr_j = secrecy.mean_snr(secrecy.db_to_linear(geo["p_j_db"]),
-                                     float(geo["r_je_m"]), delta, noise_var_e)
+            nu_j = k * m_j
+            beta_j = m_j / secrecy.mean_snr(secrecy.db_to_linear(geo["p_j_db"]),
+                                            float(geo["r_je_m"]), delta, noise_var_e)
             self.jammer = montecarlo.LinkSpec(
-                fading=GammaSnrParams(nu=m_j, beta=m_j / snr_j), antennas=k)
-            gamma_j = secrecy.gamma_antenna_sum(self.jammer.fading, k)
-            nu_j, beta_j = gamma_j.nu, gamma_j.beta
-        self.eve = secrecy.EveLinkParams(nu_i=gamma_i.nu, beta_i=gamma_i.beta,
-                                         nu_j=nu_j, beta_j=beta_j)
+                fading=GammaSnrParams(nu=m_j, beta=beta_j), antennas=k)
+        self.eve = secrecy.EveLinkParams(nu_i=n * m_i, beta_i=beta_i, nu_j=nu_j, beta_j=beta_j)
 
         self.trials = sc.trials
         self.seed = SamplerSeed(sc.seed)
@@ -745,8 +743,6 @@ def emit(table: ResultTable, format: str = "csv", destination="-") -> None:
         destination.write(payload)
         return
     if destination == "-":
-        import sys
-
         sys.stdout.write(payload)
         return
     with open(destination, "w", newline="") as fh:

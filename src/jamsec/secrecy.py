@@ -36,6 +36,7 @@ from .fading import (
     _U_MAX,
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
+    _dksm_log_knee,
     _dksm_pdf_scalar,
     _gamma_pdf_scalar,
     _ln_window_sum,
@@ -59,7 +60,6 @@ __all__ = [
     "capacity_eve_quadrature",
     "capacity_eve_series",
     "secrecy_capacity",
-    "gamma_antenna_sum",
 ]
 
 _LN2 = math.log(2.0)
@@ -115,12 +115,6 @@ def mean_snr(p: float, r: float, delta: float, noise_var: float) -> float:
         raise ParameterError(f"mean SNR {p:g} * {r:g}^(-{delta:g}) / {noise_var:g}"
                              " is not a positive finite double")
     return snr
-
-
-def gamma_antenna_sum(per_antenna: GammaSnrParams, antennas: int) -> GammaSnrParams:
-    """SNR summed over `antennas` independent antennas of one Gamma law:
-    the shapes add and the common rate is kept."""
-    return GammaSnrParams(nu=antennas * per_antenna.nu, beta=per_antenna.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +204,7 @@ def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams) -> float:
     _U_MAX loses nothing and keeps exp(u) finite as s -> 1.  Below the
     lower limit, floored at -_U_MAX, the integrand is ~ gamma^(1+mu): the
     mass there is beyond double precision."""
-    knee = math.log((p.s - 1.0) * p.mean_snr / p.big_t)
+    knee = _dksm_log_knee(p)
     u_lo = max(knee - 60.0 / p.mu - 5.0, -_U_MAX)
     u_hi = min(knee + 85.0 / (p.s - 1.0) + 15.0, _U_MAX)
     pdf = _dksm_pdf_scalar(p)
@@ -249,22 +243,23 @@ def capacity_receiver_series(p: DoubleKappaMuShadowedParams, cache=None) -> floa
 # eavesdropper ergodic capacity
 
 
-def _mgf_capacity(nu_i, beta_i, nu_j, beta_j) -> float:
-    """E[log2(1 + gamma_I / (1 + gamma_J))] for Gamma gamma_I, gamma_J with
-    shapes nu_i, nu_j and rates beta_i, beta_j, by Hamdi's MGF lemma (IEEE
+def capacity_eve_quadrature(p: EveLinkParams) -> float:
+    """E[log2(1 + SINR)] at the eavesdropper by Hamdi's MGF lemma (IEEE
     Trans. Commun. 58(2), 2010):
 
         ln2 C = int_0^inf e^(-z) (1 + z/beta_J)^(-nu_J)
                           (1 - (1 + z/beta_I)^(-nu_I)) / z dz,
 
     one adaptive quadrature in u = ln z, split at ln beta_J, ln beta_I and
-    0, where the factors turn over; nu_j = 0 is the jammer off, where
-    beta_j is unused.  Below every break the integrand is nu_I z / beta_I
-    to first order, so the mass under u_lo is e^(-40) ~ 4e-18 of its
-    value at the lowest break.  Above u_hi, z > 60 and the integrand falls
-    like e^(-z).  Against the whole integral the two tails stay below
-    4e-16 and 2e-27 (mpmath, nu_I up to 16, nu_J up to 64, rates 0.01 to
-    1e4).  Both limits keep exp(u) finite."""
+    0, where the factors turn over: a strong jammer makes the integrand
+    turn over near z = beta_J, narrow on a linear scale.  nu_J = 0 is the
+    jammer off, where beta_J is unused.  Below every break the integrand
+    is nu_I z / beta_I to first order, so the mass under u_lo is
+    e^(-40) ~ 4e-18 of its value at the lowest break.  Above u_hi, z > 60
+    and the integrand falls like e^(-z).  Against the whole integral the
+    two tails stay below 4e-16 and 2e-27 (mpmath, nu_I up to 16, nu_J up
+    to 64, rates 0.01 to 1e4).  Both limits keep exp(u) finite."""
+    nu_i, beta_i, nu_j, beta_j = p.nu_i, p.beta_i, p.nu_j, p.beta_j
     breaks = sorted({math.log(beta_i), 0.0, *([math.log(beta_j)] if nu_j else [])})
     u_lo, u_hi = breaks[0] - 40.0, math.log(60.0 + 2.0 * nu_i)
 
@@ -278,20 +273,6 @@ def _mgf_capacity(nu_i, beta_i, nu_j, beta_j) -> float:
                 points=[b for b in breaks if u_lo < b < u_hi] or None,
                 epsabs=1e-13, epsrel=1e-11, limit=400)
     return max(val, 0.0)
-
-
-def capacity_eve_quadrature(p: EveLinkParams) -> float:
-    """E[log2(1 + SINR)] at the eavesdropper by one quadrature of Hamdi's
-    MGF integral (`_mgf_capacity`).  A strong jammer makes the integrand
-    turn over near z = beta_J, narrow on a linear scale, so the route
-    integrates in u = ln z, split there."""
-    return _mgf_capacity(p.nu_i, p.beta_i, p.nu_j, p.beta_j)
-
-
-def capacity_eve_series(p: EveLinkParams) -> float:
-    """E[log2(1 + SINR)] at the eavesdropper in closed form: Hamdi's MGF
-    integral as a finite sum of exponential integrals (`_en_capacity`)."""
-    return _en_capacity(p.nu_i, p.beta_i, p.nu_j, p.beta_j)
 
 
 def _scaled_en_cf(n: int, a: float) -> float:
@@ -331,9 +312,11 @@ def _scaled_en(a: float, n_max: int) -> list:
     return s
 
 
-def _en_capacity(nu_i, beta_i, nu_j, beta_j) -> float:
-    """`_mgf_capacity` in closed form.  For integer shapes Hamdi's integral
-    telescopes to ln2 C = sum_{j<=nu_I} beta_I^(j-1) beta_J^nu_J I_j, with
+def capacity_eve_series(p: EveLinkParams) -> float:
+    """E[log2(1 + SINR)] at the eavesdropper in closed form: the MGF
+    integral of `capacity_eve_quadrature` as a finite sum of exponential
+    integrals.  For integer shapes Hamdi's integral telescopes to
+    ln2 C = sum_{j<=nu_I} beta_I^(j-1) beta_J^nu_J I_j, with
     I_j = int_0^inf e^(-z) (z+beta_I)^(-j) (z+beta_J)^(-nu_J) dz, a finite
     sum of S_n(a) = int_0^inf e^(-z) (z+a)^(-n) dz = a^(1-n) S~_n(a).  The
     jammer off (nu_j = 0) is sum_j S~_j(beta_I) (Alouini & Goldsmith, IEEE
@@ -341,6 +324,7 @@ def _en_capacity(nu_i, beta_i, nu_j, beta_j) -> float:
     alternating terms cancel too much (2e6-fold at shapes of 16 and rate
     ratio 0.29), else the all-positive expansion.  Rates enter as ratios,
     so rates from 1e-300 to 1e300 stay in reach."""
+    nu_i, beta_i, nu_j, beta_j = p.nu_i, p.beta_i, p.nu_j, p.beta_j
     if nu_j == 0:
         return math.fsum(_scaled_en(beta_i, nu_i)) / _LN2
     m, big_m = sorted((beta_i, beta_j))

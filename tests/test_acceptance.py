@@ -18,7 +18,6 @@ from jamsec.fading import (
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
     SamplerSeed,
-    dksm_cdf_at_sorted,
     dksm_pdf,
     dksm_sample,
     gamma_cdf,
@@ -39,6 +38,7 @@ from jamsec.secrecy import (
     eve_sinr_cdf_integral,
 )
 from jamsec.specfun import hyp2f1_complex, meijer_series_fold
+from ks_reference import dksm_cdf_at_sorted
 
 
 def _bisect_cdf_level(p, target, lo, hi):

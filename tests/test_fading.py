@@ -7,6 +7,7 @@ import scipy.integrate
 import scipy.special as sc
 import scipy.stats
 
+import ks_reference
 from jamsec import fading
 from jamsec.errors import ParameterError
 from jamsec.fading import (
@@ -20,7 +21,6 @@ from jamsec.fading import (
     _ln_hyp2f1_series,
     _rician_shadowed_pdf_scalar,
     dksm_cdf,
-    dksm_cdf_at_sorted,
     dksm_pdf,
     dksm_sample,
     gamma_cdf,
@@ -273,13 +273,13 @@ class TestDoubleShadowedCdf:
         # closed-form head, where exp(u) would underflow to a NaN density
         p = DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=mu, kappa=1.0, mean_snr=5.0)
         grid = np.array([0.5, 1.0, 2.0])
-        np.testing.assert_allclose(dksm_cdf_at_sorted(p, grid),
+        np.testing.assert_allclose(ks_reference.dksm_cdf_at_sorted(p, grid),
                                    [dksm_cdf(p, g) for g in grid], rtol=1e-11, atol=0.0)
 
     def test_sorted_evaluator_agrees(self):
         p = DoubleKappaMuShadowedParams(c=1.2, s=2.0, mu=1.5, kappa=0.3, mean_snr=1.0)
         grid = np.sort(np.random.default_rng(3).uniform(0.01, 6.0, size=40))
-        fast = dksm_cdf_at_sorted(p, grid)
+        fast = ks_reference.dksm_cdf_at_sorted(p, grid)
         slow = np.array([dksm_cdf(p, g) for g in grid])
         np.testing.assert_allclose(fast, slow, rtol=1e-7, atol=1e-10)
 
@@ -304,7 +304,7 @@ class TestDoubleShadowedSampler:
     def test_ks_against_cdf(self):
         p = DoubleKappaMuShadowedParams(c=1.5, s=3.0, mu=2.0, kappa=0.5, mean_snr=1.0)
         draws = np.sort(dksm_sample(p, SamplerSeed(seed=77), 100_000))
-        theory = dksm_cdf_at_sorted(p, draws)
+        theory = ks_reference.dksm_cdf_at_sorted(p, draws)
         n = draws.size
         emp_hi = np.arange(1, n + 1) / n
         emp_lo = np.arange(0, n) / n
@@ -509,8 +509,8 @@ def _assert_twins(scalar, vector, nodes):
 
 class TestScalarTwins:
     """The scalar densities the quadrature integrands call, on every
-    branch, against an independent reference: the vectorised `dksm_pdf`
-    (which the KS reference needs), mpmath, or scipy.stats."""
+    branch, against an independent reference: the vectorised density of
+    the KS reference (`ks_reference.dksm_pdf`), mpmath, or scipy.stats."""
 
     def test_dksm(self):
         nodes = np.concatenate(([0.0], np.geomspace(1e-8, 1e4, 60)))
@@ -518,14 +518,14 @@ class TestScalarTwins:
             for kappa in (0.0, 1.5, 10.0):
                 p = DoubleKappaMuShadowedParams(c=1.5, s=2.5, mu=mu, kappa=kappa,
                                                 mean_snr=10.0)
-                _assert_twins(_dksm_pdf_scalar(p), lambda g: dksm_pdf(p, g), nodes)
+                _assert_twins(_dksm_pdf_scalar(p), lambda g: ks_reference.dksm_pdf(p, g), nodes)
 
     def test_dksm_log_space_2f1(self):
         p = LARGE_S
         g = np.array([g for g, _ in LARGE_S_CASES])
         z = p.big_k * p.mu * p.kappa * g / (p.big_t * g + (p.s - 1.0) * p.mean_snr)
         assert not np.all(sc.hyp2f1(p.c, p.s + p.mu, p.mu, z) <= _HYP_DIRECT_MAX)
-        _assert_twins(_dksm_pdf_scalar(p), lambda g: dksm_pdf(p, g), g)
+        _assert_twins(_dksm_pdf_scalar(p), lambda g: ks_reference.dksm_pdf(p, g), g)
 
     def test_rician_against_mpmath(self):
         # rho x = 620 to 990 at rho = 0.9923, across where 1F1(m; 1; rho x)

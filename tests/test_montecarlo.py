@@ -13,7 +13,6 @@ from jamsec.fading import (
     GammaSnrParams,
     RicianShadowedParams,
     SamplerSeed,
-    dksm_cdf_at_sorted,
 )
 from jamsec.montecarlo import (
     LinkSpec,
@@ -23,6 +22,7 @@ from jamsec.montecarlo import (
     simulate_receiver_snr,
 )
 from jamsec.secrecy import EveLinkParams, eve_sinr_cdf
+from ks_reference import dksm_cdf_at_sorted
 
 DKSM = DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=1.5, kappa=1.0, mean_snr=2.0)
 
@@ -52,11 +52,15 @@ def test_imports_no_analytic_module():
 class TestConfigTypes:
     def test_link_spec_validation(self):
         LinkSpec(fading=DKSM)
-        LinkSpec(fading=DKSM, antennas=4, p_los=0.5, fading_nlos=DKSM)
-        with pytest.raises(ParameterError):
-            LinkSpec(fading=DKSM, p_los=0.5)
-        with pytest.raises(ParameterError):
-            LinkSpec(fading=DKSM, p_los=1.5, fading_nlos=DKSM)
+        LinkSpec(fading=DKSM, antennas=4, p_los=0.5, nlos_mean_snr=0.2)
+        gamma = GammaSnrParams(nu=2, beta=1.0)
+        for fading, p_los, nlos_mean_snr in (
+                (DKSM, 0.5, None), (DKSM, None, 0.2),  # a missing partner
+                (DKSM, 1.5, 0.2),
+                (DKSM, 0.5, 0.0), (DKSM, 0.5, -1.0), (DKSM, 0.5, math.nan),
+                (gamma, 0.5, 0.2)):  # a law with no mean_snr to move
+            with pytest.raises(ParameterError):
+                LinkSpec(fading=fading, p_los=p_los, nlos_mean_snr=nlos_mean_snr)
         with pytest.raises(ParameterError):
             LinkSpec(fading="rayleigh")
         for antennas in (0, 1.5):
@@ -94,17 +98,10 @@ class TestReceiverSim:
     def test_blockage_mixture_mean(self):
         strong = DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=1.5, kappa=1.0,
                                              mean_snr=4.0)
-        weak = DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=1.5, kappa=1.0,
-                                           mean_snr=1.0)
-        # the second NLOS law has its own shape, so its own unit-law draws
-        weak_other = DoubleKappaMuShadowedParams(c=0.8, s=4.0, mu=1.0,
-                                                 kappa=0.2, mean_snr=1.0)
-        for nlos in (weak, weak_other):
-            draws = _rx(LinkSpec(fading=strong, p_los=0.25, fading_nlos=nlos),
-                        300_000)
-            want = 0.25 * 4.0 + 0.75 * 1.0
-            se = draws.std(ddof=1) / math.sqrt(draws.size)
-            assert abs(draws.mean() - want) < 4.0 * se
+        draws = _rx(LinkSpec(fading=strong, p_los=0.25, nlos_mean_snr=1.0), 300_000)
+        want = 0.25 * 4.0 + 0.75 * 1.0
+        se = draws.std(ddof=1) / math.sqrt(draws.size)
+        assert abs(draws.mean() - want) < 4.0 * se
 
     def test_missing_link_rejected(self):
         with pytest.raises(ParameterError):
@@ -157,8 +154,7 @@ class TestLinkCache:
 
     TRIALS = 20_000
     LOS = RicianShadowedParams(m=2.0, xi=1.0, sigma2=0.2, mean_snr=3.0)
-    RX = LinkSpec(fading=LOS, antennas=2, p_los=0.3,
-                  fading_nlos=replace(LOS, mean_snr=0.1))
+    RX = LinkSpec(fading=LOS, antennas=2, p_los=0.3, nlos_mean_snr=0.1)
     INTERCEPT = LinkSpec(fading=GammaSnrParams(nu=2, beta=0.5), antennas=2)
     JAMMER = LinkSpec(fading=GammaSnrParams(nu=1, beta=2.0), antennas=3)
 
@@ -170,8 +166,8 @@ class TestLinkCache:
             np.testing.assert_array_equal(
                 _eve(self.INTERCEPT, self.JAMMER, self.TRIALS, cache=cache),
                 _eve(self.INTERCEPT, self.JAMMER, self.TRIALS))
-        # LOS and NLOS share one unit law: receiver, its blockage coin,
-        # intercept, jammer
+        # LOS and NLOS share the law's unit sum: receiver, its blockage
+        # coin, intercept, jammer
         assert len(cache) == 4
 
     def test_blockage_coin_is_drawn_once_per_run(self):
@@ -194,14 +190,14 @@ class TestLinkCache:
     def test_new_law_seed_or_antenna_count_draws_again(self):
         cache = {}
         base = _rx(self.RX, self.TRIALS, cache=cache)
-        other_law = replace(self.RX, fading_nlos=replace(self.LOS, m=0.7, mean_snr=0.1))
+        other_law = replace(self.RX, fading=replace(self.LOS, m=0.7))
         one_antenna = replace(self.RX, antennas=1)
         for link, seed in ((other_law, 101), (self.RX, 102), (one_antenna, 102)):
             got = _rx(link, self.TRIALS, seed, cache)
             np.testing.assert_array_equal(got, _rx(link, self.TRIALS, seed))
             assert not np.array_equal(got, base)
-        # sums: base, other NLOS law, other seed, one antenna; coins: the
-        # two seeds
+        # sums: base, other law, other seed, one antenna; coins: the two
+        # seeds
         assert len(cache) == 6
 
     @pytest.mark.parametrize("order, jammer_draws",
@@ -288,8 +284,9 @@ class TestExactCounts:
 
     TRIALS = 30_000
     LOS = RicianShadowedParams(m=2.0, xi=1.0, sigma2=0.2, mean_snr=3.0)
-    NLOS_LAWS = (replace(LOS, mean_snr=0.1),  # one unit law, two scales
-                 RicianShadowedParams(m=0.7, xi=0.01, sigma2=0.06, mean_snr=0.1))
+    # the NLOS part at its own scale, and at the LOS scale, where equal
+    # products fall in both parts
+    NLOS_MEANS = (0.1, LOS.mean_snr)
 
     @staticmethod
     def _thresholds(samples):
@@ -302,7 +299,7 @@ class TestExactCounts:
     @pytest.mark.parametrize("nlos", range(2))
     def test_receiver_outage_is_the_sample_estimate(self, p_los, nlos):
         link = LinkSpec(fading=self.LOS, antennas=2, p_los=p_los,
-                        fading_nlos=self.NLOS_LAWS[nlos])
+                        nlos_mean_snr=self.NLOS_MEANS[nlos])
         cache = {}
         samples = _rx(link, self.TRIALS)
         for th in self._thresholds(samples):
@@ -324,7 +321,7 @@ class TestExactCounts:
 
     def test_sorted_copies_once_per_link_and_p_los(self):
         cache = {}
-        link = LinkSpec(fading=self.LOS, p_los=0.4, fading_nlos=self.NLOS_LAWS[0])
+        link = LinkSpec(fading=self.LOS, p_los=0.4, nlos_mean_snr=self.NLOS_MEANS[0])
         for p_los in (0.4, 0.4, 0.9):
             montecarlo.receiver_outage(replace(link, p_los=p_los), 1.0,
                                        self.TRIALS, SamplerSeed(101), cache)

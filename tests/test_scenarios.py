@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,24 @@ class TestRunScenario:
         assert last == pytest.approx(floor, rel=0.02)
         assert last >= floor - 1e-12
 
+    def test_eve_link_adds_antenna_shapes(self):
+        # Nakagami-m per antenna has rate m / (per-antenna mean SNR); at
+        # the eavesdropper the shapes add across antennas and each link
+        # keeps its rate, the one the Monte Carlo links draw at
+        cfg = load_config("fig5")
+        cfg["geometry"].update(n_bs_antennas=2, r_je_m=4.0)
+        cfg["eve"] = {"m_i": 2, "m_j": 3}
+        sc = Scenario.from_config(cfg)
+        pt = scenario._Point(sc, {"geometry": {"n_jammer_antennas": 3}}, 10.0, {})
+        e = pt.eve
+        assert (e.nu_i, e.nu_j) == (2 * 2, 3 * 3)
+        assert e.beta_i == pytest.approx(2.0 / (10.0 * 2.0**-2.0), rel=1e-12)
+        assert e.beta_j == pytest.approx(3.0 / (10.0 * 4.0**-2.0), rel=1e-12)
+        assert (pt.intercept.antennas, pt.jammer.antennas) == (2, 3)
+        assert (pt.intercept.fading.beta, pt.jammer.fading.beta) == (e.beta_i, e.beta_j)
+        off = scenario._Point(sc, {"geometry": {"n_jammer_antennas": 0}}, 10.0, {})
+        assert off.jammer is None and (off.eve.nu_i, off.eve.nu_j) == (4, 0)
+
     def test_closed_form_matches_quadrature_columns(self):
         table = run_scenario("fig3", trials=4000,
                              methods=["closed-form", "quadrature"])
@@ -522,8 +541,9 @@ class TestReceiverMemo:
                 rx = scenario._Point(sc, variant, snr_db, {}).receiver
                 for zeta in sc.zeta_db:
                     th = secrecy.db_to_linear(zeta)
+                    nlos = replace(rx.fading, mean_snr=rx.nlos_mean_snr)
                     want = mixture_cdf(rx.p_los, secrecy.rician_shadowed_cdf(rx.fading, th),
-                                       secrecy.rician_shadowed_cdf(rx.fading_nlos, th))
+                                       secrecy.rician_shadowed_cdf(nlos, th))
                     got = scenario._rician_outage_closed_form(rx, th)
                     worst = max(worst, abs(got - want) / want)
         assert worst <= 4e-16

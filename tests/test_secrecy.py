@@ -29,7 +29,6 @@ from jamsec.secrecy import (
     db_to_linear,
     eve_sinr_cdf,
     eve_sinr_cdf_integral,
-    gamma_antenna_sum,
     mean_snr,
     secrecy_capacity,
 )
@@ -81,19 +80,6 @@ class TestLinkBudget:
         with pytest.raises(ParameterError, match="mean SNR"):
             mean_snr(p, r, delta, 1.0)
 
-    def test_gamma_antenna_sum(self):
-        # Nakagami-m per antenna has rate m / (per-antenna mean SNR); the
-        # shapes add across antennas and the rate is kept
-        snr_i = mean_snr(2.0, 15.0, 2.7, 2e-3)
-        snr_j = mean_snr(1.0, 5.0, 2.7, 2e-3)
-        gamma_i = gamma_antenna_sum(GammaSnrParams(nu=2, beta=2.0 / snr_i), 2)
-        gamma_j = gamma_antenna_sum(GammaSnrParams(nu=3, beta=3.0 / snr_j), 3)
-        assert (gamma_i.nu, gamma_j.nu) == (2 * 2, 3 * 3)
-        assert gamma_i.beta == pytest.approx(2.0 / (2.0 * 15.0 ** -2.7 / 2e-3), rel=1e-12)
-        assert gamma_j.beta == pytest.approx(3.0 / (1.0 * 5.0 ** -2.7 / 2e-3), rel=1e-12)
-        with pytest.raises(ParameterError):
-            gamma_antenna_sum(GammaSnrParams(nu=1, beta=1.0), 0)
-
 
 class TestEveSinrCdf:
     def test_closed_form_unit_case(self):
@@ -131,12 +117,9 @@ class TestEveSinrCdf:
         # the README example: noise_var 1e-7 puts the mean SNRs near 1e8,
         # so the jamming density spans ~1e8 in gamma_J
         snr_i = mean_snr(db_to_linear(10.0), 15.0, 2.7, 1e-7)
-        gamma_i = gamma_antenna_sum(GammaSnrParams(nu=1, beta=1.0 / snr_i), 1)
         for r_je in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0):
             snr_j = mean_snr(db_to_linear(5.0), r_je, 2.7, 1e-7)
-            gamma_j = gamma_antenna_sum(GammaSnrParams(nu=1, beta=1.0 / snr_j), 1)
-            p = EveLinkParams(nu_i=gamma_i.nu, beta_i=gamma_i.beta,
-                              nu_j=gamma_j.nu, beta_j=gamma_j.beta)
+            p = EveLinkParams(nu_i=1, beta_i=1.0 / snr_i, nu_j=1, beta_j=1.0 / snr_j)
             for zeta_db in (-8.0, -2.0):
                 th = db_to_linear(zeta_db)
                 assert eve_sinr_cdf_integral(p, th) == pytest.approx(
@@ -481,8 +464,9 @@ class TestEveCapacity:
         for beta_i in (0.01, 1.0, 40.0, 1000.0):
             for beta_j in (0.01, 10.0, *(beta_i * f for f in (1.0, 1.0 + 1e-9, 1.0 - 1e-9,
                                                                 0.29, 0.31, 3.0))):
-                want = secrecy._mgf_capacity(nu_i, beta_i, nu_j, beta_j)
-                got = capacity_eve_series(EveLinkParams(nu_i, beta_i, nu_j, beta_j))
+                p = EveLinkParams(nu_i, beta_i, nu_j, beta_j)
+                want = capacity_eve_quadrature(p)
+                got = capacity_eve_series(p)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (beta_i, beta_j)
 
     @pytest.mark.parametrize("nu_i, nu_j", [(1, 1), (4, 8), (16, 16), (8, 2)])
