@@ -10,7 +10,6 @@ from .fading import (
     RicianShadowedParams,
     SamplerSeed,
     dksm_cdf,
-    dksm_pdf,
     dksm_sample,
     gamma_cdf,
     mixture_cdf,
@@ -42,7 +41,7 @@ __all__ = [
     "__version__",
     "AccuracyError", "ConvergenceError", "ParameterError",
     "DoubleKappaMuShadowedParams", "GammaSnrParams", "RicianShadowedParams",
-    "SamplerSeed", "dksm_cdf", "dksm_pdf", "dksm_sample",
+    "SamplerSeed", "dksm_cdf", "dksm_sample",
     "gamma_cdf", "mixture_cdf", "rician_shadowed_cdf",
     "Estimate", "LinkSpec",
     "estimate_capacity", "estimate_outage",

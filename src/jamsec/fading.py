@@ -7,10 +7,10 @@ of shape ``s`` ("double shadowed" model).  Special cases used elsewhere:
 LOS-shadowed Rician (mu=1, dominant shadowing only) and Gamma/Nakagami-m
 SNR.
 
-The quadrature routes integrate one scalar density per law
-(`_dksm_pdf_scalar`, `_rician_shadowed_pdf_scalar`, `_gamma_pdf_scalar`)
-and accept a result only through `_quad`; public `dksm_pdf` maps the
-first over an array.
+The quadrature CDFs integrate one scalar density per law
+(`_dksm_pdf_scalar`, `_rician_shadowed_pdf_scalar`, `_gamma_pdf_scalar`);
+the quadrature capacities (`secrecy`) integrate MGFs instead.  Every
+quadrature accepts a result only through `_quad`.
 
 SNR domain throughout; all means are linear (dB handling lives at the
 configuration boundary).
@@ -33,7 +33,6 @@ __all__ = [
     "RicianShadowedParams",
     "GammaSnrParams",
     "SamplerSeed",
-    "dksm_pdf",
     "dksm_cdf",
     "dksm_sample",
     "rician_shadowed_cdf",
@@ -274,16 +273,6 @@ def _dksm_pdf_scalar(p: DoubleKappaMuShadowedParams):
         return math.exp(ln_pdf)
 
     return pdf
-
-
-def dksm_pdf(p: DoubleKappaMuShadowedParams, gamma):
-    """SNR density at gamma >= 0, a float or an array: `_dksm_pdf_scalar`
-    at each point."""
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
-        raise ParameterError("gamma must be non-negative")
-    out = np.vectorize(_dksm_pdf_scalar(p), otypes=[float])(g)
-    return float(out) if g.ndim == 0 else out
 
 
 # largest 2F1 factor that _dksm_pdf_scalar multiplies by exp(ln_pdf) directly

@@ -470,14 +470,18 @@ def _rician_outage_closed_form(rx: montecarlo.LinkSpec, th: float) -> float:
     return float(mixture_cdf(rx.p_los, f_los, f_nlos))
 
 
-def _rician_outage_quadrature(rx: montecarlo.LinkSpec, th: float) -> float:
-    """`_rician_outage_closed_form` from the defining integral, one per
-    branch."""
-    f_los = rician_shadowed_cdf_integral(rx.fading, th)
+def _blockage_blend(rx: montecarlo.LinkSpec, value) -> float:
+    """value(law) of the link's law, or under a blockage mixture p_los
+    value(LOS) + (1 - p_los) value(the LOS law at nlos_mean_snr)."""
     if rx.p_los is None:
-        return f_los
-    f_nlos = rician_shadowed_cdf_integral(replace(rx.fading, mean_snr=rx.nlos_mean_snr), th)
-    return float(mixture_cdf(rx.p_los, f_los, f_nlos))
+        return value(rx.fading)
+    nlos = replace(rx.fading, mean_snr=rx.nlos_mean_snr)
+    return rx.p_los * value(rx.fading) + (1.0 - rx.p_los) * value(nlos)
+
+
+def _rician_outage_quadrature(rx: montecarlo.LinkSpec, th: float) -> float:
+    """`_rician_outage_closed_form` by the defining integral, one per branch."""
+    return _blockage_blend(rx, lambda law: rician_shadowed_cdf_integral(law, th))
 
 
 class _Point:
@@ -597,11 +601,11 @@ _ROUTES = {
     ("outage_e", "quadrature"): lambda pt, th: secrecy.eve_sinr_cdf_integral(pt.eve, th),
     ("outage_e", "monte-carlo"): lambda pt, th:
         montecarlo.estimate_outage(pt.eve_samples, th).value,
-    # the analytic receiver capacity is defined for the double model
+    # the closed-form receiver capacity is defined for the double model
     ("c_r", "closed-form"): lambda pt, _: (
         None if pt.dksm is None else secrecy.capacity_receiver_series(pt.dksm, pt.memo)),
-    ("c_r", "quadrature"): lambda pt, _: (
-        None if pt.dksm is None else secrecy.capacity_receiver_quadrature(pt.dksm)),
+    ("c_r", "quadrature"): lambda pt, _: _blockage_blend(
+        pt.receiver, secrecy.capacity_receiver_quadrature),
     ("c_r", "monte-carlo"): lambda pt, _: montecarlo.estimate_capacity(
         montecarlo.simulate_receiver_snr(pt.receiver, pt.trials, pt.seed, pt.memo)).value,
     ("c_e", "closed-form"): lambda pt, _: secrecy.capacity_eve_series(pt.eve),

@@ -10,11 +10,12 @@ gamma_I / (1 + gamma_J); the jammer off (K = 0) is nu_J = 0 of the same
 link, `EveLinkParams`, on every route.
 
 The receiver link carries the composite fading models of
-:mod:`jamsec.fading`; its ergodic capacity, a series of Meijer-G terms,
-is one contour integral (:mod:`jamsec.specfun`), the eavesdropper's a
-finite sum of exponential integrals.  The eavesdropper's SINR CDF is a
-negative-binomial mixture of incomplete gamma functions plus the
-negative binomial's tail, a finite binomial sum.
+:mod:`jamsec.fading`; its closed-form capacity, a Meijer-G series from
+the density's Mellin transform, is one contour integral
+(:mod:`jamsec.specfun`), the eavesdropper's a finite sum of exponential
+integrals; by quadrature each is one MGF integral (`_mgf_capacity`).
+The eavesdropper's SINR CDF is a negative-binomial mixture of incomplete
+gamma functions plus the negative binomial's tail, a finite binomial sum.
 
 All quantities here are linear; ``db_to_linear`` serves the
 configuration boundary.  ``sc`` is ``scipy.special`` bound lazily
@@ -33,11 +34,9 @@ import numpy as np
 from ._lazy import lazy_import
 from .errors import AccuracyError, ParameterError
 from .fading import (
-    _U_MAX,
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
-    _dksm_log_knee,
-    _dksm_pdf_scalar,
+    RicianShadowedParams,
     _gamma_pdf_scalar,
     _ln_window_sum,
     _quad,
@@ -197,26 +196,49 @@ def eve_sinr_cdf_integral(p: EveLinkParams, gamma) -> float:
 # receiver ergodic capacity
 
 
-def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams) -> float:
-    """E[log2(1 + gamma)] of the receiver density (`fading._dksm_pdf_scalar`)
-    by adaptive quadrature in u = ln(gamma), split at the knee.  Above the
-    knee the integrand falls like u e^(-s u), so capping the upper limit at
-    _U_MAX loses nothing and keeps exp(u) finite as s -> 1.  Below the
-    lower limit, floored at -_U_MAX, the integrand is ~ gamma^(1+mu): the
-    mass there is beyond double precision."""
-    knee = _dksm_log_knee(p)
-    u_lo = max(knee - 60.0 / p.mu - 5.0, -_U_MAX)
-    u_hi = min(knee + 85.0 / (p.s - 1.0) + 15.0, _U_MAX)
-    pdf = _dksm_pdf_scalar(p)
+def _mgf_capacity(ln_mgf_y, ln_mgf_x, breaks, u_hi: float, what: str) -> float:
+    """E[log2(1 + X/Y)], X, Y > 0 independent, by Hamdi's MGF lemma (IEEE
+    Trans. Commun. 58(2), 2010): ln2 C = int_0^inf M_Y (1 - M_X) dz/z, as
+    exp(ln M_Y) (-expm1(ln M_X)) from ln_mgf_y(z), ln_mgf_x(z) under `math`.
+    One quadrature in u = ln z, split at the `breaks` (where the factors
+    turn over) below u_hi.  Under every break 1 - M_X ~ z E[X], so the mass
+    below u_lo = min(breaks) - 40 is e^(-40) of the integrand at the lowest
+    break; callers put u_hi where M_Y <= e^(-45).  exp(u) stays finite."""
+    u_lo = min(breaks) - 40.0
 
     def integrand(u):
-        t = math.exp(u)
-        return math.log1p(t) / _LN2 * pdf(t) * t
+        z = math.exp(u)
+        return math.exp(ln_mgf_y(z)) * -math.expm1(ln_mgf_x(z)) / _LN2
 
-    val = _quad(integrand, u_lo, u_hi, (1e-8, 1e-6),
-                "receiver capacity quadrature did not reach tolerance",
-                points=[knee], limit=400, epsabs=1e-12, epsrel=1e-10)
+    val = _quad(integrand, u_lo, u_hi, (1e-9, 1e-6),
+                f"{what} capacity quadrature did not reach tolerance",
+                points=sorted(b for b in breaks if u_lo < b < u_hi) or None,
+                epsabs=1e-13, epsrel=1e-11, limit=400)
     return max(val, 0.0)
+
+
+def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams | RicianShadowedParams) -> float:
+    """E[log2(1 + gamma)] at the receiver, either law, by `_mgf_capacity`.
+    Double model: gamma = lam G_(mu+I) / G_s, G_a unit Gamma(a) variables,
+    I ~ NB(c, mu kappa / (c + mu kappa)), lam = (s-1) mean_snr / (mu (1+kappa)).
+    So M_Y = (1+z)^(-s), M_X = (1 + lam z)^(-mu) (1 + w lam z / (1 + lam z))^(-c),
+    w = mu kappa / c; breaks at -ln lam, -ln s and 0, u_hi at s ln(1+z) = 45.
+    Rician: Y = 1, and Abdi et al.'s M_X (IEEE TWC 2(3), 2003),
+    (1 + a z)^(m-1) / (1 + b z)^m, a = 2 sigma2 mean_snr, b = a + d,
+    d = xi mean_snr / m, as (1 + a z)^(-1) (1 - d z / (1 + b z))^m, whose
+    logs do not cancel; breaks at -ln a, -ln b and 0, u_hi = ln 45."""
+    if isinstance(p, RicianShadowedParams):
+        a, d, m = 2.0 * p.sigma2 * p.mean_snr, p.xi * p.mean_snr / p.m, p.m
+        b = a + d
+        return _mgf_capacity(
+            lambda z: -z, lambda z: m * math.log1p(-d * z / (1.0 + b * z)) - math.log1p(a * z),
+            (-math.log(a), -math.log(b), 0.0), math.log(45.0), "receiver")
+    c, s, mu = p.c, p.s, p.mu
+    lam, w = (s - 1.0) * p.mean_snr / p.big_t, mu * p.kappa / c
+    return _mgf_capacity(
+        lambda z: -s * math.log1p(z),
+        lambda z: -mu * math.log1p(lam * z) - c * math.log1p(w * lam * z / (1.0 + lam * z)),
+        (-math.log(lam), -math.log(s), 0.0), math.log(math.expm1(45.0 / s)), "receiver")
 
 
 def capacity_receiver_series(p: DoubleKappaMuShadowedParams, cache=None) -> float:
@@ -244,35 +266,19 @@ def capacity_receiver_series(p: DoubleKappaMuShadowedParams, cache=None) -> floa
 
 
 def capacity_eve_quadrature(p: EveLinkParams) -> float:
-    """E[log2(1 + SINR)] at the eavesdropper by Hamdi's MGF lemma (IEEE
-    Trans. Commun. 58(2), 2010):
-
-        ln2 C = int_0^inf e^(-z) (1 + z/beta_J)^(-nu_J)
-                          (1 - (1 + z/beta_I)^(-nu_I)) / z dz,
-
-    one adaptive quadrature in u = ln z, split at ln beta_J, ln beta_I and
-    0, where the factors turn over: a strong jammer makes the integrand
-    turn over near z = beta_J, narrow on a linear scale.  nu_J = 0 is the
-    jammer off, where beta_J is unused.  Below every break the integrand
-    is nu_I z / beta_I to first order, so the mass under u_lo is
-    e^(-40) ~ 4e-18 of its value at the lowest break.  Above u_hi, z > 60
-    and the integrand falls like e^(-z).  Against the whole integral the
-    two tails stay below 4e-16 and 2e-27 (mpmath, nu_I up to 16, nu_J up
-    to 64, rates 0.01 to 1e4).  Both limits keep exp(u) finite."""
+    """E[log2(1 + SINR)] at the eavesdropper by `_mgf_capacity` with
+    Y = 1 + gamma_J, X = gamma_I: M_Y = e^(-z) (1 + z/beta_J)^(-nu_J) and
+    M_X = (1 + z/beta_I)^(-nu_I), split at ln beta_J (a strong jammer turns
+    the integrand over there, narrow on a linear scale), ln beta_I and 0.
+    nu_J = 0 is the jammer off, where beta_J is unused.  Above
+    u_hi = ln(60 + 2 nu_I) the integrand falls like e^(-z).  The two tails
+    left out stay below 4e-16 and 2e-27 of the integral (mpmath, nu_I up to
+    16, nu_J up to 64, rates 0.01 to 1e4)."""
     nu_i, beta_i, nu_j, beta_j = p.nu_i, p.beta_i, p.nu_j, p.beta_j
-    breaks = sorted({math.log(beta_i), 0.0, *([math.log(beta_j)] if nu_j else [])})
-    u_lo, u_hi = breaks[0] - 40.0, math.log(60.0 + 2.0 * nu_i)
-
-    def integrand(u):
-        z = math.exp(u)
-        return (math.exp(-z - nu_j * math.log1p(z / beta_j))
-                * -math.expm1(-nu_i * math.log1p(z / beta_i)) / _LN2)
-
-    val = _quad(integrand, u_lo, u_hi, (1e-9, 1e-6),
-                "eavesdropper capacity quadrature did not reach tolerance",
-                points=[b for b in breaks if u_lo < b < u_hi] or None,
-                epsabs=1e-13, epsrel=1e-11, limit=400)
-    return max(val, 0.0)
+    return _mgf_capacity(
+        lambda z: -z - nu_j * math.log1p(z / beta_j), lambda z: -nu_i * math.log1p(z / beta_i),
+        {math.log(beta_i), 0.0, *([math.log(beta_j)] if nu_j else [])},
+        math.log(60.0 + 2.0 * nu_i), "eavesdropper")
 
 
 def _scaled_en_cf(n: int, a: float) -> float:

@@ -1,10 +1,18 @@
-"""The double kappa-mu shadowed density written over arrays, kept as a
-test reference: the independent twin of `jamsec.fading._dksm_pdf_scalar`
-(the one density the package integrates) and the integrand of
-`dksm_cdf_at_sorted`, the CDF on 100k-point sorted grids that the
-Kolmogorov-Smirnov checks need, where a scalar call per node would be
-wasteful.
+"""Test references built on the double kappa-mu shadowed density.
+
+`dksm_pdf`, the density written over arrays: the independent twin of
+`jamsec.fading._dksm_pdf_scalar` (the one density the package
+integrates) and the integrand of `dksm_cdf_at_sorted`, the CDF on
+100k-point sorted grids that the Kolmogorov-Smirnov checks need, where
+a scalar call per node would be wasteful.
+
+`capacity_receiver_density`, E[log2(1 + gamma)] integrated against the
+scalar density: the receiver capacity's third oracle, beside the fold
+(`secrecy.capacity_receiver_series`, from the density's Mellin
+transform) and the MGF integral (`secrecy.capacity_receiver_quadrature`).
 """
+
+import math
 
 import numpy as np
 import scipy.special as sc
@@ -12,14 +20,18 @@ import scipy.special as sc
 from jamsec.errors import ParameterError
 from jamsec.fading import (
     _HYP_DIRECT_MAX,
+    _U_MAX,
     _dksm_ln_amp,
     _dksm_log_knee,
     _dksm_pdf_at_zero,
+    _dksm_pdf_scalar,
     _ln_hyp2f1_series,
     _log_floor,
+    _quad,
 )
 
 _HEAD_SEGMENTS = 96  # dksm_cdf_at_sorted panels below the first grid point
+_LN2 = math.log(2.0)
 
 
 def dksm_pdf(p, gamma):
@@ -87,3 +99,25 @@ def dksm_cdf_at_sorted(p, g_sorted):
     cum = below + np.cumsum(seg)
     cdf = cum[_HEAD_SEGMENTS - 1 :]
     return np.clip(cdf, 0.0, 1.0)
+
+
+def capacity_receiver_density(p):
+    """E[log2(1 + gamma)] of the dksm law by adaptive quadrature of
+    log2(1 + t) f(t) in u = ln(t), split at the knee.  Above the knee the
+    integrand falls like u e^(-s u), so capping the upper limit at _U_MAX
+    loses nothing and keeps exp(u) finite as s -> 1.  Below the lower
+    limit, floored at -_U_MAX, the integrand is ~ t^(1+mu): the mass there
+    is beyond double precision."""
+    knee = _dksm_log_knee(p)
+    u_lo = max(knee - 60.0 / p.mu - 5.0, -_U_MAX)
+    u_hi = min(knee + 85.0 / (p.s - 1.0) + 15.0, _U_MAX)
+    pdf = _dksm_pdf_scalar(p)
+
+    def integrand(u):
+        t = math.exp(u)
+        return math.log1p(t) / _LN2 * pdf(t) * t
+
+    val = _quad(integrand, u_lo, u_hi, (1e-8, 1e-6),
+                "receiver capacity density integral did not reach tolerance",
+                points=[knee], limit=400, epsabs=1e-12, epsrel=1e-10)
+    return max(val, 0.0)

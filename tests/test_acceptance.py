@@ -18,7 +18,7 @@ from jamsec.fading import (
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
     SamplerSeed,
-    dksm_pdf,
+    _dksm_pdf_scalar,
     dksm_sample,
     gamma_cdf,
 )
@@ -94,7 +94,8 @@ class TestEavesdropperCdfTripleAgreement:
 
 
 class TestReceiverCapacityOraclePair:
-    """Contour-integral series vs direct quadrature of the defining mean."""
+    """Contour-integral series (the density's Mellin transform) vs the
+    quadrature of Hamdi's MGF integral."""
 
     def test_ten_random_parameter_sets(self):
         t0 = time.monotonic()
@@ -160,8 +161,9 @@ class TestDistributionFidelity:
             knee = math.log((p.s - 1.0) * p.mean_snr / p.big_t)
             lo = knee - 60.0 / p.mu
             hi = knee + 32.0 / (p.s - 1.0) + 10.0
+            pdf = _dksm_pdf_scalar(p)
             total, _ = scipy.integrate.quad(
-                lambda u: dksm_pdf(p, math.exp(u)) * math.exp(u),
+                lambda u: pdf(math.exp(u)) * math.exp(u),
                 lo, hi, limit=400, epsabs=1e-13, epsrel=1e-11,
             )
             assert abs(total - 1.0) <= 1e-6
@@ -191,7 +193,8 @@ class TestEnvelopeNakagamiLimit:
                                         kappa=1e-12, mean_snr=1.0)
         # unit-RMS envelope: x = sqrt(gamma), f_X(x) = 2 x f_gamma(x^2)
         x = np.linspace(1e-3, 4.0, 400)
-        envelope = 2.0 * x * np.array([dksm_pdf(p, float(v**2)) for v in x])
+        pdf = _dksm_pdf_scalar(p)
+        envelope = 2.0 * x * np.array([pdf(float(v**2)) for v in x])
         target = scipy.stats.nakagami.pdf(x, m)
         assert float(np.max(np.abs(envelope - target))) <= 1e-2
 

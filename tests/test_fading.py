@@ -21,7 +21,6 @@ from jamsec.fading import (
     _ln_hyp2f1_series,
     _rician_shadowed_pdf_scalar,
     dksm_cdf,
-    dksm_pdf,
     dksm_sample,
     gamma_cdf,
     gamma_cdf_integral,
@@ -34,8 +33,9 @@ from jamsec.fading import (
 
 def _pdf_quad(p, lo_u, hi_u):
     # integrate in u = ln(gamma) to tame the power-law endpoint
+    pdf = _dksm_pdf_scalar(p)
     val, _ = scipy.integrate.quad(
-        lambda u: dksm_pdf(p, math.exp(u)) * math.exp(u),
+        lambda u: pdf(math.exp(u)) * math.exp(u),
         lo_u, hi_u, limit=400, epsabs=1e-13, epsrel=1e-11,
     )
     return val
@@ -52,7 +52,7 @@ def gamma_cdf_series(p, g):
     return min(max(1.0 - math.exp(-x) * acc, 0.0), 1.0)
 
 
-# s = 1e5, where scipy's 2F1 gives up and dksm_pdf sums it in log space;
+# s = 1e5, where scipy's 2F1 gives up and the density sums it in log space;
 # densities from mpmath at 40 digits
 LARGE_S = DoubleKappaMuShadowedParams(c=2.5, s=1e5, mu=1.0, kappa=3.0, mean_snr=2.4)
 LARGE_S_CASES = [
@@ -117,8 +117,9 @@ class TestDoubleShadowedPdf:
     def test_mean_is_mean_snr(self):
         p = DoubleKappaMuShadowedParams(c=3.0, s=2.2, mu=1.7, kappa=0.9, mean_snr=2.5)
         lo, hi = _knee_window(p)
+        pdf = _dksm_pdf_scalar(p)
         mean, _ = scipy.integrate.quad(
-            lambda u: math.exp(u) * dksm_pdf(p, math.exp(u)) * math.exp(u),
+            lambda u: math.exp(u) * pdf(math.exp(u)) * math.exp(u),
             lo, hi + 8.0, limit=400, epsabs=1e-13, epsrel=1e-11,
         )
         assert mean == pytest.approx(2.5, rel=1e-7)
@@ -136,43 +137,43 @@ class TestDoubleShadowedPdf:
         for s, g, want in cases:
             p = DoubleKappaMuShadowedParams(c=2.5, s=s, mu=1.0, kappa=3.0,
                                             mean_snr=2.4)
-            assert dksm_pdf(p, g) == pytest.approx(want, rel=1e-9, abs=0.0)
-            assert dksm_pdf(p, np.array([g, 1.0]))[0] == dksm_pdf(p, g)
+            assert _dksm_pdf_scalar(p)(g) == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_large_s_against_mpmath(self):
         # ln_pdf groups its powers as -(s+mu) log1p(T g / phi) and its
         # gamma ratio as one Pochhammer, so nothing of size ~s ln s
         # cancels
+        pdf = _dksm_pdf_scalar(LARGE_S)
         for g, want in LARGE_S_CASES:
-            assert dksm_pdf(LARGE_S, g) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert pdf(g) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_gamma_ratio_beyond_overflow(self):
         # Gamma(s+mu)/Gamma(s) overflows a float at s = 1e5, mu = 80; the
         # density still integrates to one
         p = DoubleKappaMuShadowedParams(c=2.0, s=1e5, mu=80.0, kappa=1.0,
                                         mean_snr=1.0)
+        pdf = _dksm_pdf_scalar(p)
         total, _ = scipy.integrate.quad(
-            lambda u: dksm_pdf(p, math.exp(u)) * math.exp(u), -3.0, 3.0,
+            lambda u: pdf(math.exp(u)) * math.exp(u), -3.0, 3.0,
             limit=200, epsabs=1e-13, epsrel=1e-11)
         assert total == pytest.approx(1.0, rel=1e-9)
 
     def test_origin_behavior(self):
         base = dict(c=2.0, s=2.0, kappa=1.0, mean_snr=1.0)
-        assert dksm_pdf(DoubleKappaMuShadowedParams(mu=2.0, **base), 0.0) == 0.0
-        assert dksm_pdf(DoubleKappaMuShadowedParams(mu=1.0, **base), 0.0) > 0.0
-        assert dksm_pdf(DoubleKappaMuShadowedParams(mu=0.7, **base), 0.0) == math.inf
+        def at_zero(mu):
+            return _dksm_pdf_scalar(DoubleKappaMuShadowedParams(mu=mu, **base))(0.0)
+
+        assert at_zero(2.0) == 0.0
+        assert at_zero(1.0) > 0.0
+        assert at_zero(0.7) == math.inf
 
     def test_exponential_corner(self):
         # both shadowing layers effectively off, kappa ~ 0, mu = 1: Rayleigh SNR
         p = DoubleKappaMuShadowedParams(c=1e4, s=1e4, mu=1.0, kappa=1e-12, mean_snr=1.3)
+        pdf = _dksm_pdf_scalar(p)
         for g in (0.05, 0.5, 1.3, 4.0):
             want = math.exp(-g / 1.3) / 1.3
-            assert dksm_pdf(p, g) == pytest.approx(want, rel=5e-4)
-
-    def test_vectorized(self):
-        p = DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=1.2, kappa=0.5, mean_snr=1.0)
-        g = np.array([0.1, 1.0, 3.0])
-        np.testing.assert_allclose(dksm_pdf(p, g), [dksm_pdf(p, x) for x in g])
+            assert pdf(g) == pytest.approx(want, rel=5e-4)
 
 
 class TestLogSpace2F1:
@@ -379,7 +380,7 @@ class TestRicianShadowed:
         )
         pdf = _rician_shadowed_pdf_scalar(rs)
         for g in (0.1, 0.8, 2.0, 5.0):
-            assert pdf(g) == pytest.approx(dksm_pdf(dk, g), rel=1e-4)
+            assert pdf(g) == pytest.approx(_dksm_pdf_scalar(dk)(g), rel=1e-4)
 
     def test_large_argument_guard(self):
         # 1F1(m; 1; rho x) overflows past rho x ~ 700; the density must not

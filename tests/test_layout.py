@@ -1,9 +1,11 @@
 """Where the quadrature oracle lives: `scipy.integrate.quad` is called at
 one site in the package, behind the one acceptance rule (`fading._quad`),
 and the scenario layer reaches the oracle only through public routes.
-The double model's 2F1 is likewise called at one site."""
+The double model's 2F1 is likewise called at one site.  The quadrature
+capacities reach no closed-form kernel: the methods stay independent."""
 
 import ast
+import fnmatch
 import inspect
 from pathlib import Path
 
@@ -34,7 +36,7 @@ def test_one_quad_call_site():
 
 def test_one_hyp2f1_call_site():
     # the double model's density is evaluated in one place, the scalar one
-    # every route integrates; public dksm_pdf maps it over arrays
+    # the CDF route integrates
     sites = _call_sites("hyp2f1")
     assert [site[:2] for site in sites] == [("fading.py", "_dksm_pdf_scalar")], sites
 
@@ -54,3 +56,61 @@ def test_scenario_imports_no_integrator_or_private_fading_name():
             private.append(node.attr)
     assert "scipy.integrate" not in modules
     assert [n for n in names if n.startswith("_")] == [] and private == []
+
+
+# the closed-form kernels: the receiver's Meijer-G fold, the eavesdropper's
+# E_n sums and the functions that build them
+_CLOSED_FORM = ("_scaled_en*", "meijer_series_fold", "capacity_*_series",
+                "_partial_fraction_sum", "_expansion_sum")
+
+
+def _definitions():
+    """name -> the package's module-level functions and class methods of
+    that name; a nested function is part of the body that defines it."""
+    defs = {}
+    for path in sorted(Path(jamsec.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+                if isinstance(node, ast.FunctionDef):
+                    defs.setdefault(node.name, []).append(node)
+    return defs
+
+
+def _reachable(roots, defs):
+    """Every name read or called from `roots`, following the package's own
+    definitions: bare names and attributes (secrecy.f) alike."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for fn in defs.get(name, ()):
+            for node in ast.walk(fn):
+                ref = (node.id if isinstance(node, ast.Name)
+                       else node.attr if isinstance(node, ast.Attribute) else None)
+                if ref is not None and ref not in seen:
+                    todo.append(ref)
+    return seen
+
+
+def test_quadrature_capacities_reach_no_closed_form_kernel():
+    defs = _definitions()
+    secrecy_defs = {node.name for node in ast.parse(
+        (Path(jamsec.__file__).parent / "secrecy.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)}
+    roots = sorted(n for n in secrecy_defs
+                   if fnmatch.fnmatch(n, "capacity_*_quadrature") or n == "_mgf_capacity")
+    assert roots == ["_mgf_capacity", "capacity_eve_quadrature", "capacity_receiver_quadrature"]
+    for root in roots:
+        reached = _reachable([root], defs)
+        assert "_quad" in reached
+        if root != "_mgf_capacity":
+            assert "_mgf_capacity" in reached, root
+        kernels = sorted(n for n in reached
+                         if any(fnmatch.fnmatch(n, k) for k in _CLOSED_FORM))
+        assert kernels == [], (root, kernels)
+    # the closed forms themselves do reach them: the patterns name real code
+    closed = _reachable(["capacity_receiver_series", "capacity_eve_series"], defs)
+    assert {"meijer_series_fold", "_scaled_en", "_partial_fraction_sum",
+            "_expansion_sum"} <= closed

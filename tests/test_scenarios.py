@@ -597,6 +597,45 @@ class TestEveCapacityQuadrature:
         assert _col(table, "c_e#quadrature")[0] > 0.0  # one variant: no prefix
 
 
+class TestRicianReceiverCapacity:
+    def _fig2(self, tmp_path):
+        cfg = load_config("fig2")
+        cfg["metrics"] = ["c_r", "c_s"]
+        f = tmp_path / "fig2.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        return cfg, str(f)
+
+    def test_blockage_cell_blends_the_branch_capacities(self, tmp_path):
+        # a c_r#quadrature cell of a blockage link is
+        # p_los C(LOS) + (1 - p_los) C(NLOS), the NLOS law being the LOS
+        # law at nlos_mean_snr, to the bit; c_s reads it
+        cfg, path = self._fig2(tmp_path)
+        grid = [0.0, 20.0]
+        table = run_scenario(path, methods=["quadrature"], grid=grid)
+        sc = Scenario.from_config(cfg)
+        for name, variant in sc.variants:
+            for row, snr_db in enumerate(grid):
+                pt = scenario._Point(sc, variant, snr_db, {})
+                rx = pt.receiver
+                nlos = replace(rx.fading, mean_snr=rx.nlos_mean_snr)
+                want = (rx.p_los * secrecy.capacity_receiver_quadrature(rx.fading)
+                        + (1.0 - rx.p_los) * secrecy.capacity_receiver_quadrature(nlos))
+                assert _col(table, f"{name}/c_r#quadrature")[row] == want
+                c_e = secrecy.capacity_eve_quadrature(pt.eve)
+                assert _col(table, f"{name}/c_s#quadrature")[row] == max(want - c_e, 0.0)
+
+    def test_closed_form_capacity_is_na(self, tmp_path):
+        # the Rician receiver has no closed-form capacity yet: its c_r, and
+        # so its c_s, stay NA by closed form, and only there
+        _, path = self._fig2(tmp_path)
+        table = run_scenario(path, methods=["closed-form", "quadrature"], grid=[10.0])
+        for name, column in zip(table.columns, table.rows[0]):
+            if name.endswith("#closed-form"):
+                assert column is None, name
+            elif name.endswith("#quadrature"):
+                assert column is not None and math.isfinite(column), name
+
+
 class TestCommonRandomNumbers:
     """Monte Carlo cells of one run scale the same per-link draws, so
     differences between cells carry no sampling noise of a shared link."""

@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.special as sc
 
+import ks_reference
 from foxh_contour import capacity_eve_foxh
 from jamsec import secrecy, specfun
 from jamsec.errors import AccuracyError, ParameterError
@@ -14,11 +15,14 @@ from jamsec.fading import (
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
     RicianShadowedParams,
+    SamplerSeed,
     dksm_cdf,
     gamma_cdf,
     gamma_cdf_integral,
+    rician_shadowed_cdf,
     rician_shadowed_cdf_integral,
 )
+from jamsec.montecarlo import LinkSpec, estimate_capacity, simulate_receiver_snr
 from jamsec.secrecy import (
     EveLinkParams,
     _scaled_en,
@@ -219,20 +223,68 @@ class TestReceiverCapacity:
 
     @pytest.mark.parametrize("s", (1.01, 1.05, 1.12))
     def test_quadrature_near_s_one(self, s):
-        # the tail bound 85/(s-1) passes ln(max double) here; the capped
-        # upper limit must still match the fold
+        # M_Y = (1+z)^(-s) falls slowest here: in u = ln z the integrand
+        # decays only like e^(-s u), and u_hi, where s ln(1+z) = 45, is
+        # near 44.5
         p = DoubleKappaMuShadowedParams(c=5.0, s=s, mu=2.0, kappa=1.5, mean_snr=10.0)
         assert capacity_receiver_quadrature(p) == pytest.approx(
             capacity_receiver_series(p), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("mu", (0.02, 0.05, 0.08))
     def test_quadrature_small_mu(self, mu):
-        # knee - 60/mu lies below u = -700 here: the lower limit is floored
-        # where exp(u) is still a normal double; at exp(u) = 0 the density
-        # is infinite for mu < 1 and the integrand NaN
+        # the density is ~ gamma^(mu-1), infinite at 0 and still heavy far
+        # below the knee, but 1 - M_X rises like mu lam z (1+kappa) below
+        # every break whatever mu is: the lower limit needs no mu-dependent
+        # margin
         p = DoubleKappaMuShadowedParams(c=2.0, s=2.5, mu=mu, kappa=1.0, mean_snr=5.0)
         assert capacity_receiver_quadrature(p) == pytest.approx(
             capacity_receiver_series(p), rel=1e-12, abs=0.0)
+
+    # 328 laws by the density integral (ks_reference), s from 1.01 to 1e5:
+    # every (c, mu, kappa, mean) below at s up to 1.8; from s = 4 on, where
+    # each dominant-component law costs 10-200 ms (its 2F1 slows as s grows,
+    # and at s = 1e5 is a log-space sum), the 27 laws without one and a few
+    # with one
+    DENSITY_GRID = {
+        s: list(itertools.product((0.5, 1.5, 5.0), (0.05, 0.6, 3.0), kappas,
+                                  (0.1, 10.0, 1e4)))
+        for s, kappas in ((1.01, (0.0, 1.5, 10.0)), (1.3, (0.0, 1.5, 10.0)),
+                          (1.8, (0.0, 1.5, 10.0)), (4.0, (0.0,)), (50.0, (0.0,)),
+                          (1e5, (0.0,)))
+    }
+    DENSITY_GRID[4.0].append((1.5, 0.6, 10.0, 10.0))
+    DENSITY_GRID[50.0].append((5.0, 3.0, 1.5, 1e4))
+    DENSITY_GRID[1e5] += [(0.5, 3.0, 10.0, 10.0), (5.0, 0.6, 1.5, 0.1)]
+
+    @pytest.mark.parametrize("s", DENSITY_GRID)
+    def test_quadrature_matches_density_integral_grid(self, s):
+        # the MGF integral against log2(1 + gamma) integrated against the
+        # density itself, with its 2F1: no shared formula
+        off = []
+        for c, mu, kappa, mean in self.DENSITY_GRID[s]:
+            p = DoubleKappaMuShadowedParams(c=c, s=s, mu=mu, kappa=kappa, mean_snr=mean)
+            want = ks_reference.capacity_receiver_density(p)
+            got = capacity_receiver_quadrature(p)
+            if not abs(got - want) <= 1e-9 * want:
+                off.append((c, mu, kappa, mean, got, want))
+        assert off == []
+
+    # c = 5, s = 1e5, mu = 3, kappa = 10 -> capacity at each mean SNR, from
+    # mpmath at 30 digits by the density integral, its 2F1 taken by Pfaff's
+    # transformation as (1-z)^(-s-mu) 2F1(mu-c, s+mu; mu; z/(z-1)), a
+    # polynomial here (mu - c = -2), and by the MGF integral: the two agree
+    # to 2e-25.  The fold is 1.5e-10 off at mean 0.1
+    LARGE_S = {
+        0.1: 0.1362028740949350623536151,
+        10.0: 3.324702879352758894542312,
+        1e4: 13.11821861717966959271518,
+    }
+
+    @pytest.mark.parametrize("mean", LARGE_S)
+    def test_quadrature_against_mpmath_at_large_s(self, mean):
+        p = DoubleKappaMuShadowedParams(c=5.0, s=1e5, mu=3.0, kappa=10.0, mean_snr=mean)
+        assert capacity_receiver_quadrature(p) == pytest.approx(
+            self.LARGE_S[mean], rel=1e-12, abs=0.0)
 
     def test_exponential_limit(self):
         # shadowing off, kappa -> 0, mu = 1: mean capacity of a Rayleigh
@@ -530,6 +582,65 @@ class TestEveCapacity:
             assert got == pytest.approx(want / math.log(2.0), rel=1e-13, abs=0.0)
 
 
+# fig2's light and dense shadowing triplets (m, xi, sigma2), then two more
+RICIAN_LAWS = ((19.4, 1.29, 0.158), (0.739, 8.97e-4, 0.063), (2.0, 1.0, 0.2), (5.0, 2.0, 0.5))
+
+
+def _rician_capacity_from_cdf(p):
+    """E[log2(1 + gamma)] = int_0^inf (1 - F(t)) / (1 + t) dt / ln 2 of the
+    closed-form CDF, in u = ln t: no MGF in it.  Past u_hi the survival
+    function, ~ e^(-(1-rho) t / (2 sigma2 mean_snr)), is below e^(-60)."""
+    mean = p.mean_snr * (p.xi + 2.0 * p.sigma2)
+    rate = (1.0 - p.los_fraction) / (2.0 * p.sigma2 * p.mean_snr)
+    u_lo, u_hi = math.log(mean) - 40.0, math.log(60.0 / rate + 60.0 * mean)
+    val, _ = scipy.integrate.quad(
+        lambda u: (1.0 - rician_shadowed_cdf(p, math.exp(u))) / (1.0 + math.exp(-u)),
+        u_lo, u_hi, points=[math.log(mean) + k for k in (-5.0, -2.0, 0.0, 2.0)],
+        limit=400, epsabs=1e-14, epsrel=1e-13)
+    return val / math.log(2.0)
+
+
+class TestRicianReceiverCapacity:
+    @pytest.mark.parametrize("m, xi, sigma2", RICIAN_LAWS)
+    def test_quadrature_matches_cdf_integral(self, m, xi, sigma2):
+        for mean in (1.0, 30.0, 1e3):
+            p = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2, mean_snr=mean)
+            assert capacity_receiver_quadrature(p) == pytest.approx(
+                _rician_capacity_from_cdf(p), rel=1e-12, abs=0.0), mean
+
+    # m = 0.5, xi = 1000, sigma2 = 0.001 (1 - rho = 1e-6, where one CDF call
+    # takes seconds) -> capacity at each mean_snr, from mpmath at 30 digits
+    # of the MGF integral with M_X in Abdi et al.'s form,
+    # (1 + a z)^(m-1) / (1 + b z)^m
+    NEAR_RHO_ONE = {
+        1.0: 8.2460287953446685891,
+        30.0: 13.061066046433759182,
+        1e3: 18.103719338877926362,
+    }
+
+    @pytest.mark.parametrize("mean", NEAR_RHO_ONE)
+    def test_quadrature_against_mpmath_near_rho_one(self, mean):
+        p = RicianShadowedParams(m=0.5, xi=1000.0, sigma2=0.001, mean_snr=mean)
+        assert capacity_receiver_quadrature(p) == pytest.approx(
+            self.NEAR_RHO_ONE[mean], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("m, xi, sigma2", RICIAN_LAWS)
+    def test_quadrature_matches_monte_carlo(self, m, xi, sigma2):
+        # the plain link at two means and a blockage link (the LOS law at
+        # 15 dB less), each within 5 standard errors of 200k draws
+        cases = [(m, xi, sigma2, mean, None, None) for mean in (1.0, 300.0)]
+        cases.append((m, xi, sigma2, 30.0, 0.6, 30.0 / db_to_linear(15.0)))
+        for i, (m, xi, sigma2, mean, p_los, nlos) in enumerate(cases):
+            law = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2, mean_snr=mean)
+            link = LinkSpec(fading=law, p_los=p_los, nlos_mean_snr=nlos)
+            want = capacity_receiver_quadrature(law)
+            if p_los is not None:
+                want = (p_los * want + (1.0 - p_los) * capacity_receiver_quadrature(
+                    RicianShadowedParams(m=m, xi=xi, sigma2=sigma2, mean_snr=nlos)))
+            est = estimate_capacity(simulate_receiver_snr(link, 200_000, SamplerSeed(7100 + i)))
+            assert abs(est.value - want) <= 5.0 * est.std_error, (mean, p_los)
+
+
 class TestSecrecyCapacity:
     def test_values(self):
         assert secrecy_capacity(5.0, 1.0) == 4.0
@@ -581,10 +692,14 @@ def _quadrature_routes():
             for th in (1e-3, 10.0):
                 eve = EveLinkParams(nu_i=p.nu, beta_i=p.beta, nu_j=q.nu, beta_j=q.beta)
                 yield lambda eve=eve, th=th: eve_sinr_cdf_integral(eve, th)
-    for m, xi, sigma2 in ((0.739, 8.97e-4, 0.063), (19.4, 1.29, 0.158), (1.2, 50.0, 0.01)):
+    for m, xi, sigma2 in ((0.739, 8.97e-4, 0.063), (19.4, 1.29, 0.158), (1.2, 50.0, 0.01),
+                          (0.5, 1000.0, 0.001)):
         p = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2, mean_snr=1.0)
         for th in (1e-3, 1.0, 60.0, 1e4):
             yield lambda p=p, th=th: rician_shadowed_cdf_integral(p, th)
+        for mean in (1e-8, 1.0, 1e8):
+            law = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2, mean_snr=mean)
+            yield lambda law=law: capacity_receiver_quadrature(law)
 
 
 def test_integrands_finite_at_their_limits(monkeypatch):
@@ -610,6 +725,8 @@ _EVE = EveLinkParams(nu_i=1, beta_i=1.0, nu_j=2, beta_j=0.5)
 _ROUTES = {
     "dksm_cdf": lambda: dksm_cdf(_DKSM, 1.0),
     "capacity_receiver_quadrature": lambda: capacity_receiver_quadrature(_DKSM),
+    "capacity_receiver_quadrature_rician": lambda: capacity_receiver_quadrature(
+        RicianShadowedParams(m=0.5, xi=1000.0, sigma2=0.001, mean_snr=1.0)),
     "eve_sinr_cdf_integral": lambda: eve_sinr_cdf_integral(_EVE, 1.0),
     "capacity_eve_quadrature": lambda: capacity_eve_quadrature(_EVE),
     # the jammer off: nu_J = 0, the capacity of a plain Gamma SNR
