@@ -7,10 +7,11 @@ of shape ``s`` ("double shadowed" model).  Special cases used elsewhere:
 LOS-shadowed Rician (mu=1, dominant shadowing only) and Gamma/Nakagami-m
 SNR.
 
-The quadrature CDFs integrate one scalar density per law
-(`_dksm_pdf_scalar`, `_rician_shadowed_pdf_scalar`, `_gamma_pdf_scalar`);
-the quadrature capacities (`secrecy`) integrate MGFs instead.  Every
-quadrature accepts a result only through `_quad`.
+The quadrature CDFs integrate the kappa-mu shadowed density
+(`_kappa_mu_shadowed_pdf_scalar`, one 1F1) for both receiver laws, the
+double model's conditioned on its envelope shadowing, and the Gamma one
+(`_gamma_pdf_scalar`); the quadrature capacities (`secrecy`) integrate
+MGFs instead.  Every quadrature accepts a result only through `_quad`.
 
 SNR domain throughout; all means are linear (dB handling lives at the
 configuration boundary).
@@ -202,6 +203,11 @@ class RicianShadowedParams:
         # series ratio: xi / (xi + 2*sigma2*m), strictly below 1
         return self.xi / (self.xi + 2.0 * self.sigma2 * self.m)
 
+    @property
+    def scatter_fraction(self) -> float:
+        # 1 - los_fraction by its own ratio, not rho's rounding error
+        return 2.0 * self.sigma2 * self.m / (self.xi + 2.0 * self.sigma2 * self.m)
+
 
 @dataclass(frozen=True)
 class GammaSnrParams:
@@ -221,115 +227,27 @@ class GammaSnrParams:
 # double shadowed kappa-mu
 
 
-def _dksm_ln_amp(p: DoubleKappaMuShadowedParams) -> float:
-    """ln of the density's constant factor.
-
-    Gamma(s+mu)/Gamma(s) is one Pochhammer ratio: at large s the two
-    log-gammas are ~s ln s apart and their difference loses digits.  The
-    log-gammas serve where poch overflows."""
-    c, s, mu = p.c, p.s, p.mu
-    ratio = sc.poch(s, mu)
-    ln_ratio = math.log(ratio) if ratio < math.inf else sc.gammaln(s + mu) - sc.gammaln(s)
-    return float(mu * math.log(p.big_t / ((s - 1.0) * p.mean_snr))
-                 - c * math.log1p(mu * p.kappa / c) + ln_ratio - sc.gammaln(mu))
-
-
-def _dksm_pdf_at_zero(mu: float, ln_amp: float) -> float:
-    if mu > 1.0:
-        return 0.0
-    return math.exp(ln_amp) if mu == 1.0 else math.inf
-
-
-def _dksm_pdf_scalar(p: DoubleKappaMuShadowedParams):
-    """The SNR density as f(gamma) for one float gamma >= 0, the form the
-    quadrature integrands call.  The law's constants are computed once
-    here, so each call is float arithmetic plus one scalar 2F1."""
-    c, s, mu, kappa = p.c, p.s, p.mu, p.kappa
-    big_t = p.big_t
-    phi = (s - 1.0) * p.mean_snr
-    t_over_phi = big_t / phi
-    z_scale = p.big_k * mu * kappa
-    ln_amp = _dksm_ln_amp(p)
-    at_zero = _dksm_pdf_at_zero(mu, ln_amp)
+def _kappa_mu_shadowed_pdf_scalar(c: float, mu: float, w: float, one_minus_w: float,
+                                  scale: float):
+    """f(gamma), for one float gamma >= 0, of the NB(c, w) mixture of
+    Gamma(mu + i) laws at `scale` (Paris, IEEE TVT 63(2), 2014): at
+    x = gamma / scale, (1-w)^c x^(mu-1) e^(-(1-w) x) 1F1(mu-c; mu; -w x)
+    / (Gamma(mu) scale), Kummer's form (DLMF 13.2.39), whose exponential
+    never grows and whose 1F1 never overflows.  mu = 1 is the LOS-shadowed
+    Rician law (Abdi et al., IEEE TWC 2(3), 2003): (mu-1) ln x adds 0."""
+    ln_amp = c * math.log(one_minus_w) - mu * math.log(scale) - math.lgamma(mu)
+    decay = one_minus_w / scale
+    a, z_scale = mu - c, -w / scale
+    at_zero = 0.0 if mu > 1.0 else math.exp(ln_amp) if mu == 1.0 else math.inf
 
     def pdf(g):
         if not g > 0.0:
             return at_zero
-        # phi^(s+mu) (T g + phi)^-(s+mu) as (1 + T g/phi)^-(s+mu), which
-        # keeps its digits at large s
-        ln_pdf = ln_amp + (mu - 1.0) * math.log(g) - (s + mu) * math.log1p(g * t_over_phi)
-        if kappa > 0:
-            z = z_scale * g / (big_t * g + phi)
-            hyp = sc.hyp2f1(c, s + mu, mu, z)
-            # Both failures of exp(ln_pdf) * hyp come at large s: scipy
-            # gives up (NaN) past 1e4 recursion steps, i.e. once s > 1e4,
-            # and deep in the tail exp(ln_pdf) underflows while the 2F1
-            # overflows (0 * inf) or is merely huge.  Those points take the
-            # 2F1 in log space.  Below the cap an underflowed exp(ln_pdf)
-            # costs any normal-range product at most 1.1e-12 relative.
-            if not hyp <= _HYP_DIRECT_MAX:
-                return math.exp(ln_pdf + _ln_hyp2f1_series(c, s + mu, mu, [z])[0])
-            return math.exp(ln_pdf) * float(hyp)
-        return math.exp(ln_pdf)
+        z = z_scale * g  # 1F1 = 1 to double precision above -1e-100; scipy's may be inf
+        hyp = float(sc.hyp1f1(a, mu, z)) if z < -1e-100 else 1.0
+        return math.exp(ln_amp + (mu - 1.0) * math.log(g) - decay * g) * hyp
 
     return pdf
-
-
-# largest 2F1 factor that _dksm_pdf_scalar multiplies by exp(ln_pdf) directly
-_HYP_DIRECT_MAX = 1e4
-
-
-def _ln_poch(x: float, k):
-    """ln (x)_k = ln Gamma(x+k) - ln Gamma(x); from x = 50 on, Stirling's
-    series (DLMF 5.11.1) differenced in closed form, as two log-gammas of
-    size x ln x would lose 1e-10 of it at x = 1e5."""
-    if x < 50.0:
-        return sc.gammaln(x + k) - sc.gammaln(x)
-
-    def remainder(v):  # of Stirling's series, to 1e-15 from v = 50 on
-        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * v * v)) / (v * v)) / v
-
-    return k * np.log(x + k) + (x - 0.5) * np.log1p(k / x) - k + remainder(x + k) - remainder(x)
-
-
-def _ln_hyp2f1_series(a, b, c, z) -> np.ndarray:
-    """ln 2F1(a, b; c; z), a, b, c > 0, at an array of 0 < z < 1 by one
-    `_ln_window_sum` of the positive power series.  The term ratio
-    (a+k)(b+k)z / ((c+k)(1+k)) exceeds 1 only between the roots of a
-    downward parabola, so the terms may dip, then peak at the larger root;
-    they spread like a negative binomial's, then fall at rate z."""
-    z = np.asarray(z, dtype=float)
-    qa, qb, qc = 1.0 - z, c + 1.0 - z * (a + b), c - z * a * b
-    disc = qb * qb - 4.0 * qa * qc
-    peak = np.where(disc > 0, np.maximum((np.sqrt(np.abs(disc)) - qb) / (2.0 * qa), 0.0), 0.0)
-    lnz = np.log(z)
-
-    def ln_t(k, lz):
-        return _ln_poch(a, k) + _ln_poch(b, k) - _ln_poch(c, k) - sc.gammaln(k + 1.0) + k * lz
-
-    def ln_terms(rows, k):
-        # log-gammas at the first k, then the cumulative log term ratios:
-        # all positive, so nothing cancels.  Where k jumps over a doubled
-        # window's old columns, the step is a difference of log-gamma terms
-        kk, lz = k[:, :-1], lnz[rows, None]
-        steps = np.log((a + kk) * (b + kk) / ((c + kk) * (1.0 + kk))) + lz
-        if np.any(k[:, -1] - k[:, 0] > k.shape[1] - 1):
-            jump = k[:, 1:] > kk + 1.0
-            lzj = np.broadcast_to(lz, jump.shape)[jump]
-            steps[jump] = ln_t(k[:, 1:][jump], lzj) - ln_t(kk[jump], lzj)
-        return ln_t(k[:, :1], lz) + np.concatenate(
-            (np.zeros((k.shape[0], 1)), np.cumsum(steps, axis=1)), axis=1)
-
-    def ratio_sup(rows, k):  # past k, (a+k)/(c+k) and (b+k)/(1+k) stay on one side of 1
-        return z[rows] * np.maximum((a + k) / (c + k), 1.0) * np.maximum((b + k) / (1.0 + k), 1.0)
-
-    spread = np.sqrt(peak * (1.0 + peak / b)) - 2.0 / lnz
-    return _ln_window_sum(ln_terms, ratio_sup, peak, spread)
-
-
-def _dksm_log_knee(p: DoubleKappaMuShadowedParams) -> float:
-    # scale where the (T*gamma + phi) denominator turns over
-    return math.log((p.s - 1.0) * p.mean_snr / p.big_t)
 
 
 def _log_floor(u_top: float, knee: float, rate: float, ln_amp: float):
@@ -343,32 +261,56 @@ def _log_floor(u_top: float, knee: float, rate: float, ln_amp: float):
     return -_U_MAX, math.exp(ln_amp + rate * -_U_MAX) / rate
 
 
-def _log_cdf(pdf, gamma, knee: float, rate: float, ln_amp: float, what: str) -> float:
-    """CDF at gamma of the scalar density `pdf` by adaptive quadrature in
-    u = ln(t), split at `knee`, from `_log_floor`."""
-    gamma = float(gamma)
-    if gamma < 0:
-        raise ParameterError("gamma must be non-negative")
-    if gamma == 0.0:
-        return 0.0
-    u_hi = min(math.log(gamma), _U_MAX)  # the mass beyond e^700 is beyond double precision
-    u_lo, head = _log_floor(u_hi, knee, rate, ln_amp)
-
-    def integrand(u):
-        t = math.exp(u)
-        return pdf(t) * t
-
-    pts = [knee] if u_lo < knee < u_hi else None
-    val = head + _quad(integrand, u_lo, u_hi, (1e-11, 1e-9),
-                       f"{what} CDF quadrature did not reach tolerance",
-                       points=pts, limit=300, epsabs=1e-13, epsrel=1e-11)
-    return min(max(val, 0.0), 1.0)
+def _ln_tail(shape: float) -> float:  # where Gamma(shape) leaves < e^-60 of its mass
+    return math.log(shape + 12.0 * math.sqrt(shape) + 60.0)
 
 
 def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
-    """CDF by `_log_cdf` of `_dksm_pdf_scalar`, split at the knee."""
-    return _log_cdf(_dksm_pdf_scalar(p), gamma, _dksm_log_knee(p), p.mu, _dksm_ln_amp(p),
-                    "receiver")
+    """CDF by conditioning on the envelope shadowing.  The SNR is lam X / G
+    with G ~ Gamma(s), lam = (s-1) mean_snr / (mu(1+kappa)) and X the unit
+    kappa-mu shadowed power, NB(c, w) over Gamma(mu + i) with
+    w = mu kappa / (c + mu kappa).  So F = E_X[Q(s, r X)] at r = lam/gamma:
+    one `_quad` in u = ln x of the shared density times `gammaincc`, or of
+    1 - F = E_X[P(s, r X)] above the mean, so F stays monotone where it
+    rounds to 1.  (1-w) X is below Gamma(c + mu) in MGF order, and P tilts
+    the mass by x^s: that sets the upper limit.  Below ln mu and ln(mu/r)
+    the integrand grows at least like x^mu: that sets `_log_floor`'s limit,
+    whose head is taken by parts against Q's step in case it nears the
+    floor.  Q steps over ~1/sqrt(s) in u around ln(s/r): the quadrature
+    splits there, at +-{1, 4, 12}/sqrt(s), at ln(mu/r) and ln(mu/(1-w))."""
+    gamma = float(gamma)
+    if not gamma >= 0.0:
+        raise ParameterError("gamma must be non-negative")
+    if gamma == 0.0 or gamma == math.inf:
+        return min(gamma, 1.0)
+    c, s, mu = p.c, p.s, p.mu
+    w, one_minus_w = mu * p.kappa / (c + mu * p.kappa), c / (c + mu * p.kappa)
+    ln_r = math.log(s - 1.0) + math.log(p.mean_snr) - math.log(p.big_t) - math.log(gamma)
+    ln_1mw = math.log(one_minus_w)
+    upper = gamma > p.mean_snr
+    u_hi = min(_ln_tail(c + mu + s) - ln_1mw if upper else
+               min(_ln_tail(c + mu) - ln_1mw, _ln_tail(c + mu + s) - ln_r), _U_MAX)
+    ln_amp = c * ln_1mw - math.lgamma(mu)
+    u_lo, head = _log_floor(max(u_hi, -_U_MAX), math.log(mu) - max(ln_r, 0.0), mu, ln_amp)
+    if head and not upper:
+        y = math.exp(min(u_lo + ln_r, _U_MAX))
+        head *= sc.gammaincc(s, y)
+        if (past := sc.gammainc(s + mu, y)) > 0.0:
+            head += past * sc.poch(s, mu) * math.exp(ln_amp - mu * ln_r) / mu
+    pts = [math.log(mu) - ln_1mw, math.log(mu) - ln_r] + [
+        math.log(s) - ln_r + d / math.sqrt(s) for d in (-12.0, -4.0, -1.0, 0.0, 1.0, 4.0, 12.0)]
+    pts = sorted({v for v in pts if u_lo < v < u_hi})
+    pdf = _kappa_mu_shadowed_pdf_scalar(c, mu, w, one_minus_w, 1.0)
+    kernel = sc.gammainc if upper else sc.gammaincc
+
+    def integrand(u):
+        x = math.exp(u)
+        return pdf(x) * x * kernel(s, math.exp(u + ln_r))
+
+    val = _quad(integrand, u_lo, max(u_hi, u_lo), (1e-11, 1e-9),
+                "receiver CDF quadrature did not reach tolerance",
+                points=pts or None, limit=300, epsabs=0.0, epsrel=1e-13)
+    return min(max(1.0 - val if upper else head + val, 0.0), 1.0)
 
 
 def dksm_sample(p: DoubleKappaMuShadowedParams, seed: SamplerSeed, n: int) -> np.ndarray:
@@ -394,30 +336,6 @@ def dksm_sample(p: DoubleKappaMuShadowedParams, seed: SamplerSeed, n: int) -> np
 # LOS-shadowed Rician
 
 
-def _rician_shadowed_pdf_scalar(p: RicianShadowedParams):
-    """Density of the LOS-shadowed Rician SNR for quadrature integrands:
-    returns f(gamma) for one float gamma >= 0.
-
-    f = exp(ln_amp - x) 1F1(m; 1; rho x) at x = gamma / scale, taken
-    through Kummer's transformation (DLMF 13.2.39) as
-    exp(ln_amp - (1 - rho) x) 1F1(1 - m; 1; -rho x): the exponential
-    factor never grows, and the 1F1 neither overflows nor needs an
-    asymptote at large rho x."""
-    rho = p.los_fraction
-    # 1 - rho from its own ratio: near rho = 1 the difference would be
-    # mostly rho's rounding error
-    one_minus_rho = 2.0 * p.sigma2 * p.m / (p.xi + 2.0 * p.sigma2 * p.m)
-    scale = 2.0 * p.sigma2 * p.mean_snr
-    ln_amp = p.m * math.log(one_minus_rho) - math.log(scale)
-    decay = one_minus_rho / scale
-    a, z_scale = 1.0 - p.m, -rho / scale
-
-    def pdf(g):
-        return math.exp(ln_amp - decay * g) * float(sc.hyp1f1(a, 1.0, z_scale * g))
-
-    return pdf
-
-
 def rician_shadowed_cdf(p: RicianShadowedParams, gamma):
     """CDF as the negative-binomial mixture of Gamma CDFs (Abdi et al.,
     IEEE TWC 2(3), 2003), sum_i NB(m, rho)_i P(i + 1, x) at
@@ -432,7 +350,7 @@ def rician_shadowed_cdf(p: RicianShadowedParams, gamma):
         raise ParameterError("gamma must be non-negative")
     m, rho = p.m, p.los_fraction
     # ln(1 - rho) and ln(rho) from their own ratios, as in the density
-    ln_rest = math.log(2.0 * p.sigma2 * m / (p.xi + 2.0 * p.sigma2 * m))
+    ln_rest = math.log(p.scatter_fraction)
     ln_rho = -math.log1p(2.0 * p.sigma2 * m / p.xi)
     ln_nb0 = m * ln_rest - sc.gammaln(m)
     x = g / (2.0 * p.sigma2 * p.mean_snr)
@@ -455,9 +373,11 @@ def rician_shadowed_cdf(p: RicianShadowedParams, gamma):
 
 def rician_shadowed_cdf_integral(p: RicianShadowedParams, gamma: float) -> float:
     """Defining-integral oracle of `rician_shadowed_cdf`: adaptive
-    quadrature of the density (`_rician_shadowed_pdf_scalar`) over
-    [0, gamma]."""
-    val = _quad(_rician_shadowed_pdf_scalar(p), 0.0, gamma, (1e-11, 1e-9),
+    quadrature over [0, gamma] of the kappa-mu shadowed density at mu = 1
+    (`_kappa_mu_shadowed_pdf_scalar`)."""
+    pdf = _kappa_mu_shadowed_pdf_scalar(p.m, 1.0, p.los_fraction, p.scatter_fraction,
+                                        2.0 * p.sigma2 * p.mean_snr)
+    val = _quad(pdf, 0.0, gamma, (1e-11, 1e-9),
                 "receiver outage quadrature did not reach tolerance",
                 limit=200, epsabs=1e-12, epsrel=1e-10)
     return min(max(val, 0.0), 1.0)
@@ -511,10 +431,28 @@ def gamma_cdf(p: GammaSnrParams, gamma):
 
 
 def gamma_cdf_integral(p: GammaSnrParams, gamma: float) -> float:
-    """Defining-integral oracle of `gamma_cdf`: `_log_cdf` of the density
-    (`_gamma_pdf_scalar`), split at the mode ln(nu/beta)."""
-    return _log_cdf(_gamma_pdf_scalar(p), gamma, math.log(p.nu / p.beta), p.nu,
-                    p.nu * math.log(p.beta) - sc.gammaln(p.nu), "Gamma")
+    """Defining-integral oracle of `gamma_cdf`: the density
+    (`_gamma_pdf_scalar`) integrated in u = ln(t) from `_log_floor`, split
+    at the mode ln(nu/beta)."""
+    gamma = float(gamma)
+    if gamma < 0:
+        raise ParameterError("gamma must be non-negative")
+    if gamma == 0.0:
+        return 0.0
+    u_hi = min(math.log(gamma), _U_MAX)  # the mass beyond e^700 is beyond double precision
+    knee = math.log(p.nu / p.beta)
+    u_lo, head = _log_floor(u_hi, knee, p.nu, p.nu * math.log(p.beta) - sc.gammaln(p.nu))
+    pdf = _gamma_pdf_scalar(p)
+
+    def integrand(u):
+        t = math.exp(u)
+        return pdf(t) * t
+
+    pts = [knee] if u_lo < knee < u_hi else None
+    val = head + _quad(integrand, u_lo, u_hi, (1e-11, 1e-9),
+                       "Gamma CDF quadrature did not reach tolerance",
+                       points=pts, limit=300, epsabs=1e-13, epsrel=1e-11)
+    return min(max(val, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from jamsec.fading import (
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
     SamplerSeed,
-    _dksm_pdf_scalar,
     dksm_sample,
     gamma_cdf,
 )
@@ -38,7 +37,7 @@ from jamsec.secrecy import (
     eve_sinr_cdf_integral,
 )
 from jamsec.specfun import hyp2f1_complex, meijer_series_fold
-from ks_reference import dksm_cdf_at_sorted
+from ks_reference import dksm_cdf_at_sorted, dksm_pdf_scalar
 
 
 def _bisect_cdf_level(p, target, lo, hi):
@@ -161,7 +160,7 @@ class TestDistributionFidelity:
             knee = math.log((p.s - 1.0) * p.mean_snr / p.big_t)
             lo = knee - 60.0 / p.mu
             hi = knee + 32.0 / (p.s - 1.0) + 10.0
-            pdf = _dksm_pdf_scalar(p)
+            pdf = dksm_pdf_scalar(p)
             total, _ = scipy.integrate.quad(
                 lambda u: pdf(math.exp(u)) * math.exp(u),
                 lo, hi, limit=400, epsabs=1e-13, epsrel=1e-11,
@@ -193,7 +192,7 @@ class TestEnvelopeNakagamiLimit:
                                         kappa=1e-12, mean_snr=1.0)
         # unit-RMS envelope: x = sqrt(gamma), f_X(x) = 2 x f_gamma(x^2)
         x = np.linspace(1e-3, 4.0, 400)
-        pdf = _dksm_pdf_scalar(p)
+        pdf = dksm_pdf_scalar(p)
         envelope = 2.0 * x * np.array([pdf(float(v**2)) for v in x])
         target = scipy.stats.nakagami.pdf(x, m)
         assert float(np.max(np.abs(envelope - target))) <= 1e-2

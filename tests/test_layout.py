@@ -1,8 +1,10 @@
 """Where the quadrature oracle lives: `scipy.integrate.quad` is called at
 one site in the package, behind the one acceptance rule (`fading._quad`),
 and the scenario layer reaches the oracle only through public routes.
-The double model's 2F1 is likewise called at one site.  The quadrature
-capacities reach no closed-form kernel: the methods stay independent."""
+Both receiver laws integrate one kappa-mu shadowed density, whose 1F1 is
+called at one site; the double model's Gauss 2F1 density lives only in
+the tests.  The quadrature capacities and outages reach no closed-form
+kernel: the methods stay independent."""
 
 import ast
 import fnmatch
@@ -34,11 +36,15 @@ def test_one_quad_call_site():
     assert [site[:2] for site in sites] == [("fading.py", "_quad")], sites
 
 
-def test_one_hyp2f1_call_site():
-    # the double model's density is evaluated in one place, the scalar one
-    # the CDF route integrates
-    sites = _call_sites("hyp2f1")
-    assert [site[:2] for site in sites] == [("fading.py", "_dksm_pdf_scalar")], sites
+def test_one_density_call_site_and_no_2f1():
+    # one kappa-mu shadowed density serves both receiver laws' quadrature
+    # outages; the package evaluates no Gauss 2F1
+    assert _call_sites("hyp2f1") == []
+    sites = _call_sites("hyp1f1")
+    assert [site[:2] for site in sites] == [("fading.py", "_kappa_mu_shadowed_pdf_scalar")], sites
+    defs = _definitions()
+    for route in ("dksm_cdf", "rician_shadowed_cdf_integral"):
+        assert "_kappa_mu_shadowed_pdf_scalar" in _reachable([route], defs), route
 
 
 def test_scenario_imports_no_integrator_or_private_fading_name():
@@ -114,3 +120,22 @@ def test_quadrature_capacities_reach_no_closed_form_kernel():
     closed = _reachable(["capacity_receiver_series", "capacity_eve_series"], defs)
     assert {"meijer_series_fold", "_scaled_en", "_partial_fraction_sum",
             "_expansion_sum"} <= closed
+
+
+# the closed-form outage kernels: the Rician NB sum and its log-space
+# window, the SINR CDF's finite sum, and the Gamma CDF
+_CLOSED_FORM_OUTAGES = ("rician_shadowed_cdf", "eve_sinr_cdf", "gamma_cdf", "_ln_window_sum")
+
+
+def test_quadrature_outages_reach_no_closed_form_kernel():
+    defs = _definitions()
+    for root in ("dksm_cdf", "rician_shadowed_cdf_integral", "eve_sinr_cdf_integral",
+                 "gamma_cdf_integral"):
+        reached = _reachable([root], defs)
+        assert "_quad" in reached, root
+        kernels = sorted(n for n in reached if any(
+            fnmatch.fnmatch(n, k) for k in _CLOSED_FORM + _CLOSED_FORM_OUTAGES))
+        assert kernels == [], (root, kernels)
+    # the closed forms do reach them: the names are real code
+    closed = _reachable(["rician_shadowed_cdf", "eve_sinr_cdf", "gamma_cdf"], defs)
+    assert set(_CLOSED_FORM_OUTAGES) <= closed

@@ -636,6 +636,25 @@ class TestRicianReceiverCapacity:
                 assert column is not None and math.isfinite(column), name
 
 
+class TestDoubleModelReceiverOutage:
+    def test_quadrature_within_monte_carlo_error(self, tmp_path):
+        # no built-in sweep asks a double-model receiver outage: fig3 with
+        # metrics [outage_r].  Quadrature conditions on the envelope
+        # shadowing; Monte Carlo counts draws; the closed form has no CDF
+        cfg = load_config("fig3")
+        cfg["metrics"] = ["outage_r"]
+        f = tmp_path / "fig3-outage-r.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        table = run_scenario(str(f), grid=[0.5, 30.0])
+        n = cfg["trials"]
+        for z in ("-8dB", "-2dB"):
+            assert _col(table, f"outage_r@{z}#closed-form") == [None, None]
+            for q, mc in zip(_col(table, f"outage_r@{z}#quadrature"),
+                             _col(table, f"outage_r@{z}#monte-carlo")):
+                assert 0.0 < q < 1.0
+                assert abs(q - mc) <= 5.0 * math.sqrt(q * (1.0 - q) / n), (z, q, mc)
+
+
 class TestCommonRandomNumbers:
     """Monte Carlo cells of one run scale the same per-link draws, so
     differences between cells carry no sampling noise of a shared link."""
