@@ -229,23 +229,27 @@ class GammaSnrParams:
 
 def _kappa_mu_shadowed_pdf_scalar(c: float, mu: float, w: float, one_minus_w: float,
                                   scale: float):
-    """f(gamma), for one float gamma >= 0, of the NB(c, w) mixture of
-    Gamma(mu + i) laws at `scale` (Paris, IEEE TVT 63(2), 2014): at
-    x = gamma / scale, (1-w)^c x^(mu-1) e^(-(1-w) x) 1F1(mu-c; mu; -w x)
-    / (Gamma(mu) scale), Kummer's form (DLMF 13.2.39), whose exponential
-    never grows and whose 1F1 never overflows.  mu = 1 is the LOS-shadowed
-    Rician law (Abdi et al., IEEE TWC 2(3), 2003): (mu-1) ln x adds 0."""
+    """Density of the NB(c, w) mixture of Gamma(mu + i) laws at `scale`
+    (Paris, IEEE TVT 63(2), 2014) as pdf(gamma, ln_pow), for one float
+    gamma >= 0: at x = gamma / scale, (1-w)^c e^(ln_pow - (1-w) x)
+    1F1(mu-c; mu; -w x) / (Gamma(mu) scale^mu), Kummer's form (DLMF
+    13.2.39), whose exponential never grows and whose 1F1 never overflows.
+    ln_pow = (mu-1) ln gamma gives the density, and mu ln gamma the density
+    times gamma, in one exponent.  The LOS-shadowed Rician law is mu = 1
+    (Abdi et al., IEEE TWC 2(3), 2003), whose ln_pow is 0."""
     ln_amp = c * math.log(one_minus_w) - mu * math.log(scale) - math.lgamma(mu)
     decay = one_minus_w / scale
     a, z_scale = mu - c, -w / scale
-    at_zero = 0.0 if mu > 1.0 else math.exp(ln_amp) if mu == 1.0 else math.inf
+    ln_ratio = math.lgamma(mu) - math.lgamma(c)  # Gamma(mu) / Gamma(mu - a)
 
-    def pdf(g):
-        if not g > 0.0:
-            return at_zero
+    def pdf(g, ln_pow=0.0):
         z = z_scale * g  # 1F1 = 1 to double precision above -1e-100; scipy's may be inf
         hyp = float(sc.hyp1f1(a, mu, z)) if z < -1e-100 else 1.0
-        return math.exp(ln_amp + (mu - 1.0) * math.log(g) - decay * g) * hyp
+        if not math.isfinite(hyp):  # scipy's inf band near z = -1418 at small |a|: the
+            k = np.arange(20.0)  # large -z expansion (DLMF 13.7.2 after Kummer)
+            terms = np.cumprod((a + k) * (a - mu + 1.0 + k) / ((k + 1.0) * -z))
+            hyp = (1.0 + float(terms.sum())) * math.exp(ln_ratio - a * math.log(-z))
+        return math.exp(ln_amp + ln_pow - decay * g) * hyp
 
     return pdf
 
@@ -266,18 +270,17 @@ def _ln_tail(shape: float) -> float:  # where Gamma(shape) leaves < e^-60 of its
 
 
 def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
-    """CDF by conditioning on the envelope shadowing.  The SNR is lam X / G
-    with G ~ Gamma(s), lam = (s-1) mean_snr / (mu(1+kappa)) and X the unit
-    kappa-mu shadowed power, NB(c, w) over Gamma(mu + i) with
-    w = mu kappa / (c + mu kappa).  So F = E_X[Q(s, r X)] at r = lam/gamma:
-    one `_quad` in u = ln x of the shared density times `gammaincc`, or of
-    1 - F = E_X[P(s, r X)] above the mean, so F stays monotone where it
-    rounds to 1.  (1-w) X is below Gamma(c + mu) in MGF order, and P tilts
-    the mass by x^s: that sets the upper limit.  Below ln mu and ln(mu/r)
-    the integrand grows at least like x^mu: that sets `_log_floor`'s limit,
-    whose head is taken by parts against Q's step in case it nears the
-    floor.  Q steps over ~1/sqrt(s) in u around ln(s/r): the quadrature
-    splits there, at +-{1, 4, 12}/sqrt(s), at ln(mu/r) and ln(mu/(1-w))."""
+    """CDF by conditioning on the envelope shadowing: the SNR is lam X / G,
+    G ~ Gamma(s), lam = (s-1) mean_snr / (mu(1+kappa)), X the unit kappa-mu
+    shadowed power (NB(c, w) over Gamma(mu + i), w = mu kappa/(c + mu kappa)).
+    So F = E_X[Q(s, r X)], r = lam / gamma: one `_quad` in u = ln x of the
+    shared density times `gammaincc`, or of 1 - F = E_X[P(s, r X)] above the
+    mean, so F stays monotone where it rounds to 1.  Upper limit: (1-w) X is
+    below Gamma(c + mu) in MGF order, and P tilts the mass by x^s.  Below
+    ln mu and ln(mu/r) the integrand grows at least like x^mu: `_log_floor`,
+    its head taken by parts against Q's step, which may near the floor.  Q
+    steps over ~1/sqrt(s) in u at ln(s/r): the quadrature splits there, at
+    +-{1, 4, 12}/sqrt(s) around it, and at ln(mu/r) and ln(mu/(1-w))."""
     gamma = float(gamma)
     if not gamma >= 0.0:
         raise ParameterError("gamma must be non-negative")
@@ -292,11 +295,10 @@ def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
                min(_ln_tail(c + mu) - ln_1mw, _ln_tail(c + mu + s) - ln_r), _U_MAX)
     ln_amp = c * ln_1mw - math.lgamma(mu)
     u_lo, head = _log_floor(max(u_hi, -_U_MAX), math.log(mu) - max(ln_r, 0.0), mu, ln_amp)
-    if head and not upper:
+    if head and not upper:  # A/mu [x^mu Q(s, r x) + r^-mu (s)_mu P(s+mu, r x)] at the floor
         y = math.exp(min(u_lo + ln_r, _U_MAX))
-        head *= sc.gammaincc(s, y)
-        if (past := sc.gammainc(s + mu, y)) > 0.0:
-            head += past * sc.poch(s, mu) * math.exp(ln_amp - mu * ln_r) / mu
+        head = (head * sc.gammaincc(s, y)
+                + sc.gammainc(s + mu, y) * sc.poch(s, mu) * math.exp(ln_amp - mu * ln_r) / mu)
     pts = [math.log(mu) - ln_1mw, math.log(mu) - ln_r] + [
         math.log(s) - ln_r + d / math.sqrt(s) for d in (-12.0, -4.0, -1.0, 0.0, 1.0, 4.0, 12.0)]
     pts = sorted({v for v in pts if u_lo < v < u_hi})
@@ -304,12 +306,12 @@ def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
     kernel = sc.gammainc if upper else sc.gammaincc
 
     def integrand(u):
-        x = math.exp(u)
-        return pdf(x) * x * kernel(s, math.exp(u + ln_r))
+        return pdf(math.exp(u), mu * u) * kernel(s, math.exp(u + ln_r))
 
+    # relative accuracy down to 1e-300, below which the integrand is subnormal
     val = _quad(integrand, u_lo, max(u_hi, u_lo), (1e-11, 1e-9),
                 "receiver CDF quadrature did not reach tolerance",
-                points=pts or None, limit=300, epsabs=0.0, epsrel=1e-13)
+                points=pts or None, limit=300, epsabs=1e-300, epsrel=1e-13)
     return min(max(1.0 - val if upper else head + val, 0.0), 1.0)
 
 

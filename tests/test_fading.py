@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special as sc
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -363,6 +364,23 @@ class TestDoubleShadowedCdf:
         p = DoubleKappaMuShadowedParams(c=c, s=s, mu=mu, kappa=kappa, mean_snr=mean)
         assert dksm_cdf(p, g) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_far_above_the_mean(self):
+        # 1 - F tilts the mass far out.  In the first law it reaches
+        # w x ~ 1418, where scipy's 1F1 returned inf and the route raised
+        # AccuracyError (mpmath: 1 - F = 9.3e-48 at all three thresholds).
+        # In the second 1 - F ~ 1e-307 has a subnormal integrand, which no
+        # relative tolerance can meet: the quadrature warned at its
+        # subdivision limit
+        p = DoubleKappaMuShadowedParams(c=1.4362980867494815, s=78.10340057305898,
+                                        mu=1.3917921390855383, kappa=8.529432660352636,
+                                        mean_snr=5.490236958403086)
+        for g in (1e4, 66672.14964733626, 1e5):
+            assert dksm_cdf(p, g) == 1.0
+        p = DoubleKappaMuShadowedParams(c=5.333144295665636, s=6088.709830629414,
+                                        mu=1.3560806491252668, kappa=6.96257252015558,
+                                        mean_snr=0.03381546300257461)
+        assert dksm_cdf(p, 6.727100286158679) == 1.0
+
     def test_matches_density_integral_grid(self):
         # 300 laws x 4 thresholds against the integral of the density with
         # its Gauss 2F1 (ks_reference): the two share no formula but the law
@@ -654,10 +672,23 @@ class TestScalarTwins:
         pdf = _kappa_mu_shadowed_pdf_scalar(1.0, mu, 3.8e-142, 1.0, 1.0)
         for x in (1e-300, 1e-160, 1e-10):
             want = x ** (mu - 1.0) * math.exp(-x) / math.gamma(mu)
-            assert pdf(x) == pytest.approx(want, rel=1e-13)
+            assert pdf(x, (mu - 1.0) * math.log(x)) == pytest.approx(want, rel=1e-13)
         p = RicianShadowedParams(m=1.0391893379675405, xi=1.0, sigma2=0.25, mean_snr=1.0)
         assert rician_shadowed_cdf_integral(p, 1e-250) == pytest.approx(
             rician_shadowed_cdf(p, 1e-250), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("c, mu, want", [
+        # w = 0.9, w x = 1417.7; mpmath at 30 digits
+        (1.4362980867494815, 1.3917921390855383, 3.9651400013962219886e-69),
+        (1.04, 1.0, 4.8361367771467640435e-70),
+    ])
+    def test_kappa_mu_shadowed_in_scipys_inf_band(self, c, mu, want):
+        # scipy's 1F1(a; b; z) is inf for z in about [-1418, -1417.4] at
+        # small |a|; the density takes the large -z expansion there
+        x = 1417.7 / 0.9
+        assert sc.hyp1f1(mu - c, mu, -0.9 * x) == math.inf
+        pdf = _kappa_mu_shadowed_pdf_scalar(c, mu, 0.9, 1.0 - 0.9, 1.0)
+        assert pdf(x, (mu - 1.0) * math.log(x)) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_gamma(self):
         nodes = [0.0, 1e-300, 1e-200, 1e-12, 1e-6, 1e-3, 0.5, 1.0, 10.0, 200.0]
