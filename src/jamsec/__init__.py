@@ -12,7 +12,6 @@ from .fading import (
     dksm_cdf,
     dksm_sample,
     gamma_cdf,
-    mixture_cdf,
     rician_shadowed_cdf,
 )
 from .montecarlo import (
@@ -42,7 +41,7 @@ __all__ = [
     "AccuracyError", "ConvergenceError", "ParameterError",
     "DoubleKappaMuShadowedParams", "GammaSnrParams", "RicianShadowedParams",
     "SamplerSeed", "dksm_cdf", "dksm_sample",
-    "gamma_cdf", "mixture_cdf", "rician_shadowed_cdf",
+    "gamma_cdf", "rician_shadowed_cdf",
     "Estimate", "LinkSpec",
     "estimate_capacity", "estimate_outage",
     "simulate_eve_sinr", "simulate_receiver_snr",

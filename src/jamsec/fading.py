@@ -41,7 +41,6 @@ __all__ = [
     "rician_shadowed_sample",
     "gamma_cdf",
     "gamma_cdf_integral",
-    "mixture_cdf",
 ]
 
 _LN_WINDOW_TOL = math.log(1e-17)  # what _ln_window_sum may leave out, relative to the sum
@@ -171,10 +170,6 @@ class DoubleKappaMuShadowedParams:
     @property
     def big_t(self) -> float:
         return self.mu * (1.0 + self.kappa)
-
-    @property
-    def big_k(self) -> float:
-        return self.big_t / (self.c + self.mu * self.kappa)
 
 
 @dataclass(frozen=True)
@@ -455,21 +450,3 @@ def gamma_cdf_integral(p: GammaSnrParams, gamma: float) -> float:
                        "Gamma CDF quadrature did not reach tolerance",
                        points=pts, limit=300, epsabs=1e-13, epsrel=1e-11)
     return min(max(val, 0.0), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# blockage mixture
-
-
-def mixture_cdf(p_los: float, cdf_los, cdf_nlos):
-    """Blockage blend p_los * F_los + (1 - p_los) * F_nlos."""
-    if not (0.0 <= p_los <= 1.0):
-        raise ParameterError("p_los must lie in [0, 1]")
-    a = np.asarray(cdf_los, dtype=float)
-    b = np.asarray(cdf_nlos, dtype=float)
-    if np.any(a < -1e-12) or np.any(a > 1.0 + 1e-12):
-        raise ParameterError("cdf_los must lie in [0, 1]")
-    if np.any(b < -1e-12) or np.any(b > 1.0 + 1e-12):
-        raise ParameterError("cdf_nlos must lie in [0, 1]")
-    out = p_los * np.clip(a, 0.0, 1.0) + (1.0 - p_los) * np.clip(b, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out

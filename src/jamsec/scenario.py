@@ -36,7 +36,6 @@ from .fading import (
     RicianShadowedParams,
     SamplerSeed,
     dksm_cdf,
-    mixture_cdf,
     rician_shadowed_cdf_integral,
 )
 
@@ -458,30 +457,30 @@ class ResultTable:
 # per-point evaluation
 
 
-def _rician_outage_closed_form(rx: montecarlo.LinkSpec, th: float) -> float:
-    """Receiver outage of the Rician model, blended with the NLOS branch
-    when the link has a blockage mixture, by one `rician_shadowed_cdf`
-    call: a point's NLOS law is its LOS law at another mean, so
-    F_NLOS(gamma) = F_LOS(gamma mean_LOS / mean_NLOS)."""
-    if rx.p_los is None:
-        return float(secrecy.rician_shadowed_cdf(rx.fading, th))
-    f_los, f_nlos = secrecy.rician_shadowed_cdf(
-        rx.fading, [th, th * rx.fading.mean_snr / rx.nlos_mean_snr])
-    return float(mixture_cdf(rx.p_los, f_los, f_nlos))
-
-
-def _blockage_blend(rx: montecarlo.LinkSpec, value) -> float:
-    """value(law) of the link's law, or under a blockage mixture p_los
-    value(LOS) + (1 - p_los) value(the LOS law at nlos_mean_snr)."""
+def _blockage_blend(rx: montecarlo.LinkSpec, value, pair=None) -> float:
+    """value(law) of the link's law, or under a blockage mixture
+    p_los V_LOS + (1 - p_los) V_NLOS, the NLOS law being the LOS law at
+    nlos_mean_snr.  (V_LOS, V_NLOS) is `value` of each law, or pair()
+    where one call gives both."""
     if rx.p_los is None:
         return value(rx.fading)
-    nlos = replace(rx.fading, mean_snr=rx.nlos_mean_snr)
-    return rx.p_los * value(rx.fading) + (1.0 - rx.p_los) * value(nlos)
+    if pair is None:
+        nlos = replace(rx.fading, mean_snr=rx.nlos_mean_snr)
+        v_los, v_nlos = value(rx.fading), value(nlos)
+    else:
+        v_los, v_nlos = pair()
+    return rx.p_los * v_los + (1.0 - rx.p_los) * v_nlos
 
 
-def _rician_outage_quadrature(rx: montecarlo.LinkSpec, th: float) -> float:
-    """`_rician_outage_closed_form` by the defining integral, one per branch."""
-    return _blockage_blend(rx, lambda law: rician_shadowed_cdf_integral(law, th))
+def _rician_outage_closed_form(rx: montecarlo.LinkSpec, th: float) -> float:
+    """Receiver outage of the Rician model, with a blockage mixture's two
+    branches from one `rician_shadowed_cdf` call: a point's NLOS law is
+    its LOS law at another mean, so
+    F_NLOS(gamma) = F_LOS(gamma mean_LOS / mean_NLOS)."""
+    return _blockage_blend(
+        rx, lambda law: secrecy.rician_shadowed_cdf(law, th),
+        lambda: secrecy.rician_shadowed_cdf(
+            rx.fading, [th, th * rx.fading.mean_snr / rx.nlos_mean_snr]).tolist())
 
 
 class _Point:
@@ -594,7 +593,7 @@ _ROUTES = {
         else _rician_outage_closed_form(pt.receiver, th)),
     ("outage_r", "quadrature"): lambda pt, th: (
         dksm_cdf(pt.dksm, th) if pt.dksm is not None
-        else _rician_outage_quadrature(pt.receiver, th)),
+        else _blockage_blend(pt.receiver, lambda law: rician_shadowed_cdf_integral(law, th))),
     ("outage_r", "monte-carlo"): lambda pt, th: montecarlo.receiver_outage(
         pt.receiver, th, pt.trials, pt.seed, pt.memo).value,
     ("outage_e", "closed-form"): lambda pt, th: secrecy.eve_sinr_cdf(pt.eve, th),

@@ -180,8 +180,11 @@ def meijer_series_fold(s: float, mu: float, a: float, x: float, z: float,
                              "mu > 0, a > 0 and s > 1/2 (pole collision)")
     lnz = math.log(z)
     sigma = -mu - 0.5
-    rho = mu + s - 2.0 + max(-a, a - mu)
-    length = _tail_length(rho, 2.0 * math.pi, _HALF_LENGTH)
+    # the kernel falls like |tau|^(s+mu-2) e^(-2 pi |tau|); at large s the
+    # bound |Gamma(s+mu+t)| <= Gamma(s-1/2) leaves |tau|^(mu-1) e^(-3 pi |tau|/2)
+    g = max(-a, a - mu)
+    length = min(_tail_length(mu + s - 2.0 + g, 2.0 * math.pi, _HALF_LENGTH),
+                 _tail_length(mu - 1.0 + g, 1.5 * math.pi, _HALF_LENGTH))
     h = _node_spacing(2.0 * _HALF_LENGTH / _NODES, min(0.5, s - 0.5),
                       abs(lnz) + abs(math.log1p(-x)))
     levels = itertools.count()  # the refinement level of each pass

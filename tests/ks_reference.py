@@ -72,7 +72,7 @@ def dksm_pdf_scalar(p):
     big_t = p.big_t
     phi = (s - 1.0) * p.mean_snr
     t_over_phi = big_t / phi
-    z_scale = p.big_k * mu * kappa
+    z_scale = big_t / (c + mu * kappa) * mu * kappa
     ln_amp = dksm_ln_amp(p)
     at_zero = _pdf_at_zero(mu, ln_amp)
 
@@ -168,7 +168,7 @@ def dksm_pdf(p, gamma):
     if np.any(pos):
         gp = g[pos]
         denom = big_t * gp + phi
-        z = p.big_k * mu * kappa * gp / denom
+        z = big_t / (c + mu * kappa) * mu * kappa * gp / denom
         ln_pdf = ln_amp + (mu - 1.0) * np.log(gp) - (s + mu) * np.log1p(gp * (big_t / phi))
         hyp = 1.0
         if kappa > 0:

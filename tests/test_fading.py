@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ks_reference
-from jamsec import fading
+from jamsec import fading, scenario
 from jamsec.errors import ParameterError
 from jamsec.fading import (
     DoubleKappaMuShadowedParams,
@@ -24,11 +24,11 @@ from jamsec.fading import (
     dksm_sample,
     gamma_cdf,
     gamma_cdf_integral,
-    mixture_cdf,
     rician_shadowed_cdf,
     rician_shadowed_cdf_integral,
     rician_shadowed_sample,
 )
+from jamsec.montecarlo import LinkSpec
 
 
 def _pdf_quad(p, lo_u, hi_u):
@@ -99,7 +99,8 @@ class TestDoubleShadowedParams:
     def test_derived_scales(self):
         p = DoubleKappaMuShadowedParams(c=2.0, s=3.0, mu=1.5, kappa=2.0, mean_snr=4.0)
         assert p.big_t == pytest.approx(1.5 * 3.0)
-        assert p.big_k == pytest.approx(p.big_t / (2.0 + 1.5 * 2.0))
+        # K = T/(c + mu kappa), the 2F1 density's scale in ks_reference
+        assert p.big_t / (p.c + p.mu * p.kappa) == pytest.approx(4.5 / 5.0)
 
 
 class TestDoubleShadowedPdf:
@@ -699,13 +700,28 @@ class TestScalarTwins:
 
 
 class TestMixture:
+    """The blockage blend, `scenario._blockage_blend`, of a link's LOS and
+    NLOS values; `LinkSpec` is where p_los and nlos_mean_snr are checked."""
+
+    LOS = RicianShadowedParams(m=2.0, xi=1.0, sigma2=0.5, mean_snr=10.0)
+
+    def _blend(self, p_los, f_los, f_nlos):
+        rx = LinkSpec(fading=self.LOS, p_los=p_los, nlos_mean_snr=1.0)
+        by_mean = {10.0: f_los, 1.0: f_nlos}
+        got = scenario._blockage_blend(rx, lambda law: by_mean[law.mean_snr])
+        # the same blend of a pair that one call gives
+        assert scenario._blockage_blend(rx, None, lambda: (f_los, f_nlos)) == got
+        return got
+
     def test_blend(self):
-        assert mixture_cdf(0.25, 0.8, 0.4) == pytest.approx(0.25 * 0.8 + 0.75 * 0.4)
-        assert mixture_cdf(1.0, 0.8, 0.4) == 0.8
-        assert mixture_cdf(0.0, 0.8, 0.4) == 0.4
+        assert self._blend(0.25, 0.8, 0.4) == pytest.approx(0.25 * 0.8 + 0.75 * 0.4)
+        assert self._blend(1.0, 0.8, 0.4) == 0.8
+        assert self._blend(0.0, 0.8, 0.4) == 0.4
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            mixture_cdf(1.3, 0.5, 0.5)
-        with pytest.raises(ParameterError):
-            mixture_cdf(0.5, 1.7, 0.5)
+        for p_los in (1.3, -0.1, math.nan):
+            with pytest.raises(ParameterError, match="p_los"):
+                LinkSpec(fading=self.LOS, p_los=p_los, nlos_mean_snr=1.0)
+        for nlos in (0.0, -1.0, math.nan):
+            with pytest.raises(ParameterError, match="nlos_mean_snr"):
+                LinkSpec(fading=self.LOS, p_los=0.5, nlos_mean_snr=nlos)

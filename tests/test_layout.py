@@ -3,8 +3,9 @@ one site in the package, behind the one acceptance rule (`fading._quad`),
 and the scenario layer reaches the oracle only through public routes.
 Both receiver laws integrate one kappa-mu shadowed density, whose 1F1 is
 called at one site; the double model's Gauss 2F1 density lives only in
-the tests.  The quadrature capacities and outages reach no closed-form
-kernel: the methods stay independent."""
+the tests.  A blockage link's LOS/NLOS blend is written once.  The
+quadrature capacities and outages reach no closed-form kernel: the
+methods stay independent."""
 
 import ast
 import fnmatch
@@ -45,6 +46,22 @@ def test_one_density_call_site_and_no_2f1():
     defs = _definitions()
     for route in ("dksm_cdf", "rician_shadowed_cdf_integral"):
         assert "_kappa_mu_shadowed_pdf_scalar" in _reachable([route], defs), route
+
+
+def test_one_blockage_blend():
+    # the LOS/NLOS blend p_los V_LOS + (1 - p_los) V_NLOS is written once,
+    # for every analytic route; the helpers that wrote it elsewhere are gone
+    sites = []
+    for path in sorted(Path(jamsec.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                        and isinstance(node.left, ast.Constant) and node.left.value == 1.0
+                        and "p_los" in ast.unparse(node.right)):
+                    sites.append((path.name, getattr(stmt, "name", "<module>")))
+    assert sites == [("scenario.py", "_blockage_blend")], sites
+    defs = _definitions()
+    assert [n for n in ("mixture_cdf", "_rician_outage_quadrature", "big_k") if n in defs] == []
 
 
 def test_scenario_imports_no_integrator_or_private_fading_name():

@@ -15,7 +15,7 @@ import yaml
 
 from jamsec import cli, scenario, secrecy
 from jamsec.errors import ParameterError
-from jamsec.fading import GammaSnrParams, SamplerSeed, gamma_cdf, mixture_cdf
+from jamsec.fading import GammaSnrParams, SamplerSeed, gamma_cdf
 from jamsec.montecarlo import LinkSpec, estimate_capacity, simulate_eve_sinr
 from jamsec.scenario import (
     _YAML_LOADER,
@@ -542,8 +542,8 @@ class TestReceiverMemo:
                 for zeta in sc.zeta_db:
                     th = secrecy.db_to_linear(zeta)
                     nlos = replace(rx.fading, mean_snr=rx.nlos_mean_snr)
-                    want = mixture_cdf(rx.p_los, secrecy.rician_shadowed_cdf(rx.fading, th),
-                                       secrecy.rician_shadowed_cdf(nlos, th))
+                    want = (rx.p_los * secrecy.rician_shadowed_cdf(rx.fading, th)
+                            + (1.0 - rx.p_los) * secrecy.rician_shadowed_cdf(nlos, th))
                     got = scenario._rician_outage_closed_form(rx, th)
                     worst = max(worst, abs(got - want) / want)
         assert worst <= 4e-16

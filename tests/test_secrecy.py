@@ -286,6 +286,18 @@ class TestReceiverCapacity:
         assert capacity_receiver_quadrature(p) == pytest.approx(
             self.LARGE_S[mean], rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("mean", LARGE_S)
+    def test_series_at_large_s(self, mean):
+        # on the contour |Gamma(s+mu+t)| <= Gamma(s-1/2), so the kernel's
+        # other four gammas bound its tail: |tau|^(s+mu-2) e^(-2 pi |tau|)
+        # alone would ask for 1.5 million nodes at s = 1e5
+        cache = {}
+        p = DoubleKappaMuShadowedParams(c=5.0, s=1e5, mu=3.0, kappa=10.0, mean_snr=mean)
+        assert capacity_receiver_series(p, cache) == pytest.approx(
+            self.LARGE_S[mean], rel=1e-9, abs=0.0)
+        nodes = [len(t) for _, t, _, _ in cache.values()]
+        assert nodes and max(nodes) <= 20_000, nodes
+
     def test_exponential_limit(self):
         # shadowing off, kappa -> 0, mu = 1: mean capacity of a Rayleigh
         # channel at unit mean SNR is e * E1(1) / ln 2
