@@ -43,8 +43,9 @@ __all__ = [
     "gamma_cdf_integral",
 ]
 
-_LN_WINDOW_TOL = math.log(1e-17)  # what _ln_window_sum may leave out, relative to the sum
-_LN_CHUNK = 2.0**16  # widest block of terms _ln_window_sum builds at once
+_PMF_TOL = 1e-20  # pmf mass `_pmf_mixture` may leave out, relative to its window's
+_PMF_BLOCK = 2.0**16  # widest block of terms `_pmf_mixture` steps at once
+_NB_SPREAD_MAX = 1e3  # NB spread from which the Rician CDF may sum over the Poisson side
 _U_MAX = 700.0  # |u| bound of the quadratures in u = ln(gamma): exp(u) stays normal
 
 
@@ -66,51 +67,64 @@ def _quad(f, a, b, tol, message, **options) -> float:
     return val
 
 
-def _ln_window_sum(ln_terms, ratio_sup, peak, spread) -> np.ndarray:
-    """ln sum_k t_k of positive series, one per `peak`, summed in log space
-    over a window around the peak (Ding, Appl. Stat. 41, 1992).
-    ln_terms(rows, k) is ln t_k of series `rows` at integers k, one row
-    each; ratio_sup(rows, k) bounds t_{j+1}/t_j for all j >= k.  The terms
-    peak once, maybe after a dip, so over [0, lo] they are largest at 0 or
-    lo unless the window's maximum is at lo.  A window starts 20 spreads
-    wide and doubles until the tail above it, at most t_hi r/(1-r), and
-    the head below, at most lo max(t_0, t_lo), are _LN_WINDOW_TOL below
-    its sum: no term budget.  A doubled window adds only its new columns,
-    on either side of the old, to the running maximum and sum, _LN_CHUNK
-    columns at a time, so memory stays rows x _LN_CHUNK.  A row's windows
-    depend on its own inputs."""
-    peak = np.floor(peak)
-    out = np.empty(peak.shape)
-    width = 2.0 ** np.ceil(np.log2(np.maximum(32.0, 20.0 * spread)))  # inf once done
-    summed = np.zeros(peak.shape)  # width of the window already summed
-    top = np.full(peak.shape, -np.inf)  # ln of the largest term so far
-    acc = np.zeros(peak.shape)  # the sum so far over exp(shift)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while (w := width.min(initial=np.inf)) < np.inf:
-            at_w = width == w
-            done = summed[at_w].max()  # rows that doubled into w, then fresh ones
-            rows = np.nonzero(at_w & (summed == done))[0]
-            lo = np.maximum(peak[rows] - w // 2, 0.0)
-            # new columns below the summed window, then above it
-            below = (np.maximum(peak[rows] - done // 2, 0.0) - lo)[:, None] if done else np.inf
-            t, a = top[rows], acc[rows]
-            for j in np.arange(0.0, w - done, _LN_CHUNK):
-                cols = np.arange(j, min(j + _LN_CHUNK, w - done))
-                lt = ln_terms(rows, lo[:, None] + np.where(cols < below, cols, cols + done))
-                prev, t = t, np.maximum(t, lt.max(axis=1))
-                # every term underflowed: the sum is 0
-                shift = np.where(np.isfinite(t), t, 0.0)
-                a = a * np.exp(prev - shift) + np.exp(lt - shift[:, None]).sum(axis=1)
-            top[rows], acc[rows], summed[rows] = t, a, w
-            out[rows] = shift + np.log(a)
-            r = ratio_sup(rows, lo + (w - 1.0))
-            left_out = np.where(r < 1.0, lt[:, -1] + np.log(r / (1.0 - r)), np.inf)
-            if lo.any():
-                ends = ln_terms(rows, np.stack((np.zeros(rows.size), lo), axis=1))
-                left_out = np.maximum(left_out, np.log(lo) + ends.max(axis=1))
-            # a NaN sum ends too
-            width[rows] = np.where(left_out > out[rows] + _LN_WINDOW_TOL, 2.0 * w, np.inf)
-    return out
+def _pmf_mixture(mode, ratio, spread, values) -> np.ndarray:
+    """sum_k t_k v_k / sum_k t_k per row: bounded values v_k mixed by a
+    unimodal pmf t_k on k >= 0 (negative binomial or Poisson), one row
+    each.  ratio(rows, k) is t_(k+1)/t_k at integers k, monotone in k, and
+    `mode` the rows' modes.  t starts at 1 on the mode and steps out by its
+    ratio, so no pmf constant is formed: the normalisation cancels it and
+    the seed's rounding.  Each side steps in blocks, the first 20 `spread`s
+    wide (at least 32), doubling up to _PMF_BLOCK terms, and stops once
+    what it leaves out is within _PMF_TOL of the window's mass: at most
+    t_hi r/(1-r) above, with r the ratio past hi (its value there or as
+    k -> inf), and lo t_lo below.  The windows depend on the pmf alone, so
+    values(k_max) is called once they are known, with the largest k they
+    reach, and returns v(rows, k).  The blocks are kept for the values up
+    to _PMF_BLOCK terms a row and stepped again past that, so memory stays
+    rows x _PMF_BLOCK.  A row's blocks depend on its own inputs and
+    `spread`."""
+    mode, n = np.floor(mode), mode.size
+    first = 2.0 ** math.ceil(math.log2(min(max(32.0, 20.0 * spread), _PMF_BLOCK)))
+    r_inf = ratio(np.arange(n), np.full((n, 1), 2.0**62))[:, 0]
+
+    def blocks():  # (rows, k, t) over every row's window, the mode first
+        lo, hi, t_lo, t_hi, mass = mode.copy(), mode.copy(), np.ones(n), np.ones(n), np.ones(n)
+        yield np.arange(n), mode[:, None], np.ones((n, 1))
+        up, down, w = np.arange(n), np.nonzero(lo > 0.0)[0], first
+        while up.size or down.size:
+            cols = np.arange(1.0, w + 1.0)
+            if up.size:
+                k = hi[up, None] + cols
+                r = ratio(up, k - 1.0)
+                t = t_hi[up, None] * np.cumprod(r, axis=1)
+                yield up, k, t
+                mass[up] += t.sum(axis=1)
+                hi[up], t_hi[up] = k[:, -1], t[:, -1]
+                r = np.maximum(r[:, -1], r_inf[up])  # past hi, as the ratio is monotone
+                up = up[(r >= 1.0) | (t_hi[up] * r > _PMF_TOL * mass[up] * (1.0 - r))]
+            if down.size:
+                k = np.maximum(lo[down, None] - cols, 0.0)  # t = 0 below k = 0
+                t = t_lo[down, None] * np.cumprod(
+                    np.where(cols <= lo[down, None], 1.0 / ratio(down, k), 0.0), axis=1)
+                yield down, k, t
+                mass[down] += t.sum(axis=1)
+                last = np.minimum(lo[down], w).astype(int) - 1
+                lo[down], t_lo[down] = lo[down] - last - 1.0, t[np.arange(down.size), last]
+                down = down[(lo[down] > 0.0) & (lo[down] * t_lo[down] > _PMF_TOL * mass[down])]
+            w = min(2.0 * w, _PMF_BLOCK)
+
+    kept, size, k_max = [], 0, 0.0
+    for block in blocks():
+        size += block[2].shape[1]
+        k_max = max(k_max, float(block[1].max(initial=0.0)))
+        if size <= _PMF_BLOCK:
+            kept.append(block)
+    value = values(k_max)
+    num, den = np.zeros(n), np.zeros(n)
+    for rows, k, t in kept if size <= _PMF_BLOCK else blocks():
+        num[rows] += (t * value(rows, k)).sum(axis=1)
+        den[rows] += t.sum(axis=1)
+    return num / den
 
 
 @dataclass(frozen=True)
@@ -335,35 +349,33 @@ def dksm_sample(p: DoubleKappaMuShadowedParams, seed: SamplerSeed, n: int) -> np
 
 def rician_shadowed_cdf(p: RicianShadowedParams, gamma):
     """CDF as the negative-binomial mixture of Gamma CDFs (Abdi et al.,
-    IEEE TWC 2(3), 2003), sum_i NB(m, rho)_i P(i + 1, x) at
-    x = gamma / (2 sigma2 mean_snr), by one `_ln_window_sum`: it holds as
-    rho -> 1, where the NB mass moves out to i ~ m rho / (1 - rho).  The
-    terms are log-concave (m >= 1) or falling (m < 1).  Vectorized over
-    gamma."""
+    IEEE TWC 2(3), 2003), F = sum_i NB(m, rho)_i P(i + 1, x) at
+    x = gamma / (2 sigma2 mean_snr), by one `_pmf_mixture`.  As rho -> 1
+    the NB mass spreads over ~sqrt(m rho) / (1 - rho) terms; once that is
+    over _NB_SPREAD_MAX and sqrt(x) is narrower, the same F is summed over
+    the Poisson count of mean x instead, F = P(Pois(x) > NB) =
+    sum_k Pois(x)_k I_(1-rho)(m, k), the NB CDF at k - 1.  Vectorized over
+    gamma; a Poisson-side threshold is summed on its own."""
     g = np.asarray(gamma, dtype=float)
     scalar = g.ndim == 0
     g = np.atleast_1d(g)
-    if not np.all(g >= 0):  # NaN too: it has no window
+    if not np.all(g >= 0):  # NaN too
         raise ParameterError("gamma must be non-negative")
-    m, rho = p.m, p.los_fraction
-    # ln(1 - rho) and ln(rho) from their own ratios, as in the density
-    ln_rest = math.log(p.scatter_fraction)
-    ln_rho = -math.log1p(2.0 * p.sigma2 * m / p.xi)
-    ln_nb0 = m * ln_rest - sc.gammaln(m)
+    m, rho, rest = p.m, p.los_fraction, p.scatter_fraction
     x = g / (2.0 * p.sigma2 * p.mean_snr)
-    pos = np.nonzero(x > 0)[0]  # F(0) = 0
-    xp = x[pos]
-
-    def ln_terms(rows, i):
-        return (ln_nb0 + sc.gammaln(m + i) - sc.gammaln(i + 1.0) + i * ln_rho
-                + np.log(sc.gammainc(i + 1.0, xp[rows, None])))
-
-    def ratio_sup(rows, i):  # P(i+2, x) / P(i+1, x) <= x / (i+2)
-        return rho * np.maximum((m + i) / (i + 1.0), 1.0) * np.minimum(xp[rows] / (i + 2.0), 1.0)
-
-    peak = np.minimum(xp, max(m - 1.0, 0.0) * math.exp(ln_rho - ln_rest))  # the NB mode
-    out = np.zeros_like(x)
-    out[pos] = np.exp(_ln_window_sum(ln_terms, ratio_sup, peak, np.sqrt(peak)))
+    spread = math.sqrt(m * rho) / rest
+    out = np.zeros_like(x)  # F(0) = 0
+    poisson = (spread > _NB_SPREAD_MAX) & (np.sqrt(x) < spread)
+    for i in np.nonzero((x > 0) & poisson)[0]:
+        lam = x[i]  # the Poisson mean
+        out[i] = _pmf_mixture(np.array([lam]), lambda rows, k: lam / (k + 1.0), math.sqrt(lam),
+                              lambda _: lambda rows, k: np.where(
+                                  k > 0, sc.betainc(m, np.maximum(k, 1.0), rest), 0.0))[0]
+    nb = np.nonzero((x > 0) & ~poisson)[0]
+    xn = x[nb]
+    out[nb] = _pmf_mixture(np.full(nb.size, max(m - 1.0, 0.0) * rho / rest),
+                           lambda rows, i: rho * (m + i) / (i + 1.0), spread,
+                           lambda _: lambda rows, i: sc.gammainc(i + 1.0, xn[rows, None]))
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
 

@@ -38,7 +38,7 @@ from .fading import (
     GammaSnrParams,
     RicianShadowedParams,
     _gamma_pdf_scalar,
-    _ln_window_sum,
+    _pmf_mixture,
     _quad,
     gamma_cdf,
     gamma_cdf_integral,
@@ -407,42 +407,24 @@ def _expansion_sum(nu_i, beta_i, nu_j, beta_j) -> float:
     (z+m)^(-e) = sum_k (e)_k/k! (M-m)^k (z+M)^(-e-k): row j sums
     (m/M)^p (e)_k/k! rho^k S~_(j+nu_J+k)(M) over k >= 0, rho = 1 - m/M,
     with (e, p) = (nu_J, nu_J) when beta_I is the larger rate and
-    (j, j - 1) when beta_J is.  The terms are positive and, as
-    S_(n+1)(M) <= S_n(M) / M, their ratio is at most (e+k)/(k+1) rho: the
-    tail bound of `fading._ln_window_sum`.  ln S~_n(M) comes from one
-    `_scaled_en` table, rebuilt at twice the length when a window outgrows
-    it."""
+    (j, j - 1) when beta_J is.  That is (m/M)^(p-e) times the mean of
+    S~_(j+nu_J+k)(M), which falls with k, under the negative binomial
+    NB(e, rho): one `fading._pmf_mixture` row per j, over one `_scaled_en`
+    table as long as the windows need."""
     m, big_m = sorted((beta_i, beta_j))
     rho = (big_m - m) / big_m
     j = np.arange(1.0, nu_i + 1)
-    e, p = (np.full(nu_i, float(nu_j)), nu_j) if beta_i >= beta_j else (j, j - 1.0)
-    lead = p * _ln_ratio(m, big_m) - sc.gammaln(e)
-    ln_s = np.empty(0)  # ln S~_n(M) at n - 1
+    e = np.full(nu_i, float(nu_j)) if beta_i >= beta_j else j
 
-    def ln_terms(rows, k):
-        nonlocal ln_s
-        n = (j[rows, None] + nu_j + k).astype(int)
-        n_max = int(n.max())
-        if n_max > ln_s.size:
-            ln_s = np.log(_scaled_en(big_m, max(n_max, 2 * ln_s.size)))
-        return (lead[rows, None] + sc.gammaln(e[rows, None] + k) - sc.gammaln(k + 1.0)
-                + sc.xlogy(k, rho) + ln_s[n - 1])
+    def values(k_max):
+        s = np.array(_scaled_en(big_m, nu_i + nu_j + int(k_max)))
+        return lambda rows, k: s[(j[rows, None] + (nu_j - 1) + k).astype(int)]
 
-    # the terms follow the negative binomial NB(e, rho) at large n
-    peak = np.maximum((e - 1.0) * rho / (1.0 - rho), 0.0)
-    spread = np.sqrt(e * rho) / (1.0 - rho)
-    ln_rows = _ln_window_sum(ln_terms, lambda rows, k: (e[rows] + k) / (k + 1.0) * rho,
-                             peak, spread)
-    top = float(ln_rows.max())
-    total = float(np.sum(np.exp(ln_rows - top)))
-    return math.exp(top + math.log(total)) if total > 0.0 else 0.0
-
-
-def _ln_ratio(a, b) -> float:
-    """ln(a / b) from the quotient while it is a normal double: the
-    difference of two large logs would cost their size in ulps."""
-    q = a / b
-    return math.log(q) if 1e-300 < q < 1e300 else math.log(a) - math.log(b)
+    rows = _pmf_mixture(np.maximum(e - 1.0, 0.0) * rho / (1.0 - rho),
+                        lambda rows, k: rho * (e[rows, None] + k) / (k + 1.0),
+                        math.sqrt(e.max() * rho) / (1.0 - rho), values)
+    total = math.fsum(rows)
+    return total if beta_i >= beta_j else total * (big_m / m)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ import numpy as np
 import scipy.special as sc
 from scipy.special import cython_special
 
-from jamsec import fading
 from jamsec.errors import ParameterError
 from jamsec.fading import _U_MAX, _log_floor, _quad
 
@@ -38,6 +37,7 @@ _HEAD_SEGMENTS = 96  # dksm_cdf_at_sorted panels below the first grid point
 _LN2 = math.log(2.0)
 # largest 2F1 factor that the densities multiply by exp(ln_pdf) directly
 HYP_DIRECT_MAX = 1e4
+_FIRST_SPREADS = 20.0  # width of ln_hyp2f1_series's first window, in spreads
 
 
 def dksm_ln_amp(p) -> float:
@@ -115,39 +115,43 @@ def _ln_poch(x: float, k):
 
 
 def ln_hyp2f1_series(a, b, c, z) -> np.ndarray:
-    """ln 2F1(a, b; c; z), a, b, c > 0, at an array of 0 < z < 1 by one
-    `fading._ln_window_sum` of the positive power series.  The term ratio
+    """ln 2F1(a, b; c; z), a, b, c > 0, at each of an array of 0 < z < 1,
+    by its positive power series summed in log space over a window around
+    the terms' peak (Ding, Appl. Stat. 41, 1992).  The term ratio
     (a+k)(b+k)z / ((c+k)(1+k)) exceeds 1 only between the roots of a
     downward parabola, so the terms may dip, then peak at the larger root;
-    they spread like a negative binomial's, then fall at rate z."""
-    z = np.asarray(z, dtype=float)
-    qa, qb, qc = 1.0 - z, c + 1.0 - z * (a + b), c - z * a * b
-    disc = qb * qb - 4.0 * qa * qc
-    peak = np.where(disc > 0, np.maximum((np.sqrt(np.abs(disc)) - qb) / (2.0 * qa), 0.0), 0.0)
-    lnz = np.log(z)
-
-    def ln_t(k, lz):
-        return _ln_poch(a, k) + _ln_poch(b, k) - _ln_poch(c, k) - sc.gammaln(k + 1.0) + k * lz
-
-    def ln_terms(rows, k):
-        # log-gammas at the first k, then the cumulative log term ratios:
-        # all positive, so nothing cancels.  Where k jumps over a doubled
-        # window's old columns, the step is a difference of log-gamma terms
-        kk, lz = k[:, :-1], lnz[rows, None]
-        steps = np.log((a + kk) * (b + kk) / ((c + kk) * (1.0 + kk))) + lz
-        if np.any(k[:, -1] - k[:, 0] > k.shape[1] - 1):
-            jump = k[:, 1:] > kk + 1.0
-            lzj = np.broadcast_to(lz, jump.shape)[jump]
-            steps[jump] = ln_t(k[:, 1:][jump], lzj) - ln_t(kk[jump], lzj)
-        return ln_t(k[:, :1], lz) + np.concatenate(
-            (np.zeros((k.shape[0], 1)), np.cumsum(steps, axis=1)), axis=1)
-
-    def ratio_sup(rows, k):  # past k, (a+k)/(c+k) and (b+k)/(1+k) stay on one side of 1
-        return z[rows] * np.maximum((a + k) / (c + k), 1.0) * np.maximum((b + k) / (1.0 + k), 1.0)
-
-    spread = np.sqrt(peak * (1.0 + peak / b)) - 2.0 / lnz
-    # looked up on the module, so a test that rebinds the window sum reaches it
-    return fading._ln_window_sum(ln_terms, ratio_sup, peak, spread)
+    they spread like a negative binomial's, then fall at rate z.  A window
+    starts _FIRST_SPREADS spreads wide and doubles until the tail above it,
+    at most t_hi r/(1-r) with r the ratio's bound past it, and the head
+    below, at most lo max(t_0, t_lo), are within 1e-17 of its sum."""
+    out = []
+    for v in np.asarray(z, dtype=float):
+        qa, qb, qc = 1.0 - v, c + 1.0 - v * (a + b), c - v * a * b
+        disc = qb * qb - 4.0 * qa * qc
+        peak = math.floor(max((math.sqrt(disc) - qb) / (2.0 * qa), 0.0)) if disc > 0 else 0.0
+        lz = math.log(v)
+        spread = math.sqrt(peak * (1.0 + peak / b)) - 2.0 / lz
+        w = 2.0 ** math.ceil(math.log2(max(32.0, _FIRST_SPREADS * spread)))
+        while True:
+            lo = max(peak - w // 2, 0.0)
+            k = lo + np.arange(w - 1.0)
+            # a log-gamma term at lo, then the cumulative log term ratios:
+            # all positive, so nothing cancels
+            lt = (_ln_poch(a, lo) + _ln_poch(b, lo) - _ln_poch(c, lo) - sc.gammaln(lo + 1.0)
+                  + lo * lz + np.concatenate(
+                      ([0.0], np.cumsum(np.log((a + k) * (b + k) / ((c + k) * (1.0 + k))) + lz))))
+            top = lt.max()
+            total = top + math.log(np.exp(lt - top).sum())
+            hi = lo + w - 1.0  # past hi, (a+k)/(c+k) and (b+k)/(1+k) stay on one side of 1
+            r = v * max((a + hi) / (c + hi), 1.0) * max((b + hi) / (1.0 + hi), 1.0)
+            left = lt[-1] + math.log(r / (1.0 - r)) if r < 1.0 else math.inf
+            if lo:  # t_0 = 1
+                left = max(left, math.log(lo) + max(0.0, lt[0]))
+            if left <= total + math.log(1e-17):
+                break
+            w *= 2.0
+        out.append(total)
+    return np.array(out)
 
 
 def dksm_pdf(p, gamma):

@@ -208,40 +208,34 @@ class TestLogSpace2F1:
 
 
 class TestWindowSum:
-    """`_ln_window_sum` carries a doubled window's sum and evaluates only
-    the columns it adds, on either side of the old window."""
-
-    @staticmethod
-    def narrowed(monkeypatch):
-        # every other row starts 64 times too narrow, so it doubles back
-        # past its usual width while its neighbours do not
-        real = fading._ln_window_sum
-
-        def narrow(ln_terms, ratio_sup, peak, spread):
-            return real(ln_terms, ratio_sup, peak,
-                        spread / np.where(np.arange(peak.size) % 2, 64.0, 1.0))
-
-        monkeypatch.setattr(fading, "_ln_window_sum", narrow)
+    """Windows that start narrower double to the same sums: the test
+    reference's log-space `ks_reference.ln_hyp2f1_series`, and
+    `fading._pmf_mixture`, which carries each block's edge into the next."""
 
     def test_log_space_2f1(self, monkeypatch):
-        # the 2F1 terms come from cumulative ratios, which must step over
-        # the old window where the new columns jump it.  A narrow window
-        # starts its ratios at a log-gamma term of k in the hundreds, not
-        # at k = 0, so its sum carries ~1e-13 more rounding
+        # a window 64 times narrower starts its cumulative ratios at a
+        # log-gamma term of k in the hundreds, not at k = 0, so its sum
+        # carries ~1e-13 more rounding
         z = 1.0 - np.geomspace(1e-3, 0.5, 8)
         for a, b, c in ((0.05, 200.0, 193.3), (5.0, 200.0, 52.0), (60.0, 70.0, 0.6)):
             want = ks_reference.ln_hyp2f1_series(a, b, c, z)
-            self.narrowed(monkeypatch)
+            monkeypatch.setattr(ks_reference, "_FIRST_SPREADS", 20.0 / 64.0)
             np.testing.assert_allclose(ks_reference.ln_hyp2f1_series(a, b, c, z), want,
                                        rtol=1e-12, atol=0.0)
             monkeypatch.undo()
 
     def test_rician_cdf(self, monkeypatch):
+        # first blocks 64 spreads narrower: both sides of the NB and the
+        # Poisson windows step out in more, doubling blocks
         g = np.geomspace(1e-3, 2e3, 9)
-        for m, xi, sigma2 in ((0.5, 1000.0, 0.001), (19.4, 1.29, 0.158), (2.0, 50.0, 0.01)):
+        real = fading._pmf_mixture
+        for m, xi, sigma2 in ((0.5, 1000.0, 0.001), (19.4, 1.29, 0.158), (2.0, 50.0, 0.01),
+                              (19.4, 50.0, 0.01)):
             p = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2, mean_snr=1.0)
             want = rician_shadowed_cdf(p, g)
-            self.narrowed(monkeypatch)
+            monkeypatch.setattr(fading, "_pmf_mixture",
+                                lambda mode, ratio, spread, values:
+                                real(mode, ratio, spread / 64.0, values))
             np.testing.assert_allclose(rician_shadowed_cdf(p, g), want, rtol=1e-14, atol=0.0)
             monkeypatch.undo()
 
@@ -542,39 +536,93 @@ class TestRicianShadowed:
             rician_shadowed_cdf_integral(p, 20.0), rel=1e-11, abs=0.0)
 
     def test_cdf_wide_window_memory(self, monkeypatch):
-        # x = 1e6 against 1/(1 - rho) = 1e6: the window doubles to 2^20
-        # terms, summed in 2^16-term blocks (3 MB); the last doubling adds
-        # 2^19 columns, and as one block their log-terms and temporaries
-        # peak at ~22 MB
-        p = RicianShadowedParams(m=0.5, xi=1000.0, sigma2=0.001, mean_snr=1.0)
+        # 1/(1 - rho) = 1e8 against x = 1e9: the Poisson side's window
+        # spans ~6e5 terms, stepped in 2^16-term blocks (~5 MB at peak);
+        # stepped 2^19 at a time its terms, values and temporaries peak at
+        # ~33 MB
+        p = RicianShadowedParams(m=0.5, xi=1e5, sigma2=0.001, mean_snr=1.0)
         tracemalloc.start()
         try:
-            val = rician_shadowed_cdf(p, 2000.0)
+            val = rician_shadowed_cdf(p, 2e6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
-        monkeypatch.setattr("jamsec.fading._LN_CHUNK", 2.0**21)
-        assert val == pytest.approx(rician_shadowed_cdf(p, 2000.0), rel=0.0, abs=1e-12)
+        monkeypatch.setattr("jamsec.fading._PMF_BLOCK", 2.0**19)
+        assert val == pytest.approx(rician_shadowed_cdf(p, 2e6), rel=1e-14, abs=0.0)
 
     def test_doubled_window_evaluates_each_column_once(self, monkeypatch):
-        # x = 1e7 against 1/(1 - rho) = 1e6: the window starts 32 terms wide
-        # at peak 0 and doubles to 2^24.  A doubled window evaluates only
-        # the columns it adds, so the terms seen are the final width plus
-        # at most one block; evaluating each window whole sees ~2^25
+        # x = 1e7 against 1/(1 - rho) = 1e6: the NB side would span ~4e7
+        # terms, so the sum runs over the Poisson count's ~20 sqrt(x) ones.
+        # The windows are found from the pmf, then each value is
+        # evaluated once: the 2^16-term first block on either side
         p = RicianShadowedParams(m=0.5, xi=1000.0, sigma2=0.001, mean_snr=1.0)
-        real, seen = fading._ln_window_sum, []
+        real, seen = fading._pmf_mixture, []
 
-        def counted(ln_terms, ratio_sup, peak, spread):
-            def terms(rows, k):
-                seen.append(k.size)
-                return ln_terms(rows, k)
-            return real(terms, ratio_sup, peak, spread)
+        def counted(mode, ratio, spread, values):
+            def counting(k_max):
+                value = values(k_max)
 
-        monkeypatch.setattr(fading, "_ln_window_sum", counted)
+                def v(rows, k):
+                    seen.append(k.ravel())
+                    return value(rows, k)
+                return v
+            return real(mode, ratio, spread, counting)
+
+        monkeypatch.setattr(fading, "_pmf_mixture", counted)
         val = rician_shadowed_cdf(p, 2e4)
-        assert 2**23 < sum(seen) <= 2**24 + 2**16
+        k = np.concatenate(seen)
+        assert np.unique(k).size == k.size <= 2**17 + 1
         assert val == pytest.approx(rician_shadowed_cdf_integral(p, 2e4), rel=1e-11, abs=0.0)
+
+    # 45-digit mpmath, by the Poisson-side sum sum_k Pois(x)_k I_(1-rho)(m, k)
+    # and its complement sum_k Pois(x)_k I_rho(k, m)
+    F_0315 = ((2.59, 320.0, 0.00113, 1.62), 325.0, 0.3150244277045993099949)
+    NEAR_ONE = ((23.8, 88.5, 0.00503, 0.116), 67.1)  # 1 - F = 3.0123e-40
+
+    def test_cdf_against_mpmath(self):
+        law, g, want = self.F_0315
+        assert rician_shadowed_cdf(RicianShadowedParams(*law), g) == pytest.approx(
+            want, rel=1e-14, abs=0.0)
+
+    def test_cdf_rounds_to_one(self):
+        law, g = self.NEAR_ONE
+        assert rician_shadowed_cdf(RicianShadowedParams(*law), g) == 1.0
+
+    def test_cdf_extreme_law(self):
+        # 1 - rho = 1e-6 at x = 1e7, where the NB window once held 2^24
+        # terms, each with its own gammainc call
+        p = RicianShadowedParams(m=0.5, xi=1000.0, sigma2=0.001, mean_snr=1.0)
+        want = rician_shadowed_cdf_integral(p, 2e4)
+        t0 = time.perf_counter()
+        got = rician_shadowed_cdf(p, 2e4)
+        assert time.perf_counter() - t0 < 0.1
+        assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    # the extreme law: 1 - rho = 1e-6, thresholds up to x = 1e7
+    @example(m=math.log(0.5), xi=math.log(1000.0), sigma2=math.log(0.001), mean=0.0,
+             lowest=math.log10(2e4 / 1000.002) - 4.0, spacing=1.0)
+    @given(m=st.floats(math.log(0.1), math.log(100.0)),
+           xi=st.floats(math.log(1e-4), math.log(1e3)),
+           sigma2=st.floats(math.log(1e-3), math.log(1.0)),
+           mean=st.floats(math.log(1e-2), math.log(1e6)),
+           lowest=st.floats(-8.0, -1.0), spacing=st.floats(0.5, 1.0))
+    def test_properties(self, m, xi, sigma2, mean, lowest, spacing):
+        # over decades of each parameter, five thresholds 10^spacing apart
+        # from 10^lowest of the distribution mean: F in [0, 1],
+        # non-decreasing, each row as it is alone, each call under 0.25 s
+        p = RicianShadowedParams(m=math.exp(m), xi=math.exp(xi), sigma2=math.exp(sigma2),
+                                 mean_snr=math.exp(mean))
+        g = p.mean_snr * (p.xi + 2.0 * p.sigma2) * 10.0 ** (lowest + spacing * np.arange(5))
+        vals = []
+        for v in g:
+            t0 = time.perf_counter()
+            vals.append(rician_shadowed_cdf(p, v))
+            assert time.perf_counter() - t0 < 0.25
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert vals == sorted(vals)
+        assert rician_shadowed_cdf(p, g).tolist() == vals
 
     def test_sampler(self):
         p = RicianShadowedParams(m=2.0, xi=1.5, sigma2=0.25, mean_snr=2.0)

@@ -139,9 +139,9 @@ def test_quadrature_capacities_reach_no_closed_form_kernel():
             "_expansion_sum"} <= closed
 
 
-# the closed-form outage kernels: the Rician NB sum and its log-space
-# window, the SINR CDF's finite sum, and the Gamma CDF
-_CLOSED_FORM_OUTAGES = ("rician_shadowed_cdf", "eve_sinr_cdf", "gamma_cdf", "_ln_window_sum")
+# the closed-form outage kernels: the Rician NB sum and the pmf mixture
+# that sums it, the SINR CDF's finite sum, and the Gamma CDF
+_CLOSED_FORM_OUTAGES = ("rician_shadowed_cdf", "eve_sinr_cdf", "gamma_cdf", "_pmf_mixture")
 
 
 def test_quadrature_outages_reach_no_closed_form_kernel():

@@ -15,7 +15,7 @@ import yaml
 
 from jamsec import cli, scenario, secrecy
 from jamsec.errors import ParameterError
-from jamsec.fading import GammaSnrParams, SamplerSeed, gamma_cdf
+from jamsec.fading import GammaSnrParams, RicianShadowedParams, SamplerSeed, gamma_cdf
 from jamsec.montecarlo import LinkSpec, estimate_capacity, simulate_eve_sinr
 from jamsec.scenario import (
     _YAML_LOADER,
@@ -383,6 +383,27 @@ class TestRunScenario:
         a = np.array(_col(table, "outage_e@-2dB#closed-form"))
         b = np.array(_col(table, "outage_e@-2dB#quadrature"))
         np.testing.assert_allclose(a, b, rtol=1e-7)
+
+    def test_closed_form_sweeps_call_no_incomplete_beta(self, monkeypatch):
+        # the Rician CDF sums over the Poisson count, with betainc, only
+        # for laws whose NB weights spread over thousands of terms: every
+        # built-in law stays on the NB side's gammainc, so no sweep pages
+        # in a kernel it did not need before
+        import scipy.special
+
+        calls, real = [], scipy.special.betainc
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scipy.special, "betainc", counted)
+        for fig in ("fig2", "fig3", "fig4", "fig5"):
+            run_scenario(fig, methods=["closed-form"])
+        assert calls == []
+        # the patch is what the Rician CDF calls
+        secrecy.rician_shadowed_cdf(RicianShadowedParams(0.5, 1000.0, 0.001, 1.0), 2e4)
+        assert calls
 
     def test_deterministic_across_workers(self):
         kw = dict(trials=2000, methods=["closed-form", "monte-carlo"])

@@ -533,6 +533,22 @@ class TestEveCapacity:
                 got = capacity_eve_series(p)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (beta_i, beta_j)
 
+    def test_expansion_matches_mgf_quadrature_on_a_seeded_grid(self):
+        # the all-positive expansion's own regime, m/M from 0.3 to 1, with
+        # shapes up to 16 and 64, rates over six decades and either rate
+        # the larger: one NB(e, rho) mixture of S~_n(M) per row
+        rng = np.random.default_rng(31)
+        off = []
+        for _ in range(200):
+            nu_i, nu_j = int(rng.integers(1, 17)), int(rng.integers(1, 65))
+            big, ratio = 10.0 ** rng.uniform(-2.0, 4.0), rng.uniform(0.3, 1.0)
+            rates = (big, big * ratio) if rng.random() < 0.5 else (big * ratio, big)
+            p = EveLinkParams(nu_i, rates[0], nu_j, rates[1])
+            got, want = capacity_eve_series(p), capacity_eve_quadrature(p)
+            if not abs(got - want) <= 1e-14 * want:
+                off.append((p, got, want))
+        assert off == []
+
     @pytest.mark.parametrize("nu_i, nu_j", [(1, 1), (4, 8), (16, 16), (8, 2)])
     @pytest.mark.parametrize("ratio", (0.1, 0.29))
     def test_partial_fractions_only_within_their_condition(self, nu_i, nu_j, ratio):
