@@ -354,8 +354,10 @@ def rician_shadowed_cdf(p: RicianShadowedParams, gamma):
     the NB mass spreads over ~sqrt(m rho) / (1 - rho) terms; once that is
     over _NB_SPREAD_MAX and sqrt(x) is narrower, the same F is summed over
     the Poisson count of mean x instead, F = P(Pois(x) > NB) =
-    sum_k Pois(x)_k I_(1-rho)(m, k), the NB CDF at k - 1.  Vectorized over
-    gamma; a Poisson-side threshold is summed on its own."""
+    sum_k Pois(x)_k I_(1-rho)(m, k), the NB CDF at k - 1.  With so wide
+    an NB, F is 1.0 without a sum where `_rician_tail_ln_bound` puts
+    1 - F below 2^-54.  Vectorized over gamma; a Poisson-side threshold is
+    summed on its own."""
     g = np.asarray(gamma, dtype=float)
     scalar = g.ndim == 0
     g = np.atleast_1d(g)
@@ -365,19 +367,39 @@ def rician_shadowed_cdf(p: RicianShadowedParams, gamma):
     x = g / (2.0 * p.sigma2 * p.mean_snr)
     spread = math.sqrt(m * rho) / rest
     out = np.zeros_like(x)  # F(0) = 0
+    todo = x > 0
+    if spread > _NB_SPREAD_MAX:  # the sums are long: skip those that round to 1
+        one = _rician_tail_ln_bound(m, rest, x) < -54.0 * math.log(2.0)
+        out[one] = 1.0
+        todo &= ~one
     poisson = (spread > _NB_SPREAD_MAX) & (np.sqrt(x) < spread)
-    for i in np.nonzero((x > 0) & poisson)[0]:
+    for i in np.nonzero(todo & poisson)[0]:
         lam = x[i]  # the Poisson mean
         out[i] = _pmf_mixture(np.array([lam]), lambda rows, k: lam / (k + 1.0), math.sqrt(lam),
                               lambda _: lambda rows, k: np.where(
                                   k > 0, sc.betainc(m, np.maximum(k, 1.0), rest), 0.0))[0]
-    nb = np.nonzero((x > 0) & ~poisson)[0]
+    nb = np.nonzero(todo & ~poisson)[0]
     xn = x[nb]
     out[nb] = _pmf_mixture(np.full(nb.size, max(m - 1.0, 0.0) * rho / rest),
                            lambda rows, i: rho * (m + i) / (i + 1.0), spread,
                            lambda _: lambda rows, i: sc.gammainc(i + 1.0, xn[rows, None]))
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
+
+
+def _rician_tail_ln_bound(m: float, rest: float, x: np.ndarray) -> np.ndarray:
+    """ln of a bound on 1 - F = P(Pois(x) <= I), I ~ NB(m, rho), rest =
+    1 - rho: P(I >= k) + P(Pois(x) < k) at k = x/2, each by its Chernoff
+    bound, e^(-k ln(k / (rho (m + k))) + m ln(rest (m + k) / m)) and
+    e^(-x + k + k ln(x / k)).  +inf where k is not above the NB mean
+    m rho / rest, where the first bound does not hold."""
+    k = x / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # ln(k / (rho (m + k))) as a difference of log1p's: both are ~rest
+        nb = (-k * (np.log1p(-m / (m + k)) - math.log1p(-rest))
+              + m * np.log(rest * (m + k) / m))
+        ln = np.logaddexp(nb, -k * (1.0 - math.log(2.0)))
+    return np.where(k * rest > m * (1.0 - rest), ln, np.inf)
 
 
 def rician_shadowed_cdf_integral(p: RicianShadowedParams, gamma: float) -> float:
@@ -394,15 +416,35 @@ def rician_shadowed_cdf_integral(p: RicianShadowedParams, gamma: float) -> float
 
 def rician_shadowed_sample(p: RicianShadowedParams, seed: SamplerSeed,
                            n: int) -> np.ndarray:
-    """Draws via Gamma-shadowed LOS power inside a noncentral chi-square."""
+    """Draws of mean_snr |sqrt(G) + sigma (Z1 + i Z2)|^2: a LOS amplitude
+    of Gamma(m, xi/m) power G plus complex Gaussian scatter of power
+    2 sigma^2 = 2 sigma2 (Abdi et al., IEEE TWC 2(3), 2003).  Given G this
+    is sigma^2 times a noncentral chi-square with 2 degrees of freedom and
+    noncentrality G / sigma^2, as NCchi2_2(lam) = (Z1 + sqrt(lam))^2 + Z2^2:
+    one Gamma and two normal fills, with at most two arrays live.  For
+    m < 1, G = Gamma(m + 1) U^(1/m) (Marsaglia & Tsang, ACM TOMS 26(3),
+    2000), where numpy's Gamma(m) is slowest."""
     if n < 1:
         raise ParameterError("n must be >= 1")
     rng = seed.generator()
-    nonc = rng.gamma(shape=p.m, scale=p.xi / p.m, size=n)  # the LOS power
-    nonc /= p.sigma2
-    power = rng.noncentral_chisquare(df=2.0, nonc=nonc)
-    del nonc  # scaled in place below, with one array live
-    power *= p.sigma2
+    if p.m >= 1.0:
+        power = rng.standard_gamma(p.m, n)
+    else:
+        power = rng.standard_gamma(p.m + 1.0, n)
+        u = rng.random(n)
+        u **= 1.0 / p.m
+        power *= u
+        del u
+    power *= p.xi / p.m
+    np.sqrt(power, out=power)  # the LOS amplitude
+    z = rng.standard_normal(n)
+    z *= math.sqrt(p.sigma2)
+    power += z  # the in-phase part
+    np.square(power, out=power)
+    rng.standard_normal(out=z)  # the quadrature part
+    np.square(z, out=z)
+    z *= p.sigma2
+    power += z
     power *= p.mean_snr
     return power
 

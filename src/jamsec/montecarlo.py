@@ -23,6 +23,18 @@ cell's own standard error is unchanged.  Sample arrays are bit-identical
 for any worker count, with or without a cache.  Shards bound the
 temporaries of one draw.
 
+Sampler identities: each fill is exact in law and the cheapest numpy
+has for it.  A Gamma antenna is `standard_exponential` at nu = 1 and
+`standard_gamma(nu)` otherwise, bit-identical to `gamma(nu, 1.0)`.  A
+LOS-shadowed Rician antenna is |sqrt(G) + sigma (Z1 + i Z2)|^2 with G
+the Gamma LOS power (`rician_shadowed_sample`).  A blockage mixture
+keeps no per-trial coin: the role's coin streams give the LOS count
+n_LOS = #{u < p_los}, and trials [0, n_LOS) are LOS.  The unit draws are
+exchangeable and independent of the coin, so this split has the law of
+a per-trial coin.  The eavesdropper SINR of a jammer-on link is its
+unit SINR V_I / (1 + gamma_J), of the intercept's unit-law sum V_I, times
+the intercept's scale; that is gamma_I / (1 + gamma_J) to an ulp.
+
 Receiver outage is an exact count, not a pass over samples
 (`receiver_outage`, with or without a blockage mixture).  A trial's SNR
 is fl(v * scale) for its unit-law sum v, and rounding is monotone, so
@@ -34,21 +46,25 @@ the one working array it makes.
 
 Memory bound: a caller-owned cache holds one `trials`-length float array
 per distinct (link role, unit law, antenna count) in a run, never the
-per-antenna draws, plus one array of blockage uniforms per link role
-with a blockage mixture: 3 for fig2 (one receiver law per variant, its
-LOS and NLOS branches scaling one sum, and the receiver's coin), 2 for
-fig3 and fig4 (intercept, jammer), and 6 for fig5 (receiver, intercept,
-and the jammer at K = 1, 2, 4, 8).  A sum for K antennas continues the cached sum for
-the most antennas below K, so fig5's jammer draws 8 arrays, not 15.
+per-antenna draws: 2 for fig2 (one receiver law per variant, its LOS
+and NLOS branches scaling one sum), 2 for fig3 and fig4 (intercept,
+jammer), and 6 for fig5 (receiver, intercept, and the jammer at
+K = 1, 2, 4, 8).  A sum for K antennas continues the cached sum for the
+most antennas below K, so fig5's jammer draws 8 arrays, not 15.  A
+blockage link adds one LOS count per (link role, p_los), an integer.
+A jammer-on eavesdropper adds one more array, its unit SINR, held for
+one (intercept unit law, antenna count, jammer link) at a time and
+freed before the next is formed: the variants of fig4 and fig5 each keep
+one jammer across their points, so each point pays one multiply for its
+SINR.
 Receiver outage cells add the sorted copies they count in, made once
 per run per (unit law, antenna count, p_los): a plain link's sorted
-sum, or a blockage link's sum split into its sorted LOS and NLOS trials.
-Of the built-in scenarios only fig2 has such cells, so its cache holds
-5 arrays (2 sorted, each in its LOS and NLOS parts).  The other per-cell
-arrays are transient: an eavesdropper SINR (two arrays while a jammer-on
-one is formed, one kept for the point's outage and capacity cells),
-receiver samples for a capacity estimate, and the estimate's working
-array.
+sum, or a blockage link's sum copied once and sorted in its LOS and
+NLOS slices.  Of the built-in scenarios only fig2 has such cells, so
+its cache holds 4 arrays (2 sums, 2 sorted copies).  The other
+per-cell arrays are transient: an eavesdropper SINR (one kept for the
+point's outage and capacity cells), receiver samples for a capacity
+estimate, and the estimate's working array.
 """
 
 from __future__ import annotations
@@ -81,6 +97,7 @@ __all__ = [
 ]
 
 SHARD_SIZE = 1_000_000
+_COIN_CHUNK = 2**16  # blockage uniforms counted at once
 
 FadingSpec = Union[DoubleKappaMuShadowedParams, GammaSnrParams, RicianShadowedParams]
 
@@ -154,7 +171,10 @@ def _draw(unit: FadingSpec, seed: SamplerSeed, n: int) -> np.ndarray:
         return dksm_sample(unit, seed, n)
     if isinstance(unit, RicianShadowedParams):
         return rician_shadowed_sample(unit, seed, n)
-    return seed.generator().gamma(shape=unit.nu, scale=1.0 / unit.beta, size=n)
+    # the unit law's scale is 1: gamma(nu, 1.0) to the bit, the exponential
+    # (nu = 1) at half the cost
+    rng = seed.generator()
+    return rng.standard_exponential(n) if unit.nu == 1 else rng.standard_gamma(unit.nu, n)
 
 
 def _unit_sum(unit: FadingSpec, base: SamplerSeed, role: int, n_antennas: int,
@@ -196,35 +216,49 @@ def _check_run(link: LinkSpec, trials: int, seed: SamplerSeed) -> None:
         raise ParameterError("seed must be a SamplerSeed")
 
 
-def _coin(role: int, trials: int, seed: SamplerSeed, cache: dict) -> np.ndarray:
-    """The blockage uniforms of a link role, drawn once per run; each cell
-    compares them with its own p_los."""
-    key = ("coin", role, trials, seed)
+def _los_count(role: int, p_los: float, trials: int, seed: SamplerSeed,
+               cache: dict) -> int:
+    """#{trials whose blockage uniform is below p_los}, counted once per
+    run per (link role, p_los) from the role's coin streams, a chunk at a
+    time.  Trials [0, count) of a mixture are LOS: the unit draws are
+    exchangeable and independent of the coin, so the split is exact in law."""
+    key = ("los", role, p_los, trials, seed)
     if key not in cache:
-        cache[key] = np.empty(trials)
+        count = 0
         for k, lo, hi in _shards(trials):
             # the coin's key (role, k) is one index shorter than any antenna's
-            cache[key][lo:hi] = seed.child(role, k).generator().random(hi - lo)
+            rng = seed.child(role, k).generator()
+            for a in range(lo, hi, _COIN_CHUNK):
+                count += int(np.count_nonzero(rng.random(min(_COIN_CHUNK, hi - a)) < p_los))
+        cache[key] = count
     return cache[key]
+
+
+def _scaled(unit_values: np.ndarray, link: LinkSpec, role: int, trials: int,
+            seed: SamplerSeed, cache: dict) -> np.ndarray:
+    """Per-trial values of a link scaled to its law, a new array: the
+    law's scale, or under a blockage mixture the law's scale on the LOS
+    trials and `nlos_mean_snr` on the rest.  Blockage state is common to
+    all antennas of a link (it blocks the path, not individual elements),
+    so both scale one shared sum."""
+    scale = _unit_law(link.fading)[1]
+    if link.p_los is None:
+        return unit_values * scale
+    n = _los_count(role, link.p_los, trials, seed, cache)
+    out = np.empty_like(unit_values)
+    np.multiply(unit_values[:n], scale, out=out[:n])
+    np.multiply(unit_values[n:], link.nlos_mean_snr, out=out[n:])
+    return out
 
 
 def _link_samples(link: LinkSpec, role: int, trials: int, seed: SamplerSeed,
                   cache: Optional[dict]) -> np.ndarray:
     """Per-trial link SNR, a new array: the unit-law antenna sum times the
-    law's scale.  Blockage state is common to all antennas of a link (it
-    blocks the path, not individual elements), so a mixture picks its
-    scale per trial, the law's mean or `nlos_mean_snr`, for one shared
-    sum: exact, because the coin is independent of the draws."""
+    law's scale (`_scaled`)."""
     _check_run(link, trials, seed)
     cache = {} if cache is None else cache
-    unit, scale = _unit_law(link.fading)
-    total = _unit_sum(unit, seed, role, link.antennas, trials, cache)
-    if link.p_los is None:
-        return total * scale
-    out = np.where(_coin(role, trials, seed, cache) < link.p_los, scale, link.nlos_mean_snr)
-    # fl(scale * v) is fl(v * scale): the product is the same either way
-    out *= total
-    return out
+    total = _unit_sum(_unit_law(link.fading)[0], seed, role, link.antennas, trials, cache)
+    return _scaled(total, link, role, trials, seed, cache)
 
 
 def _sorted_unit_sums(link: LinkSpec, trials: int, seed: SamplerSeed,
@@ -232,22 +266,19 @@ def _sorted_unit_sums(link: LinkSpec, trials: int, seed: SamplerSeed,
     """[(sorted unit-law sums, scale), ...] of a receiver link, once per
     run: each trial's SNR is fl(v * scale) for its v in exactly one of
     them.  A plain link has its sum; a mixture has its LOS trials at the
-    law's scale and its NLOS trials at `nlos_mean_snr`, keyed by p_los."""
+    law's scale and its NLOS trials at `nlos_mean_snr`, two slices of one
+    copy, keyed by p_los."""
     role = _LINK_RECEIVER
     unit, scale = _unit_law(link.fading)
     key = ("sorted", unit, link.antennas, link.p_los, trials, seed)
     if key not in cache:
-        total = _unit_sum(unit, seed, role, link.antennas, trials, cache)
-        if link.p_los is None:
-            parts = [total.copy()]
-        else:
-            state = _coin(role, trials, seed, cache) < link.p_los
-            parts = [total[state]]
-            np.logical_not(state, out=state)
-            parts.append(total[state])
+        # counted before the copy, so the count's chunks add nothing to its peak
+        n = None if link.p_los is None else _los_count(role, link.p_los, trials, seed, cache)
+        v = _unit_sum(unit, seed, role, link.antennas, trials, cache).copy()
+        parts = (v,) if n is None else (v[:n], v[n:])
         for part in parts:
             part.sort()
-        cache[key] = tuple(parts)
+        cache[key] = parts
     return list(zip(cache[key], (scale, link.nlos_mean_snr)))
 
 
@@ -281,14 +312,24 @@ def simulate_eve_sinr(intercept: LinkSpec, jammer: Optional[LinkSpec],
 
     `jammer=None` means the jammer is off: gamma_J is identically zero
     and the SINR is the intercept SNR itself.  `cache` is as for
-    `simulate_receiver_snr`.
+    `simulate_receiver_snr`; with a jammer it also holds one unit SINR
+    V_I / (1 + gamma_J) of the intercept's unit-law sum V_I, replaced when
+    the jammer link changes, which each call scales to its intercept.
     """
-    sinr = _link_samples(intercept, _LINK_INTERCEPT, trials, seed, cache)
+    _check_run(intercept, trials, seed)
+    cache = {} if cache is None else cache
+    law = _unit_law(intercept.fading)[0]
+    unit = _unit_sum(law, seed, _LINK_INTERCEPT, intercept.antennas, trials, cache)
     if jammer is not None:
-        jam = _link_samples(jammer, _LINK_JAMMER, trials, seed, cache)
-        jam += 1.0
-        sinr /= jam
-    return sinr
+        key = (law, intercept.antennas, jammer, trials, seed)
+        held = cache.get("unit sinr")
+        if held is None or held[0] != key:
+            cache.pop("unit sinr", None)  # one entry at a time: free it first
+            jam = _link_samples(jammer, _LINK_JAMMER, trials, seed, cache)
+            jam += 1.0
+            held = cache["unit sinr"] = (key, np.divide(unit, jam, out=jam))
+        unit = held[1]
+    return _scaled(unit, intercept, _LINK_INTERCEPT, trials, seed, cache)
 
 
 def receiver_outage(link: LinkSpec, gamma_th: float, trials: int,
@@ -333,7 +374,7 @@ def estimate_capacity(samples: np.ndarray) -> Estimate:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ParameterError("empty sample stream")
-    if np.any(samples < 0):
+    if samples.min() < 0:  # NaN passes, as it does np.any(samples < 0)
         raise ParameterError("samples must be non-negative")
     # one new 1-d working array, overwritten in place; the values are those
     # of np.mean and np.var(ddof=1) to the bit: the same pairwise sums, in

@@ -599,6 +599,47 @@ class TestRicianShadowed:
         assert time.perf_counter() - t0 < 0.1
         assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
+    def test_cdf_far_upper_tail_is_one_without_a_sum(self):
+        # the same law far above its mean: 1 - F = P(Pois(x) <= NB) is
+        # below 2^-54 by its Chernoff bound, so F is 1.0 without the long
+        # Poisson- or NB-side sum that once took seconds
+        p = RicianShadowedParams(m=0.5, xi=1000.0, sigma2=0.001, mean_snr=1.0)
+        for g in (2e5, 2e6, 2e8, 1.2e9):
+            t0 = time.perf_counter()
+            assert rician_shadowed_cdf(p, g) == 1.0
+            assert time.perf_counter() - t0 < 0.05
+        # where 1 - F = 7.7e-6 the bound stays above 2^-54: the sum runs
+        assert rician_shadowed_cdf(p, 2e4) == 0.9999922556985194
+        assert rician_shadowed_cdf(p, [2e4, 2e6]).tolist() == [0.9999922556985194, 1.0]
+
+    def test_tail_bound_is_checked_only_for_a_wide_nb(self, monkeypatch):
+        called = []
+        real = fading._rician_tail_ln_bound
+        monkeypatch.setattr(fading, "_rician_tail_ln_bound",
+                            lambda *a: called.append(a) or real(*a))
+        narrow = RicianShadowedParams(m=19.4, xi=1.29, sigma2=0.158, mean_snr=1.0)
+        rician_shadowed_cdf(narrow, [0.1, 1.0, 1e3])
+        assert called == []
+        rician_shadowed_cdf(RicianShadowedParams(m=0.5, xi=1000.0, sigma2=0.001,
+                                                 mean_snr=1.0), 2e6)
+        assert len(called) == 1
+
+    # fig2's light and dense laws, and one with m < 1 and xi >= 1, where
+    # the sampler draws Gamma(m) as Gamma(m + 1) U^(1/m)
+    SAMPLER_LAWS = ((19.4, 1.29, 0.158), (0.739, 8.97e-4, 0.063), (0.45, 2.0, 0.3))
+
+    @pytest.mark.parametrize("m, xi, sigma2", SAMPLER_LAWS)
+    def test_sampler_against_cdf(self, m, xi, sigma2):
+        p = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2, mean_snr=1.5)
+        n = 1_000_000
+        draws = rician_shadowed_sample(p, SamplerSeed(seed=31), n)
+        mean = p.mean_snr * (xi + 2.0 * sigma2)
+        th = mean * np.geomspace(1e-3, 5.0, 9)
+        want = rician_shadowed_cdf(p, th)
+        got = np.searchsorted(np.sort(draws), th) / n
+        z = (got - want) / np.sqrt(want * (1.0 - want) / n)
+        assert np.all(np.abs(z) <= 5.0), z
+
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     # the extreme law: 1 - rho = 1e-6, thresholds up to x = 1e7
     @example(m=math.log(0.5), xi=math.log(1000.0), sigma2=math.log(0.001), mean=0.0,

@@ -166,17 +166,25 @@ class TestLinkCache:
             np.testing.assert_array_equal(
                 _eve(self.INTERCEPT, self.JAMMER, self.TRIALS, cache=cache),
                 _eve(self.INTERCEPT, self.JAMMER, self.TRIALS))
-        # LOS and NLOS share the law's unit sum: receiver, its blockage
-        # coin, intercept, jammer
-        assert len(cache) == 4
+        # LOS and NLOS share the law's unit sum: receiver, its LOS count,
+        # intercept, jammer, and the unit SINR of the intercept and jammer
+        assert len(cache) == 5
 
-    def test_blockage_coin_is_drawn_once_per_run(self):
+    def test_blockage_coin_is_drawn_once_per_run(self, monkeypatch):
+        coins = []  # the coin streams' generators: (role, shard)
+        real = SamplerSeed.generator
+        monkeypatch.setattr(SamplerSeed, "generator",
+                            lambda s: (len(s.lineage) == 2 and coins.append(s)) or real(s))
         cache = {}
-        _rx(self.RX, self.TRIALS, cache=cache)
         denser = replace(self.RX, p_los=0.8)
-        np.testing.assert_array_equal(_rx(denser, self.TRIALS, cache=cache),
-                                      _rx(denser, self.TRIALS))
-        assert len(cache) == 2  # the receiver's unit sum and its coin
+        for link in (self.RX, denser, self.RX, denser):
+            got = _rx(link, self.TRIALS, cache=cache)
+            n = len(coins)
+            np.testing.assert_array_equal(got, _rx(link, self.TRIALS))
+            del coins[n:]  # the uncached call's own count
+        # one count per p_los: the receiver's unit sum and its two LOS counts
+        assert len(coins) == 2
+        assert len(cache) == 3
 
     def test_second_mean_adds_no_entry(self):
         cache = {}
@@ -216,6 +224,63 @@ class TestLinkCache:
         # per shard: the intercept's 2 antennas, then each K continued
         # from the most antennas below it already cached
         assert len(draws) == 3 * (2 + jammer_draws)
+
+
+class TestDraws:
+    """The oracle's draws at numpy's cheapest exact fill: the Gamma antenna
+    draws, the blockage split by count and the cached unit SINR."""
+
+    @pytest.mark.parametrize("nu", (1, 2, 5))
+    def test_gamma_draws_are_the_generator_gamma(self, nu):
+        seed = SamplerSeed(3, (1, 0, 0))
+        np.testing.assert_array_equal(
+            montecarlo._draw(GammaSnrParams(nu=nu, beta=1.0), seed, 100_001),
+            seed.generator().gamma(nu, 1.0, 100_001))
+
+    @pytest.mark.parametrize("p_los", (0.0, 0.4, 0.99, 1.0))
+    def test_los_count_is_the_coin_count(self, p_los, monkeypatch):
+        # three shards of uneven chunks: the count streams the uniforms the
+        # coin array held, one shard's stream at a time
+        monkeypatch.setattr(montecarlo, "SHARD_SIZE", 7000)
+        monkeypatch.setattr(montecarlo, "_COIN_CHUNK", 3000)
+        trials, seed = 20_000, SamplerSeed(101)
+        coin = np.concatenate([seed.child(0, k).generator().random(n)
+                               for k, n in enumerate((7000, 7000, 6000))])
+        assert montecarlo._los_count(0, p_los, trials, seed, {}) == \
+            np.count_nonzero(coin < p_los)
+
+    def test_los_count_grows_with_p_los(self):
+        cache = {}
+        counts = [montecarlo._los_count(0, p, 50_000, SamplerSeed(7), cache)
+                  for p in np.linspace(0.0, 1.0, 21)]
+        assert counts == sorted(counts)
+        assert (counts[0], counts[-1]) == (0, 50_000)
+        assert len(cache) == 21
+
+    INTERCEPT = LinkSpec(fading=GammaSnrParams(nu=2, beta=0.5), antennas=2)
+    JAMMERS = (LinkSpec(fading=GammaSnrParams(nu=1, beta=2.0), antennas=3),
+               LinkSpec(fading=GammaSnrParams(nu=1, beta=0.1), antennas=1))
+
+    def test_unit_sinr_same_bits_and_one_entry(self):
+        cache = {}
+        for sums, jammer in zip((2, 3, 3), (*self.JAMMERS, self.JAMMERS[0])):
+            for intercept in (self.INTERCEPT,
+                              replace(self.INTERCEPT, fading=GammaSnrParams(nu=2, beta=4.0))):
+                np.testing.assert_array_equal(
+                    _eve(intercept, jammer, 20_000, cache=cache),
+                    _eve(intercept, jammer, 20_000))
+            assert sum(k == "unit sinr" for k in cache) == 1
+            held_key, held = cache["unit sinr"]
+            assert held_key[2] == jammer
+            # beside it only unit sums: the intercept's and each jammer's
+            assert sum(isinstance(v, np.ndarray) for v in cache.values()) == sums
+
+    def test_unit_sinr_scaled_is_the_sinr_to_an_ulp(self):
+        trials, seed = 20_000, SamplerSeed(101)
+        for jammer in self.JAMMERS:
+            direct = montecarlo._link_samples(self.INTERCEPT, 1, trials, seed, None)
+            direct /= montecarlo._link_samples(jammer, 2, trials, seed, None) + 1.0
+            np.testing.assert_array_max_ulp(_eve(self.INTERCEPT, jammer, trials), direct, 1)
 
 
 class TestEstimators:
