@@ -77,6 +77,20 @@ def _methods_arg(raw):
     return [m.strip() for m in raw.split(",") if m.strip()]
 
 
+def _describe(exc: AccuracyError) -> str:
+    """The failure's message, the cell it was raised for (when a scenario
+    run set one) and its best value and error estimate, on one line."""
+    parts = [str(exc)]
+    cell = exc.cell
+    if cell is not None:
+        zeta = cell["threshold_db"]
+        parts.append(f"variant {cell['variant'] or 'none'}, metric {cell['metric']}, "
+                     f"threshold {'none' if zeta is None else f'{zeta:g}dB'}, "
+                     f"{cell['axis']} {cell['axis_value']!r}, method {cell['method']}")
+    parts.append(f"best {exc.best!r}, error_estimate {exc.error_estimate!r}")
+    return "; ".join(parts)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -111,7 +125,7 @@ def main(argv=None) -> int:
         print(f"invalid parameter: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except AccuracyError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {_describe(exc)}", file=sys.stderr)
         return EXIT_ACCURACY
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

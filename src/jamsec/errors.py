@@ -15,10 +15,14 @@ class AccuracyError(ArithmeticError):
     """A quadrature or contour integral exhausted refinement above tolerance.
 
     ``best`` holds the last (most refined) estimate, ``error_estimate`` the
-    disagreement between the final two refinement levels.
+    disagreement between the final two refinement levels.  ``cell``, set
+    by a scenario run, names the output cell being evaluated: a dict of
+    its variant, metric, threshold_db (None for a capacity), axis,
+    axis_value and method.
     """
 
     def __init__(self, message, best=None, error_estimate=None):
         super().__init__(message)
         self.best = best
         self.error_estimate = error_estimate
+        self.cell = None

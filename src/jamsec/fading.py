@@ -8,10 +8,14 @@ LOS-shadowed Rician (mu=1, dominant shadowing only) and Gamma/Nakagami-m
 SNR.
 
 The quadrature CDFs integrate the kappa-mu shadowed density
-(`_kappa_mu_shadowed_pdf_scalar`, one 1F1) for both receiver laws, the
-double model's conditioned on its envelope shadowing, and the Gamma one
-(`_gamma_pdf_scalar`); the quadrature capacities (`secrecy`) integrate
-MGFs instead.  Every quadrature accepts a result only through `_quad`.
+(`_kappa_mu_shadowed_pdf`, one 1F1) for both receiver laws, the double
+model's conditioned on its envelope shadowing, and the Gamma one
+(`_gamma_pdf`); the quadrature capacities (`secrecy`) integrate MGFs
+instead.  Every quadrature accepts a result only through `_quad`, whose
+integrator, `_gauss_kronrod`, is adaptive G10/K21 in numpy with
+QUADPACK's constants and error estimate: it calls the route's array
+integrand once per refinement round, on every new node of the round.
+The package never imports scipy.integrate.
 
 SNR domain throughout; all means are linear (dB handling lives at the
 configuration boundary).
@@ -49,22 +53,99 @@ _NB_SPREAD_MAX = 1e3  # NB spread from which the Rician CDF may sum over the Poi
 _U_MAX = 700.0  # |u| bound of the quadratures in u = ln(gamma): exp(u) stays normal
 
 
-def _quad(f, a, b, tol, message, **options) -> float:
-    """``scipy.integrate.quad(f, a, b, **options)`` under the one
-    acceptance rule of the quadrature routes: the value is accepted only
-    if it and its error estimate are finite and the error is within
-    max(tol[0], tol[1] * |value|); otherwise AccuracyError carries both.
-    scipy.integrate is imported here, its one user, so it loads on the
-    first quadrature: it drags in scipy.optimize, .sparse and .linalg,
-    which closed-form and Monte Carlo runs never need.  scipy.special,
-    bound as `sc`, loads on the first analytic route of either kind; a
-    Monte Carlo run never executes it."""
-    import scipy.integrate
+# QUADPACK's G10/K21 pair on [-1, 1] (qk21; Piessens et al., QUADPACK,
+# Springer 1983): the 21 Kronrod nodes, their weights, and the 10-point
+# Gauss weights on the same nodes, 0 at the Kronrod-only ones
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208980102470, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_G_HALF = tuple(v for w in _WG for v in (0.0, w))  # the Gauss weights on _XGK
+_GK_X = np.array(tuple(-x for x in _XGK) + (0.0,) + _XGK[::-1])
+_GK_W = np.array(_WGK + _WGK[-2::-1])
+_G_W = np.array(_G_HALF + (0.0,) + _G_HALF[::-1])
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
-    val, err = scipy.integrate.quad(f, a, b, **options)
+
+def _gk21(f, lo, hi):
+    """(integral, error) of f over each [lo, hi] by the G10/K21 pair, f
+    called once on the (intervals, 21) nodes.  The error is QUADPACK's:
+    |K21 - G10| scaled by resasc, the K21 integral of |f - mean f|, as
+    resasc min(1, 200 |K21 - G10| / resasc)^1.5, and at least 50 eps
+    times the K21 integral of |f|.  Where resasc is 0, f is constant to
+    rounding and the floor is the error.  The weighted sums are numpy
+    reductions: a BLAS product's first call pages some 0.5 MB of kernel
+    code into the process."""
+    half = 0.5 * (hi - lo)
+    fx = f((lo + half)[:, None] + half[:, None] * _GK_X)
+    resk = np.add.reduce(fx * _GK_W, axis=1)
+    resg = np.add.reduce(fx * _G_W, axis=1)
+    resabs = np.add.reduce(np.abs(fx) * _GK_W, axis=1)
+    resasc = np.add.reduce(np.abs(fx - 0.5 * resk[:, None]) * _GK_W, axis=1)
+    ratio = np.minimum(200.0 * np.abs(resk - resg), resasc) / np.maximum(resasc, _TINY)
+    err = np.maximum(resasc * ratio**1.5, 50.0 * _EPS * resabs) * np.abs(half)
+    return resk * half, err
+
+
+def _gauss_kronrod(f, breaks, panels, limit, epsabs, epsrel):
+    """(integral, error) of f over [breaks[0], breaks[-1]] by adaptive
+    G10/K21 (`_gk21`).  Each segment between consecutive breaks starts cut
+    into `panels` equal intervals; each round then bisects every interval
+    whose error is above its equal share of max(epsabs, epsrel |integral|),
+    and f is called once a round, on all the new intervals' nodes.  It
+    stops once the summed error is within that tolerance, or at `limit`
+    intervals (the worst are bisected first), or when no interval can be
+    split.  With at most `limit` starting intervals, as every route has,
+    that is at most `limit` calls of f, each on at most 21 `limit` nodes."""
+    breaks = np.asarray(breaks, dtype=float)
+    edges = breaks[:-1, None] + (breaks[1:] - breaks[:-1])[:, None] * (
+        np.arange(panels + 1.0) / panels)
+    edges[:, -1] = breaks[1:]
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    val, err = _gk21(f, lo, hi)
+    while True:
+        total, error = float(val.sum()), float(err.sum())
+        tol = max(epsabs, epsrel * abs(total))
+        room = limit - lo.size
+        if not (error > tol and room > 0):  # NaN too
+            break
+        mid = 0.5 * (lo + hi)
+        split = np.flatnonzero((err > tol / lo.size) & (lo < mid) & (mid < hi))
+        if split.size == 0:
+            break
+        if split.size > room:
+            split = split[np.argsort(err[split], kind="stable")[-room:]]
+        new_lo = np.concatenate([lo[split], mid[split]])
+        new_hi = np.concatenate([mid[split], hi[split]])
+        new_val, new_err = _gk21(f, new_lo, new_hi)
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        val, err = np.concatenate([val[keep], new_val]), np.concatenate([err[keep], new_err])
+    return total, error
+
+
+def _quad(f, breaks, tol, message, *, panels, limit, epsabs, epsrel):
+    """(integral, error) of the array integrand f over [breaks[0],
+    breaks[-1]] by `_gauss_kronrod`, under the one acceptance rule of the
+    quadrature routes: the value is accepted only if it and its error
+    estimate are finite and the error is within max(tol[0], tol[1] *
+    |value|); otherwise AccuracyError carries both.  epsabs and epsrel are
+    the integrator's own, tighter targets; `limit` bounds its intervals."""
+    val, err = _gauss_kronrod(f, breaks, panels, limit, epsabs, epsrel)
     if not (math.isfinite(val) and err <= max(tol[0], tol[1] * abs(val))):
         raise AccuracyError(message, best=val, error_estimate=err)
-    return val
+    return val, err
 
 
 def _pmf_mixture(mode, ratio, spread, values) -> np.ndarray:
@@ -236,11 +317,10 @@ class GammaSnrParams:
 # double shadowed kappa-mu
 
 
-def _kappa_mu_shadowed_pdf_scalar(c: float, mu: float, w: float, one_minus_w: float,
-                                  scale: float):
+def _kappa_mu_shadowed_pdf(c: float, mu: float, w: float, one_minus_w: float, scale: float):
     """Density of the NB(c, w) mixture of Gamma(mu + i) laws at `scale`
-    (Paris, IEEE TVT 63(2), 2014) as pdf(gamma, ln_pow), for one float
-    gamma >= 0: at x = gamma / scale, (1-w)^c e^(ln_pow - (1-w) x)
+    (Paris, IEEE TVT 63(2), 2014) as pdf(gamma, ln_pow), elementwise over
+    an array gamma >= 0: at x = gamma / scale, (1-w)^c e^(ln_pow - (1-w) x)
     1F1(mu-c; mu; -w x) / (Gamma(mu) scale^mu), Kummer's form (DLMF
     13.2.39), whose exponential never grows and whose 1F1 never overflows.
     ln_pow = (mu-1) ln gamma gives the density, and mu ln gamma the density
@@ -253,12 +333,18 @@ def _kappa_mu_shadowed_pdf_scalar(c: float, mu: float, w: float, one_minus_w: fl
 
     def pdf(g, ln_pow=0.0):
         z = z_scale * g  # 1F1 = 1 to double precision above -1e-100; scipy's may be inf
-        hyp = float(sc.hyp1f1(a, mu, z)) if z < -1e-100 else 1.0
-        if not math.isfinite(hyp):  # scipy's inf band near z = -1418 at small |a|: the
-            k = np.arange(20.0)  # large -z expansion (DLMF 13.7.2 after Kummer)
-            terms = np.cumprod((a + k) * (a - mu + 1.0 + k) / ((k + 1.0) * -z))
-            hyp = (1.0 + float(terms.sum())) * math.exp(ln_ratio - a * math.log(-z))
-        return math.exp(ln_amp + ln_pow - decay * g) * hyp
+        tiny = z >= -1e-100
+        hyp = np.where(tiny, 1.0, sc.hyp1f1(a, mu, np.where(tiny, -1.0, z)))
+        lost = ~np.isfinite(hyp)
+        if lost.any():
+            # scipy's inf band near z = -1418 at small |a|: the large -z
+            # expansion (DLMF 13.7.2 after Kummer), taken where it is lost
+            y = -np.where(lost, z, -1418.0)[..., None]
+            k = np.arange(20.0)
+            terms = np.cumprod((a + k) * (a - mu + 1.0 + k) / ((k + 1.0) * y), axis=-1)
+            hyp = np.where(lost, (1.0 + terms.sum(axis=-1))
+                           * np.exp(ln_ratio - a * np.log(y[..., 0])), hyp)
+        return np.exp(ln_amp + ln_pow - decay * g) * hyp
 
     return pdf
 
@@ -311,16 +397,16 @@ def dksm_cdf(p: DoubleKappaMuShadowedParams, gamma) -> float:
     pts = [math.log(mu) - ln_1mw, math.log(mu) - ln_r] + [
         math.log(s) - ln_r + d / math.sqrt(s) for d in (-12.0, -4.0, -1.0, 0.0, 1.0, 4.0, 12.0)]
     pts = sorted({v for v in pts if u_lo < v < u_hi})
-    pdf = _kappa_mu_shadowed_pdf_scalar(c, mu, w, one_minus_w, 1.0)
+    pdf = _kappa_mu_shadowed_pdf(c, mu, w, one_minus_w, 1.0)
     kernel = sc.gammainc if upper else sc.gammaincc
 
     def integrand(u):
-        return pdf(math.exp(u), mu * u) * kernel(s, math.exp(u + ln_r))
+        return pdf(np.exp(u), mu * u) * kernel(s, np.exp(u + ln_r))
 
     # relative accuracy down to 1e-300, below which the integrand is subnormal
-    val = _quad(integrand, u_lo, max(u_hi, u_lo), (1e-11, 1e-9),
-                "receiver CDF quadrature did not reach tolerance",
-                points=pts or None, limit=300, epsabs=1e-300, epsrel=1e-13)
+    val, _ = _quad(integrand, [u_lo, *pts, max(u_hi, u_lo)], (1e-11, 1e-9),
+                   "receiver CDF quadrature did not reach tolerance",
+                   panels=4, limit=300, epsabs=1e-300, epsrel=1e-13)
     return min(max(1.0 - val if upper else head + val, 0.0), 1.0)
 
 
@@ -405,12 +491,12 @@ def _rician_tail_ln_bound(m: float, rest: float, x: np.ndarray) -> np.ndarray:
 def rician_shadowed_cdf_integral(p: RicianShadowedParams, gamma: float) -> float:
     """Defining-integral oracle of `rician_shadowed_cdf`: adaptive
     quadrature over [0, gamma] of the kappa-mu shadowed density at mu = 1
-    (`_kappa_mu_shadowed_pdf_scalar`)."""
-    pdf = _kappa_mu_shadowed_pdf_scalar(p.m, 1.0, p.los_fraction, p.scatter_fraction,
-                                        2.0 * p.sigma2 * p.mean_snr)
-    val = _quad(pdf, 0.0, gamma, (1e-11, 1e-9),
-                "receiver outage quadrature did not reach tolerance",
-                limit=200, epsabs=1e-12, epsrel=1e-10)
+    (`_kappa_mu_shadowed_pdf`)."""
+    pdf = _kappa_mu_shadowed_pdf(p.m, 1.0, p.los_fraction, p.scatter_fraction,
+                                 2.0 * p.sigma2 * p.mean_snr)
+    val, _ = _quad(pdf, [0.0, gamma], (1e-11, 1e-9),
+                   "receiver outage quadrature did not reach tolerance",
+                   panels=4, limit=200, epsabs=1e-12, epsrel=1e-10)
     return min(max(val, 0.0), 1.0)
 
 
@@ -453,18 +539,19 @@ def rician_shadowed_sample(p: RicianShadowedParams, seed: SamplerSeed,
 # Gamma SNR (Nakagami-m links)
 
 
-def _gamma_pdf_scalar(p: GammaSnrParams):
-    """Gamma SNR density for quadrature integrands: returns f(gamma) for
-    one float gamma >= 0."""
+def _gamma_pdf(p: GammaSnrParams):
+    """Gamma SNR density for quadrature integrands: returns f(gamma),
+    elementwise over an array gamma >= 0."""
     nu, beta = p.nu, p.beta
     ln_rate = nu * math.log(beta)
     ln_norm = float(sc.gammaln(nu))
     at_zero = beta if nu == 1 else 0.0
 
     def pdf(g):
-        if not g > 0.0:
-            return at_zero
-        return math.exp(ln_rate + (nu - 1.0) * math.log(g) - beta * g - ln_norm)
+        pos = g > 0.0
+        t = np.where(pos, g, 1.0)
+        return np.where(pos, np.exp(ln_rate + (nu - 1.0) * np.log(t) - beta * t - ln_norm),
+                        at_zero)
 
     return pdf
 
@@ -483,7 +570,7 @@ def gamma_cdf(p: GammaSnrParams, gamma):
 
 def gamma_cdf_integral(p: GammaSnrParams, gamma: float) -> float:
     """Defining-integral oracle of `gamma_cdf`: the density
-    (`_gamma_pdf_scalar`) integrated in u = ln(t) from `_log_floor`, split
+    (`_gamma_pdf`) integrated in u = ln(t) from `_log_floor`, split
     at the mode ln(nu/beta)."""
     gamma = float(gamma)
     if gamma < 0:
@@ -493,14 +580,14 @@ def gamma_cdf_integral(p: GammaSnrParams, gamma: float) -> float:
     u_hi = min(math.log(gamma), _U_MAX)  # the mass beyond e^700 is beyond double precision
     knee = math.log(p.nu / p.beta)
     u_lo, head = _log_floor(u_hi, knee, p.nu, p.nu * math.log(p.beta) - sc.gammaln(p.nu))
-    pdf = _gamma_pdf_scalar(p)
+    pdf = _gamma_pdf(p)
 
     def integrand(u):
-        t = math.exp(u)
+        t = np.exp(u)
         return pdf(t) * t
 
-    pts = [knee] if u_lo < knee < u_hi else None
-    val = head + _quad(integrand, u_lo, u_hi, (1e-11, 1e-9),
-                       "Gamma CDF quadrature did not reach tolerance",
-                       points=pts, limit=300, epsabs=1e-13, epsrel=1e-11)
+    val, _ = _quad(integrand, [u_lo, *([knee] if u_lo < knee < u_hi else []), u_hi],
+                   (1e-11, 1e-9), "Gamma CDF quadrature did not reach tolerance",
+                   panels=8, limit=300, epsabs=1e-13, epsrel=1e-11)
+    val += head
     return min(max(val, 0.0), 1.0)

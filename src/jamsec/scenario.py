@@ -29,7 +29,7 @@ from typing import NamedTuple
 import yaml
 
 from . import montecarlo, secrecy
-from .errors import ParameterError
+from .errors import AccuracyError, ParameterError
 from .fading import (
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
@@ -624,12 +624,21 @@ def _cells(sc: Scenario) -> list:
             for method in sc.methods]
 
 
-def _eval_point(sc: Scenario, overrides: dict, axis_value: float,
+def _eval_point(sc: Scenario, variant: str, overrides: dict, axis_value: float,
                 memo: dict) -> list:
     """The values of the variant's cells at one grid point, in `_cells`
-    order."""
+    order.  An AccuracyError leaves with the cell it was raised for as its
+    `cell`."""
     pt = _Point(sc, overrides, axis_value, memo)
-    return [pt.value(*cell) for cell in _cells(sc)]
+    values = []
+    for metric, zeta, method in _cells(sc):
+        try:
+            values.append(pt.value(metric, zeta, method))
+        except AccuracyError as exc:
+            exc.cell = {"variant": variant, "metric": metric, "threshold_db": zeta,
+                        "axis": sc.axis, "axis_value": axis_value, "method": method}
+            raise
+    return values
 
 
 # A pool worker's memo: set by the pool initializer to its fork of the
@@ -680,7 +689,7 @@ def run_scenario(path: str, *, seed=None, trials=None, methods=None,
     # one task per (variant, grid point), variant-major.  Monte Carlo
     # streams are keyed by link, not by cell: every cell of a run scales
     # the same unit-law draws (see jamsec.montecarlo)
-    tasks = [(sc, overrides, x) for _, overrides in sc.variants for x in sc.grid]
+    tasks = [(sc, name, overrides, x) for name, overrides in sc.variants for x in sc.grid]
     memo = {}
     results = [_eval_point(*tasks[0], memo=memo)]
     rest = tasks[1:]

@@ -37,7 +37,8 @@ from .fading import (
     DoubleKappaMuShadowedParams,
     GammaSnrParams,
     RicianShadowedParams,
-    _gamma_pdf_scalar,
+    _gamma_pdf,
+    _ln_tail,
     _pmf_mixture,
     _quad,
     gamma_cdf,
@@ -166,11 +167,15 @@ def eve_sinr_cdf(p: EveLinkParams, gamma):
 def eve_sinr_cdf_integral(p: EveLinkParams, gamma) -> float:
     """Defining-integral oracle: E_{gamma_J}[ F_I(gamma * (1 + gamma_J)) ].
 
-    Integrated in v = beta_J * gamma_J against the unit-rate Gamma(nu_J)
-    density: in gamma_J itself the density spans 1/beta_J, which reaches
-    1e8 at strong jamming, and quad over [0, inf) misses its mass.  The
-    integrand is scalar: F_I is the regularized incomplete gamma
-    P(nu_I, .) and the density is `_gamma_pdf_scalar`.  nu_J = 0 is the
+    Integrated over v = beta_J * gamma_J against the unit-rate Gamma(nu_J)
+    density (`_gamma_pdf`), as in gamma_J itself the density spans
+    1/beta_J, which reaches 1e8 at strong jamming; F_I is the regularized
+    incomplete gamma P(nu_I, .).  The quadrature runs in u = ln v, split
+    at ln beta_J (where F_I's argument starts to grow), at the density's
+    mode ln nu_J and where F_I's argument reaches nu_I.  F_I is increasing
+    and P(nu_I, x) / x^nu_I decreasing, so the mass above u_hi is within
+    Gamma(nu_I + nu_J)'s tail there, and that below u_lo = -60/nu_J, where
+    F_I is smallest, within about e^-60 of the whole.  nu_J = 0 is the
     jammer off: `gamma_cdf_integral`, the Gamma density's own integral.
     """
     if p.nu_j == 0:
@@ -180,15 +185,22 @@ def eve_sinr_cdf_integral(p: EveLinkParams, gamma) -> float:
         raise ParameterError("gamma must be non-negative")
     if gamma == 0.0:
         return 0.0
-    nu_i, beta_i, beta_j = p.nu_i, p.beta_i, p.beta_j
-    pdf_v = _gamma_pdf_scalar(GammaSnrParams(p.nu_j, 1.0))
+    nu_i, beta_i, nu_j, beta_j = p.nu_i, p.beta_i, p.nu_j, p.beta_j
+    pdf_v = _gamma_pdf(GammaSnrParams(nu_j, 1.0))
 
-    def integrand(v):
-        return float(sc.gammainc(nu_i, beta_i * (gamma * (1.0 + v / beta_j)))) * pdf_v(v)
+    def integrand(u):
+        v = np.exp(u)
+        return sc.gammainc(nu_i, beta_i * (gamma * (1.0 + v / beta_j))) * pdf_v(v) * v
 
-    val = _quad(integrand, 0.0, np.inf, (1e-11, 1e-9),
-                "SINR CDF integral did not reach tolerance",
-                epsabs=1e-14, epsrel=1e-12, limit=400)
+    u_lo, u_hi = -60.0 / nu_j, _ln_tail(nu_i + nu_j)
+    x = beta_i * gamma
+    pts = [math.log(beta_j), math.log(nu_j)]
+    if 0.0 < x < nu_i:
+        pts.append(math.log(beta_j) + math.log(nu_i / x - 1.0))
+    pts = sorted({b for b in pts if u_lo < b < u_hi})
+    val, _ = _quad(integrand, [u_lo, *pts, u_hi], (1e-11, 1e-9),
+                   "SINR CDF integral did not reach tolerance",
+                   panels=16, epsabs=1e-14, epsrel=1e-12, limit=400)
     return min(max(val, 0.0), 1.0)
 
 
@@ -199,21 +211,21 @@ def eve_sinr_cdf_integral(p: EveLinkParams, gamma) -> float:
 def _mgf_capacity(ln_mgf_y, ln_mgf_x, breaks, u_hi: float, what: str) -> float:
     """E[log2(1 + X/Y)], X, Y > 0 independent, by Hamdi's MGF lemma (IEEE
     Trans. Commun. 58(2), 2010): ln2 C = int_0^inf M_Y (1 - M_X) dz/z, as
-    exp(ln M_Y) (-expm1(ln M_X)) from ln_mgf_y(z), ln_mgf_x(z) under `math`.
-    One quadrature in u = ln z, split at the `breaks` (where the factors
-    turn over) below u_hi.  Under every break 1 - M_X ~ z E[X], so the mass
-    below u_lo = min(breaks) - 40 is e^(-40) of the integrand at the lowest
-    break; callers put u_hi where M_Y <= e^(-45).  exp(u) stays finite."""
+    exp(ln M_Y) (-expm1(ln M_X)) from ln_mgf_y(z), ln_mgf_x(z), numpy
+    array functions.  One quadrature in u = ln z, split at the `breaks`
+    (where the factors turn over) below u_hi.  Under every break
+    1 - M_X ~ z E[X], so the mass below u_lo = min(breaks) - 40 is e^(-40)
+    of the integrand at the lowest break; callers put u_hi where
+    M_Y <= e^(-45).  exp(u) stays finite."""
     u_lo = min(breaks) - 40.0
 
     def integrand(u):
-        z = math.exp(u)
-        return math.exp(ln_mgf_y(z)) * -math.expm1(ln_mgf_x(z)) / _LN2
+        z = np.exp(u)
+        return np.exp(ln_mgf_y(z)) * -np.expm1(ln_mgf_x(z)) / _LN2
 
-    val = _quad(integrand, u_lo, u_hi, (1e-9, 1e-6),
-                f"{what} capacity quadrature did not reach tolerance",
-                points=sorted(b for b in breaks if u_lo < b < u_hi) or None,
-                epsabs=1e-13, epsrel=1e-11, limit=400)
+    val, _ = _quad(integrand, [u_lo, *sorted(b for b in breaks if u_lo < b < u_hi), u_hi],
+                   (1e-9, 1e-6), f"{what} capacity quadrature did not reach tolerance",
+                   panels=16, epsabs=1e-13, epsrel=1e-11, limit=400)
     return max(val, 0.0)
 
 
@@ -231,13 +243,13 @@ def capacity_receiver_quadrature(p: DoubleKappaMuShadowedParams | RicianShadowed
         a, d, m = 2.0 * p.sigma2 * p.mean_snr, p.xi * p.mean_snr / p.m, p.m
         b = a + d
         return _mgf_capacity(
-            lambda z: -z, lambda z: m * math.log1p(-d * z / (1.0 + b * z)) - math.log1p(a * z),
+            lambda z: -z, lambda z: m * np.log1p(-d * z / (1.0 + b * z)) - np.log1p(a * z),
             (-math.log(a), -math.log(b), 0.0), math.log(45.0), "receiver")
     c, s, mu = p.c, p.s, p.mu
     lam, w = (s - 1.0) * p.mean_snr / p.big_t, mu * p.kappa / c
     return _mgf_capacity(
-        lambda z: -s * math.log1p(z),
-        lambda z: -mu * math.log1p(lam * z) - c * math.log1p(w * lam * z / (1.0 + lam * z)),
+        lambda z: -s * np.log1p(z),
+        lambda z: -mu * np.log1p(lam * z) - c * np.log1p(w * lam * z / (1.0 + lam * z)),
         (-math.log(lam), -math.log(s), 0.0), math.log(math.expm1(45.0 / s)), "receiver")
 
 
@@ -276,7 +288,7 @@ def capacity_eve_quadrature(p: EveLinkParams) -> float:
     16, nu_J up to 64, rates 0.01 to 1e4)."""
     nu_i, beta_i, nu_j, beta_j = p.nu_i, p.beta_i, p.nu_j, p.beta_j
     return _mgf_capacity(
-        lambda z: -z - nu_j * math.log1p(z / beta_j), lambda z: -nu_i * math.log1p(z / beta_i),
+        lambda z: -z - nu_j * np.log1p(z / beta_j), lambda z: -nu_i * np.log1p(z / beta_i),
         {math.log(beta_i), 0.0, *([math.log(beta_j)] if nu_j else [])},
         math.log(60.0 + 2.0 * nu_i), "eavesdropper")
 

@@ -27,17 +27,29 @@ transform) and the MGF integral (`secrecy.capacity_receiver_quadrature`).
 import math
 
 import numpy as np
+import scipy.integrate
 import scipy.special as sc
 from scipy.special import cython_special
 
-from jamsec.errors import ParameterError
-from jamsec.fading import _U_MAX, _log_floor, _quad
+from jamsec.errors import AccuracyError, ParameterError
+from jamsec.fading import _U_MAX, _log_floor
 
 _HEAD_SEGMENTS = 96  # dksm_cdf_at_sorted panels below the first grid point
 _LN2 = math.log(2.0)
 # largest 2F1 factor that the densities multiply by exp(ln_pdf) directly
 HYP_DIRECT_MAX = 1e4
 _FIRST_SPREADS = 20.0  # width of ln_hyp2f1_series's first window, in spreads
+
+
+def _quadpack(f, a, b, tol, message, **options) -> float:
+    """``scipy.integrate.quad(f, a, b, **options)`` under the package's
+    acceptance rule: a finite value whose error estimate is within
+    max(tol[0], tol[1] * |value|), else AccuracyError.  QUADPACK, not the
+    package's integrator, so these references stay independent of it."""
+    val, err = scipy.integrate.quad(f, a, b, **options)
+    if not (math.isfinite(val) and err <= max(tol[0], tol[1] * abs(val))):
+        raise AccuracyError(message, best=val, error_estimate=err)
+    return val
 
 
 def dksm_ln_amp(p) -> float:
@@ -202,10 +214,10 @@ def dksm_cdf_density(p, gamma) -> float:
         t = math.exp(u)
         return pdf(t) * t
 
-    val = head + _quad(integrand, u_lo, u_hi, (1e-11, 1e-9),
-                       "receiver density CDF quadrature did not reach tolerance",
-                       points=[knee] if u_lo < knee < u_hi else None,
-                       limit=300, epsabs=1e-13, epsrel=1e-11)
+    val = head + _quadpack(integrand, u_lo, u_hi, (1e-11, 1e-9),
+                           "receiver density CDF quadrature did not reach tolerance",
+                           points=[knee] if u_lo < knee < u_hi else None,
+                           limit=300, epsabs=1e-13, epsrel=1e-11)
     return min(max(val, 0.0), 1.0)
 
 
@@ -257,7 +269,7 @@ def capacity_receiver_density(p):
         t = math.exp(u)
         return math.log1p(t) / _LN2 * pdf(t) * t
 
-    val = _quad(integrand, u_lo, u_hi, (1e-8, 1e-6),
-                "receiver capacity density integral did not reach tolerance",
-                points=[knee], limit=400, epsabs=1e-12, epsrel=1e-10)
+    val = _quadpack(integrand, u_lo, u_hi, (1e-8, 1e-6),
+                    "receiver capacity density integral did not reach tolerance",
+                    points=[knee], limit=400, epsabs=1e-12, epsrel=1e-10)
     return max(val, 0.0)

@@ -18,8 +18,8 @@ from jamsec.fading import (
     GammaSnrParams,
     RicianShadowedParams,
     SamplerSeed,
-    _gamma_pdf_scalar,
-    _kappa_mu_shadowed_pdf_scalar,
+    _gamma_pdf,
+    _kappa_mu_shadowed_pdf,
     dksm_cdf,
     dksm_sample,
     gamma_cdf,
@@ -43,8 +43,8 @@ def _pdf_quad(p, lo_u, hi_u):
 
 def _rician_pdf(p):
     # the Rician law is the kappa-mu shadowed density at mu = 1
-    return _kappa_mu_shadowed_pdf_scalar(p.m, 1.0, p.los_fraction, p.scatter_fraction,
-                                         2.0 * p.sigma2 * p.mean_snr)
+    return _kappa_mu_shadowed_pdf(p.m, 1.0, p.los_fraction, p.scatter_fraction,
+                                  2.0 * p.sigma2 * p.mean_snr)
 
 
 def gamma_cdf_series(p, g):
@@ -689,7 +689,7 @@ class TestGammaSnr:
 
     def test_exponential_special_case(self):
         p = GammaSnrParams(nu=1, beta=0.5)
-        pdf = _gamma_pdf_scalar(p)
+        pdf = _gamma_pdf(p)
         assert pdf(0.0) == pytest.approx(0.5)
         assert pdf(2.0) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
         assert gamma_cdf(p, 2.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
@@ -742,8 +742,9 @@ def _assert_twins(scalar, vector, nodes):
 
 
 class TestScalarTwins:
-    """The scalar densities the quadrature integrands call, on every
-    branch, against an independent reference: mpmath or scipy.stats."""
+    """The densities the quadrature integrands call, on every branch,
+    at float arguments, against an independent reference: mpmath or
+    scipy.stats."""
 
     def test_rician_against_mpmath(self):
         # rho x = 620 to 990 at rho = 0.9923, across where 1F1(m; 1; rho x)
@@ -759,7 +760,7 @@ class TestScalarTwins:
         # where w x < 1e-100 the 1F1 factor is 1; scipy's returned inf at
         # some (a, b) below ~1e-150, and the Rician integral raised there
         mu = math.exp(0.03125)
-        pdf = _kappa_mu_shadowed_pdf_scalar(1.0, mu, 3.8e-142, 1.0, 1.0)
+        pdf = _kappa_mu_shadowed_pdf(1.0, mu, 3.8e-142, 1.0, 1.0)
         for x in (1e-300, 1e-160, 1e-10):
             want = x ** (mu - 1.0) * math.exp(-x) / math.gamma(mu)
             assert pdf(x, (mu - 1.0) * math.log(x)) == pytest.approx(want, rel=1e-13)
@@ -777,14 +778,14 @@ class TestScalarTwins:
         # small |a|; the density takes the large -z expansion there
         x = 1417.7 / 0.9
         assert sc.hyp1f1(mu - c, mu, -0.9 * x) == math.inf
-        pdf = _kappa_mu_shadowed_pdf_scalar(c, mu, 0.9, 1.0 - 0.9, 1.0)
+        pdf = _kappa_mu_shadowed_pdf(c, mu, 0.9, 1.0 - 0.9, 1.0)
         assert pdf(x, (mu - 1.0) * math.log(x)) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_gamma(self):
         nodes = [0.0, 1e-300, 1e-200, 1e-12, 1e-6, 1e-3, 0.5, 1.0, 10.0, 200.0]
         for nu, beta in ((1, 0.5), (1, 3e4), (4, 2.0), (8, 1e-3)):
             p = GammaSnrParams(nu=nu, beta=beta)
-            _assert_twins(_gamma_pdf_scalar(p),
+            _assert_twins(_gamma_pdf(p),
                           lambda g: scipy.stats.gamma.pdf(g, nu, scale=1.0 / beta), nodes)
 
 

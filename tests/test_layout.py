@@ -1,7 +1,8 @@
-"""Where the quadrature oracle lives: `scipy.integrate.quad` is called at
-one site in the package, behind the one acceptance rule (`fading._quad`),
-and the scenario layer reaches the oracle only through public routes.
-Both receiver laws integrate one kappa-mu shadowed density, whose 1F1 is
+"""Where the quadrature oracle lives: one integrator in the package,
+`fading._gauss_kronrod`, called at one site, behind the one acceptance
+rule (`fading._quad`); no module imports `scipy.integrate`, and the
+scenario layer reaches the oracle only through public routes.  Both
+receiver laws integrate one kappa-mu shadowed density, whose 1F1 is
 called at one site; the double model's Gauss 2F1 density lives only in
 the tests.  A blockage link's LOS/NLOS blend is written once.  The
 quadrature capacities and outages reach no closed-form kernel: the
@@ -10,6 +11,7 @@ methods stay independent."""
 import ast
 import fnmatch
 import inspect
+import re
 from pathlib import Path
 
 import jamsec
@@ -33,7 +35,24 @@ def _call_sites(name):
 
 
 def test_one_quad_call_site():
-    sites = _call_sites("quad")
+    # no module imports scipy.integrate, directly or by a lazy_import of
+    # its name, and the one integrator has one caller, the acceptance rule
+    integrate = re.compile(r"scipy\.integrate(\.\w+)*$")
+    imports = []
+    for path in sorted(Path(jamsec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            imports += [(path.name, n) for n in names if integrate.match(n)]
+    assert imports == []
+    assert _call_sites("quad") == []
+    sites = _call_sites("_gauss_kronrod")
     assert [site[:2] for site in sites] == [("fading.py", "_quad")], sites
 
 
@@ -42,10 +61,10 @@ def test_one_density_call_site_and_no_2f1():
     # outages; the package evaluates no Gauss 2F1
     assert _call_sites("hyp2f1") == []
     sites = _call_sites("hyp1f1")
-    assert [site[:2] for site in sites] == [("fading.py", "_kappa_mu_shadowed_pdf_scalar")], sites
+    assert [site[:2] for site in sites] == [("fading.py", "_kappa_mu_shadowed_pdf")], sites
     defs = _definitions()
     for route in ("dksm_cdf", "rician_shadowed_cdf_integral"):
-        assert "_kappa_mu_shadowed_pdf_scalar" in _reachable([route], defs), route
+        assert "_kappa_mu_shadowed_pdf" in _reachable([route], defs), route
 
 
 def test_one_blockage_blend():

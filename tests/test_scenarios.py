@@ -10,11 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate
 import yaml
 
-from jamsec import cli, scenario, secrecy
-from jamsec.errors import ParameterError
+from jamsec import cli, fading, scenario, secrecy
+from jamsec.errors import AccuracyError, ParameterError
 from jamsec.fading import GammaSnrParams, RicianShadowedParams, SamplerSeed, gamma_cdf
 from jamsec.montecarlo import LinkSpec, estimate_capacity, simulate_eve_sinr
 from jamsec.scenario import (
@@ -436,7 +435,7 @@ class TestRunScenario:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("method, loaded", [
-        ("quadrature", [True, True]),
+        ("quadrature", [True, False]),
         ("closed-form", [True, False]),
         ("monte-carlo", [False, False]),
     ])
@@ -606,13 +605,13 @@ class TestEveCapacityQuadrature:
         cfg["variants"] = [v for v in cfg["variants"] if v["name"] == variant]
         f = tmp_path / "fig5.yaml"
         f.write_text(yaml.safe_dump(cfg))
-        calls, real = [], scipy.integrate.quad
+        calls, real = [], fading._gauss_kronrod
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.integrate, "quad", counted)
+        monkeypatch.setattr(fading, "_gauss_kronrod", counted)
         table = run_scenario(str(f), methods=["quadrature"], grid=[20.0])
         assert len(calls) == 1
         assert _col(table, "c_e#quadrature")[0] > 0.0  # one variant: no prefix
@@ -837,8 +836,9 @@ class TestCli:
         assert out.read_text() == buf.getvalue()
 
     def test_cli_import_loads_no_integrator(self, listing):
-        # scipy.integrate and what it drags in load on the first quadrature
-        # call only; test_readme_example_validates makes that call
+        # importing the CLI loads no integrator, nor what scipy.integrate
+        # drags in; the package never imports it, and a quadrature run
+        # loads it no more (test_pool_forks_after_loading_what_the_method_needs)
         loaded = _imported(listing)
         heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
         assert [m for m in loaded if m.startswith(heavy)] == []
@@ -962,6 +962,37 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == (
             "invalid parameter: beta must be positive and finite (got inf)\n")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_accuracy_failure_names_its_cell(self, tmp_path, capsys, monkeypatch, workers):
+        # a route that gives up: the one stderr line names the cell (its
+        # variant, metric, threshold, axis value and method) and the
+        # error's best value and estimate, the exit code is 2 and stdout
+        # stays empty.  The route passes the first grid point, evaluated
+        # in-process, and fails at the second: with two workers in a pool
+        # worker, whose error comes back pickled
+        cfg = load_config("fig3")
+        cfg["variants"] = [{"name": "k2", "geometry": {"n_jammer_antennas": 2}}]
+        f = tmp_path / "k2.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        first = []
+
+        def give_up(p, th):
+            if first and p.beta_j != first[0]:
+                raise AccuracyError("SINR CDF integral did not reach tolerance",
+                                    best=1.2345678, error_estimate=3e-5)
+            first.append(p.beta_j)
+            return 0.5
+
+        monkeypatch.setattr(secrecy, "eve_sinr_cdf_integral", give_up)
+        argv = ["sweep", str(f), "--methods", "quadrature", "--workers", str(workers)]
+        assert cli.main(argv) == cli.EXIT_ACCURACY
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "numerical failure: SINR CDF integral did not reach tolerance; variant k2, "
+            "metric outage_e, threshold -8dB, r_je_m 0.75, method quadrature; "
+            "best 1.2345678, error_estimate 3e-05\n")
 
     def test_missing_scenario_file_io_error(self):
         r = self._run("sweep", "/no/such/file.yaml")

@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import scipy.special as sc
 
 import ks_reference
 from foxh_contour import capacity_eve_foxh
-from jamsec import secrecy, specfun
+from jamsec import fading, secrecy, specfun
 from jamsec.errors import AccuracyError, ParameterError
 from jamsec.fading import (
     DoubleKappaMuShadowedParams,
@@ -731,20 +730,22 @@ def _quadrature_routes():
 
 
 def test_integrands_finite_at_their_limits(monkeypatch):
-    # each integrand is a scalar function under math: at every route's
-    # limits it must return a finite value, never raise OverflowError or
-    # ValueError (an infinite limit is probed at the largest double)
+    # each integrand is array code under numpy: at every route's finite
+    # limits, probed in one call on a 2-D array as the integrator calls
+    # it, it must return finite non-negative values of the same shape,
+    # and raise no RuntimeWarning (the test configuration makes one an
+    # error)
     limits = []
-    monkeypatch.setattr(scipy.integrate, "quad",
-                        lambda f, a, b, **_: limits.append((f, a, b)) or (0.0, 0.0))
+    monkeypatch.setattr(fading, "_gauss_kronrod",
+                        lambda f, breaks, *_, **__: limits.append((f, breaks)) or (0.0, 0.0))
     routes = list(_quadrature_routes())
     for route in routes:
         route()
     assert len(limits) == len(routes)
-    for f, a, b in limits:
-        for x in (a, b):
-            v = f(min(x, sys.float_info.max))
-            assert math.isfinite(v) and v >= 0.0
+    for f, breaks in limits:
+        assert np.all(np.isfinite(breaks)) and np.all(np.diff(breaks) >= 0.0), breaks
+        v = f(np.array([[breaks[0], breaks[-1]]]))
+        assert v.shape == (1, 2) and np.all(np.isfinite(v)) and np.all(v >= 0.0), (breaks, v)
 
 
 # one call per quadrature route, each small enough to make one quad call
@@ -772,7 +773,7 @@ _ROUTES = {
 def test_quad_acceptance_rule_rejects(monkeypatch, route, result):
     # a non-finite value or error estimate never passes, nor does an
     # error beyond every route's tolerance
-    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: result)
+    monkeypatch.setattr(fading, "_gauss_kronrod", lambda *a, **k: result)
     with pytest.raises(AccuracyError) as exc:
         _ROUTES[route]()
     np.testing.assert_equal((exc.value.best, exc.value.error_estimate), result)
@@ -780,5 +781,5 @@ def test_quad_acceptance_rule_rejects(monkeypatch, route, result):
 
 @pytest.mark.parametrize("route", _ROUTES)
 def test_quad_acceptance_rule_accepts(monkeypatch, route):
-    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (0.5, 1e-10))
+    monkeypatch.setattr(fading, "_gauss_kronrod", lambda *a, **k: (0.5, 1e-10))
     assert _ROUTES[route]() == 0.5
