@@ -433,10 +433,13 @@ def dksm_sample(p: DoubleKappaMuShadowedParams, seed: SamplerSeed, n: int) -> np
 # LOS-shadowed Rician
 
 
-def rician_shadowed_cdf(p: RicianShadowedParams, gamma):
+def rician_shadowed_cdf(p: RicianShadowedParams, gamma, mean_snr=None):
     """CDF as the negative-binomial mixture of Gamma CDFs (Abdi et al.,
     IEEE TWC 2(3), 2003), F = sum_i NB(m, rho)_i P(i + 1, x) at
-    x = gamma / (2 sigma2 mean_snr), by one `_pmf_mixture`.  As rho -> 1
+    x = gamma / (2 sigma2 mean_snr), by one `_pmf_mixture`.  `mean_snr`,
+    broadcast against gamma, puts each threshold under its own mean in
+    place of p.mean_snr: the laws of one (m, xi, sigma2) in one call.
+    Each threshold's value is the same to the bit in any call.  As rho -> 1
     the NB mass spreads over ~sqrt(m rho) / (1 - rho) terms; once that is
     over _NB_SPREAD_MAX and sqrt(x) is narrower, the same F is summed over
     the Poisson count of mean x instead, F = P(Pois(x) > NB) =
@@ -445,12 +448,14 @@ def rician_shadowed_cdf(p: RicianShadowedParams, gamma):
     1 - F below 2^-54.  Vectorized over gamma; a Poisson-side threshold is
     summed on its own."""
     g = np.asarray(gamma, dtype=float)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)
+    mean = p.mean_snr if mean_snr is None else np.asarray(mean_snr, dtype=float)
+    scalar = g.ndim == 0 and np.ndim(mean) == 0
     if not np.all(g >= 0):  # NaN too
         raise ParameterError("gamma must be non-negative")
+    if not np.all(mean > 0):
+        raise ParameterError("mean_snr must be positive")
     m, rho, rest = p.m, p.los_fraction, p.scatter_fraction
-    x = g / (2.0 * p.sigma2 * p.mean_snr)
+    x = np.atleast_1d(g / (2.0 * p.sigma2 * mean))
     spread = math.sqrt(m * rho) / rest
     out = np.zeros_like(x)  # F(0) = 0
     todo = x > 0
@@ -491,10 +496,14 @@ def _rician_tail_ln_bound(m: float, rest: float, x: np.ndarray) -> np.ndarray:
 def rician_shadowed_cdf_integral(p: RicianShadowedParams, gamma: float) -> float:
     """Defining-integral oracle of `rician_shadowed_cdf`: adaptive
     quadrature over [0, gamma] of the kappa-mu shadowed density at mu = 1
-    (`_kappa_mu_shadowed_pdf`)."""
+    (`_kappa_mu_shadowed_pdf`).  The range breaks at 64 times the law's
+    mean, mean_snr (xi + 2 sigma2), when gamma is past it: on one segment
+    reaching far beyond the mean, every starting panel's nodes would miss
+    the mass near it."""
     pdf = _kappa_mu_shadowed_pdf(p.m, 1.0, p.los_fraction, p.scatter_fraction,
                                  2.0 * p.sigma2 * p.mean_snr)
-    val, _ = _quad(pdf, [0.0, gamma], (1e-11, 1e-9),
+    far = 64.0 * p.mean_snr * (p.xi + 2.0 * p.sigma2)
+    val, _ = _quad(pdf, [0.0, *([far] if far < gamma else []), gamma], (1e-11, 1e-9),
                    "receiver outage quadrature did not reach tolerance",
                    panels=4, limit=200, epsabs=1e-12, epsrel=1e-10)
     return min(max(val, 0.0), 1.0)

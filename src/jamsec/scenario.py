@@ -472,15 +472,45 @@ def _blockage_blend(rx: montecarlo.LinkSpec, value, pair=None) -> float:
     return rx.p_los * v_los + (1.0 - rx.p_los) * v_nlos
 
 
-def _rician_outage_closed_form(rx: montecarlo.LinkSpec, th: float) -> float:
-    """Receiver outage of the Rician model, with a blockage mixture's two
-    branches from one `rician_shadowed_cdf` call: a point's NLOS law is
-    its LOS law at another mean, so
-    F_NLOS(gamma) = F_LOS(gamma mean_LOS / mean_NLOS)."""
-    return _blockage_blend(
-        rx, lambda law: secrecy.rician_shadowed_cdf(law, th),
-        lambda: secrecy.rician_shadowed_cdf(
-            rx.fading, [th, th * rx.fading.mean_snr / rx.nlos_mean_snr]).tolist())
+def _sections(sc: Scenario, overrides: dict, axis_value: float):
+    """The geometry, receiver and eve sections of one (variant, axis
+    value): the variant's overrides over the scenario's, the axis value
+    set in the geometry."""
+    geo = {**sc.geometry, **overrides.get("geometry", {})}
+    if sc.axis == "k":
+        geo["n_jammer_antennas"] = int(axis_value)
+    elif sc.axis != "snr_r_db":
+        geo[sc.axis] = axis_value
+    return (geo, {**sc.receiver, **overrides.get("receiver", {})},
+            {**sc.eve, **overrides.get("eve", {})})
+
+
+def _receiver_link(sc: Scenario, geo: dict, rec: dict, axis_value: float):
+    """The receiver link of resolved sections: one antenna, as in the
+    analytic receiver model, under the double model's law or the Rician
+    one with its blockage mixture."""
+    snr_r = (
+        secrecy.db_to_linear(axis_value) if sc.axis == "snr_r_db"
+        else secrecy.mean_snr(secrecy.db_to_linear(geo["p_s_db"]), float(geo["r_sr_m"]),
+                              float(geo["delta"]), float(geo["noise_var_r"]))
+    )
+    if rec["fading"] == "double_kappa_mu_shadowed":
+        return montecarlo.LinkSpec(fading=DoubleKappaMuShadowedParams(
+            c=float(rec["c"]), s=float(rec["s"]), mu=float(rec["mu"]),
+            kappa=float(rec["kappa"]), mean_snr=snr_r))
+    m, xi, sigma2 = float(rec["m"]), float(rec["xi"]), float(rec["sigma2"])
+    # scale so the stated mean SNR is the distribution mean
+    default = _RECEIVER["rician_shadowed"]["normalize_mean"].default
+    norm = (xi + 2.0 * sigma2) if rec.get("normalize_mean", default) else 1.0
+    p_los = nlos = None
+    if "p_los" in rec:
+        p_los = float(rec["p_los"])
+        loss = secrecy.db_to_linear(-float(rec["nlos_extra_loss_db"]))
+        nlos = snr_r * loss / norm
+    return montecarlo.LinkSpec(
+        fading=RicianShadowedParams(m=m, xi=xi, sigma2=sigma2, mean_snr=snr_r / norm),
+        p_los=p_los, nlos_mean_snr=nlos,
+    )
 
 
 class _Point:
@@ -494,51 +524,20 @@ class _Point:
 
     def __init__(self, sc: Scenario, overrides: dict, axis_value: float,
                  memo: dict):
-        geo = {**sc.geometry, **overrides.get("geometry", {})}
-        rec = {**sc.receiver, **overrides.get("receiver", {})}
-        eve = {**sc.eve, **overrides.get("eve", {})}
-        if sc.axis == "k":
-            geo["n_jammer_antennas"] = int(axis_value)
-        elif sc.axis != "snr_r_db":
-            geo[sc.axis] = axis_value
-
-        delta = float(geo["delta"])
-        p_s = secrecy.db_to_linear(geo["p_s_db"])
-        noise_var_e = float(geo["noise_var_e"])
-        snr_r = (
-            secrecy.db_to_linear(axis_value) if sc.axis == "snr_r_db"
-            else secrecy.mean_snr(p_s, float(geo["r_sr_m"]), delta,
-                                  float(geo["noise_var_r"]))
-        )
-
-        # the receiver has one antenna, as in the analytic receiver model;
-        # `dksm` is its double-model law, None for the Rician model
-        self.dksm = None
-        if rec["fading"] == "double_kappa_mu_shadowed":
-            self.dksm = DoubleKappaMuShadowedParams(
-                c=float(rec["c"]), s=float(rec["s"]), mu=float(rec["mu"]),
-                kappa=float(rec["kappa"]), mean_snr=snr_r)
-            self.receiver = montecarlo.LinkSpec(fading=self.dksm)
-        else:
-            m, xi, sigma2 = float(rec["m"]), float(rec["xi"]), float(rec["sigma2"])
-            # scale so the stated mean SNR is the distribution mean
-            default = _RECEIVER["rician_shadowed"]["normalize_mean"].default
-            norm = (xi + 2.0 * sigma2) if rec.get("normalize_mean", default) else 1.0
-            p_los = nlos = None
-            if "p_los" in rec:
-                p_los = float(rec["p_los"])
-                loss = secrecy.db_to_linear(-float(rec["nlos_extra_loss_db"]))
-                nlos = snr_r * loss / norm
-            self.receiver = montecarlo.LinkSpec(
-                fading=RicianShadowedParams(m=m, xi=xi, sigma2=sigma2,
-                                            mean_snr=snr_r / norm),
-                p_los=p_los, nlos_mean_snr=nlos,
-            )
+        geo, rec, eve = _sections(sc, overrides, axis_value)
+        self.scenario, self.overrides = sc, overrides
+        self.receiver = _receiver_link(sc, geo, rec, axis_value)
+        # the double model's law, None for the Rician model
+        self.dksm = (self.receiver.fading if rec["fading"] == "double_kappa_mu_shadowed"
+                     else None)
 
         # per-antenna Gamma laws: the intercept over N antennas, the jammer
         # over K, and `eve`, their sums at the eavesdropper: the shapes add
         # over antennas and each link keeps its rate.  With the jammer off
         # (K = 0) `jammer` is None and `eve` has nu_J = 0
+        delta = float(geo["delta"])
+        p_s = secrecy.db_to_linear(geo["p_s_db"])
+        noise_var_e = float(geo["noise_var_e"])
         m_i = int(eve.get("m_i", _EVE["m_i"].default))
         m_j = int(eve.get("m_j", _EVE["m_j"].default))
         n = int(geo["n_bs_antennas"])
@@ -565,17 +564,56 @@ class _Point:
         return montecarlo.simulate_eve_sinr(
             self.intercept, self.jammer, self.trials, self.seed, self.memo)
 
+    def column_receivers(self) -> list:
+        """The receiver link at each grid point of this point's variant,
+        in grid order.  A point whose link is invalid is left out: it
+        raises when it is evaluated itself."""
+        sc, links = self.scenario, []
+        for x in sc.grid:
+            geo, rec, _ = _sections(sc, self.overrides, x)
+            try:
+                links.append(_receiver_link(sc, geo, rec, x))
+            except ParameterError:
+                pass
+        return links
+
     def value(self, metric: str, zeta, method: str):
         """The cell's value, None for NA; once per run for each cell and
         the links its metric reads (variants and grid points often share
         them: fig5's receiver is the same at every jammer size)."""
-        # a hit hashes the key (its frozen links, field by field) once
-        key = (metric, zeta, method, *(getattr(self, a) for a in _METRIC_LINKS[metric]))
+        th = None if zeta is None else secrecy.db_to_linear(zeta)
+        # the key is the cell, by its linear threshold (a column of it is
+        # filled at once: `_rician_outage_column`), and the links its
+        # metric reads; a hit hashes it (its frozen links, field by field) once
+        key = (metric, th, method, *(getattr(self, a) for a in _METRIC_LINKS[metric]))
         value = self.memo.get(key, _MISSING)
         if value is _MISSING:
-            th = None if zeta is None else secrecy.db_to_linear(zeta)
             value = self.memo[key] = _ROUTES[(metric, method)](self, th)
         return value
+
+
+def _rician_outage_column(pt: _Point, th: float) -> float:
+    """Receiver outage of the Rician model by closed form at pt, taken
+    with every grid point of its variant whose cell is not in the run memo
+    yet, from one `rician_shadowed_cdf` call; each point's value is kept
+    under its own key.  A blockage mixture's NLOS branch is the LOS law at
+    another mean, F_NLOS(gamma) = F_LOS(gamma mean_LOS / mean_NLOS), so a
+    point gives two thresholds of its LOS law, each under that law's own
+    mean.  The call's rows are independent: every value is the one a call
+    for its point alone gives, to the bit, whichever points share it."""
+    links = [rx for rx in dict.fromkeys((pt.receiver, *pt.column_receivers()))
+             if ("outage_r", th, "closed-form", rx) not in pt.memo]
+    laws = [rx.fading for rx in links]
+    ths = [th] * len(links)
+    if pt.receiver.p_los is not None:  # the variant's blockage mixture, at every point
+        ths += [th * law.mean_snr / rx.nlos_mean_snr for rx, law in zip(links, laws)]
+        laws += laws
+    f = secrecy.rician_shadowed_cdf(laws[0], ths, [law.mean_snr for law in laws]).tolist()
+    n = len(links)
+    for j, rx in enumerate(links):
+        pt.memo[("outage_r", th, "closed-form", rx)] = _blockage_blend(
+            rx, lambda _: f[j], lambda: (f[j], f[n + j]))
+    return pt.memo[("outage_r", th, "closed-form", pt.receiver)]
 
 
 def _secrecy_capacity(pt: _Point, _, method: str):
@@ -590,7 +628,7 @@ def _secrecy_capacity(pt: _Point, _, method: str):
 _ROUTES = {
     ("outage_r", "closed-form"): lambda pt, th: (
         None if pt.dksm is not None  # no closed-form CDF
-        else _rician_outage_closed_form(pt.receiver, th)),
+        else _rician_outage_column(pt, th)),
     ("outage_r", "quadrature"): lambda pt, th: (
         dksm_cdf(pt.dksm, th) if pt.dksm is not None
         else _blockage_blend(pt.receiver, lambda law: rician_shadowed_cdf_integral(law, th))),

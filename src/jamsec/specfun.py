@@ -32,11 +32,10 @@ __all__ = [
 _LN_TINY = -46.0  # exp(-46) ~ 1e-20, truncation target for contour tails
 
 # contour integrators: baseline imaginary half-length (extended when the
-# integrand's mass sits farther out), baseline midpoint-rule node count
-# across [-L, L], acceptance tolerances of the refinement loop, and how
-# many denser, longer passes to try before raising AccuracyError
+# integrand's mass sits farther out), acceptance tolerances of the
+# refinement loop, and how many denser, longer passes to try before
+# raising AccuracyError
 _HALF_LENGTH = 24.0
-_NODES = 1200
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-9
 _MAX_REFINEMENTS = 3
@@ -59,11 +58,17 @@ def _tail_length(rho: float, decay: float, base: float) -> float:
     return max(base, 1.5 * tau_star, length)
 
 
-def _node_spacing(base_h: float, clearance: float, ln_scale: float) -> float:
-    # midpoint-rule error ~ exp(-2*pi*clearance/h); keep it ~1e-13 and
-    # resolve the z^(i tau) oscillation.
-    h = min(base_h, 2.0 * math.pi * clearance / 30.0)
-    return min(h, math.pi / (3.0 * (1.0 + abs(ln_scale))))
+def _node_spacing(clearance: float, ln_scale: float) -> float:
+    """Midpoint-rule spacing: the rule's error is ~exp(-2 pi clearance/h)
+    on a contour `clearance` away from the nearest pole (Trefethen &
+    Weideman, SIAM Rev. 56(3), 2014), kept ~1e-13, and at least six nodes
+    a period resolve the phase z^(i tau), |ln z| = `ln_scale`.  The
+    clearance's spacing is halved until it resolves the phase, so the
+    points of a sweep whose phases differ share a few grids, and with them
+    the weights a caller keeps per grid."""
+    h = 2.0 * math.pi * clearance / 30.0
+    phase = math.pi / (3.0 * (1.0 + abs(ln_scale)))
+    return h / 2.0 ** max(0, math.ceil(math.log2(h / phase)))
 
 
 def _refine(run_pass, lengths, h, grow, shrink, name):
@@ -185,8 +190,7 @@ def meijer_series_fold(s: float, mu: float, a: float, x: float, z: float,
     g = max(-a, a - mu)
     length = min(_tail_length(mu + s - 2.0 + g, 2.0 * math.pi, _HALF_LENGTH),
                  _tail_length(mu - 1.0 + g, 1.5 * math.pi, _HALF_LENGTH))
-    h = _node_spacing(2.0 * _HALF_LENGTH / _NODES, min(0.5, s - 0.5),
-                      abs(lnz) + abs(math.log1p(-x)))
+    h = _node_spacing(min(0.5, s - 0.5), abs(lnz) + abs(math.log1p(-x)))
     levels = itertools.count()  # the refinement level of each pass
     return _refine(
         lambda lengths, h: _fold_pass(s, mu, a, x, lnz, log_prefactor, sigma, lengths[0], h,

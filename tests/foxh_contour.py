@@ -134,12 +134,11 @@ def fox_h_bivariate(omega: float, log_weights, x: float, y: float):
     rho_t = nq_hi + omega + sig + sig - 0.5
     len_s = _tail_length(rho_s, decay, 10.0)
     len_t = _tail_length(rho_t, decay, 10.0)
-    # aliasing error of the midpoint rule ~ exp(-2*pi*clearance/h); the
-    # 1-D node baseline is irrelevant here, clearance drives the spacing
+    # aliasing error of the midpoint rule ~ exp(-2*pi*clearance/h): the
+    # clearance sets the spacing, halved where an axis's phase needs it
     clear = 1.0 / 3.0
-    base_h = 2.0 * math.pi * clear / 30.0
     # one spacing for both axes keeps s + t on a single lattice
-    h = min(_node_spacing(base_h, clear, lnx), _node_spacing(base_h, clear, lny))
+    h = min(_node_spacing(clear, lnx), _node_spacing(clear, lny))
 
     return _refine(
         lambda lengths, h: _foxh_pass(omega, coef, log_scale, lnx, lny, sig,

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -611,6 +612,30 @@ class TestRicianShadowed:
         # where 1 - F = 7.7e-6 the bound stays above 2^-54: the sum runs
         assert rician_shadowed_cdf(p, 2e4) == 0.9999922556985194
         assert rician_shadowed_cdf(p, [2e4, 2e6]).tolist() == [0.9999922556985194, 1.0]
+
+    @pytest.mark.parametrize("g", [1e6, 1e8, 1e12])
+    def test_cdf_integral_far_past_the_mean(self, g):
+        # the law's mean is 1.4: on one range [0, g] every starting panel's
+        # nodes missed its mass, and the integral read 6e-257 at 1e6 and 0
+        # beyond; a break at 64 times the mean keeps it
+        p = RicianShadowedParams(m=2.0, xi=1.0, sigma2=0.2, mean_snr=1.0)
+        assert abs(rician_shadowed_cdf_integral(p, g) - rician_shadowed_cdf(p, g)) <= 1e-12
+
+    # fig2's light and dense laws, and the law with 1 - rho = 1e-6, whose
+    # CDF sums the Poisson side or reads 1.0 from its tail bound
+    @pytest.mark.parametrize("m, xi, sigma2", [(19.4, 1.29, 0.158), (0.739, 8.97e-4, 0.063),
+                                               (0.5, 1000.0, 0.001)])
+    def test_cdf_rows_under_their_own_means(self, m, xi, sigma2):
+        # laws of one (m, xi, sigma2) at seven means in one call: each row
+        # reads what a call of its own law alone gives, to the bit
+        means = np.geomspace(1e-2, 1e4, 7)
+        g = means * (xi + 2.0 * sigma2) * np.geomspace(1e-3, 1e3, 7)[::-1]
+        law = RicianShadowedParams(m=m, xi=xi, sigma2=sigma2, mean_snr=1.0)
+        alone = [rician_shadowed_cdf(replace(law, mean_snr=v), th) for v, th in zip(means, g)]
+        assert rician_shadowed_cdf(law, g, means).tolist() == alone
+        assert rician_shadowed_cdf(law, g[2], means[2]) == alone[2]
+        with pytest.raises(ParameterError):
+            rician_shadowed_cdf(law, g, np.where(means > 1.0, means, 0.0))
 
     def test_tail_bound_is_checked_only_for_a_wide_nb(self, monkeypatch):
         called = []

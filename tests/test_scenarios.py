@@ -526,26 +526,33 @@ class TestReceiverMemo:
 
     def test_cells_sharing_a_link_are_computed_once(self, tmp_path, monkeypatch):
         # variants that differ only in the jamming shape share the receiver
-        # link, so its outage is one CDF call per (threshold, law), and that
-        # call covers both branches of the blockage mixture
+        # link, so its outage is evaluated once per (point, threshold): one
+        # CDF row for each branch of the blockage mixture, all of a
+        # threshold's column in one call
         cfg = load_config("fig2")
         cfg["zeta_db"] = [5.0, 10.0]
         cfg["variants"] = [{"name": "a", "eve": {"m_j": 1}},
                            {"name": "b", "eve": {"m_j": 2}}]
         f = tmp_path / "fig2.yaml"
         f.write_text(yaml.safe_dump(cfg))
-        seen, real = [], secrecy.rician_shadowed_cdf
+        calls, real = [], secrecy.rician_shadowed_cdf
 
-        def counted(p, th):
-            seen.append((p, tuple(th)))
-            return real(p, th)
+        def counted(p, th, mean_snr):
+            calls.append(list(zip(np.broadcast_to(th, np.shape(mean_snr)).tolist(),
+                                  np.asarray(mean_snr).tolist())))
+            return real(p, th, mean_snr)
 
         monkeypatch.setattr(secrecy, "rician_shadowed_cdf", counted)
         table = run_scenario(str(f), methods=["closed-form"])
+        rows = [row for call in calls for row in call]
         # the LOS and the NLOS branch at each point, as thresholds of the
-        # LOS law
-        assert len(seen) == len(set(seen)) == 2 * len(cfg["sweep"]["grid"])
-        assert all(len(th) == 2 for _, th in seen)
+        # LOS law under that point's mean
+        n = len(cfg["sweep"]["grid"])
+        assert len(calls) == len(cfg["zeta_db"])
+        assert len(rows) == len(set(rows)) == 2 * n * len(cfg["zeta_db"])
+        for call in calls:
+            assert [mean for _, mean in call[:n]] == [mean for _, mean in call[n:]]
+            assert len({mean for _, mean in call}) == n
         for z in ("5dB", "10dB"):
             assert (_col(table, f"a/outage_r@{z}#closed-form")
                     == _col(table, f"b/outage_r@{z}#closed-form"))
@@ -555,18 +562,58 @@ class TestReceiverMemo:
         # blend rounds the scaled threshold once more than the blend of
         # two calls, one per law
         sc = Scenario.from_config(load_config("fig2"))
+        table = run_scenario("fig2", methods=["closed-form"])
         worst = 0.0
-        for _, variant in sc.variants:
-            for snr_db in sc.grid:
-                rx = scenario._Point(sc, variant, snr_db, {}).receiver
-                for zeta in sc.zeta_db:
-                    th = secrecy.db_to_linear(zeta)
+        for name, variant in sc.variants:
+            for zeta in sc.zeta_db:
+                got = _col(table, f"{name}/outage_r@{zeta:g}dB#closed-form")
+                th = secrecy.db_to_linear(zeta)
+                for snr_db, cell in zip(sc.grid, got):
+                    rx = scenario._Point(sc, variant, snr_db, {}).receiver
                     nlos = replace(rx.fading, mean_snr=rx.nlos_mean_snr)
                     want = (rx.p_los * secrecy.rician_shadowed_cdf(rx.fading, th)
                             + (1.0 - rx.p_los) * secrecy.rician_shadowed_cdf(nlos, th))
-                    got = scenario._rician_outage_closed_form(rx, th)
-                    worst = max(worst, abs(got - want) / want)
+                    worst = max(worst, abs(cell - want) / want)
         assert worst <= 4e-16
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_column_cells_match_single_point_runs(self, tmp_path, workers):
+        # each column's CDF rows are independent: a cell of the sweep is
+        # the one `eval --at` gives at its point, to the bit, with or
+        # without blockage and for any pool size
+        cfg = load_config("fig2")
+        cfg["zeta_db"] = [5.0, 10.0]
+        blocked = {k: cfg["receiver"].pop(k) for k in ("p_los", "nlos_extra_loss_db")}
+        cfg["variants"] = [{**v, "receiver": {**blocked, **v["receiver"]}}
+                           for v in cfg["variants"]]
+        cfg["variants"].append({"name": "open", "receiver": {"m": 5.2, "xi": 0.9, "sigma2": 0.1}})
+        f = tmp_path / "fig2-open.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        table = run_scenario(str(f), methods=["closed-form"], workers=workers)
+        assert {"light/outage_r@5dB#closed-form", "dense/outage_r@10dB#closed-form",
+                "open/outage_r@10dB#closed-form"} <= set(table.columns)
+        out = io.StringIO()
+        emit(table, destination=out)
+        lines = out.getvalue().splitlines()[-len(table.rows):]
+        one = tmp_path / "one.csv"
+        for x, line in zip(cfg["sweep"]["grid"], lines):
+            assert cli.main(["eval", str(f), "--at", repr(x), "--methods", "closed-form",
+                             "--out", str(one)]) == 0
+            assert one.read_text().splitlines()[-1] == line
+            assert "NA" not in line
+
+    def test_column_leaves_an_invalid_point_to_raise_itself(self, tmp_path):
+        # the receiver's mean SNR overflows at P_S = 3000 dB and the
+        # intercept's at 1000 dB: the column taken at 0 dB skips the point
+        # it cannot form, so the run fails where it did point by point, at
+        # 1000 dB
+        cfg = load_config("fig2")
+        cfg["sweep"] = {"axis": "p_s_db", "grid": [0.0, 1000.0, 3000.0]}
+        cfg["geometry"].update(r_sr_m=1e-10, r_se_m=1e-150)
+        f = tmp_path / "fig2-loud.yaml"
+        f.write_text(yaml.safe_dump(cfg))
+        with pytest.raises(ParameterError, match=r"1e\+100 \* 1e-150"):
+            run_scenario(str(f), methods=["closed-form"])
 
     def test_secrecy_capacity_reads_the_eve_capacity_cell(self, monkeypatch):
         seen, real = [], secrecy.capacity_eve_series

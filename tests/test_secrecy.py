@@ -317,6 +317,45 @@ class TestReceiverCapacity:
         assert {key[:-1] for key in cache} == {("meijer_series_fold", 2.5, 2.0, 5.0, 0.375)}
         assert len(cache) <= specfun._MAX_REFINEMENTS + 1
 
+    def test_fig5_law_keeps_under_a_thousand_nodes(self):
+        # fig5's receiver law over its ten mean SNRs (P_S from -10 to 35 dB):
+        # the spacing its clearance of 1/2 asks, 0.105, gives 230 nodes at
+        # the first level and 573 at the second; a fixed 0.04 kept 2,100
+        cache = {}
+        for p_s_db in range(-10, 40, 5):
+            capacity_receiver_series(DoubleKappaMuShadowedParams(
+                c=5.0, s=2.5, mu=2.0, kappa=1.5, mean_snr=db_to_linear(p_s_db)), cache)
+        nodes = [len(t) for _, t, _, _ in cache.values()]
+        assert len(nodes) == 2 and sum(nodes) <= 1_000, nodes
+
+    def test_large_s_sweep_shares_two_grids(self, monkeypatch):
+        # at c = 5, s = 1e5, mu = 3, kappa = 10 the phase z^(i tau) sets the
+        # spacing from mean SNR 1 up; halving the clearance's spacing puts
+        # fig5's ten means on two grids, so the 2F1 at the nodes is taken
+        # for two refinement levels of each, not at every mean
+        calls, real = [], specfun.hyp2f1_complex
+        monkeypatch.setattr(specfun, "hyp2f1_complex",
+                            lambda *a: calls.append(len(a[1])) or real(*a))
+        cache = {}
+        for p_s_db in range(-10, 40, 5):
+            capacity_receiver_series(DoubleKappaMuShadowedParams(
+                c=5.0, s=1e5, mu=3.0, kappa=10.0, mean_snr=db_to_linear(p_s_db)), cache)
+        assert calls == [230, 573, 459, 1146]
+
+    def test_fold_matches_quadrature_on_random_laws(self):
+        # 120 laws drawn log-uniformly over c 0.3-20, s 1.2-1e3, mu 0.3-8,
+        # kappa 0.01-30 and mean SNR 1e-2 to 1e4: the spacing taken from the
+        # rule's error bounds keeps the fold at quadrature's precision
+        rng = np.random.default_rng(35)
+        lo, hi = np.log([0.3, 1.2, 0.3, 0.01, 1e-2]), np.log([20.0, 1e3, 8.0, 30.0, 1e4])
+        off = []
+        for c, s, mu, kappa, mean in np.exp(rng.uniform(lo, hi, size=(120, 5))):
+            p = DoubleKappaMuShadowedParams(c=c, s=s, mu=mu, kappa=kappa, mean_snr=mean)
+            got, want = capacity_receiver_series(p), capacity_receiver_quadrature(p)
+            if not abs(got - want) <= 2e-12 * want:
+                off.append((c, s, mu, kappa, mean, got, want))
+        assert off == []
+
     def test_monotone_in_mean_snr(self):
         vals = [
             capacity_receiver_series(
